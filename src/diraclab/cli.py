@@ -75,6 +75,19 @@ def load_spec(path: str) -> sc.ScenarioSpec:
                            int(doc.get("seed", 0)), doc.get("samples"))
 
 
+def pair_dim(params: dict) -> int:
+    """The real dimension n of the pair scenario's symplectic space."""
+    n = int(params.get("n", 2))
+    if n <= 0 or n % 2:
+        raise ScenarioError(f"pair needs a positive even n, got {n}")
+    return n
+
+
+def hypothesis_violated(e: Exception) -> int:
+    print(dumps({"status": HYPOTHESIS_VIOLATED, "detail": str(e)}))
+    return EXIT_CHECK_FAILED
+
+
 def effective_samples(spec: sc.ScenarioSpec, override: str | None) -> dict:
     samples = dict(DEFAULT_SAMPLES)
     if spec.samples:
@@ -97,7 +110,7 @@ def _suite_runners(spec: sc.ScenarioSpec, samples: dict, seed: int):
     runners = {}
 
     if name in ("pair", "pair-corrupt-sigma"):
-        n = int(params.get("n", 2))
+        n = pair_dim(params)
         num_objects = max(2, min(int(samples["objects"]), 4))
         bundle = sc.build_pair_groupoid(n, num_objects=num_objects)
         if name == "pair-corrupt-sigma":
@@ -283,9 +296,7 @@ def cmd_reduce(args) -> int:
     try:
         red = sc.circle_reduction(n, level)
     except sc.ReductionHypothesisViolated as e:
-        doc = {"status": HYPOTHESIS_VIOLATED, "detail": str(e)}
-        print(dumps(doc))
-        return EXIT_CHECK_FAILED
+        return hypothesis_violated(e)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BAD_INPUT
@@ -305,7 +316,10 @@ def cmd_reduce(args) -> int:
                                    red.obj_pairs, red.arrow_pairs,
                                    red.level_point_idx)
 
-    fibers, rep = sc.run_reduction(red)
+    try:
+        fibers, rep = sc.run_reduction(red)
+    except sc.ReductionHypothesisViolated as e:
+        return hypothesis_violated(e)
     doc = {
         "status": "pass" if rep.passed else "fail",
         "report": rep.to_json(),
@@ -335,11 +349,12 @@ def CoisotropicDatumWithBase(custom, red):
 def cmd_dump(args) -> int:
     try:
         spec = load_spec(args.scenario)
-    except ScenarioError as e:
+        pair_n = pair_dim(spec.params) if spec.name == "pair" else None
+    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BAD_INPUT
     if spec.name == "pair":
-        doc = bundle_to_json(sc.build_pair_groupoid(int(spec.params.get("n", 2))))
+        doc = bundle_to_json(sc.build_pair_groupoid(pair_n))
     elif spec.name == "circle":
         n = int(spec.params.get("n", 1))
         level = frac(str(spec.params.get("level", "1/2")))

@@ -6,12 +6,22 @@ the two value types here: LinMap (a dense rational matrix) and Subspace
 subspaces are equal iff their stored bases are identical tuples).
 
 No floating point is used anywhere.
+
+Integer core: Fraction appears only at the boundary.  Every value a caller
+passes in or gets back (LinMap.entries, Subspace.basis, the results of dot,
+kernel, solve) is a Fraction, but the two hot primitives work on Python
+ints inside.  _rref clears each row's denominators, eliminates without
+fractions while keeping every row primitive (its entries have gcd 1), and
+divides by the pivot once, at the end; dot sums products of numerators over
+a common denominator and builds a single Fraction.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 Scalar = Fraction
 Vec = tuple[Fraction, ...]
@@ -64,9 +74,23 @@ def vec_concat(u: Vec, v: Vec) -> Vec:
 
 
 def dot(u: Vec, v: Vec) -> Fraction:
+    """Exact u.v: integer products of numerators over a common denominator."""
     if len(u) != len(v):
         raise DimensionMismatch(f"dot: {len(u)} vs {len(v)}")
-    return sum((a * b for a, b in zip(u, v)), ZERO)
+    num, den = 0, 1
+    for a, b in zip(u, v):
+        if a and b:
+            p = a.numerator * b.numerator
+            q = a.denominator * b.denominator
+            if q == 1:
+                num += p * den
+                continue
+            if den % q:
+                m = q // gcd(den, q)
+                num *= m
+                den *= m
+            num += p * (den // q)
+    return Fraction(num, den) if num else ZERO
 
 
 def zero_vec(n: int) -> Vec:
@@ -156,9 +180,6 @@ class LinMap:
     def col_vectors(self) -> list[Vec]:
         return [tuple(self.entries[i][j] for i in range(self.rows)) for j in range(self.cols)]
 
-    def row_vectors(self) -> list[Vec]:
-        return [tuple(r) for r in self.entries]
-
     def is_zero(self) -> bool:
         return all(is_zero_vec(r) for r in self.entries)
 
@@ -182,39 +203,52 @@ def vstack(a: LinMap, b: LinMap) -> LinMap:
     return LinMap(a.rows + b.rows, a.cols, a.entries + b.entries)
 
 
-def block_diag(a: LinMap, b: LinMap) -> LinMap:
-    top = hstack(a, LinMap.zero(a.rows, b.cols))
-    bot = hstack(LinMap.zero(b.rows, a.cols), b)
-    return vstack(top, bot)
+def _primitive(row: list[int]) -> list[int]:
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
 
 
-def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """In-place reduced row echelon form; returns (rows, pivot column list)."""
+def _rref(rows: Sequence[Vec]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form of the nonzero rows; returns (rows, pivot cols).
+
+    Fraction is used only at the boundary.  Each row is scaled by the lcm of
+    its denominators to a row of ints, and elimination stays fraction-free:
+    row <- (p/g)*row - (f/g)*pivot_row with g = gcd(p, f), after which the
+    row is kept primitive (divided by the gcd of its entries).  The division
+    by the pivot happens once, at the end.  RREF is unique, so the result is
+    the same as Gauss-Jordan elimination over Q.  The input is not modified.
+    """
     if not rows:
-        return rows, []
-    ncols = len(rows[0])
+        return [], []
+    mat = []
+    for row in rows:
+        d = lcm(*(x.denominator for x in row))
+        mat.append(_primitive([x.numerator * (d // x.denominator) for x in row]))
+    nrows = len(mat)
     piv_cols = []
     r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != 0:
-                pivot = i
-                break
+    for c in range(len(mat[0])):
+        pivot = next((i for i in range(r, nrows) if mat[i][c]), None)
         if pivot is None:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = ONE / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        prow = mat[r]
+        p = prow[c]
+        for i in range(nrows):
+            f = mat[i][c]
+            if i != r and f:
+                g = gcd(p, f)
+                a, b = p // g, f // g
+                mat[i] = _primitive([a * x - b * y for x, y in zip(mat[i], prow)])
         piv_cols.append(c)
         r += 1
-        if r == len(rows):
+        if r == nrows:
             break
-    return rows[:r], piv_cols
+    out = []
+    for row, c in zip(mat, piv_cols):
+        p = row[c]
+        out.append([Fraction(x, p) if x else ZERO for x in row])
+    return out, piv_cols
 
 
 @dataclass(frozen=True)
@@ -282,7 +316,7 @@ def canonicalize(vectors, ambient_dim: int | None = None) -> Subspace:
     for v in vectors:
         if len(v) != ambient_dim:
             raise DimensionMismatch("canonicalize: mixed ambient dimensions")
-    rows, _ = _rref([list(v) for v in vectors])
+    rows, _ = _rref(vectors)
     return Subspace(ambient_dim, tuple(tuple(r) for r in rows))
 
 
@@ -326,7 +360,7 @@ def preimage(f: LinMap, s: Subspace) -> Subspace:
 
 
 def kernel(f: LinMap) -> Subspace:
-    rows, piv_cols = _rref([list(r) for r in f.entries])
+    rows, piv_cols = _rref(f.entries)
     free_cols = [c for c in range(f.cols) if c not in piv_cols]
     gens = []
     for fc in free_cols:
@@ -386,10 +420,6 @@ def embed(s: Subspace, offset: int, ambient: int) -> Subspace:
 
 def random_fraction(rng, bound: int = 8) -> Fraction:
     return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
-
-
-def random_vec(rng, n: int, bound: int = 8) -> Vec:
-    return tuple(random_fraction(rng, bound) for _ in range(n))
 
 
 def random_matrix(rng, rows: int, cols: int, bound: int = 8) -> LinMap:

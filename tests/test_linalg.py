@@ -8,9 +8,11 @@ from diraclab.linalg import (
     DimensionMismatch,
     LinMap,
     Subspace,
+    _rref,
     annihilator,
     basis_vec,
     canonicalize,
+    dot,
     image,
     intersect,
     kernel,
@@ -168,3 +170,161 @@ def test_subspace_equality_is_canonical():
     assert a == b  # both are all of Q^2
     assert isinstance(a, Subspace)
     assert a.basis == (basis_vec(2, 0), basis_vec(2, 1))
+
+
+# ---------------------------------------------------------------------------
+# the integer core against a plain Fraction Gauss-Jordan oracle
+
+def oracle_rref(rows):
+    rows = [list(r) for r in rows]
+    if not rows:
+        return rows, []
+    piv_cols = []
+    r = 0
+    for c in range(len(rows[0])):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        piv_cols.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows[:r], piv_cols
+
+
+def oracle_kernel(m, cols):
+    rows, piv_cols = oracle_rref(m)
+    gens = []
+    for fc in (c for c in range(cols) if c not in piv_cols):
+        v = [F(0)] * cols
+        v[fc] = F(1)
+        for r, pc in zip(rows, piv_cols):
+            v[pc] = -r[fc]
+        gens.append(v)
+    return tuple(tuple(r) for r in oracle_rref(gens)[0])
+
+
+def oracle_solve(m, b, cols):
+    rows, piv_cols = oracle_rref([list(r) + [x] for r, x in zip(m, b)])
+    sol = [F(0)] * cols
+    for r, pc in zip(rows, piv_cols):
+        if pc == cols:
+            return None
+        sol[pc] = r[cols]
+    return tuple(sol)
+
+
+def all_fractions(rows):
+    return all(type(x) is F for r in rows for x in r)
+
+
+# mostly zeros and small integers, as in the scenarios, plus denominators
+# up to 10**6 and both signs
+entries = st.one_of(
+    st.just(F(0)),
+    st.integers(-9, 9).map(F),
+    st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6),
+)
+
+
+@st.composite
+def matrices(draw, max_rows=8, max_cols=16):
+    """Random rational matrices with zero, duplicate, negated and
+    combined rows mixed in, so rank deficiency is common."""
+    cols = draw(st.integers(1, max_cols))
+    rows = draw(st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                         max_size=max_rows))
+    for _ in range(draw(st.integers(0, 3))):
+        if len(rows) >= max_rows:
+            break
+        kind = draw(st.sampled_from(["zero", "dup", "neg", "comb"]))
+        if kind == "zero" or not rows:
+            extra = [F(0)] * cols
+        else:
+            a = draw(st.sampled_from(rows))
+            b = draw(st.sampled_from(rows))
+            c = draw(entries)
+            extra = {"dup": list(a),
+                     "neg": [-x for x in a],
+                     "comb": [x + c * y for x, y in zip(a, b)]}[kind]
+        rows.insert(draw(st.integers(0, len(rows))), extra)
+    return rows, cols
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices())
+def test_rref_matches_oracle(mc):
+    m, _ = mc
+    rows, piv_cols = _rref(m)
+    assert (rows, piv_cols) == oracle_rref(m)
+    assert all_fractions(rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices())
+def test_kernel_matches_oracle(mc):
+    m, cols = mc
+    k = kernel(LinMap.from_rows(m, cols=cols))
+    assert k.basis == oracle_kernel(m, cols)
+    assert all_fractions(k.basis)
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices(), st.data())
+def test_solve_matches_oracle(mc, data):
+    m, cols = mc
+    b = tuple(data.draw(st.lists(entries, min_size=len(m), max_size=len(m))))
+    sol = solve(LinMap.from_rows(m, cols=cols), b)
+    assert sol == oracle_solve(m, b, cols)
+    assert sol is None or all_fractions([sol])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 16).flatmap(
+    lambda n: st.tuples(st.lists(entries, min_size=n, max_size=n),
+                        st.lists(entries, min_size=n, max_size=n))))
+def test_dot_matches_oracle(uv):
+    u, v = uv
+    d = dot(u, v)
+    assert d == sum((a * b for a, b in zip(u, v)), F(0))
+    assert type(d) is F
+
+
+def test_rref_negative_pivots():
+    m = [[F(-3), F(6), F(-1, 7)], [F(-2), F(-5), F(0)], [F(-5), F(1), F(-1, 7)]]
+    rows, piv_cols = _rref(m)
+    assert (rows, piv_cols) == oracle_rref(m)
+    assert piv_cols == [0, 1]
+    assert rows[0][0] == rows[1][1] == 1
+
+
+def test_rref_keeps_zero_and_duplicate_rows_out():
+    m = [[F(0), F(0)], [F(2, 3), F(4, 5)], [F(0), F(0)], [F(2, 3), F(4, 5)]]
+    assert _rref(m) == ([[F(1), F(6, 5)]], [0])
+
+
+def test_solve_inconsistent_large_denominators():
+    f = LinMap.from_rows([[F(1, 999983), F(2, 999979)],
+                          [F(2, 999983), F(4, 999979)]])
+    assert solve(f, (F(1), F(3))) is None
+    assert solve(f, (F(1), F(2))) == (F(999983), F(0))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: dot(vec(1, 2), vec(1, 2, 3)),
+    lambda: solve(LinMap.identity(2), vec(1)),
+    lambda: LinMap.identity(2).apply(vec(1, 2, 3)),
+    lambda: LinMap.identity(2) @ LinMap.identity(3),
+    lambda: kernel(LinMap.identity(2)).contains(vec(1)),
+    lambda: canonicalize([vec(1, 0), vec(1, 0, 0)]),
+])
+def test_shape_errors_raise_dimension_mismatch(call):
+    with pytest.raises(DimensionMismatch):
+        call()
