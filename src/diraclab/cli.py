@@ -83,6 +83,11 @@ def pair_dim(params: dict) -> int:
     return n
 
 
+def circle_params(params: dict) -> tuple[int, Fraction]:
+    """The circle scenario's n (default 1) and moment level (default 1/2)."""
+    return int(params.get("n", 1)), frac(str(params.get("level", "1/2")))
+
+
 def hypothesis_violated(e: Exception) -> int:
     print(dumps({"status": HYPOTHESIS_VIOLATED, "detail": str(e)}))
     return EXIT_CHECK_FAILED
@@ -139,8 +144,7 @@ def _suite_runners(spec: sc.ScenarioSpec, samples: dict, seed: int):
             runners["induced"] = lambda: induced_poisson(identity_datum(bundle))
 
     elif name == "circle":
-        n = int(params.get("n", 1))
-        level = frac(str(params.get("level", "1/2")))
+        n, level = circle_params(params)
         scn = sc.circle_scenario(n, level)
         runners["qs"] = lambda: qs_check(scn.ham.datum.g_bundle)
         runners["hamiltonian"] = lambda: sc.hamiltonian_check(scn.ham)
@@ -287,8 +291,9 @@ def cmd_reduce(args) -> int:
         spec = load_spec(args.scenario)
         if spec.name != "circle":
             raise ScenarioError("reduction is shipped for the circle scenario")
-        n = int(spec.params.get("n", 2))
-        level = frac(args.level) if args.level else frac(str(spec.params.get("level", "1/2")))
+        n, level = circle_params(spec.params)
+        if args.level:
+            level = frac(args.level)
     except (ScenarioError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BAD_INPUT
@@ -356,15 +361,17 @@ def cmd_dump(args) -> int:
     if spec.name == "pair":
         doc = bundle_to_json(sc.build_pair_groupoid(pair_n))
     elif spec.name == "circle":
-        n = int(spec.params.get("n", 1))
-        level = frac(str(spec.params.get("level", "1/2")))
-        scn = sc.circle_scenario(n, level)
+        n, level = circle_params(spec.params)
         if args.what == "orbit":
-            doc = datum_to_json(sc.circle_orbit_datum(scn, level))
+            # the datum `reduce --coisotropic` consumes, on the reduction's atlas
+            try:
+                doc = datum_to_json(sc.circle_reduction(n, level).orbit)
+            except sc.ReductionHypothesisViolated as e:
+                return hypothesis_violated(e)
         elif args.what == "datum":
-            doc = datum_to_json(scn.ham.datum)
+            doc = datum_to_json(sc.circle_scenario(n, level).ham.datum)
         else:
-            doc = bundle_to_json(scn.ham.datum.g_bundle)
+            doc = bundle_to_json(sc.circle_scenario(n, level).ham.datum.g_bundle)
     elif spec.name == "torus":
         pts = [(Fraction(3, 5), Fraction(4, 5), 1, 0)]
         doc = bundle_to_json(sc.torus_scenario(pts).ham.datum.g_bundle)

@@ -28,16 +28,15 @@ from .linalg import (
     LinMap,
     Subspace,
     basis_vec,
-    canonicalize,
+    block_diag,
+    fiber_product,
     full_subspace,
     hstack,
     image,
     kernel,
     preimage,
     solve,
-    vec_concat,
     vstack,
-    zero_vec,
 )
 from .report import VerificationReport, witness_subspace, witness_vector
 
@@ -90,8 +89,6 @@ def nondeg_assembly(datum: CoisotropicDatum, obj_idx: int):
     ob_g = c.cod.objects[c.obj_map[obj_idx]]
     l = datum.dirac[obj_idx]
     n, r_g = ob_c.dim, ob_g.adim
-    amb = 2 * n + r_g
-
     c0, cA = c.c0[obj_idx], c.cA[obj_idx]
     # map: b -> (rho_C b, c* sigma c_* b, cA b)
     sig_pull = c0.transpose() @ ob_g.sigma @ cA
@@ -102,17 +99,12 @@ def nondeg_assembly(datum: CoisotropicDatum, obj_idx: int):
             raise ImageEscapesL(
                 f"object {obj_idx}: image of (rho_C, c*sigma c_*) leaves L")
 
-    # fiber product: (v, alpha) in L, c0 v = rho_G a, alpha = c0^T sigma a
-    l_embedded = canonicalize([vec_concat(v, zero_vec(r_g)) for v in l.space.basis],
-                              amb)
-    a_part = canonicalize([zero_vec(2 * n) + basis_vec(r_g, j) for j in range(r_g)],
-                          amb)
-    carrier = l_embedded.sum(a_part)
-    cond1 = hstack(hstack(c0, LinMap.zero(ob_g.dim, n)), ob_g.rho.scale(-1))
-    cond2 = hstack(hstack(LinMap.zero(n, n), LinMap.identity(n)),
-                   (c0.transpose() @ ob_g.sigma).scale(-1))
-    fiber_product = carrier.intersect(kernel(vstack(cond1, cond2)))
-    return mat, fiber_product
+    # fiber product over (x, a), with (v, alpha) = (T x, C x) in L:
+    # c0 v = rho_G a and alpha = c0^T sigma a
+    t, cot = l.parts()
+    fp = fiber_product(vstack(c0 @ t, cot),
+                       vstack(ob_g.rho, c0.transpose() @ ob_g.sigma))
+    return mat, image(block_diag(l.space.matrix(), LinMap.identity(r_g)), fp)
 
 
 def nondeg_map(datum: CoisotropicDatum, obj_idx: int) -> LinMap:
@@ -152,7 +144,7 @@ def is_coisotropic(datum: CoisotropicDatum) -> VerificationReport:
             rep.add("coiso.nondeg", False, detail=str(e))
             continue
         im = image(mat)
-        ok = im.issubset(fp) and im.dim == fp.dim
+        ok = im == fp
         wit = None
         if not ok:
             missing = [v for v in fp.basis if not im.contains(v)]
@@ -188,13 +180,6 @@ class ChainComplex3:
         if not (self.d2 @ self.d1).is_zero():
             raise ValueError("d2 . d1 != 0")
 
-    def cohomology(self) -> tuple[Subspace, tuple[Subspace, Subspace], tuple[Subspace, Subspace]]:
-        """(H^{-1}, H^0 as (ker, im), H^1 as (full, im))."""
-        h_minus = kernel(self.d1)
-        h_zero = (kernel(self.d2), image(self.d1))
-        h_plus = (full_subspace(self.d2.rows), image(self.d2))
-        return h_minus, h_zero, h_plus
-
 
 def _quotient_iso(f: LinMap, v1: Subspace, w1: Subspace,
                   v2: Subspace, w2: Subspace) -> tuple[bool, bool]:
@@ -223,12 +208,11 @@ def chain_map_check(datum: CoisotropicDatum, obj_idx: int) -> VerificationReport
     ob_c = c.dom.objects[obj_idx]
     ob_g = c.cod.objects[c.obj_map[obj_idx]]
     l = datum.dirac[obj_idx]
-    n, r_g, r_c = ob_c.dim, ob_g.adim, ob_c.adim
+    n, r_c = ob_c.dim, ob_c.adim
     c0, cA = c.c0[obj_idx], c.cA[obj_idx]
 
     l_basis = l.space.matrix()          # 2n x n
-    p_t = LinMap.from_rows(l_basis.entries[:n], cols=n)       # L-coords -> T
-    p_tstar = LinMap.from_rows(l_basis.entries[n:], cols=n)   # L-coords -> T*
+    p_t, p_tstar = l.parts()            # L-coords -> T, L-coords -> T*
 
     # top row
     sig_pull = c0.transpose() @ ob_g.sigma @ cA
@@ -282,8 +266,7 @@ def chain_map_check(datum: CoisotropicDatum, obj_idx: int) -> VerificationReport
 
     # the other characterization, computed from the assembled map
     mat, fp = nondeg_assembly(datum, obj_idx)
-    im = image(mat)
-    surjective = im.issubset(fp) and im.dim == fp.dim
+    surjective = image(mat) == fp
     bijective = surjective and kernel(mat).dim == 0
 
     rep.add("chain_map.quasi_iso_iff_bijective", quasi_iso == bijective,
@@ -387,16 +370,9 @@ def infinitesimal_coisotropic_check(cmaps: list[LinMap],
             rep.add_hypothesis_violation("infinitesimal.twist",
                                          "c*phi_M != phi_N at a sample")
             return rep
-        n_n, n_m = ln.n, lm.n
-        amb = 2 * n_n + 2 * n_m
-        carrier = canonicalize(
-            [vec_concat(v, zero_vec(2 * n_m)) for v in ln.space.basis]
-            + [zero_vec(2 * n_n) + w for w in lm.space.basis], amb)
-        cond_v = hstack(hstack(c, LinMap.zero(n_m, n_n)),
-                        hstack(LinMap.identity(n_m).scale(-1), LinMap.zero(n_m, n_m)))
-        cond_a = hstack(hstack(LinMap.zero(n_n, n_n), LinMap.identity(n_n)),
-                        hstack(LinMap.zero(n_n, n_m), c.transpose().scale(-1)))
-        fp = carrier.intersect(kernel(vstack(cond_v, cond_a)))
+        t_n, c_n = ln.parts()
+        t_m, c_m = lm.parts()
+        fp = fiber_product(vstack(c @ t_n, c_n), vstack(t_m, c.transpose() @ c_m))
         ranks.append(fp.dim)
     rep.add("infinitesimal.constant_rank", len(set(ranks)) <= 1,
             detail=f"fiber product ranks across samples: {ranks}", ranks=ranks)

@@ -6,6 +6,13 @@ in coordinates n..2n-1.  The four constructions (graph, sum, pullback,
 pushforward) are total at the fiber level: each always returns a Lagrangian
 subspace.  Smoothness questions ("if L1 + L2 is smooth") are handled at the
 bundle level by cross-point rank comparison, not here.
+
+The four operations sum, gauge (a sum with a graph), pullback and
+pushforward are relation images, image(out, fiber_product(m1, m2)), taken
+in the basis coordinates of L: with (T, C) = L.parts() the tangent and
+cotangent components of L's basis, an element of L is (T x, C x) for x in
+Q^n, so matching conditions are linear equations in x.  kernel_of and
+cotangent_trace are images of kernels in the same coordinates.
 """
 
 from __future__ import annotations
@@ -19,16 +26,18 @@ from .linalg import (
     Vec,
     ZERO,
     basis_vec,
+    block_diag,
     canonicalize,
     dot,
+    fiber_product,
     frac,
     full_subspace,
     hstack,
     image,
     kernel,
-    preimage,
+    solve,
     vec_concat,
-    zero_vec,
+    vstack,
 )
 
 
@@ -160,6 +169,9 @@ class ThreeFormFiber:
             data[key] = data.get(key, ZERO) + c
         return ThreeFormFiber.from_dict(self.dim, data)
 
+    def neg(self) -> "ThreeFormFiber":
+        return ThreeFormFiber(self.dim, tuple((k, -c) for k, c in self.coeffs))
+
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -195,13 +207,12 @@ class DiracFiber:
     def basis(self) -> list[Vec]:
         return list(self.space.basis)
 
-
-def _tangent_part(n: int) -> LinMap:
-    return hstack(LinMap.identity(n), LinMap.zero(n, n))
-
-
-def _cotangent_part(n: int) -> LinMap:
-    return hstack(LinMap.zero(n, n), LinMap.identity(n))
+    def parts(self) -> tuple[LinMap, LinMap]:
+        """(T, C): the V and V* rows of space.matrix(), each an n x n map
+        from basis coordinates, so that L = {(T x, C x) : x in Q^n}."""
+        n = self.n
+        rows = self.space.matrix().entries
+        return LinMap(n, n, rows[:n]), LinMap(n, n, rows[n:])
 
 
 def graph_two_form(omega: TwoFormFiber) -> DiracFiber:
@@ -238,32 +249,16 @@ def dirac_sum(l1: DiracFiber, l2: DiracFiber) -> DiracFiber:
     """{(v, a1 + a2) : (v, ai) in Li}; Lagrangian for every input pair."""
     if l1.n != l2.n:
         raise DimensionMismatch("dirac_sum: base dim mismatch")
-    n = l1.n
-    # matched pairs (x1, x2) in L1 x L2 with equal tangent parts
-    amb = 4 * n
-    s1 = embed_space(l1.space, 0, amb)
-    s2 = embed_space(l2.space, 2 * n, amb)
-    w = s1.sum(s2)
-    match_rows = [vec_concat(vec_concat(basis_vec(n, i), zero_vec(n)),
-                             vec_concat(tuple(-x for x in basis_vec(n, i)), zero_vec(n)))
-                  for i in range(n)]
-    # w cap {v1 = v2}: intersect with the kernel of the matching constraints
-    constraints = LinMap.from_rows(match_rows, cols=amb)
-    matched = w.intersect(kernel(constraints))
-    add = LinMap.from_rows(
-        [vec_concat(basis_vec(n, i), zero_vec(n)) + zero_vec(2 * n) for i in range(n)]
-        + [vec_concat(zero_vec(n), basis_vec(n, i))
-           + vec_concat(zero_vec(n), basis_vec(n, i)) for i in range(n)],
-        cols=amb)
-    return DiracFiber(l1.fiber, image(add, matched))
+    t1, c1 = l1.parts()
+    t2, c2 = l2.parts()
+    out = vstack(hstack(t1, LinMap.zero(l1.n, l1.n)), hstack(c1, c2))
+    return DiracFiber(l1.fiber, image(out, fiber_product(t1, t2)))
 
 
 def dirac_negate(l: DiracFiber) -> DiracFiber:
     """{(v, -a) : (v, a) in L}."""
     n = l.n
-    m = LinMap(2 * n, 2 * n,
-               _tangent_part(n).entries
-               + tuple(tuple(-x for x in r) for r in _cotangent_part(n).entries))
+    m = block_diag(LinMap.identity(n), LinMap.identity(n).scale(-1))
     return DiracFiber(l.fiber, image(m, l.space))
 
 
@@ -277,13 +272,9 @@ def pullback(f: LinMap, l: DiracFiber) -> DiracFiber:
     """f*L = {(w, f^T a) : (f w, a) in L} for f : Q^m -> Q^n."""
     if f.rows != l.n:
         raise DimensionMismatch("pullback: map target must match fiber")
-    m = f.cols
-    n = l.n
-    # relation subspace {(w, a) in Q^m + (Q^n)* : (f w, a) in L}
-    rel_map = block_matrix(f, LinMap.identity(n))
-    rel = preimage(rel_map, l.space)
-    out = block_matrix(LinMap.identity(m), f.transpose())
-    return DiracFiber(CourantFiber(m), image(out, rel))
+    t, c = l.parts()
+    out = block_diag(LinMap.identity(f.cols), f.transpose() @ c)
+    return DiracFiber(CourantFiber(f.cols), image(out, fiber_product(f, t)))
 
 
 def pushforward(f: LinMap, l: DiracFiber) -> DiracFiber:
@@ -292,40 +283,21 @@ def pushforward(f: LinMap, l: DiracFiber) -> DiracFiber:
         raise DimensionMismatch("pushforward: map source must match fiber")
     if image(f).dim != f.rows:
         raise ValueError("pushforward requires a surjective map")
-    n, m = l.n, f.rows
-    rel_map = block_matrix(LinMap.identity(n), f.transpose())
-    rel = preimage(rel_map, l.space)
-    out = block_matrix(f, LinMap.identity(m))
-    return DiracFiber(CourantFiber(m), image(out, rel))
-
-
-def block_matrix(a: LinMap, d: LinMap) -> LinMap:
-    """diag(a, d) as a map on concatenated coordinates."""
-    top = hstack(a, LinMap.zero(a.rows, d.cols))
-    bot = hstack(LinMap.zero(d.rows, a.cols), d)
-    return LinMap(a.rows + d.rows, a.cols + d.cols, top.entries + bot.entries)
-
-
-def embed_space(s: Subspace, offset: int, ambient: int) -> Subspace:
-    gens = [zero_vec(offset) + v + zero_vec(ambient - offset - s.ambient_dim)
-            for v in s.basis]
-    return canonicalize(gens, ambient)
+    t, c = l.parts()
+    out = block_diag(f @ t, LinMap.identity(f.rows))
+    return DiracFiber(CourantFiber(f.rows), image(out, fiber_product(c, f.transpose())))
 
 
 def kernel_of(l: DiracFiber) -> Subspace:
     """ker L = L cap V, returned as a subspace of Q^n."""
-    n = l.n
-    vpart = embed_space(full_subspace(n), 0, 2 * n)
-    inter = l.space.intersect(vpart)
-    return canonicalize([v[:n] for v in inter.basis], n)
+    t, c = l.parts()
+    return image(t, kernel(c))
 
 
 def cotangent_trace(l: DiracFiber) -> Subspace:
     """L cap V*, as a subspace of (Q^n)*."""
-    n = l.n
-    cpart = embed_space(full_subspace(n), n, 2 * n)
-    inter = l.space.intersect(cpart)
-    return canonicalize([v[n:] for v in inter.basis], n)
+    t, c = l.parts()
+    return image(c, kernel(t))
 
 
 def perp(s: Subspace) -> Subspace:
@@ -353,17 +325,13 @@ def two_form_of(l: DiracFiber) -> TwoFormFiber:
     """Recover omega with L = graph(omega); requires non-degeneracy."""
     if not is_nondegenerate(l):
         raise ValueError("fiber is not the graph of a 2-form")
-    n = l.n
-    from .linalg import solve
-    basis_mat = l.space.matrix()  # 2n x n
+    t, c = l.parts()
     cols = []
-    for i in range(n):
-        # unique x with tangent part of (basis_mat x) = e_i
-        top = LinMap.from_rows([basis_mat.entries[j] for j in range(n)], cols=n)
-        x = solve(top, basis_vec(n, i))
+    for i in range(l.n):
+        # unique x with tangent part T x = e_i
+        x = solve(t, basis_vec(l.n, i))
         if x is None:
             raise ValueError("fiber is not a graph over V")
-        full = basis_mat.apply(x)
-        cols.append(full[n:])
-    flat = LinMap.from_cols(cols, rows_dim=n)  # flat matrix = omega^T
+        cols.append(c.apply(x))
+    flat = LinMap.from_cols(cols, rows_dim=l.n)  # flat matrix = omega^T
     return TwoFormFiber(flat.transpose())

@@ -30,6 +30,7 @@ from .linalg import (
     Subspace,
     basis_vec,
     canonicalize,
+    fiber_product,
     hstack,
     kernel,
     solve,
@@ -125,8 +126,7 @@ class GroupoidFiberBundle:
 
 def pair_tangent(g: ArrowFiber, h: ArrowFiber) -> Subspace:
     """{(v, w) in T_g + T_h : s_* v = t_* w}, canonical echelon basis."""
-    constraint = hstack(g.s_star, h.t_star.scale(-1))
-    return kernel(constraint)
+    return fiber_product(g.s_star, h.t_star)
 
 
 def make_pair(bundle_arrows, g_idx: int, h_idx: int, gh_idx: int,

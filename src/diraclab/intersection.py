@@ -34,7 +34,9 @@ from .linalg import (
     Subspace,
     annihilator,
     basis_vec,
+    block_diag,
     canonicalize,
+    fiber_product,
     hstack,
     image,
     kernel,
@@ -89,17 +91,6 @@ class RankLedger:
         return [e[key] for e in self.entries]
 
 
-def _subspace_coords_map(space: Subspace, rows: int, proj: LinMap) -> LinMap:
-    """The map (space basis coords) -> proj(inclusion), as a matrix."""
-    cols = [proj.apply(b) for b in space.basis]
-    return LinMap.from_cols(cols, rows_dim=rows)
-
-
-def _fiber_product(m1: LinMap, m2: LinMap) -> Subspace:
-    """{(x, y) : m1 x = m2 y} as a subspace of the direct sum."""
-    return kernel(hstack(m1, m2.scale(-1)))
-
-
 @dataclass
 class StrongIntersection:
     fibers: list[StrongProductFiber]
@@ -145,25 +136,13 @@ def strong_intersection(d1: CoisotropicDatum, d2: CoisotropicDatum,
                 f"point {(i1, i2)}: algebroid maps into the shared bundle not transverse")
             continue
 
-        tang = _fiber_product(c1m.c0[i1], c2m.c0[i2])
-        alg = _fiber_product(c1m.cA[i1], c2m.cA[i2])
-        p1 = _subspace_coords_map(tang, ob1.dim,
-                                  hstack(LinMap.identity(ob1.dim),
-                                         LinMap.zero(ob1.dim, ob2.dim)))
-        p2 = _subspace_coords_map(tang, ob2.dim,
-                                  hstack(LinMap.zero(ob2.dim, ob1.dim),
-                                         LinMap.identity(ob2.dim)))
+        tang = fiber_product(c1m.c0[i1], c2m.c0[i2])
+        alg = fiber_product(c1m.cA[i1], c2m.cA[i2])
+        inc = tang.matrix()
+        p1 = LinMap(ob1.dim, tang.dim, inc.entries[:ob1.dim])
+        p2 = LinMap(ob2.dim, tang.dim, inc.entries[ob1.dim:])
         # componentwise anchor, expressed on the fiber-product bases
-        rho_cols = []
-        for b in alg.basis:
-            v1 = ob1.rho.apply(b[:ob1.adim])
-            v2 = ob2.rho.apply(b[ob1.adim:])
-            w = vec_concat(v1, v2)
-            x = solve(tang.matrix(), w)
-            if x is None:
-                raise DimensionMismatch("anchor does not preserve the fiber product")
-            rho_cols.append(x)
-        rho = LinMap.from_cols(rho_cols, rows_dim=tang.dim)
+        rho = _restrict_pairmap(alg, tang, block_diag(ob1.rho, ob2.rho))
 
         l_fiber = dirac_sum(pullback(p1, dirac_negate(d1.dirac[i1])),
                             pullback(p2, d2.dirac[i2]))
@@ -221,7 +200,7 @@ def _product_datum(d1: CoisotropicDatum, d2: CoisotropicDatum,
         # the product 3-forms cancel exactly (reversed leg); assert, not assume
         phi1 = c1m.dom.objects[f.base[0]].phi.pullback(f.p1)
         phi2 = c2m.dom.objects[f.base[1]].phi.pullback(f.p2)
-        if not phi2.add(_neg3(phi1)).is_zero():
+        if not phi2.add(phi1.neg()).is_zero():
             raise ValueError("product 3-forms do not cancel")
         objects.append(ObjectFiber(f.tangent.dim, f.algebroid.dim, f.rho,
                                    LinMap.zero(f.tangent.dim, f.algebroid.dim),
@@ -235,37 +214,20 @@ def _product_datum(d1: CoisotropicDatum, d2: CoisotropicDatum,
             raise DimensionMismatch("product arrow maps to different shared arrows")
         src = obj_pos[(ar1.src, ar2.src)]
         tgt = obj_pos[(ar1.tgt, ar2.tgt)]
-        tang = _fiber_product(c1m.c1[a1], c2m.c1[a2])
-        n1, n2 = ar1.dim, ar2.dim
-        inc1 = hstack(LinMap.identity(n1), LinMap.zero(n1, n2))
-        inc2 = hstack(LinMap.zero(n2, n1), LinMap.identity(n2))
+        tang = fiber_product(c1m.c1[a1], c2m.c1[a2])
         s_star = _restrict_pairmap(tang, fibers[src].tangent,
-                                   ar1.s_star @ inc1, ar2.s_star @ inc2)
+                                   block_diag(ar1.s_star, ar2.s_star))
         t_star = _restrict_pairmap(tang, fibers[tgt].tangent,
-                                   ar1.t_star @ inc1, ar2.t_star @ inc2)
-        r1s = c1m.dom.objects[ar1.src].adim
-        r1t = c1m.dom.objects[ar1.tgt].adim
-        left = _restrict_pairmap(
-            fibers[src].algebroid, tang,
-            ar1.left @ hstack(LinMap.identity(r1s),
-                              LinMap.zero(r1s, fibers[src].algebroid.ambient_dim - r1s)),
-            ar2.left @ hstack(LinMap.zero(fibers[src].algebroid.ambient_dim - r1s, r1s),
-                              LinMap.identity(fibers[src].algebroid.ambient_dim - r1s)))
-        right = _restrict_pairmap(
-            fibers[tgt].algebroid, tang,
-            ar1.right @ hstack(LinMap.identity(r1t),
-                               LinMap.zero(r1t, fibers[tgt].algebroid.ambient_dim - r1t)),
-            ar2.right @ hstack(LinMap.zero(fibers[tgt].algebroid.ambient_dim - r1t, r1t),
-                               LinMap.identity(fibers[tgt].algebroid.ambient_dim - r1t)))
+                                   block_diag(ar1.t_star, ar2.t_star))
+        left = _restrict_pairmap(fibers[src].algebroid, tang,
+                                 block_diag(ar1.left, ar2.left))
+        right = _restrict_pairmap(fibers[tgt].algebroid, tang,
+                                  block_diag(ar1.right, ar2.right))
         unit = ar1.unit and ar2.unit
         u_star = None
         if unit:
-            no1 = c1m.dom.objects[ar1.src].dim
-            no2 = c2m.dom.objects[ar2.src].dim
-            u_star = _restrict_pairmap(
-                fibers[src].tangent, tang,
-                ar1.u_star @ hstack(LinMap.identity(no1), LinMap.zero(no1, no2)),
-                ar2.u_star @ hstack(LinMap.zero(no2, no1), LinMap.identity(no2)))
+            u_star = _restrict_pairmap(fibers[src].tangent, tang,
+                                       block_diag(ar1.u_star, ar2.u_star))
         arrows.append(ArrowFiber(src, tgt, tang.dim, s_star, t_star, None,
                                  left, right, unit=unit, u_star=u_star))
 
@@ -283,18 +245,13 @@ def _product_datum(d1: CoisotropicDatum, d2: CoisotropicDatum,
     return CoisotropicDatum(morph, tuple(dirac), name="strong_product")
 
 
-def _neg3(phi: ThreeFormFiber) -> ThreeFormFiber:
-    return ThreeFormFiber(phi.dim, tuple((k, -c) for k, c in phi.coeffs))
-
-
 def _restrict_pairmap(dom_space: Subspace, cod_space: Subspace,
-                      top: LinMap, bottom: LinMap) -> LinMap:
-    """Express a componentwise map between fiber-product subspaces in their
-    echelon-basis coordinates: b -> (top(b), bottom(b))."""
+                      m: LinMap) -> LinMap:
+    """Express a componentwise map m = diag(top, bottom) between
+    fiber-product subspaces in their echelon-basis coordinates."""
     cols = []
     for b in dom_space.basis:
-        w = vec_concat(top.apply(b), bottom.apply(b))
-        x = solve(cod_space.matrix(), w)
+        x = solve(cod_space.matrix(), m.apply(b))
         if x is None:
             raise DimensionMismatch("componentwise map leaves the fiber product")
         cols.append(x)
@@ -312,19 +269,15 @@ def strong_exact_sequence(d1: CoisotropicDatum, d2: CoisotropicDatum,
         i1, i2 = f.base
         ob1, ob2 = c1m.dom.objects[i1], c2m.dom.objects[i2]
         ob_g = g.objects[c1m.obj_map[i1]]
-        r1, r2 = ob1.adim, ob2.adim
+        r1 = ob1.adim
 
         k1 = kernel(vstack(ob1.rho, c1m.cA[i1]))
         k2 = kernel(vstack(ob2.rho, c2m.cA[i2]))
-        left = canonicalize(
-            [vec_concat(v, zero_vec(r2)) for v in k1.basis]
-            + [zero_vec(r1) + v for v in k2.basis], r1 + r2)
+        left = image(block_diag(k1.matrix(), k2.matrix()))
 
         # middle: ker rho_C inside the algebroid fiber product (outer legs
         # are trivial, so ker c_* is everything)
-        mid_coords = kernel(f.rho)
-        middle = canonicalize([f.algebroid.matrix().apply(x) for x in mid_coords.basis],
-                              r1 + r2)
+        middle = image(f.algebroid.matrix(), kernel(f.rho))
 
         r_space = _shared_tangent_sum(d1, i1, d2, i2)
         r_ann = annihilator(r_space)
@@ -345,9 +298,7 @@ def strong_exact_sequence(d1: CoisotropicDatum, d2: CoisotropicDatum,
                 detail=f"point {f.base}: the boundary map lands in the annihilator of R")
         rep.add("exact.left", left.issubset(middle),
                 detail=f"point {f.base}: K1 + K2 includes into the middle term")
-        ker_map = kernel(to_rann)
-        ker_in_amb = canonicalize([middle.matrix().apply(x) for x in ker_map.basis],
-                                  r1 + r2)
+        ker_in_amb = image(middle.matrix(), kernel(to_rann))
         rep.add("exact.middle", ker_in_amb == left,
                 detail=f"point {f.base}: exactness at the middle term",
                 witness=None if ker_in_amb == left else
@@ -407,13 +358,10 @@ def homotopy_intersection(d1: CoisotropicDatum, d2: CoisotropicDatum,
         cond2 = hstack(hstack(LinMap.zero(ob_g_t.dim, n1), ar.t_star.scale(-1)), c2m.c0[i2])
         tang = kernel(vstack(cond1, cond2))
 
-        p1 = _subspace_coords_map(tang, n1,
-                                  hstack(LinMap.identity(n1), LinMap.zero(n1, ng + n2)))
-        p0 = _subspace_coords_map(tang, ng,
-                                  hstack(hstack(LinMap.zero(ng, n1), LinMap.identity(ng)),
-                                         LinMap.zero(ng, n2)))
-        p2 = _subspace_coords_map(tang, n2,
-                                  hstack(LinMap.zero(n2, n1 + ng), LinMap.identity(n2)))
+        inc = tang.matrix()
+        p1 = LinMap(n1, tang.dim, inc.entries[:n1])
+        p0 = LinMap(ng, tang.dim, inc.entries[n1:n1 + ng])
+        p2 = LinMap(n2, tang.dim, inc.entries[n1 + ng:])
 
         l_fiber = dirac_sum(
             dirac_sum(pullback(p1, dirac_negate(d1.dirac[i1])),
@@ -460,8 +408,8 @@ def homotopy_intersection(d1: CoisotropicDatum, d2: CoisotropicDatum,
 
         _homotopy_sequence_checks(rep, d1, i1, d2, i2, ar, rho, r_space)
 
-        im_rho = image(tang.matrix() @ rho)
-        ker_l = _kernel_in_ambient(l_fiber, tang)
+        im_rho = image(inc @ rho)
+        ker_l = image(inc, kernel_of(l_fiber))
         rep.add("homotopy.kernel", im_rho == ker_l,
                 detail=f"point {(i1, ga, i2)}: im rho_C = ker L (object level)")
 
@@ -474,24 +422,17 @@ def homotopy_intersection(d1: CoisotropicDatum, d2: CoisotropicDatum,
     return HomotopyIntersection(fibers, dirac, ledger, rep)
 
 
-def _kernel_in_ambient(l: DiracFiber, tang: Subspace) -> Subspace:
-    ker = kernel_of(l)
-    return canonicalize([tang.matrix().apply(v) for v in ker.basis],
-                        tang.ambient_dim)
-
-
 def _homotopy_sequence_checks(rep: VerificationReport, d1, i1, d2, i2,
                               ar: ArrowFiber, rho: LinMap, r_space: Subspace) -> None:
     c1m, c2m = d1.morphism, d2.morphism
     g = d1.morphism.cod
     ob1, ob2 = c1m.dom.objects[i1], c2m.dom.objects[i2]
     ob_g_s, ob_g_t = g.objects[ar.src], g.objects[ar.tgt]
-    r1, r2 = ob1.adim, ob2.adim
+    r1 = ob1.adim
 
     k1 = kernel(vstack(ob1.rho, c1m.cA[i1]))
     k2 = kernel(vstack(ob2.rho, c2m.cA[i2]))
-    left = canonicalize([vec_concat(v, zero_vec(r2)) for v in k1.basis]
-                        + [zero_vec(r1) + v for v in k2.basis], r1 + r2)
+    left = image(block_diag(k1.matrix(), k2.matrix()))
     middle = kernel(rho)
     r_ann = annihilator(r_space)
 
@@ -506,9 +447,7 @@ def _homotopy_sequence_checks(rep: VerificationReport, d1, i1, d2, i2,
             detail=f"point {(i1, i2)}: boundary map lands in the annihilator of R")
     rep.add("homotopy.exact.left", left.issubset(middle),
             detail=f"point {(i1, i2)}: K1 x K2 includes into the middle term")
-    ker_map = kernel(to_rann)
-    ker_in_amb = canonicalize([middle.matrix().apply(x) for x in ker_map.basis],
-                              r1 + r2)
+    ker_in_amb = image(middle.matrix(), kernel(to_rann))
     rep.add("homotopy.exact.middle", ker_in_amb == left,
             detail=f"point {(i1, i2)}: exactness at the middle term (unconditional)")
 

@@ -14,6 +14,12 @@ ints inside.  _rref clears each row's denominators, eliminates without
 fractions while keeping every row primitive (its entries have gcd 1), and
 divides by the pivot once, at the end; dot sums products of numerators over
 a common denominator and builds a single Fraction.
+
+Relations: fiber_product(m1, m2) is the subspace {(x, y) : m1 x = m2 y},
+the one primitive from which the Dirac operations and the checkers build
+their fiber products; block_diag(a, d) is the map (x, y) -> (a x, d y).
+Combined with image, they compose linear relations in the basis
+coordinates of their inputs.
 """
 
 from __future__ import annotations
@@ -203,6 +209,12 @@ def vstack(a: LinMap, b: LinMap) -> LinMap:
     return LinMap(a.rows + b.rows, a.cols, a.entries + b.entries)
 
 
+def block_diag(a: LinMap, d: LinMap) -> LinMap:
+    """diag(a, d): the map (x, y) -> (a x, d y) on concatenated coordinates."""
+    return vstack(hstack(a, LinMap.zero(a.rows, d.cols)),
+                  hstack(LinMap.zero(d.rows, a.cols), d))
+
+
 def _primitive(row: list[int]) -> list[int]:
     g = gcd(*row)
     return [x // g for x in row] if g > 1 else row
@@ -372,6 +384,11 @@ def kernel(f: LinMap) -> Subspace:
     return canonicalize(gens, f.cols)
 
 
+def fiber_product(m1: LinMap, m2: LinMap) -> Subspace:
+    """{(x, y) : m1 x = m2 y} as a subspace of the direct sum of the sources."""
+    return kernel(hstack(m1, m2.scale(-1)))
+
+
 def quotient_dim(s1: Subspace, s2: Subspace) -> int:
     if not s2.issubset(s1):
         raise DimensionMismatch("quotient_dim: subspaces not nested")
@@ -394,28 +411,6 @@ def solve(f: LinMap, b: Vec) -> Vec | None:
             return None
         sol[pc] = r[f.cols]
     return tuple(sol)
-
-
-def solve_stacked(maps: list[LinMap], rhs: list[Vec]) -> Vec | None:
-    """Solve several map equations with a shared unknown vector."""
-    if not maps:
-        raise DimensionMismatch("solve_stacked needs at least one map")
-    m = maps[0]
-    for g in maps[1:]:
-        m = vstack(m, g)
-    b: Vec = ()
-    for r in rhs:
-        b = vec_concat(b, r)
-    return solve(m, b)
-
-
-def embed(s: Subspace, offset: int, ambient: int) -> Subspace:
-    """Include Q^k into Q^ambient at coordinate offset and push s through."""
-    if offset + s.ambient_dim > ambient:
-        raise DimensionMismatch("embed out of range")
-    gens = [zero_vec(offset) + v + zero_vec(ambient - offset - s.ambient_dim)
-            for v in s.basis]
-    return canonicalize(gens, ambient)
 
 
 def random_fraction(rng, bound: int = 8) -> Fraction:

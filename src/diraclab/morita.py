@@ -1,8 +1,7 @@
-"""Weak Morita morphisms and everything they transport: descent of basic
-forms and Dirac structures, symplectic equivalence verification, the
-connection-dependent adjoint calculus with its homotopy identities, the
-coisotropic transfer pipeline, and gauge equivalence of transferred
-structures.
+"""Morita transport of coisotropic structures: descent of Dirac structures
+along weak Morita legs, verification of symplectic Morita equivalences, the
+connection-dependent adjoint calculus with its homotopy identities, and the
+coisotropic transfer pipeline with its composition check.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from .courant import (
     TwoFormFiber,
     dirac_sum,
     graph_two_form,
-    kernel_of,
     pullback,
     pushforward,
 )
@@ -24,124 +22,17 @@ from .groupoid import GroupoidFiberBundle, MorphismFiber, coords
 from .linalg import (
     DimensionMismatch,
     LinMap,
-    Vec,
     basis_vec,
+    block_diag,
+    fiber_product,
+    hstack,
     image,
     kernel,
     random_matrix,
     solve,
-    solve_stacked,
     vstack,
 )
 from .report import VerificationReport
-
-
-@dataclass(frozen=True)
-class WeakMoritaFiber:
-    """Object-level data of a weak Morita morphism at one sample."""
-
-    f0_star: LinMap      # T_H0 -> T_G0
-    fA_star: LinMap      # A_H -> A_G
-    rho_h: LinMap        # anchor at the H-object
-    rho_g: LinMap        # anchor at the image G-object
-    strict: bool = False
-
-    def __post_init__(self):
-        if image(self.f0_star).dim != self.f0_star.rows:
-            raise ValueError("weak Morita morphism needs a surjective object map")
-        # surjectivity of (rho_H, f_*) onto T_H0 x_{T_G0} A_G
-        fp = kernel(_fiber_cond(self.f0_star, self.rho_g))
-        lifted = image(vstack(self.rho_h, self.fA_star))
-        if not lifted.issubset(fp) or lifted.dim != fp.dim:
-            raise ValueError("weak Morita criterion fails: (rho, f_*) not onto")
-        if self.strict and kernel(vstack(self.rho_h, self.fA_star)).dim != 0:
-            raise ValueError("strict Morita criterion fails: (rho, f_*) not injective")
-
-
-def _fiber_cond(f0: LinMap, rho_g: LinMap) -> LinMap:
-    from .linalg import hstack
-    return hstack(f0, rho_g.scale(-1))
-
-
-def morita_fiber(f: MorphismFiber, obj_idx: int, strict: bool = False) -> WeakMoritaFiber:
-    ob_h = f.dom.objects[obj_idx]
-    ob_g = f.cod.objects[f.obj_map[obj_idx]]
-    return WeakMoritaFiber(f.c0[obj_idx], f.cA[obj_idx], ob_h.rho, ob_g.rho,
-                           strict=strict)
-
-
-def lift(w: WeakMoritaFiber, v: Vec, a: Vec) -> Vec:
-    """b with rho b = v and f_* b = a; deterministic via the solver.
-
-    Requires f_* v = rho a (the pair lies in the fiber product).
-    """
-    if w.f0_star.apply(v) != w.rho_g.apply(a):
-        raise ValueError("lift precondition fails: f_* v != rho a")
-    b = solve_stacked([w.rho_h, w.fA_star], [v, a])
-    if b is None:
-        raise ValueError("lift failed despite the weak Morita criterion")
-    return b
-
-
-def descend_basic_form(f: MorphismFiber, beta: list[TwoFormFiber],
-                       strict_groups: bool = True):
-    """The unique alpha on the codomain objects with beta = f*alpha.
-
-    Checks that beta is basic first, then solves the pullback equations per
-    codomain object and asserts consistency across every preimage sample.
-    Returns (alpha per codomain object, report).
-    """
-    rep = VerificationReport("descend_basic_form")
-    for k, ar in enumerate(f.dom.arrows):
-        lhs = beta[ar.src].pullback(ar.s_star)
-        rhs = beta[ar.tgt].pullback(ar.t_star)
-        rep.add("descend.basic", lhs.matrix == rhs.matrix,
-                detail=f"arrow {k}: s*beta = t*beta")
-    if not rep.passed:
-        return None, rep
-
-    groups: dict[int, list[int]] = {}
-    for i in range(len(f.dom.objects)):
-        groups.setdefault(f.obj_map[i], []).append(i)
-    alpha: dict[int, TwoFormFiber] = {}
-    for gi, members in sorted(groups.items()):
-        n = f.cod.objects[gi].dim
-        unknowns = [(k, l) for k in range(n) for l in range(k + 1, n)]
-        rows = []
-        rhs = []
-        for i in members:
-            f0 = f.c0[i]
-            m = f.dom.objects[i].dim
-            for a in range(m):
-                for b in range(a + 1, m):
-                    row = []
-                    for (k, l) in unknowns:
-                        row.append(f0.entries[k][a] * f0.entries[l][b]
-                                   - f0.entries[l][a] * f0.entries[k][b])
-                    rows.append(row)
-                    rhs.append(beta[i].matrix.entries[a][b])
-        if unknowns:
-            system = LinMap.from_rows(rows, cols=len(unknowns))
-            sol = solve(system, tuple(rhs))
-        else:
-            sol = ()
-            system = None
-        if sol is None:
-            rep.add("descend.consistent", False,
-                    detail=f"codomain object {gi}: pullback equations inconsistent "
-                           f"across preimages {members}")
-            return None, rep
-        mat = [[beta[members[0]].matrix.entries[0][0] * 0 for _ in range(n)]
-               for _ in range(n)]
-        for (k, l), val in zip(unknowns, sol):
-            mat[k][l] = val
-            mat[l][k] = -val
-        a_form = TwoFormFiber(LinMap.from_rows(mat, cols=n))
-        ok = all(a_form.pullback(f.c0[i]).matrix == beta[i].matrix for i in members)
-        rep.add("descend.consistent", ok,
-                detail=f"codomain object {gi}: alpha pulls back to beta at every preimage")
-        alpha[gi] = a_form
-    return alpha, rep
 
 
 def descend_dirac(f: MorphismFiber, dirac: list[DiracFiber],
@@ -179,33 +70,6 @@ def descend_dirac(f: MorphismFiber, dirac: list[DiracFiber],
     return pushed, rep
 
 
-def orbit_poisson_correspondence(bundle: GroupoidFiberBundle,
-                                 dirac: list[DiracFiber],
-                                 pi_star: list[LinMap],
-                                 chart_labels: list) -> VerificationReport:
-    """Push a 0-shifted Poisson structure to a quotient chart and verify the
-    two-way correspondence: the pushforward is a bivector graph and pulls
-    back to the original family."""
-    rep = VerificationReport("orbit_poisson")
-    groups: dict = {}
-    for i, lab in enumerate(chart_labels):
-        groups.setdefault(lab, []).append(i)
-    for lab, members in sorted(groups.items()):
-        images = [pushforward(pi_star[i], dirac[i]) for i in members]
-        same = all(l == images[0] for l in images)
-        rep.add("orbit_poisson.invariance", same,
-                detail=f"chart point {lab}: pushforward constant along the orbit")
-        if not same:
-            continue
-        rep.add("orbit_poisson.graph", kernel_of(images[0]).dim == 0,
-                detail=f"chart point {lab}: pushforward is a bivector graph")
-        for i in members:
-            rep.add("orbit_poisson.roundtrip",
-                    pullback(pi_star[i], images[0]) == dirac[i],
-                    detail=f"object {i}: pi* pi_* L = L")
-    return rep
-
-
 # ---------------------------------------------------------------------------
 # symplectic Morita equivalences
 
@@ -227,34 +91,25 @@ def symplectic_morita_check(phi1: MorphismFiber, phi2: MorphismFiber,
     for i, ob in enumerate(lgpd.objects):
         p1 = phi1.cod.objects[phi1.obj_map[i]].phi.pullback(phi1.c0[i])
         p2 = phi2.cod.objects[phi2.obj_map[i]].phi.pullback(phi2.c0[i])
-        neg_d = ThreeFormFiber(dgamma[i].dim,
-                               tuple((k_, -c) for k_, c in dgamma[i].coeffs))
-        rep.add("morita.threeform", p1.add(_neg3(p2)) == neg_d,
+        rep.add("morita.threeform", p1.add(p2.neg()) == dgamma[i].neg(),
                 detail=f"object {i}: phi1*Phi1 - phi2*Phi2 = -d(gamma)")
 
     for i, ob in enumerate(lgpd.objects):
         g1 = phi1.cod.objects[phi1.obj_map[i]]
         g2 = phi2.cod.objects[phi2.obj_map[i]]
-        n, r1, r2 = ob.dim, g1.adim, g2.adim
-        from .linalg import hstack, canonicalize, vec_concat, zero_vec
-        # codomain: phi1 v = rho a1, phi2 v = rho a2, i_v gamma = phi1*s1 a1 - phi2*s2 a2
-        cond1 = hstack(hstack(phi1.c0[i], g1.rho.scale(-1)), LinMap.zero(g1.dim, r2))
-        cond2 = hstack(hstack(phi2.c0[i], LinMap.zero(g2.dim, r1)), g2.rho.scale(-1))
-        cond3 = hstack(hstack(gamma[i].flat(),
-                              (phi1.c0[i].transpose() @ g1.sigma).scale(-1)),
-                       phi2.c0[i].transpose() @ g2.sigma)
-        fp = kernel(vstack(vstack(cond1, cond2), cond3))
+        # (v, (a1, a2)) with phi1 v = rho a1, phi2 v = rho a2 and
+        # i_v gamma = phi1*sigma1 a1 - phi2*sigma2 a2
+        fp = fiber_product(
+            vstack(vstack(phi1.c0[i], phi2.c0[i]), gamma[i].flat()),
+            vstack(block_diag(g1.rho, g2.rho),
+                   hstack(phi1.c0[i].transpose() @ g1.sigma,
+                          (phi2.c0[i].transpose() @ g2.sigma).scale(-1))))
         m = vstack(vstack(ob.rho, phi1.cA[i]), phi2.cA[i])
-        im = image(m)
-        ok = im.issubset(fp) and im.dim == fp.dim and kernel(m).dim == 0
+        ok = image(m) == fp and kernel(m).dim == 0
         rep.add("morita.bijective", ok,
                 detail=f"object {i}: l -> (rho l, phi1 l, phi2 l) bijective onto "
                        "the gamma-compatible fiber product")
     return rep
-
-
-def _neg3(phi: ThreeFormFiber) -> ThreeFormFiber:
-    return ThreeFormFiber(phi.dim, tuple((k, -c) for k, c in phi.coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -501,34 +356,15 @@ class MoritaEquivalenceDatum:
         return MoritaEquivalenceDatum(
             self.psi2, self.psi1, self.g, self.phi2, self.phi1,
             self.c2, self.c1, self.theta2, self.theta1,
-            tuple(TwoFormFiber(gm.matrix.scale(-1)) for gm in self.gamma),
-            tuple(_neg3(dg) for dg in self.dgamma),
-            tuple(TwoFormFiber(d.matrix.scale(-1)) for d in self.delta),
+            tuple(gm.neg() for gm in self.gamma),
+            tuple(dg.neg() for dg in self.dgamma),
+            tuple(d.neg() for d in self.delta),
             strict=self.strict)
 
 
 def _theta_form(cod: GroupoidFiberBundle, fib: NatTransFiber) -> LinMap:
     om = cod.arrows[fib.arrow].omega
     return om.pullback(fib.theta_star).matrix
-
-
-def identity_equivalence(datum: CoisotropicDatum) -> MoritaEquivalenceDatum:
-    """The trivial self-equivalence of a coisotropic morphism."""
-    from .groupoid import identity_morphism
-    c = datum.morphism
-    ident_c = identity_morphism(c.dom)
-    theta = {}
-    for i in range(len(c.dom.objects)):
-        gi = c.obj_map[i]
-        unit_idx = _unit_arrow_at(c.cod, gi)
-        theta[i] = NatTransFiber(i, unit_idx,
-                                 c.cod.arrows[unit_idx].u_star @ c.c0[i])
-    gamma = tuple(TwoFormFiber.zero(o.dim) for o in c.cod.objects)
-    dgamma = tuple(ThreeFormFiber.zero(o.dim) for o in c.cod.objects)
-    delta = tuple(TwoFormFiber.zero(o.dim) for o in c.dom.objects)
-    return MoritaEquivalenceDatum(
-        ident_c, ident_c, c, identity_morphism(c.cod), identity_morphism(c.cod),
-        c, c, theta, theta, gamma, dgamma, delta, strict=True)
 
 
 def _unit_arrow_at(bundle: GroupoidFiberBundle, obj_idx: int) -> int:
@@ -610,27 +446,6 @@ def transfer(m: MoritaEquivalenceDatum, l1: list[DiracFiber],
         rep.add("transfer.roundtrip", same,
                 detail="backward transfer returns the original structure")
     return TransferResult({i: l for i, l in enumerate(l2)}, rep)
-
-
-def gauge_equiv_check(bundle: GroupoidFiberBundle,
-                      l_a: list[DiracFiber], l_b: list[DiracFiber],
-                      beta: list[TwoFormFiber],
-                      dbeta: list[ThreeFormFiber]) -> VerificationReport:
-    """L_b = L_a + graph(beta) with beta basic and closed (closedness is the
-    supplied certificate d(beta) = 0)."""
-    rep = VerificationReport("gauge_equiv")
-    for i, db in enumerate(dbeta):
-        rep.add("gauge.closed", db.is_zero(),
-                detail=f"object {i}: d(beta) = 0 certificate")
-    for k, ar in enumerate(bundle.arrows):
-        rep.add("gauge.basic",
-                beta[ar.src].pullback(ar.s_star).matrix ==
-                beta[ar.tgt].pullback(ar.t_star).matrix,
-                detail=f"arrow {k}: s*beta = t*beta")
-    for i in range(len(bundle.objects)):
-        rep.add("gauge.equal", l_b[i] == dirac_sum(l_a[i], graph_two_form(beta[i])),
-                detail=f"object {i}: L_b = L_a + graph(beta)")
-    return rep
 
 
 def sigma_ad_check(bundle: GroupoidFiberBundle,

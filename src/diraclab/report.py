@@ -64,9 +64,6 @@ class VerificationReport:
     def failures(self) -> list[CheckRecord]:
         return [r for r in self.records if r.status != PASS]
 
-    def status_of(self, check_id: str) -> list[str]:
-        return [r.status for r in self.records if r.check_id == check_id]
-
     def to_json(self) -> dict:
         return {
             "suite": self.suite,

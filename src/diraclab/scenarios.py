@@ -12,16 +12,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .coisotropic import CoisotropicDatum, OrbitSample, orbit_lagrangian
-from .courant import (
-    DiracFiber,
-    ThreeFormFiber,
-    TwoFormFiber,
-    graph_two_form,
-)
+from .courant import ThreeFormFiber, TwoFormFiber, graph_two_form
 from .dorfman import Poly, PolyDiracFrame, PolyForm, PolySection, contract, d, zero_poly
 from .groupoid import (
     ArrowFiber,
-    ComposablePairFiber,
     GroupoidFiberBundle,
     MorphismFiber,
     ObjectFiber,
@@ -32,6 +26,7 @@ from .linalg import (
     Vec,
     as_vec,
     basis_vec,
+    block_diag,
     frac,
     hstack,
     kernel,
@@ -308,18 +303,6 @@ class HamiltonianActionDatum:
     moment: tuple[LinMap, ...]       # mu_* per object sample (= c0)
     group_dim: int                   # number of circle factors
 
-    @property
-    def action_bundle(self) -> GroupoidFiberBundle:
-        return self.datum.c_bundle
-
-
-def moment_row(p: Vec, block: int) -> Vec:
-    """d(|z_block|^2/2) at p."""
-    out = [F(0)] * len(p)
-    out[2 * block] = p[2 * block]
-    out[2 * block + 1] = p[2 * block + 1]
-    return tuple(out)
-
 
 def rotation_field_block(p: Vec, block: int) -> Vec:
     out = [F(0)] * len(p)
@@ -341,21 +324,6 @@ def sum_blocks(p: Vec, blocks) -> Vec:
         v = rotation_field_block(p, b)
         acc = [x + y for x, y in zip(acc, v)]
     return tuple(acc)
-
-
-def build_circle_hamiltonian(n: int, level, ts=(0, F(1, 2), F(-1, 2), 1),
-                             extra_points=(), name: str = "circle") -> HamiltonianActionDatum:
-    """The circle acting diagonally on C^n with moment sum|z_i|^2/2 and
-    L the graph of the standard symplectic form.
-
-    Points are sampled on the given level set (2*level must be a rational
-    square) plus any extra off-level points supplied by the caller.
-    """
-    level = frac(level)
-    pts = level_points(n, level) + [as_vec(p) for p in extra_points]
-    scn = _build_rotation_hamiltonian(pts, [[b for b in range(n)]],
-                                      [(frac(t),) for t in ts], name)
-    return scn.ham
 
 
 def circle_scenario(n: int, level, ts=(0, F(1, 2), F(-1, 2), 1),
@@ -405,12 +373,6 @@ def _isqrt(k: int) -> int | None:
         if cand >= 0 and cand * cand == k:
             return cand
     return None
-
-
-def build_torus_hamiltonian(points, ts_pairs=((0, 0), (1, 0), (0, 1), (1, F(1, 2))),
-                            name: str = "torus") -> HamiltonianActionDatum:
-    """T^2 acting on C^2, factor i rotating z_i, moment (|z1|^2, |z2|^2)/2."""
-    return torus_scenario(points, ts_pairs, name).ham
 
 
 def torus_scenario(points, ts_pairs=((0, 0), (1, 0), (0, 1), (1, F(1, 2))),
@@ -711,25 +673,21 @@ class ReductionScenario:
     level_point_idx: tuple     # action-bundle object indices on the level
 
 
-def circle_reduction(n: int, level, trim: bool = True) -> ReductionScenario:
+def circle_reduction(n: int, level) -> ReductionScenario:
     """S^1 acting on C^n, reduced at the given level.
 
-    With trim the sample atlas is kept at desk scale (>= 8 product points
-    for n = 2, several per chart fiber for the invariance checks).
+    The sample atlas is kept at desk scale (>= 8 product points for n = 2,
+    several per chart fiber for the invariance checks).
     """
     level = frac(level)
     if level == 0 and n == 1:
         raise ReductionHypothesisViolated(
             "level 0 for n = 1 is a fixed point: the quotient is not a chart")
-    if trim:
-        ts = (0, F(1, 2), F(-1, 2))
-        pts = level_points(n, level, count=4 if n > 1 else None)
-        scn = _build_rotation_hamiltonian(pts, [[b for b in range(n)]],
-                                          [(frac(t),) for t in ts], "circle")
-    else:
-        scn = circle_scenario(n, level)
+    ts = (0, F(1, 2), F(-1, 2))
+    pts = level_points(n, level, count=4 if n > 1 else None)
+    scn = _build_rotation_hamiltonian(pts, [[b for b in range(n)]],
+                                      [(frac(t),) for t in ts], "circle")
     orbit = circle_orbit_datum(scn, level)
-    ham = scn.ham
 
     obj_pairs = []
     level_idx = []
@@ -1046,19 +1004,13 @@ def pair_nat_trans_fixture(n: int = 2, linear_part=None) -> NatTransFixture:
     p_mat = linear_part
     f = identity_morphism(bundle)
     g = MorphismFiber(bundle, bundle, (0,), (p_mat,), (p_mat,), (0,),
-                      (block2(p_mat, p_mat),))
+                      (block_diag(p_mat, p_mat),))
     arrow = 0   # the sampled (0 -> 0) arrow fiber stands in for (P x, x)
     theta = {0: NatTransFiber(0, arrow, vstack(p_mat, LinMap.identity(n)))}
     eta = {0: NatTransFiber(0, arrow, vstack(LinMap.identity(n), p_mat))}
     pair_idx = next(i for i, p in enumerate(bundle.pairs)
                     if p.g == arrow and p.h == arrow and p.gh == arrow)
     return NatTransFixture(f, g, theta, eta, {0: pair_idx})
-
-
-def block2(a: LinMap, b: LinMap) -> LinMap:
-    top = hstack(a, LinMap.zero(a.rows, b.cols))
-    bot = hstack(LinMap.zero(b.rows, a.cols), b)
-    return vstack(top, bot)
 
 
 def circle_nat_trans_fixture(level=F(1, 2)) -> NatTransFixture:
@@ -1093,7 +1045,7 @@ def circle_nat_trans_fixture(level=F(1, 2)) -> NatTransFixture:
     for a in range(len(bundle.arrows)):
         p, ts = arrow_inv[a]
         arrow_map.append(scn.arrow_at[(rot.apply(p), ts)])
-        c1.append(block2(LinMap.identity(1), rot))
+        c1.append(block_diag(LinMap.identity(1), rot))
     g = MorphismFiber(bundle, bundle, tuple(obj_map), tuple(c0), tuple(cA),
                       tuple(arrow_map), tuple(c1))
     f = identity_morphism(bundle)

@@ -1,5 +1,5 @@
-"""Versioned JSON schemas for bundles, Dirac fibers, coisotropic data, and
-equivalence data (gfb-v1, df-v1, cd-v1, med-v1).
+"""Versioned JSON schemas for bundles, Dirac fibers and coisotropic data
+(gfb-v1, df-v1, cd-v1).
 
 Scalars serialize as exact "p/q" strings, matrices as row-major nested
 arrays; dump -> load round trips preserve every scalar bit-exactly.
@@ -32,10 +32,6 @@ class SchemaError(ValueError):
 
 def scalar_to_json(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
-
-
-def scalar_from_json(s: str) -> Fraction:
-    return frac(s)
 
 
 def matrix_to_json(m: LinMap) -> dict:
@@ -176,81 +172,5 @@ def datum_from_json(d: dict) -> CoisotropicDatum:
     return CoisotropicDatum(morph, dirac, name=d["name"])
 
 
-def two_form_to_json(f: TwoFormFiber) -> dict:
-    return matrix_to_json(f.matrix)
-
-
-def equivalence_to_json(m) -> dict:
-    """med-v1: the six bundle dumps plus morphism/transformation blocks."""
-    bundles = {
-        "K": bundle_to_json(m.psi1.dom),
-        "C1": bundle_to_json(m.psi1.cod),
-        "C2": bundle_to_json(m.psi2.cod),
-        "L": bundle_to_json(m.g.cod),
-        "G1": bundle_to_json(m.phi1.cod),
-        "G2": bundle_to_json(m.phi2.cod),
-    }
-    return {
-        "schema": "med-v1",
-        "bundles": bundles,
-        "bundle_hashes": {k: content_hash(v) for k, v in bundles.items()},
-        "morphisms": {
-            "psi1": morphism_to_json(m.psi1), "psi2": morphism_to_json(m.psi2),
-            "g": morphism_to_json(m.g),
-            "phi1": morphism_to_json(m.phi1), "phi2": morphism_to_json(m.phi2),
-            "c1": morphism_to_json(m.c1), "c2": morphism_to_json(m.c2),
-        },
-        "theta1": {str(x): {"arrow": t.arrow,
-                            "theta_star": matrix_to_json(t.theta_star)}
-                   for x, t in sorted(m.theta1.items())},
-        "theta2": {str(x): {"arrow": t.arrow,
-                            "theta_star": matrix_to_json(t.theta_star)}
-                   for x, t in sorted(m.theta2.items())},
-        "gamma": [two_form_to_json(g) for g in m.gamma],
-        "dgamma": [three_form_to_json(g) for g in m.dgamma],
-        "delta": [two_form_to_json(g) for g in m.delta],
-        "strict": m.strict,
-    }
-
-
-def equivalence_from_json(d: dict):
-    from .morita import MoritaEquivalenceDatum, NatTransFiber
-    if d.get("schema") != "med-v1":
-        raise SchemaError("expected med-v1")
-    for key, doc in d["bundles"].items():
-        if content_hash(doc) != d["bundle_hashes"][key]:
-            raise SchemaError(f"bundle {key} content hash mismatch")
-    b = {k: bundle_from_json(v) for k, v in d["bundles"].items()}
-    ms = d["morphisms"]
-    psi1 = morphism_from_json(ms["psi1"], b["K"], b["C1"])
-    psi2 = morphism_from_json(ms["psi2"], b["K"], b["C2"])
-    gmor = morphism_from_json(ms["g"], b["K"], b["L"])
-    phi1 = morphism_from_json(ms["phi1"], b["L"], b["G1"])
-    phi2 = morphism_from_json(ms["phi2"], b["L"], b["G2"])
-    c1 = morphism_from_json(ms["c1"], b["C1"], b["G1"])
-    c2 = morphism_from_json(ms["c2"], b["C2"], b["G2"])
-    theta1 = {int(x): NatTransFiber(int(x), t["arrow"],
-                                    matrix_from_json(t["theta_star"]))
-              for x, t in d["theta1"].items()}
-    theta2 = {int(x): NatTransFiber(int(x), t["arrow"],
-                                    matrix_from_json(t["theta_star"]))
-              for x, t in d["theta2"].items()}
-    gamma = tuple(TwoFormFiber(matrix_from_json(x)) for x in d["gamma"])
-    dgamma = tuple(three_form_from_json(x) for x in d["dgamma"])
-    delta = tuple(TwoFormFiber(matrix_from_json(x)) for x in d["delta"])
-    return MoritaEquivalenceDatum(psi1, psi2, gmor, phi1, phi2, c1, c2,
-                                  theta1, theta2, gamma, dgamma, delta,
-                                  strict=d["strict"])
-
-
 def dumps(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=1)
-
-
-def poly_to_json(p) -> list:
-    return [{"exps": list(m), "coef": scalar_to_json(c)} for m, c in p.terms]
-
-
-def poly_from_json(arity: int, doc: list):
-    from .dorfman import Poly
-    return Poly.from_dict(arity, {tuple(t["exps"]): frac(t["coef"]) for t in doc})

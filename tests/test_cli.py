@@ -11,6 +11,7 @@ arithmetic must leave every byte of them unchanged.
 """
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -93,3 +94,30 @@ def test_reduce_at_level_zero_is_hypothesis_violated(tmp_path, capsys, level, ar
     assert doc["status"] == "hypothesis-violated"
     assert "z2 = 0" in doc["detail"]
     assert err == ""
+
+
+@pytest.mark.parametrize("params", [{}, {"n": 2, "level": "1/2"}])
+def test_dumped_orbit_round_trips_through_reduce(tmp_path, capsys, params):
+    # dump --what orbit writes the datum reduce consumes, so reducing with it
+    # prints the same document as the built-in orbit
+    spec = write_spec(tmp_path, {"name": "circle", "params": params})
+    orbit = tmp_path / "orbit.json"
+    code, _, _ = run(capsys, ["dump", spec, "--what", "orbit", "--out", str(orbit)])
+    assert code == cli.EXIT_OK
+    code, custom, err = run(capsys, ["reduce", spec, "--coisotropic", str(orbit)])
+    assert (code, err) == (cli.EXIT_OK, "")
+    code, plain, _ = run(capsys, ["reduce", spec])
+    assert code == cli.EXIT_OK
+    assert custom == plain
+
+
+def test_circle_defaults_to_n1_everywhere(tmp_path, capsys):
+    bare = write_spec(tmp_path, {"name": "circle"})
+    explicit = str(tmp_path / "explicit.json")
+    Path(explicit).write_text(json.dumps(SPECS["circle-n1"]))
+    for argv in (["reduce"], ["dump", "--what", "orbit"]):
+        outs = [run(capsys, [argv[0], path, *argv[1:]]) for path in (bare, explicit)]
+        assert outs[0] == outs[1]
+        assert outs[0][0] == cli.EXIT_OK
+    assert cli.circle_params({}) == (1, Fraction(1, 2))
+    assert cli.circle_params({"n": 2, "level": "2"}) == (2, Fraction(2))

@@ -12,6 +12,7 @@ from diraclab.courant import (
     TwoFormFiber,
     ThreeFormFiber,
     cotangent_dirac,
+    cotangent_trace,
     dirac_negate,
     dirac_sum,
     gauge,
@@ -28,10 +29,18 @@ from diraclab.courant import (
 )
 from diraclab.linalg import (
     LinMap,
+    annihilator,
+    basis_vec,
     canonicalize,
+    full_subspace,
+    hstack,
+    image,
     kernel,
+    preimage,
     random_antisymmetric,
     vec,
+    vec_concat,
+    zero_vec,
 )
 
 F = Fraction
@@ -290,3 +299,173 @@ def test_dirac_negate():
     w = std_symplectic(2)
     assert dirac_negate(graph_two_form(w)) == graph_two_form(w.neg())
     assert dirac_negate(tangent_dirac(2)) == tangent_dirac(2)
+
+
+def test_parts_are_the_basis_components():
+    l = gauge(graph_bivector(LinMap.from_rows([[0, 1], [-1, 0]])),
+              TwoFormFiber(LinMap.from_rows([[0, 2], [-2, 0]])))
+    t, c = l.parts()
+    assert (t.rows, t.cols, c.rows, c.cols) == (2, 2, 2, 2)
+    cols = [vec_concat(t.apply(basis_vec(2, j)), c.apply(basis_vec(2, j)))
+            for j in range(2)]
+    assert canonicalize(cols, 4) == l.space
+
+
+def test_three_form_neg():
+    phi = ThreeFormFiber.from_dict(4, {(0, 1, 2): F(2), (1, 2, 3): F(-1, 3)})
+    assert phi.neg().coeff(0, 1, 2) == -2
+    assert phi.add(phi.neg()).is_zero()
+    assert phi.neg().neg() == phi
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the 4n-ambient constructions that the relation primitive replaced.
+# They embed the inputs into one large ambient space, intersect there through
+# annihilators and project back.  They live here only, to cross-check
+# dirac_sum, pullback, pushforward, kernel_of and cotangent_trace.
+
+def _embed(s, offset, ambient):
+    gens = [zero_vec(offset) + v + zero_vec(ambient - offset - s.ambient_dim)
+            for v in s.basis]
+    return canonicalize(gens, ambient)
+
+
+def _block(a, d):
+    top = hstack(a, LinMap.zero(a.rows, d.cols))
+    bot = hstack(LinMap.zero(d.rows, a.cols), d)
+    return LinMap(a.rows + d.rows, a.cols + d.cols, top.entries + bot.entries)
+
+
+def oracle_dirac_sum(l1, l2):
+    n = l1.n
+    amb = 4 * n
+    w = _embed(l1.space, 0, amb).sum(_embed(l2.space, 2 * n, amb))
+    match_rows = [vec_concat(vec_concat(basis_vec(n, i), zero_vec(n)),
+                             vec_concat(tuple(-x for x in basis_vec(n, i)), zero_vec(n)))
+                  for i in range(n)]
+    matched = w.intersect(kernel(LinMap.from_rows(match_rows, cols=amb)))
+    add = LinMap.from_rows(
+        [vec_concat(basis_vec(n, i), zero_vec(n)) + zero_vec(2 * n) for i in range(n)]
+        + [vec_concat(zero_vec(n), basis_vec(n, i))
+           + vec_concat(zero_vec(n), basis_vec(n, i)) for i in range(n)],
+        cols=amb)
+    return image(add, matched)
+
+
+def oracle_pullback(f, l):
+    rel = preimage(_block(f, LinMap.identity(l.n)), l.space)
+    return image(_block(LinMap.identity(f.cols), f.transpose()), rel)
+
+
+def oracle_pushforward(f, l):
+    rel = preimage(_block(LinMap.identity(l.n), f.transpose()), l.space)
+    return image(_block(f, LinMap.identity(f.rows)), rel)
+
+
+def oracle_kernel_of(l):
+    n = l.n
+    inter = l.space.intersect(_embed(full_subspace(n), 0, 2 * n))
+    return canonicalize([v[:n] for v in inter.basis], n)
+
+
+def oracle_cotangent_trace(l):
+    n = l.n
+    inter = l.space.intersect(_embed(full_subspace(n), n, 2 * n))
+    return canonicalize([v[n:] for v in inter.basis], n)
+
+
+def matrices(rows, cols):
+    return st.lists(st.lists(rationals, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows).map(
+        lambda m: LinMap.from_rows(m, cols=cols))
+
+
+def antisymmetric(n):
+    def build(xs):
+        m = [[F(0)] * n for _ in range(n)]
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        for (i, j), x in zip(pairs, xs):
+            m[i][j], m[j][i] = x, -x
+        return LinMap.from_rows(m, cols=n)
+    k = n * (n - 1) // 2
+    return st.lists(rationals, min_size=k, max_size=k).map(build)
+
+
+def split_lagrangian(w_gens, b):
+    """{(w, i_w B + a) : w in W, a in ann W}; every Lagrangian has this form."""
+    n = b.rows
+    w = canonicalize(w_gens, n)
+    flat = b.transpose()
+    gens = [vec_concat(v, flat.apply(v)) for v in w.basis]
+    gens += [zero_vec(n) + a for a in annihilator(w).basis]
+    return DiracFiber(CourantFiber(n), canonicalize(gens, 2 * n))
+
+
+def dirac_fibers(n):
+    gauged = st.tuples(antisymmetric(n), antisymmetric(n))
+    return st.one_of(
+        antisymmetric(n).map(lambda m: graph_two_form(TwoFormFiber(m))),
+        antisymmetric(n).map(graph_bivector),
+        gauged.map(lambda p: gauge(graph_bivector(p[0]), TwoFormFiber(p[1]))),
+        gauged.map(lambda p: gauge(graph_two_form(TwoFormFiber(p[0])),
+                                   TwoFormFiber(p[1]))),
+        st.just(tangent_dirac(n)),
+        st.just(cotangent_dirac(n)),
+        st.tuples(matrices(n, n).map(lambda m: m.col_vectors()),
+                  antisymmetric(n)).map(lambda p: split_lagrangian(*p)),
+    )
+
+
+dims = st.integers(min_value=1, max_value=4)
+
+
+@settings(max_examples=75, deadline=None)
+@given(dims.flatmap(lambda n: st.tuples(dirac_fibers(n), dirac_fibers(n))))
+def test_dirac_sum_matches_oracle(pair):
+    l1, l2 = pair
+    assert dirac_sum(l1, l2).space == oracle_dirac_sum(l1, l2)
+
+
+@settings(max_examples=75, deadline=None)
+@given(dims.flatmap(dirac_fibers))
+def test_kernel_and_cotangent_trace_match_oracle(l):
+    assert kernel_of(l) == oracle_kernel_of(l)
+    assert cotangent_trace(l) == oracle_cotangent_trace(l)
+
+
+@st.composite
+def non_bijective_maps(draw, n):
+    """f = A B : Q^m -> Q^n of rank at most r < max(m, n), so f is not
+    surjective or not injective."""
+    m = draw(st.integers(min_value=0, max_value=4))
+    r = draw(st.integers(min_value=0, max_value=min(m, n, max(m, n) - 1)))
+    return draw(matrices(n, r)) @ draw(matrices(r, m))
+
+
+@settings(max_examples=75, deadline=None)
+@given(dims.flatmap(lambda n: st.tuples(non_bijective_maps(n), dirac_fibers(n))))
+def test_pullback_matches_oracle(fl):
+    f, l = fl
+    assert pullback(f, l).space == oracle_pullback(f, l)
+
+
+@st.composite
+def surjective_maps(draw, n):
+    """f = [I_m | X] U P : Q^n -> Q^m with U unipotent upper triangular and
+    P a permutation, so f is onto."""
+    m = draw(st.integers(min_value=0, max_value=n))
+    x = draw(matrices(m, n - m))
+    u = draw(matrices(n, n))
+    u = LinMap.from_rows([[1 if i == j else (u.entries[i][j] if j > i else 0)
+                           for j in range(n)] for i in range(n)], cols=n)
+    perm = draw(st.permutations(range(n)))
+    p = LinMap.from_cols([basis_vec(n, k) for k in perm], rows_dim=n)
+    return hstack(LinMap.identity(m), x) @ u @ p
+
+
+@settings(max_examples=75, deadline=None)
+@given(dims.flatmap(lambda n: st.tuples(surjective_maps(n), dirac_fibers(n))))
+def test_pushforward_matches_oracle(fl):
+    f, l = fl
+    assert image(f).dim == f.rows
+    assert pushforward(f, l).space == oracle_pushforward(f, l)

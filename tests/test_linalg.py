@@ -11,8 +11,11 @@ from diraclab.linalg import (
     _rref,
     annihilator,
     basis_vec,
+    block_diag,
     canonicalize,
     dot,
+    fiber_product,
+    full_subspace,
     image,
     intersect,
     kernel,
@@ -328,3 +331,62 @@ def test_solve_inconsistent_large_denominators():
 def test_shape_errors_raise_dimension_mismatch(call):
     with pytest.raises(DimensionMismatch):
         call()
+
+
+# ---------------------------------------------------------------------------
+# the relation primitives against their definitions
+
+def plain_apply(rows, x):
+    return tuple(sum((a * b for a, b in zip(r, x)), F(0)) for r in rows)
+
+
+@st.composite
+def relation_pairs(draw):
+    """Maps m1 : Q^a -> Q^r and m2 : Q^b -> Q^r; any of r, a, b may be 0."""
+    r, a, b = (draw(st.integers(0, 4)) for _ in range(3))
+    m1 = draw(st.lists(st.lists(entries, min_size=a, max_size=a),
+                       min_size=r, max_size=r))
+    m2 = draw(st.lists(st.lists(entries, min_size=b, max_size=b),
+                       min_size=r, max_size=r))
+    return LinMap.from_rows(m1, cols=a), LinMap.from_rows(m2, cols=b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(relation_pairs())
+def test_fiber_product_matches_definition(pair):
+    m1, m2 = pair
+    a, b = m1.cols, m2.cols
+    fp = fiber_product(m1, m2)
+    assert fp.ambient_dim == a + b
+    # every basis vector (x, y) satisfies m1 x = m2 y ...
+    for v in fp.basis:
+        assert plain_apply(m1.entries, v[:a]) == plain_apply(m2.entries, v[a:])
+    # ... the basis is the canonical one of its span ...
+    assert [list(v) for v in fp.basis] == oracle_rref(fp.basis)[0]
+    # ... and it spans the whole solution space of m1 x - m2 y = 0
+    constraints = [list(r1) + [-x for x in r2]
+                   for r1, r2 in zip(m1.entries, m2.entries)]
+    assert fp.dim == a + b - len(oracle_rref(constraints)[0])
+
+
+def test_fiber_product_with_zero_rows_or_columns():
+    # no equations: everything is related
+    assert fiber_product(LinMap.zero(0, 2), LinMap.zero(0, 3)) == full_subspace(5)
+    # an empty left factor: the fiber product is ker m2
+    m2 = LinMap.from_rows([[1, 1], [2, 2]])
+    assert fiber_product(LinMap.zero(2, 0), m2) == kernel(m2)
+    assert fiber_product(LinMap.zero(2, 0), LinMap.identity(2)).dim == 0
+    assert fiber_product(LinMap.zero(2, 0), LinMap.zero(2, 0)) == Subspace(0, ())
+    # graph of a map: {(x, y) : x = f y}
+    f = LinMap.from_rows([[1, 2]])
+    assert fiber_product(LinMap.identity(1), f) == canonicalize(
+        [vec(1, 1, 0), vec(2, 0, 1)], 3)
+
+
+def test_block_diag():
+    a = LinMap.from_rows([[1, 2]])
+    d = LinMap.from_rows([[3], [F(1, 2)]])
+    m = block_diag(a, d)
+    assert (m.rows, m.cols) == (3, 3)
+    assert m.apply(vec(1, 1, 2)) == vec(3, 6, 1)
+    assert block_diag(LinMap.zero(0, 2), d).apply(vec(0, 0, 1)) == vec(3, F(1, 2))
