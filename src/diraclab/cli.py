@@ -195,7 +195,8 @@ def _suite_runners(spec: sc.ScenarioSpec, samples: dict, seed: int):
                    for _ in g.objects]
             dg = [ThreeFormFiber.zero(2) for _ in g.objects]
             m1 = gauge_twist_equivalence(datum, gam, dg)
-            rep = transfer(m1, list(datum.dirac), check_strong=True).report
+            leg1 = transfer(m1, list(datum.dirac), check_strong=True)
+            rep = leg1.report
             gam2 = [TwoFormFiber(LinMap.from_rows([[0, Fraction(1, 3)],
                                                    [Fraction(-1, 3), 0]]))
                     for _ in g.objects]
@@ -206,7 +207,7 @@ def _suite_runners(spec: sc.ScenarioSpec, samples: dict, seed: int):
                                  c.arrow_map[a], c.c1[a])
                      for a, ar in enumerate(c.dom.arrows)]
             rep.merge(transfer_composition_check(m1, m2, chain,
-                                                 list(datum.dirac)))
+                                                 list(datum.dirac), leg1))
             return rep
         runners["transfer"] = transfer_suite
 
@@ -361,17 +362,20 @@ def cmd_dump(args) -> int:
     if spec.name == "pair":
         doc = bundle_to_json(sc.build_pair_groupoid(pair_n))
     elif spec.name == "circle":
-        n, level = circle_params(spec.params)
-        if args.what == "orbit":
-            # the datum `reduce --coisotropic` consumes, on the reduction's atlas
-            try:
+        try:
+            n, level = circle_params(spec.params)
+            if args.what == "orbit":
+                # the datum `reduce --coisotropic` consumes, on the reduction's atlas
                 doc = datum_to_json(sc.circle_reduction(n, level).orbit)
-            except sc.ReductionHypothesisViolated as e:
-                return hypothesis_violated(e)
-        elif args.what == "datum":
-            doc = datum_to_json(sc.circle_scenario(n, level).ham.datum)
-        else:
-            doc = bundle_to_json(sc.circle_scenario(n, level).ham.datum.g_bundle)
+            elif args.what == "datum":
+                doc = datum_to_json(sc.circle_scenario(n, level).ham.datum)
+            else:
+                doc = bundle_to_json(sc.circle_scenario(n, level).ham.datum.g_bundle)
+        except sc.ReductionHypothesisViolated as e:
+            return hypothesis_violated(e)
+        except ValueError as e:
+            print(f"error: {e}", file=sys.stderr)
+            return EXIT_BAD_INPUT
     elif spec.name == "torus":
         pts = [(Fraction(3, 5), Fraction(4, 5), 1, 0)]
         doc = bundle_to_json(sc.torus_scenario(pts).ham.datum.g_bundle)

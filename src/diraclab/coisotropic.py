@@ -2,11 +2,18 @@
 quasi-symplectic bundle: compatibility, non-degeneracy, the chain map with
 its two-way cohomology characterization, orbit constructors, and the
 0-shifted Poisson conditions.
+
+Data are immutable, so results that belong to one object are computed once
+on it: the target's quasi-symplectic verdict is the bundle's
+quasi_symplectic property, and the per-arrow compatibility records are the
+datum's compatibility property, shared by is_coisotropic, is_strong and the
+Hamiltonian check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .courant import (
     DiracFiber,
@@ -21,7 +28,6 @@ from .groupoid import (
     MorphismFiber,
     compatibility_check,
     induced_dirac,
-    qs_check,
 )
 from .linalg import (
     DimensionMismatch,
@@ -38,7 +44,7 @@ from .linalg import (
     solve,
     vstack,
 )
-from .report import VerificationReport, witness_subspace, witness_vector
+from .report import CheckRecord, VerificationReport, witness_subspace, witness_vector
 
 
 @dataclass(frozen=True)
@@ -69,6 +75,16 @@ class CoisotropicDatum:
     @property
     def g_bundle(self) -> GroupoidFiberBundle:
         return self.morphism.cod
+
+    @cached_property
+    def compatibility(self) -> tuple[CheckRecord, ...]:
+        """The compatibility_check record of each C-arrow, in arrow order,
+        computed once for this datum."""
+        c = self.morphism
+        return tuple(
+            compatibility_check(ar, self.dirac[ar.src], self.dirac[ar.tgt],
+                                c.pullback_two_form(k)).records[0]
+            for k, ar in enumerate(c.dom.arrows))
 
 
 class ImageEscapesL(ValueError):
@@ -119,8 +135,7 @@ def is_coisotropic(datum: CoisotropicDatum) -> VerificationReport:
     rep = VerificationReport(f"coiso.{datum.name or 'datum'}")
     c = datum.morphism
 
-    gq = qs_check(c.cod)
-    if not gq.passed:
+    if not c.cod.quasi_symplectic:
         rep.add_hypothesis_violation("coiso.qs_target",
                                      "codomain bundle fails qs_check")
         return rep
@@ -131,11 +146,8 @@ def is_coisotropic(datum: CoisotropicDatum) -> VerificationReport:
         rep.add("coiso.phi", ob_c.phi == pulled,
                 detail=f"object {i}: background form equals c*phi")
 
-    for k, ar in enumerate(c.dom.arrows):
-        sub = compatibility_check(ar, datum.dirac[ar.src], datum.dirac[ar.tgt],
-                                  c.pullback_two_form(k))
-        for r in sub.records:
-            rep.records.append(replace(r, detail=f"arrow {k}: " + r.detail))
+    for k, r in enumerate(datum.compatibility):
+        rep.records.append(replace(r, detail=f"arrow {k}: " + r.detail))
 
     for i in range(len(c.dom.objects)):
         try:
@@ -155,15 +167,22 @@ def is_coisotropic(datum: CoisotropicDatum) -> VerificationReport:
     return rep
 
 
-def is_strong(datum: CoisotropicDatum) -> VerificationReport:
-    """is_coisotropic plus injectivity: ker rho_C cap ker c_* = 0."""
-    rep = is_coisotropic(datum)
+def strong_injectivity(datum: CoisotropicDatum) -> VerificationReport:
+    """The injectivity half of strongness: ker rho_C cap ker c_* = 0."""
+    rep = VerificationReport(f"coiso.{datum.name or 'datum'}")
     c = datum.morphism
     for i, ob_c in enumerate(c.dom.objects):
         ker = kernel(vstack(ob_c.rho, c.cA[i]))
         rep.add("coiso.strong", ker.dim == 0,
                 detail=f"object {i}: ker rho_C cap ker c_* = 0",
                 witness=None if ker.dim == 0 else witness_subspace(ker))
+    return rep
+
+
+def is_strong(datum: CoisotropicDatum) -> VerificationReport:
+    """is_coisotropic plus strong_injectivity (ker rho_C cap ker c_* = 0)."""
+    rep = is_coisotropic(datum)
+    rep.merge(strong_injectivity(datum))
     return rep
 
 
@@ -211,7 +230,6 @@ def chain_map_check(datum: CoisotropicDatum, obj_idx: int) -> VerificationReport
     n, r_c = ob_c.dim, ob_c.adim
     c0, cA = c.c0[obj_idx], c.cA[obj_idx]
 
-    l_basis = l.space.matrix()          # 2n x n
     p_t, p_tstar = l.parts()            # L-coords -> T, L-coords -> T*
 
     # top row
@@ -220,7 +238,7 @@ def chain_map_check(datum: CoisotropicDatum, obj_idx: int) -> VerificationReport
     l_coords_cols = []
     for j in range(r_c):
         col = first.apply(basis_vec(r_c, j))
-        x = solve(l_basis, col)
+        x = l.space.coords(col)
         if x is None:
             rep.add("chain_map.image_in_L", False,
                     detail=f"object {obj_idx}: image of (rho_C, c*sigma c_*) leaves L",
@@ -231,12 +249,12 @@ def chain_map_check(datum: CoisotropicDatum, obj_idx: int) -> VerificationReport
             detail=f"object {obj_idx}: image of (rho_C, c*sigma c_*) lies in L")
     d1 = vstack(LinMap.from_cols(l_coords_cols, rows_dim=n), cA)
     d2 = hstack(c0 @ p_t, ob_g.rho.scale(-1))
-    top = ChainComplex3(d1, d2)
+    ChainComplex3(d1, d2)               # raises unless d2 d1 = 0
 
     # bottom row: 0 -> T*C0 -> A_C*
     b1 = LinMap.zero(n, 0)
     b2 = ob_c.rho.transpose()
-    bottom = ChainComplex3(b1, b2)
+    ChainComplex3(b1, b2)
 
     # vertical maps; the right one sends w to the functional b -> <sigma(cA b), w>
     v_minus = LinMap.zero(0, r_c)
@@ -254,7 +272,6 @@ def chain_map_check(datum: CoisotropicDatum, obj_idx: int) -> VerificationReport
     h_m_top = kernel(d1)
     h0_top = (kernel(d2), image(d1))
     h1_top = (full_subspace(ob_g.dim), image(d2))
-    h_m_bot = kernel(b1)
     h0_bot = (kernel(b2), image(b1))
     h1_bot = (full_subspace(r_c), image(b2))
 

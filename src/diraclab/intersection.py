@@ -40,7 +40,6 @@ from .linalg import (
     hstack,
     image,
     kernel,
-    solve,
     vec_concat,
     vstack,
     zero_vec,
@@ -196,7 +195,7 @@ def _product_datum(d1: CoisotropicDatum, d2: CoisotropicDatum,
     """Assemble the strong-product bundle with its morphism to the point."""
     c1m, c2m = d1.morphism, d2.morphism
     objects = []
-    for f, l in zip(fibers, dirac):
+    for f in fibers:
         # the product 3-forms cancel exactly (reversed leg); assert, not assume
         phi1 = c1m.dom.objects[f.base[0]].phi.pullback(f.p1)
         phi2 = c2m.dom.objects[f.base[1]].phi.pullback(f.p2)
@@ -251,7 +250,7 @@ def _restrict_pairmap(dom_space: Subspace, cod_space: Subspace,
     fiber-product subspaces in their echelon-basis coordinates."""
     cols = []
     for b in dom_space.basis:
-        x = solve(cod_space.matrix(), m.apply(b))
+        x = cod_space.coords(m.apply(b))
         if x is None:
             raise DimensionMismatch("componentwise map leaves the fiber product")
         cols.append(x)
@@ -378,7 +377,7 @@ def homotopy_intersection(d1: CoisotropicDatum, d2: CoisotropicDatum,
                            zip(ar.right.apply(c2m.cA[i2].apply(b2)),
                                ar.left.apply(c1m.cA[i1].apply(b1))))
             w = vec_concat(vec_concat(ob1.rho.apply(b1), middle), ob2.rho.apply(b2))
-            x = solve(tang.matrix(), w)
+            x = tang.coords(w)
             if x is None:
                 raise DimensionMismatch("translated anchor leaves the product tangent")
             rho_cols.append(x)
@@ -485,7 +484,7 @@ def induced_poisson(datum: CoisotropicDatum) -> VerificationReport:
     c = datum.morphism
     out = []
     ledger = RankLedger()
-    for i, ob_c in enumerate(c.dom.objects):
+    for i in range(len(c.dom.objects)):
         lg = induced_dirac(c.cod.objects[c.obj_map[i]])
         pulled = pullback(c.c0[i], lg)
         l_new = dirac_sum(datum.dirac[i], dirac_negate(pulled))

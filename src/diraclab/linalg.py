@@ -13,7 +13,9 @@ kernel, solve) is a Fraction, but the two hot primitives work on Python
 ints inside.  _rref clears each row's denominators, eliminates without
 fractions while keeping every row primitive (its entries have gcd 1), and
 divides by the pivot once, at the end; dot sums products of numerators over
-a common denominator and builds a single Fraction.
+a common denominator and builds a single Fraction.  Coordinates in a
+Subspace basis are read, not solved: Subspace.coords returns v's entries at
+the pivot columns of the echelon basis.
 
 Relations: fiber_product(m1, m2) is the subspace {(x, y) : m1 x = m2 y},
 the one primitive from which the Dirac operations and the checkers build
@@ -278,16 +280,30 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
+    def _pivots(self) -> list[int]:
+        """The pivot column of each basis row, in basis order."""
+        return [next(i for i, x in enumerate(row) if x != 0) for row in self.basis]
+
     def contains(self, v: Vec) -> bool:
         if len(v) != self.ambient_dim:
             raise DimensionMismatch("contains: ambient mismatch")
         res = list(v)
-        for row in self.basis:
-            p = next(i for i, x in enumerate(row) if x != 0)
+        for row, p in zip(self.basis, self._pivots()):
             if res[p] != 0:
                 f = res[p]
                 res = [x - f * y for x, y in zip(res, row)]
         return all(x == 0 for x in res)
+
+    def coords(self, v: Vec) -> Vec | None:
+        """The coordinates of v in the basis, or None if v is not in the span.
+
+        The basis is in reduced echelon form: each row is 1 at its pivot
+        column and every other row is 0 there, so the coefficient of a row
+        is v's entry at that row's pivot.  No elimination is needed.
+        """
+        if not self.contains(v):
+            return None
+        return tuple(v[p] for p in self._pivots())
 
     def issubset(self, other: "Subspace") -> bool:
         if self.ambient_dim != other.ambient_dim:

@@ -2,13 +2,19 @@
 along weak Morita legs, verification of symplectic Morita equivalences, the
 connection-dependent adjoint calculus with its homotopy identities, and the
 coisotropic transfer pipeline with its composition check.
+
+The transfer pipeline reuses what it has already decided: the target
+bundle's quasi-symplectic verdict is decided once per bundle (see groupoid),
+the strict-mode check adds only the injectivity half of strongness to the
+is_coisotropic report it already holds, and the composition check takes the
+first leg's TransferResult from its caller instead of transferring again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coisotropic import CoisotropicDatum, is_coisotropic, is_strong
+from .coisotropic import CoisotropicDatum, is_coisotropic, is_strong, strong_injectivity
 from .courant import (
     DiracFiber,
     ThreeFormFiber,
@@ -433,11 +439,10 @@ def transfer(m: MoritaEquivalenceDatum, l1: list[DiracFiber],
     if not sub.passed:
         rep.merge(sub)
 
-    if check_strong:
+    if check_strong and m.strict:
         s1 = is_strong(CoisotropicDatum(m.c1, tuple(l1), name="input"))
-        if m.strict and s1.passed:
-            s2 = is_strong(d2)
-            rep.add("transfer.strong", s2.passed,
+        if s1.passed:
+            rep.add("transfer.strong", sub.passed and strong_injectivity(d2).passed,
                     detail="strict equivalence preserves strongness")
 
     if roundtrip:
@@ -509,13 +514,16 @@ class ChainSample:
 def transfer_composition_check(m1: MoritaEquivalenceDatum,
                                m2: MoritaEquivalenceDatum,
                                samples: list[ChainSample],
-                               l1: list[DiracFiber]) -> VerificationReport:
+                               l1: list[DiracFiber],
+                               leg1: TransferResult) -> VerificationReport:
     """Composition of two transfers through homotopy fiber products.
 
     Recomputes the composed connecting form from its parts and matches it
     against the decomposition delta-hat = pr1*delta1 + pr2*delta2 +
     eta*c2*omega2 + zeta, then runs the composed transfer and compares it
     with the sequential one through an explicitly constructed gauge form.
+    leg1 is the caller's transfer(m1, l1), the first leg of the sequential
+    transfer; only the second leg is run here.
     """
     rep = VerificationReport("transfer_composition")
     g2bundle = m1.phi2.cod
@@ -553,12 +561,11 @@ def transfer_composition_check(m1: MoritaEquivalenceDatum,
                 detail="delta-hat = pr1*delta1 + pr2*delta2 + eta*c2*omega2 + zeta")
 
     # sequential transfer
-    r1 = transfer(m1, l1, roundtrip=False)
-    if not r1.report.passed:
+    if not leg1.report.passed:
         rep.add("composition.leg1", False, detail="first transfer failed")
-        rep.merge(r1.report)
+        rep.merge(leg1.report)
         return rep
-    l2 = [r1.dirac[i] for i in range(len(r1.dirac))]
+    l2 = [leg1.dirac[i] for i in range(len(leg1.dirac))]
     r2 = transfer(m2, l2, roundtrip=False)
     if not r2.report.passed:
         rep.add("composition.leg2", False, detail="second transfer failed")

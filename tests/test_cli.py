@@ -82,6 +82,17 @@ def test_dump_pair_rejects_odd_n(tmp_path, capsys):
     assert "positive even n" in err
 
 
+@pytest.mark.parametrize("what", ["base", "datum", "orbit"])
+def test_dump_circle_rejects_a_level_without_rational_points(tmp_path, capsys, what):
+    # 2 * 1/3 is not a rational square: dump exits 2, as verify does
+    spec = write_spec(tmp_path, {"name": "circle", "params": {"n": 1, "level": "1/3"}})
+    code, out, err = run(capsys, ["dump", spec, "--what", what])
+    assert code == cli.EXIT_BAD_INPUT
+    assert out == ""
+    assert err.startswith("error: ") and "not a rational square" in err
+    assert run(capsys, ["verify", spec])[0] == cli.EXIT_BAD_INPUT
+
+
 @pytest.mark.parametrize("level, argv", [
     ("1/2", ["--level", "0"]),
     ("0", []),

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from diraclab.coisotropic import (
     nondeg_assembly,
     nondeg_map,
     orbit_lagrangian,
+    strong_injectivity,
     zero_shifted_poisson_check,
 )
 from diraclab.courant import (
@@ -28,7 +30,14 @@ from diraclab.courant import (
     pullback,
     tangent_dirac,
 )
-from diraclab.groupoid import GroupoidFiberBundle, MorphismFiber, ObjectFiber
+from diraclab.groupoid import (
+    GroupoidFiberBundle,
+    MorphismFiber,
+    ObjectFiber,
+    compatibility_check,
+    identity_morphism,
+    induced_dirac,
+)
 from diraclab.linalg import (
     LinMap,
     basis_vec,
@@ -40,6 +49,8 @@ from diraclab.linalg import (
     vec_concat,
     vstack,
 )
+
+from diraclab.report import FAIL, HYPOTHESIS_VIOLATED
 
 F = Fraction
 
@@ -302,3 +313,66 @@ def test_chain_map_agreement_on_random_fibers(seed):
         if r.check_id in ("chain_map.quasi_iso_iff_bijective",
                           "chain_map.middle_iso_iff_surjective"):
             assert r.status == "pass", r.detail
+
+
+def test_corrupted_target_is_a_qs_hypothesis_violation(pair_bundle):
+    idd = identity_datum(pair_bundle)
+    c = idd.morphism
+    onto_bad = MorphismFiber(c.dom, sc.corrupt_sigma(pair_bundle), c.obj_map,
+                             c.c0, c.cA, c.arrow_map, c.c1)
+    rep = is_coisotropic(CoisotropicDatum(onto_bad, idd.dirac, name="bad-target"))
+    assert [(r.check_id, r.status) for r in rep.records] == \
+        [("coiso.qs_target", HYPOTHESIS_VIOLATED)]
+    # the verdict belongs to the corrupted bundle only
+    assert is_coisotropic(idd).passed
+
+
+def test_compatibility_records_are_computed_once_per_datum(circle1):
+    datum = circle1.ham.datum
+    c = datum.morphism
+    assert datum.compatibility is datum.compatibility
+    assert datum.compatibility == tuple(
+        compatibility_check(ar, datum.dirac[ar.src], datum.dirac[ar.tgt],
+                            c.pullback_two_form(k)).records[0]
+        for k, ar in enumerate(c.dom.arrows))
+    coiso = [r for r in is_coisotropic(datum).records if r.check_id == "coiso.compat"]
+    ham = [r for r in sc.hamiltonian_check(circle1.ham).records
+           if r.check_id == "ham.compat"]
+    assert coiso == [replace(r, detail=f"arrow {k}: {r.detail}")
+                     for k, r in enumerate(datum.compatibility)]
+    assert ham == [replace(r, check_id="ham.compat") for r in datum.compatibility]
+
+
+def test_compatibility_failure_reaches_both_reports(circle1):
+    datum = circle1.ham.datum
+    bad = CoisotropicDatum(datum.morphism,
+                           (tangent_dirac(2),) + datum.dirac[1:], name="bad")
+    failing = [k for k, r in enumerate(bad.compatibility) if r.status == FAIL]
+    assert failing
+    rep = is_coisotropic(bad)
+    assert [r.detail.split(":")[0] for r in rep.failures()
+            if r.check_id == "coiso.compat"] == [f"arrow {k}" for k in failing]
+
+
+def test_strong_injectivity_fails_with_a_zero_algebroid_leg(torus1):
+    # on the objects-only atlas of the torus base, rho = 0, so a zero c_* on
+    # the algebroid leaves ker rho cap ker c_* = A
+    g = torus1.ham.datum.g_bundle
+    objects_only = GroupoidFiberBundle(g.objects, (), (), name="objects")
+    ident = identity_morphism(objects_only)
+    zeroed = MorphismFiber(objects_only, objects_only, ident.obj_map, ident.c0,
+                           tuple(LinMap.zero(o.adim, o.adim) for o in g.objects),
+                           (), ())
+    dirac = tuple(induced_dirac(o) for o in g.objects)
+    rep = strong_injectivity(CoisotropicDatum(zeroed, dirac, name="zeroed"))
+    assert [r.status for r in rep.records] == [FAIL] * len(g.objects)
+    assert rep.records[0].witness["basis"]
+    assert strong_injectivity(CoisotropicDatum(ident, dirac)).passed
+
+
+def test_is_strong_is_is_coisotropic_then_strong_injectivity(pair_bundle, circle1):
+    for datum in (identity_datum(pair_bundle), circle1.ham.datum):
+        rep = is_strong(datum)
+        assert rep.records == (is_coisotropic(datum).records
+                               + strong_injectivity(datum).records)
+        assert rep.suite == is_coisotropic(datum).suite

@@ -2,6 +2,8 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diraclab import scenarios as sc
 from diraclab.coisotropic import identity_datum
@@ -21,7 +23,8 @@ from diraclab.groupoid import (
     qs_check,
     star_composite_form_identity,
 )
-from diraclab.linalg import LinMap, kernel
+from diraclab.linalg import LinMap, kernel, solve
+from diraclab.report import HYPOTHESIS_VIOLATED, PASS
 
 F = Fraction
 
@@ -207,3 +210,107 @@ def test_translation_identity_checked_at_unit_pairs(pair_bundle):
     assert any(r.check_id == "qs.pair.translation" for r in rep.records)
     assert all(r.status == "pass" for r in rep.records
                if r.check_id == "qs.pair.translation")
+
+
+def multiplicative_oracle(bundle):
+    """qs.multiplicative as the pairwise loop it was before the matrix
+    identity: omega_gh(m x, m y) = omega_g(x_g, y_g) + omega_h(x_h, y_h) for
+    every pair of tangent basis vectors, coordinates by solve."""
+    verdicts = []
+    for p in bundle.pairs:
+        g, h, gh = (bundle.arrows[i] for i in (p.g, p.h, p.gh))
+        basis = p.tangent.basis
+
+        def m(x):
+            return p.m_star.apply(solve(p.tangent.matrix(), x))
+
+        verdicts.append(all(
+            gh.omega(m(x), m(y))
+            == g.omega(x[:g.dim], y[:g.dim]) + h.omega(x[g.dim:], y[g.dim:])
+            for a, x in enumerate(basis) for y in basis[a:]))
+    return verdicts
+
+
+def multiplicative_verdicts(bundle):
+    return [r.status == PASS for r in qs_check(bundle).records
+            if r.check_id == "qs.multiplicative"]
+
+
+def with_entry_shifted(rows, i, j, c):
+    rows = [list(r) for r in rows]
+    rows[i][j] += c
+    return rows
+
+
+small = st.fractions(min_value=-4, max_value=4, max_denominator=4).filter(bool)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_multiplicative_identity_matches_the_pairwise_loop(pair_bundle, circle1, data):
+    bundle = data.draw(st.sampled_from([pair_bundle, circle1.ham.datum.g_bundle]))
+    assert multiplicative_verdicts(bundle) == multiplicative_oracle(bundle)
+    k = data.draw(st.integers(0, len(bundle.pairs) - 1))
+    p = bundle.pairs[k]
+    c = data.draw(small)
+    if data.draw(st.booleans()):
+        # one entry of one pair's multiplication differential
+        i = data.draw(st.integers(0, p.m_star.rows - 1))
+        j = data.draw(st.integers(0, p.m_star.cols - 1))
+        m_star = LinMap.from_rows(with_entry_shifted(p.m_star.entries, i, j, c))
+        pairs = list(bundle.pairs)
+        pairs[k] = replace(p, m_star=m_star)
+        bad = replace(bundle, pairs=tuple(pairs))
+    else:
+        # one antisymmetric entry pair of the 2-form of one arrow of the pair
+        a = data.draw(st.sampled_from([p.g, p.h, p.gh]))
+        ar = bundle.arrows[a]
+        i = data.draw(st.integers(0, ar.dim - 2))
+        j = data.draw(st.integers(i + 1, ar.dim - 1))
+        rows = with_entry_shifted(ar.omega.matrix.entries, i, j, c)
+        rows = with_entry_shifted(rows, j, i, -c)
+        arrows = list(bundle.arrows)
+        arrows[a] = replace(ar, omega=TwoFormFiber(LinMap.from_rows(rows)))
+        bad = replace(bundle, arrows=tuple(arrows))
+    assert multiplicative_verdicts(bad) == multiplicative_oracle(bad)
+
+
+def doubled_m_star(bundle, pair_idx):
+    """Negative fixture: one pair's multiplication differential doubled, so
+    m*omega picks up a factor 4.  At a pair whose second arrow is not a unit
+    nothing else in qs_check reads m_star."""
+    p = bundle.pairs[pair_idx]
+    if bundle.arrows[p.h].unit:
+        raise ValueError("choose a pair whose second arrow is not a unit")
+    pairs = list(bundle.pairs)
+    pairs[pair_idx] = replace(p, m_star=p.m_star.scale(2))
+    return replace(bundle, pairs=tuple(pairs), name="doubled-m-star")
+
+
+def test_doubled_m_star_fails_only_multiplicativity(pair_bundle):
+    rep = qs_check(doubled_m_star(pair_bundle, 1))
+    assert [(r.check_id, r.detail) for r in rep.failures()] == \
+        [("qs.multiplicative", "pair 1: m*omega = pr1*omega + pr2*omega")]
+    assert multiplicative_oracle(doubled_m_star(pair_bundle, 1))[1] is False
+
+
+def test_quasi_symplectic_is_decided_per_bundle(pair_bundle):
+    bad = sc.corrupt_sigma(pair_bundle)
+    assert pair_bundle.quasi_symplectic is True
+    assert bad.quasi_symplectic is False
+    # a replaced bundle is a new object and is decided afresh
+    assert replace(pair_bundle, objects=bad.objects).quasi_symplectic is False
+    assert replace(bad, objects=pair_bundle.objects).quasi_symplectic is True
+    # the verdict is no field: equality and hashing ignore it
+    assert replace(pair_bundle) == pair_bundle
+    assert hash(replace(pair_bundle)) == hash(pair_bundle)
+
+
+def test_gauge_qs_of_a_corrupted_bundle_is_hypothesis_violated(pair_bundle):
+    bad = sc.corrupt_sigma(pair_bundle)
+    gam = [TwoFormFiber.zero(2) for _ in bad.objects]
+    dg = [ThreeFormFiber.zero(2) for _ in bad.objects]
+    out, rep = gauge_qs(bad, gam, dg)
+    assert [(r.check_id, r.status) for r in rep.records] == \
+        [("gauge.preserves_qs", HYPOTHESIS_VIOLATED)]
+    assert out.objects == bad.objects

@@ -1,4 +1,5 @@
-"""Source hygiene: every module-level import in src/diraclab is used."""
+"""Source hygiene: every module-level import in src/diraclab is used, and
+every name a function stores is read somewhere in that function."""
 
 import ast
 from pathlib import Path
@@ -34,3 +35,53 @@ def test_no_unused_module_imports(path):
 def test_detects_an_unused_import():
     tree = ast.parse("from x import a, b\nimport c\nprint(a)\n")
     assert unused_imports(tree) == ["b (line 1)", "c (line 2)"]
+
+
+def unread_locals(tree: ast.Module) -> list[str]:
+    """Names a function stores but never reads, as "function.name (line)".
+
+    A name counts as read if the function, or a function nested in it,
+    loads it; an augmented assignment reads its target.  Names starting
+    with "_" and names declared global or nonlocal are exempt.
+    """
+    out = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        stored, loaded, exempt = {}, set(), set()
+        for node in ast.walk(fn):
+            if isinstance(node, (ast.Global, ast.Nonlocal)):
+                exempt.update(node.names)
+            elif isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Name):
+                loaded.add(node.target.id)
+            elif isinstance(node, ast.Name):
+                if isinstance(node.ctx, ast.Load):
+                    loaded.add(node.id)
+                else:
+                    stored.setdefault(node.id, node.lineno)
+        out += [f"{fn.name}.{name} (line {line})"
+                for name, line in sorted(stored.items(), key=lambda kv: kv[1])
+                if name not in loaded and name not in exempt
+                and not name.startswith("_")]
+    return out
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unread_function_locals(path):
+    assert unread_locals(ast.parse(path.read_text())) == []
+
+
+def test_detects_an_unread_local():
+    tree = ast.parse(
+        "def f(xs):\n"
+        "    dead = len(xs)\n"
+        "    for i, x in enumerate(xs):\n"
+        "        print(x)\n"
+        "    n = 0\n"
+        "    n += 1\n"
+        "    _ignored = 1\n"
+        "    def g():\n"
+        "        return kept\n"
+        "    kept = 2\n"
+        "    return g\n")
+    assert unread_locals(tree) == ["f.dead (line 2)", "f.i (line 3)"]

@@ -289,6 +289,37 @@ def test_solve_matches_oracle(mc, data):
     assert sol is None or all_fractions([sol])
 
 
+@settings(max_examples=60, deadline=None)
+@given(matrices(), st.data())
+def test_coords_match_solve_in_the_span(mc, data):
+    # v = B c for the basis matrix B: coords reads c back, as solve finds it
+    m, cols = mc
+    space = canonicalize(m, cols)
+    c = tuple(data.draw(st.lists(entries, min_size=space.dim, max_size=space.dim)))
+    v = space.matrix().apply(c)
+    assert space.coords(v) == solve(space.matrix(), v) == c
+    assert all_fractions([space.coords(v)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices(), st.data())
+def test_coords_are_none_off_the_span(mc, data):
+    m, cols = mc
+    space = canonicalize(m, cols)
+    v = tuple(data.draw(st.lists(entries, min_size=cols, max_size=cols)))
+    assert space.coords(v) == solve(space.matrix(), v)
+    # a unit vector at a non-pivot column is never in the span
+    _, piv_cols = oracle_rref(m)
+    for j in range(cols):
+        if j not in piv_cols:
+            assert space.coords(basis_vec(cols, j)) is None
+
+
+def test_coords_reject_a_wrong_length():
+    with pytest.raises(DimensionMismatch):
+        canonicalize([vec(1, 2)]).coords(vec(1, 2, 3))
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 16).flatmap(
     lambda n: st.tuples(st.lists(entries, min_size=n, max_size=n),

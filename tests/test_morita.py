@@ -1,12 +1,20 @@
-"""Direct tests of the Morita layer: symplectic equivalences and transfer."""
+"""Direct tests of the Morita layer: symplectic equivalences, descent,
+transfer and the composition of two transfers."""
 
 from fractions import Fraction
 
 from diraclab.coisotropic import identity_datum
-from diraclab.courant import ThreeFormFiber, TwoFormFiber
+from diraclab.courant import ThreeFormFiber, TwoFormFiber, tangent_dirac
 from diraclab.groupoid import GroupoidFiberBundle, MorphismFiber, identity_morphism
 from diraclab.linalg import LinMap
-from diraclab.morita import gauge_twist_equivalence, symplectic_morita_check, transfer
+from diraclab.morita import (
+    ChainSample,
+    descend_dirac,
+    gauge_twist_equivalence,
+    symplectic_morita_check,
+    transfer,
+    transfer_composition_check,
+)
 from diraclab.report import FAIL, PASS
 
 F = Fraction
@@ -81,3 +89,75 @@ def test_zeroed_algebroid_leg_fails_bijectivity(torus1):
     rep = symplectic_morita_check(zeroed, ident, gamma, dgamma)
     assert set(statuses(rep, "morita.bijective")) == {FAIL}
     assert set(statuses(rep, "morita.threeform")) == {PASS}
+
+
+def torus_chain(torus1):
+    """The torus composition: the twist by gamma, then by gamma / 3, with one
+    chain sample per C-arrow (as the torus transfer suite builds it)."""
+    datum, m1 = torus_twist(torus1)
+    g = datum.g_bundle
+    third = LinMap.from_rows([[0, F(1, 3)], [F(-1, 3), 0]])
+    m2 = gauge_twist_equivalence(datum, [TwoFormFiber(third) for _ in g.objects],
+                                 [ThreeFormFiber.zero(2) for _ in g.objects])
+    c = datum.morphism
+    chain = [ChainSample(ar.dim, ar.src, ar.tgt, ar.s_star, ar.t_star,
+                         a, LinMap.identity(ar.dim), c.arrow_map[a], c.c1[a])
+             for a, ar in enumerate(c.dom.arrows)]
+    return datum, m1, m2, chain
+
+
+def test_composition_passes_on_the_torus_chain(torus1):
+    datum, m1, m2, chain = torus_chain(torus1)
+    l1 = list(datum.dirac)
+    leg1 = transfer(m1, l1, roundtrip=False)
+    rep = transfer_composition_check(m1, m2, chain, l1, leg1)
+    assert rep.passed, rep.failures()
+    assert set(statuses(rep, "composition.delta_hat")) == {PASS}
+    assert set(statuses(rep, "composition.gauge")) == {PASS}
+    assert statuses(rep, "composition.leg1") == []
+
+
+def test_composition_stops_at_a_failing_first_leg(torus1):
+    datum, m1, m2, chain = torus_chain(torus1)
+    # the tangent fibers are not compatible with the torus 2-forms, so the
+    # first leg's descent fails
+    bad = [tangent_dirac(l.n) for l in datum.dirac]
+    leg1 = transfer(m1, bad, roundtrip=False)
+    assert not leg1.report.passed
+    rep = transfer_composition_check(m1, m2, chain, bad, leg1)
+    assert statuses(rep, "composition.leg1") == [FAIL]
+    assert statuses(rep, "composition.leg2") == []
+    assert statuses(rep, "composition.gauge") == []
+    assert rep.records[-len(leg1.report.records):] == leg1.report.records
+
+
+def descent_data(torus1):
+    """The psi2 leg of the torus twist (the identity of C) and the forms
+    transfer descends with: the C-arrow pullbacks c*omega."""
+    datum, m = torus_twist(torus1)
+    forms = [datum.morphism.pullback_two_form(k)
+             for k in range(len(datum.c_bundle.arrows))]
+    return datum, m.psi2, forms
+
+
+def test_descend_dirac_along_the_identity_leg(torus1):
+    datum, psi2, forms = descent_data(torus1)
+    pushed, rep = descend_dirac(psi2, list(datum.dirac), forms)
+    assert rep.passed, rep.failures()
+    for check_id in ("descend.hypothesis", "descend.invariance", "descend.roundtrip"):
+        assert statuses(rep, check_id) and set(statuses(rep, check_id)) == {PASS}
+    assert pushed == dict(enumerate(datum.dirac))
+
+
+def test_descend_dirac_with_a_swapped_fiber_fails_the_hypothesis(torus1):
+    # every torus fiber is the same graph; object 0's is swapped for the
+    # tangent Lagrangian, so the hypothesis fails exactly at the arrows
+    # that touch object 0
+    datum, psi2, forms = descent_data(torus1)
+    dirac = list(datum.dirac)
+    dirac[0] = tangent_dirac(dirac[0].n)
+    _, rep = descend_dirac(psi2, dirac, forms)
+    touched = [0 in (ar.src, ar.tgt) for ar in datum.c_bundle.arrows]
+    assert any(touched) and not all(touched)
+    assert statuses(rep, "descend.hypothesis") == \
+        [FAIL if t else PASS for t in touched]
