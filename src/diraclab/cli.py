@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 from fractions import Fraction
@@ -26,7 +25,6 @@ from .intersection import (
 from .linalg import frac
 from .report import HYPOTHESIS_VIOLATED, PASS, VerificationReport
 from .serialize import (
-    SchemaError,
     bundle_to_json,
     datum_from_json,
     datum_to_json,
@@ -37,8 +35,6 @@ from .serialize import (
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_BAD_INPUT = 2
-
-DEFAULT_SAMPLES = {"objects": 8, "arrows": 16, "pairs": 8}
 
 
 class ScenarioError(ValueError):
@@ -71,8 +67,10 @@ def load_spec(path: str) -> sc.ScenarioSpec:
         raise ScenarioError("scenario file needs a 'name' field")
     if doc["name"] not in catalog():
         raise ScenarioError(f"unknown scenario name: {doc['name']!r}")
-    return sc.ScenarioSpec(doc["name"], doc.get("params", {}),
-                           int(doc.get("seed", 0)), doc.get("samples"))
+    if "samples" in doc:
+        raise ScenarioError("scenario files have no 'samples' field: "
+                            "each scenario fixes its own sample atlas")
+    return sc.ScenarioSpec(doc["name"], doc.get("params", {}), int(doc.get("seed", 0)))
 
 
 def pair_dim(params: dict) -> int:
@@ -85,7 +83,10 @@ def pair_dim(params: dict) -> int:
 
 def circle_params(params: dict) -> tuple[int, Fraction]:
     """The circle scenario's n (default 1) and moment level (default 1/2)."""
-    return int(params.get("n", 1)), frac(str(params.get("level", "1/2")))
+    n = int(params.get("n", 1))
+    if n < 1:
+        raise ScenarioError(f"circle needs n >= 1, got {n}")
+    return n, frac(str(params.get("level", "1/2")))
 
 
 def hypothesis_violated(e: Exception) -> int:
@@ -93,22 +94,7 @@ def hypothesis_violated(e: Exception) -> int:
     return EXIT_CHECK_FAILED
 
 
-def effective_samples(spec: sc.ScenarioSpec, override: str | None) -> dict:
-    samples = dict(DEFAULT_SAMPLES)
-    if spec.samples:
-        samples.update({k: int(v) for k, v in spec.samples.items()})
-    env = os.environ.get("DIRACLAB_SAMPLES")
-    for source in (env, override):
-        if source:
-            for part in source.split(","):
-                key, _, val = part.partition("=")
-                if key.strip() not in samples or not val:
-                    raise ScenarioError(f"bad samples override: {part!r}")
-                samples[key.strip()] = int(val)
-    return samples
-
-
-def _suite_runners(spec: sc.ScenarioSpec, samples: dict, seed: int):
+def _suite_runners(spec: sc.ScenarioSpec, seed: int):
     """Map of suite name -> zero-argument runner returning a report."""
     name = spec.name
     params = spec.params
@@ -116,8 +102,7 @@ def _suite_runners(spec: sc.ScenarioSpec, samples: dict, seed: int):
 
     if name in ("pair", "pair-corrupt-sigma"):
         n = pair_dim(params)
-        num_objects = max(2, min(int(samples["objects"]), 4))
-        bundle = sc.build_pair_groupoid(n, num_objects=num_objects)
+        bundle = sc.build_pair_groupoid(n, num_objects=4)
         if name == "pair-corrupt-sigma":
             bundle = sc.corrupt_sigma(bundle)
         runners["qs"] = lambda: qs_check(bundle)
@@ -146,21 +131,21 @@ def _suite_runners(spec: sc.ScenarioSpec, samples: dict, seed: int):
     elif name == "circle":
         n, level = circle_params(params)
         scn = sc.circle_scenario(n, level)
-        runners["qs"] = lambda: qs_check(scn.ham.datum.g_bundle)
-        runners["hamiltonian"] = lambda: sc.hamiltonian_check(scn.ham)
+        runners["qs"] = lambda: qs_check(scn.datum.g_bundle)
+        runners["hamiltonian"] = lambda: sc.hamiltonian_check(scn.datum)
         def coiso():
             rep = VerificationReport("coisotropic")
-            rep.merge(is_strong(scn.ham.datum))
+            rep.merge(is_strong(scn.datum))
             rep.merge(is_strong(sc.circle_orbit_datum(scn, level)))
             return rep
         runners["coisotropic"] = coiso
 
         def inter():
             red = sc.circle_reduction(n, level)
-            si = strong_intersection(red.orbit, red.scn.ham.datum,
+            si = strong_intersection(red.orbit, red.scn.datum,
                                      list(red.obj_pairs), list(red.arrow_pairs))
             rep = si.report
-            rep.merge(strong_exact_sequence(red.orbit, red.scn.ham.datum, si))
+            rep.merge(strong_exact_sequence(red.orbit, red.scn.datum, si))
             return rep
         runners["intersection"] = inter
 
@@ -180,16 +165,16 @@ def _suite_runners(spec: sc.ScenarioSpec, samples: dict, seed: int):
     elif name == "torus":
         pts = [(Fraction(3, 5), Fraction(4, 5), 1, 0)]
         scn = sc.torus_scenario(pts)
-        runners["qs"] = lambda: qs_check(scn.ham.datum.g_bundle)
-        runners["hamiltonian"] = lambda: sc.hamiltonian_check(scn.ham)
-        runners["coisotropic"] = lambda: is_strong(scn.ham.datum)
+        runners["qs"] = lambda: qs_check(scn.datum.g_bundle)
+        runners["hamiltonian"] = lambda: sc.hamiltonian_check(scn.datum)
+        runners["coisotropic"] = lambda: is_strong(scn.datum)
 
         def transfer_suite():
             from .courant import ThreeFormFiber, TwoFormFiber
             from .linalg import LinMap
             from .morita import (ChainSample, gauge_twist_equivalence, transfer,
                                  transfer_composition_check)
-            datum = scn.ham.datum
+            datum = scn.datum
             g = datum.g_bundle
             gam = [TwoFormFiber(LinMap.from_rows([[0, 1], [-1, 0]]))
                    for _ in g.objects]
@@ -257,9 +242,8 @@ def cmd_list(_args) -> int:
 def cmd_verify(args) -> int:
     try:
         spec = load_spec(args.scenario)
-        samples = effective_samples(spec, args.samples)
         seed = args.seed if args.seed is not None else spec.seed
-        runners = _suite_runners(spec, samples, seed)
+        runners = _suite_runners(spec, seed)
     except (ScenarioError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BAD_INPUT
@@ -272,7 +256,7 @@ def cmd_verify(args) -> int:
     reports = [(w, runners[w]()) for w in wanted]
     ok = all(r.passed and r.hypothesis_ok for _, r in reports)
     if args.report == "json":
-        doc = {"scenario": spec.name, "seed": seed, "samples": samples,
+        doc = {"scenario": spec.name, "seed": seed,
                "suites": {w: r.to_json() for w, r in reports}}
         print(dumps(doc))
     else:
@@ -309,11 +293,14 @@ def cmd_reduce(args) -> int:
 
     if args.coisotropic not in (None, "orbit"):
         try:
-            custom = datum_from_json(json.load(open(args.coisotropic)))
-        except (OSError, json.JSONDecodeError, SchemaError) as e:
+            with open(args.coisotropic) as fh:
+                custom = datum_from_json(json.load(fh))
+        except (OSError, ValueError) as e:
+            # a malformed file raises JSONDecodeError or SchemaError, and
+            # fibers of inconsistent shape fail their own checks: all ValueErrors
             print(f"error: cannot load coisotropic file: {e}", file=sys.stderr)
             return EXIT_BAD_INPUT
-        if bundle_to_json(custom.g_bundle) != bundle_to_json(red.scn.ham.datum.g_bundle):
+        if bundle_to_json(custom.g_bundle) != bundle_to_json(red.scn.datum.g_bundle):
             print("error: custom coisotropic targets a different base bundle",
                   file=sys.stderr)
             return EXIT_BAD_INPUT
@@ -347,7 +334,7 @@ def CoisotropicDatumWithBase(custom, red):
     from .coisotropic import CoisotropicDatum
     from .groupoid import MorphismFiber
     m = custom.morphism
-    rebased = MorphismFiber(m.dom, red.scn.ham.datum.g_bundle, m.obj_map, m.c0,
+    rebased = MorphismFiber(m.dom, red.scn.datum.g_bundle, m.obj_map, m.c0,
                             m.cA, m.arrow_map, m.c1)
     return CoisotropicDatum(rebased, custom.dirac, name=custom.name)
 
@@ -368,9 +355,9 @@ def cmd_dump(args) -> int:
                 # the datum `reduce --coisotropic` consumes, on the reduction's atlas
                 doc = datum_to_json(sc.circle_reduction(n, level).orbit)
             elif args.what == "datum":
-                doc = datum_to_json(sc.circle_scenario(n, level).ham.datum)
+                doc = datum_to_json(sc.circle_scenario(n, level).datum)
             else:
-                doc = bundle_to_json(sc.circle_scenario(n, level).ham.datum.g_bundle)
+                doc = bundle_to_json(sc.circle_scenario(n, level).datum.g_bundle)
         except sc.ReductionHypothesisViolated as e:
             return hypothesis_violated(e)
         except ValueError as e:
@@ -378,7 +365,7 @@ def cmd_dump(args) -> int:
             return EXIT_BAD_INPUT
     elif spec.name == "torus":
         pts = [(Fraction(3, 5), Fraction(4, 5), 1, 0)]
-        doc = bundle_to_json(sc.torus_scenario(pts).ham.datum.g_bundle)
+        doc = bundle_to_json(sc.torus_scenario(pts).datum.g_bundle)
     else:
         print(f"error: scenario {spec.name!r} has no dumpable bundle",
               file=sys.stderr)
@@ -406,8 +393,6 @@ def main(argv=None) -> int:
     p_ver.add_argument("--suite", default="all")
     p_ver.add_argument("--report", choices=("text", "json"), default="text")
     p_ver.add_argument("--seed", type=int, default=None)
-    p_ver.add_argument("--samples", default=None,
-                       help="override, e.g. objects=4,arrows=8,pairs=4")
     p_ver.set_defaults(fn=cmd_verify)
 
     p_red = sub.add_parser("reduce", help="run the reduction pipeline")

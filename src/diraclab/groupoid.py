@@ -211,6 +211,40 @@ def identity_morphism(bundle: GroupoidFiberBundle) -> MorphismFiber:
     )
 
 
+def unit_groupoid(n: int, num_objects: int = 2,
+                  name: str = "unit") -> GroupoidFiberBundle:
+    """The trivial groupoid M over M: only unit arrows, A = 0."""
+    objects = tuple(ObjectFiber(n, 0, LinMap.zero(n, 0), LinMap.zero(n, 0),
+                                ThreeFormFiber.zero(n))
+                    for _ in range(num_objects))
+    arrows = tuple(ArrowFiber(i, i, n, LinMap.identity(n), LinMap.identity(n),
+                              TwoFormFiber.zero(n), LinMap.zero(n, 0),
+                              LinMap.zero(n, 0), unit=True,
+                              u_star=LinMap.identity(n))
+                   for i in range(num_objects))
+    pairs = tuple(make_pair(arrows, i, i, i, lambda v, n=n: v[:n])
+                  for i in range(num_objects))
+    return GroupoidFiberBundle(objects, arrows, pairs, name=name)
+
+
+def point_bundle(name: str = "point") -> GroupoidFiberBundle:
+    """The point groupoid: one object, one unit arrow, every fiber zero."""
+    return unit_groupoid(0, 1, name)
+
+
+def morphism_to_point(bundle: GroupoidFiberBundle,
+                      pt: GroupoidFiberBundle) -> MorphismFiber:
+    """The terminal morphism: every object and arrow to the only one of pt."""
+    return MorphismFiber(
+        bundle, pt,
+        tuple(0 for _ in bundle.objects),
+        tuple(LinMap.zero(0, o.dim) for o in bundle.objects),
+        tuple(LinMap.zero(0, o.adim) for o in bundle.objects),
+        tuple(0 for _ in bundle.arrows),
+        tuple(LinMap.zero(0, a.dim) for a in bundle.arrows),
+    )
+
+
 def qs_check(bundle: GroupoidFiberBundle) -> VerificationReport:
     """All quasi-symplectic identity checks on every sampled fiber.
 

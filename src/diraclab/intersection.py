@@ -25,8 +25,9 @@ from .courant import (
 from .groupoid import (
     ArrowFiber,
     GroupoidFiberBundle,
-    MorphismFiber,
     ObjectFiber,
+    morphism_to_point,
+    point_bundle,
 )
 from .linalg import (
     DimensionMismatch,
@@ -35,17 +36,14 @@ from .linalg import (
     annihilator,
     basis_vec,
     block_diag,
-    canonicalize,
     fiber_product,
     hstack,
     image,
     kernel,
     vec_concat,
     vstack,
-    zero_vec,
 )
 from .report import VerificationReport, witness_subspace
-from .scenarios import point_bundle
 
 
 @dataclass(frozen=True)
@@ -149,8 +147,7 @@ def strong_intersection(d1: CoisotropicDatum, d2: CoisotropicDatum,
         dirac.append(l_fiber)
 
         r_space = _shared_tangent_sum(d1, i1, d2, i2)
-        u_space = image(c1m.c0[i1]).sum(image(c2m.c0[i2]))
-        ledger.add(point=(i1, i2), R=r_space.dim, U=u_space.dim,
+        ledger.add(point=(i1, i2), R=r_space.dim,
                    R_ann=ob_g.dim - r_space.dim, L=l_fiber.space.dim,
                    kerL=kernel_of(l_fiber).dim)
 
@@ -179,14 +176,12 @@ def strong_intersection(d1: CoisotropicDatum, d2: CoisotropicDatum,
 def _shared_tangent_sum(d1: CoisotropicDatum, i1: int,
                         d2: CoisotropicDatum, i2: int) -> Subspace:
     """R = c1(p_T L1) + c2(p_T L2) inside the shared tangent space."""
-    c1m, c2m = d1.morphism, d2.morphism
-    n_g = d1.morphism.cod.objects[c1m.obj_map[i1]].dim
-    gens = []
-    for v in d1.dirac[i1].space.basis:
-        gens.append(c1m.c0[i1].apply(v[:d1.dirac[i1].n]))
-    for v in d2.dirac[i2].space.basis:
-        gens.append(c2m.c0[i2].apply(v[:d2.dirac[i2].n]))
-    return canonicalize(gens, n_g)
+    return image(hstack(_tangent_image(d1, i1), _tangent_image(d2, i2)))
+
+
+def _tangent_image(d: CoisotropicDatum, i: int) -> LinMap:
+    """c_*(p_T L) at object i, as a map from the basis coordinates of L."""
+    return d.morphism.c0[i] @ d.dirac[i].parts()[0]
 
 
 def _product_datum(d1: CoisotropicDatum, d2: CoisotropicDatum,
@@ -232,16 +227,8 @@ def _product_datum(d1: CoisotropicDatum, d2: CoisotropicDatum,
 
     bundle = GroupoidFiberBundle(tuple(objects), tuple(arrows), (),
                                  name="strong_product")
-    pt = point_bundle()
-    morph = MorphismFiber(
-        bundle, pt,
-        tuple(0 for _ in objects),
-        tuple(LinMap.zero(0, o.dim) for o in objects),
-        tuple(LinMap.zero(0, o.adim) for o in objects),
-        tuple(0 for _ in arrows),
-        tuple(LinMap.zero(0, a.dim) for a in arrows),
-    )
-    return CoisotropicDatum(morph, tuple(dirac), name="strong_product")
+    return CoisotropicDatum(morphism_to_point(bundle, point_bundle()), tuple(dirac),
+                            name="strong_product")
 
 
 def _restrict_pairmap(dom_space: Subspace, cod_space: Subspace,
@@ -385,24 +372,10 @@ def homotopy_intersection(d1: CoisotropicDatum, d2: CoisotropicDatum,
         fibers.append(HomotopyProductFiber((i1, ga, i2), tang, rho, p1, p0, p2))
 
         # R = im((c1 pT, c2 pT) on L1 x L2) + im(s, t) in T_G0 x T_G0
-        two_ng = ob_g_s.dim + ob_g_t.dim
-        gens = []
-        for v in d1.dirac[i1].space.basis:
-            gens.append(vec_concat(c1m.c0[i1].apply(v[:n1]), zero_vec(ob_g_t.dim)))
-        for v in d2.dirac[i2].space.basis:
-            gens.append(zero_vec(ob_g_s.dim) + tuple(c2m.c0[i2].apply(v[:n2])))
-        st = vstack(ar.s_star, ar.t_star)
-        for j in range(ng):
-            gens.append(st.apply(basis_vec(ng, j)))
-        r_space = canonicalize(gens, two_ng)
-        u_gens = [vec_concat(c1m.c0[i1].apply(basis_vec(n1, j)), zero_vec(ob_g_t.dim))
-                  for j in range(n1)]
-        u_gens += [zero_vec(ob_g_s.dim) + tuple(c2m.c0[i2].apply(basis_vec(n2, j)))
-                   for j in range(n2)]
-        u_gens += [st.apply(basis_vec(ng, j)) for j in range(ng)]
-        u_space = canonicalize(u_gens, two_ng)
-        ledger.add(point=(i1, ga, i2), R=r_space.dim, U=u_space.dim,
-                   R_ann=two_ng - r_space.dim, L=l_fiber.space.dim,
+        r_space = image(hstack(block_diag(_tangent_image(d1, i1), _tangent_image(d2, i2)),
+                               vstack(ar.s_star, ar.t_star)))
+        ledger.add(point=(i1, ga, i2), R=r_space.dim,
+                   R_ann=r_space.ambient_dim - r_space.dim, L=l_fiber.space.dim,
                    kerL=kernel_of(l_fiber).dim)
 
         _homotopy_sequence_checks(rep, d1, i1, d2, i2, ar, rho, r_space)

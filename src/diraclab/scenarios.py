@@ -4,12 +4,20 @@ Every builder emits exact rational fibers: rotations come from the rational
 parametrization (1 - t^2, 2t)/(1 + t^2) of the circle, so differentials,
 translations and chart maps all stay in Q.  Builders are deterministic
 given (parameters, seed).
+
+Each sampled groupoid has one builder: build_pair_groupoid for M x M,
+build_cotangent_torus for T*T^k (the circle is k = 1), and
+_build_rotation_hamiltonian for a torus acting on C^n by rotations, whose
+composable pairs all come from composable().  The point groupoid, the unit
+groupoids and the terminal morphism are groupoid.point_bundle,
+groupoid.unit_groupoid and groupoid.morphism_to_point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import isqrt
 
 from .coisotropic import CoisotropicDatum, OrbitSample, orbit_lagrangian
 from .courant import ThreeFormFiber, TwoFormFiber, graph_two_form
@@ -19,7 +27,11 @@ from .groupoid import (
     GroupoidFiberBundle,
     MorphismFiber,
     ObjectFiber,
+    identity_morphism,
     make_pair,
+    morphism_to_point,
+    point_bundle,
+    unit_groupoid,
 )
 from .linalg import (
     LinMap,
@@ -43,7 +55,6 @@ class ScenarioSpec:
     name: str
     params: dict
     seed: int = 0
-    samples: dict | None = None
 
 
 def circle_point(t) -> tuple[Fraction, Fraction]:
@@ -53,63 +64,12 @@ def circle_point(t) -> tuple[Fraction, Fraction]:
     return ((1 - t * t) / den, 2 * t / den)
 
 
-def rotation_block(c, s, blocks: int) -> LinMap:
-    """Block-diagonal rotation by (c, s) acting on Q^{2 blocks}."""
-    rows = []
-    for b in range(blocks):
-        r1 = [F(0)] * (2 * blocks)
-        r2 = [F(0)] * (2 * blocks)
-        r1[2 * b], r1[2 * b + 1] = c, -s
-        r2[2 * b], r2[2 * b + 1] = s, c
-        rows.extend([r1, r2])
-    return LinMap.from_rows(rows)
-
-
-def rotation_field(p: Vec) -> Vec:
-    """The generator of simultaneous rotation at p: (x, y) -> (-y, x)."""
-    out = []
-    for b in range(len(p) // 2):
-        out.extend([-p[2 * b + 1], p[2 * b]])
-    return tuple(out)
-
-
 def std_symplectic(n2: int) -> TwoFormFiber:
     rows = [[F(0)] * n2 for _ in range(n2)]
     for i in range(0, n2, 2):
         rows[i][i + 1] = F(1)
         rows[i + 1][i] = F(-1)
     return TwoFormFiber(LinMap.from_rows(rows))
-
-
-# ---------------------------------------------------------------------------
-# point and unit groupoids
-
-def point_bundle(name: str = "point") -> GroupoidFiberBundle:
-    ob = ObjectFiber(0, 0, LinMap.zero(0, 0), LinMap.zero(0, 0), ThreeFormFiber.zero(0))
-    unit = ArrowFiber(0, 0, 0, LinMap.zero(0, 0), LinMap.zero(0, 0),
-                      TwoFormFiber.zero(0), LinMap.zero(0, 0), LinMap.zero(0, 0),
-                      unit=True, u_star=LinMap.zero(0, 0))
-    arrows = (unit,)
-    pair = make_pair(arrows, 0, 0, 0, lambda v: ())
-    return GroupoidFiberBundle((ob,), arrows, (pair,), name=name)
-
-
-def unit_groupoid(n: int, num_objects: int = 2,
-                  name: str = "unit") -> GroupoidFiberBundle:
-    """The trivial groupoid M over M: only unit arrows, A = 0."""
-    objects = tuple(ObjectFiber(n, 0, LinMap.zero(n, 0), LinMap.zero(n, 0),
-                                ThreeFormFiber.zero(n))
-                    for _ in range(num_objects))
-    arrows = []
-    for i in range(num_objects):
-        arrows.append(ArrowFiber(i, i, n, LinMap.identity(n), LinMap.identity(n),
-                                 TwoFormFiber.zero(n), LinMap.zero(n, 0),
-                                 LinMap.zero(n, 0), unit=True,
-                                 u_star=LinMap.identity(n)))
-    arrows = tuple(arrows)
-    pairs = tuple(make_pair(arrows, i, i, i, lambda v, n=n: v[:n])
-                  for i in range(num_objects))
-    return GroupoidFiberBundle(objects, arrows, pairs, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -192,51 +152,7 @@ def corrupt_sigma(bundle: GroupoidFiberBundle,
 
 
 # ---------------------------------------------------------------------------
-# cotangent groupoids of the circle and the 2-torus
-
-def build_cotangent_circle(levels, rotation_params,
-                           name: str = "tcircle") -> GroupoidFiberBundle:
-    """T*S1 over R: objects are levels xi, arrows carry (rotation, xi).
-
-    rho = 0 and sigma(d/dtheta) = -dxi for the 2-form dxi ^ dtheta.
-    """
-    levels = [frac(x) for x in levels]
-    objects = tuple(ObjectFiber(1, 1, LinMap.zero(1, 1),
-                                LinMap.from_rows([[-1]]), ThreeFormFiber.zero(1))
-                    for _ in levels)
-    om = TwoFormFiber(LinMap.from_rows([[0, -1], [1, 0]]))
-    proj = LinMap.from_rows([[0, 1]])
-    trans = LinMap.from_rows([[1], [0]])
-    arrows = []
-    index = {}
-    for li in range(len(levels)):
-        for t in rotation_params:
-            t = frac(t)
-            unit = t == 0
-            index[(li, t)] = len(arrows)
-            arrows.append(ArrowFiber(li, li, 2, proj, proj, om, trans, trans,
-                                     unit=unit,
-                                     u_star=LinMap.from_rows([[0], [1]]) if unit else None))
-    arrows = tuple(arrows)
-
-    def m_of(v):
-        # tangent fiber product basis vectors are (a1, b, a2, b)
-        return (v[0] + v[2], v[1])
-
-    pairs = []
-    params = [frac(t) for t in rotation_params]
-    for li in range(len(levels)):
-        for t1 in params:
-            for t2 in params:
-                try:
-                    t12 = compose_half_tangents(t1, t2)
-                except ValueError:
-                    continue
-                if (li, t12) in index:
-                    pairs.append(make_pair(arrows, index[(li, t1)],
-                                           index[(li, t2)], index[(li, t12)], m_of))
-    return GroupoidFiberBundle(objects, arrows, tuple(pairs), name=name)
-
+# cotangent groupoid of the k-torus
 
 def compose_half_tangents(t1, t2):
     """Half-tangent parameter of the composed rotation (undefined at angle pi)."""
@@ -246,69 +162,61 @@ def compose_half_tangents(t1, t2):
     return (t1 + t2) / (1 - t1 * t2)
 
 
-def build_cotangent_torus(points, rotation_params,
+def composable(ts_list):
+    """Yield (ts1, ts2, ts12) for the sampled rotation parameters, in ts_list
+    order, whose composite ts12 is off the angle-pi chart boundary and is
+    itself sampled."""
+    for ts1 in ts_list:
+        for ts2 in ts_list:
+            try:
+                ts12 = tuple(compose_half_tangents(a, b) for a, b in zip(ts1, ts2))
+            except ValueError:
+                continue
+            if ts12 in ts_list:
+                yield ts1, ts2, ts12
+
+
+def build_cotangent_torus(points, ts_tuples,
                           name: str = "ttorus") -> GroupoidFiberBundle:
-    """T*T^2 over R^2, same shape as the circle case with two angles."""
-    points = [as_vec(p) for p in points]
-    objects = tuple(ObjectFiber(2, 2, LinMap.zero(2, 2),
-                                LinMap.identity(2).scale(-1), ThreeFormFiber.zero(2))
+    """T*T^k over R^k, k = len(points[0]): objects are the moment levels xi,
+    arrows carry (rotation, xi), one per level and parameter tuple.
+
+    In the basis (dtheta, dxi): rho = 0, sigma = -I, and the 2-form is
+    omega = sum dxi_i ^ dtheta_i; s_* = t_* project onto dxi.
+    """
+    k = len(points[0])
+    ident, zero = LinMap.identity(k), LinMap.zero(k, k)
+    objects = tuple(ObjectFiber(k, k, zero, ident.scale(-1), ThreeFormFiber.zero(k))
                     for _ in points)
-    # basis (dtheta1, dtheta2, dxi1, dxi2); omega = sum dxi_i ^ dtheta_i
-    om = TwoFormFiber(LinMap.from_rows([
-        [0, 0, -1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0]]))
-    proj = LinMap.from_rows([[0, 0, 1, 0], [0, 0, 0, 1]])
-    trans = LinMap.from_rows([[1, 0], [0, 1], [0, 0], [0, 0]])
+    om = TwoFormFiber(vstack(hstack(zero, ident.scale(-1)), hstack(ident, zero)))
+    proj = hstack(zero, ident)
+    trans = vstack(ident, zero)
+    ts_list = [tuple(frac(t) for t in ts) for ts in ts_tuples]
     arrows = []
     index = {}
     for li in range(len(points)):
-        for ts in rotation_params:
-            ts = (frac(ts[0]), frac(ts[1]))
-            unit = ts == (0, 0)
+        for ts in ts_list:
+            unit = all(t == 0 for t in ts)
             index[(li, ts)] = len(arrows)
-            arrows.append(ArrowFiber(li, li, 4, proj, proj, om, trans, trans,
+            arrows.append(ArrowFiber(li, li, 2 * k, proj, proj, om, trans, trans,
                                      unit=unit,
-                                     u_star=vstack(LinMap.zero(2, 2),
-                                                   LinMap.identity(2)) if unit else None))
+                                     u_star=vstack(zero, ident) if unit else None))
     arrows = tuple(arrows)
 
     def m_of(v):
-        return (v[0] + v[4], v[1] + v[5], v[2], v[3])
+        # v = (angles_g, xi_g, angles_h, xi_h); the product keeps xi_g
+        return vec_concat(tuple(x + y for x, y in zip(v[:k], v[2 * k:3 * k])),
+                          v[k:2 * k])
 
-    pairs = []
-    params = [(frac(a), frac(b)) for a, b in rotation_params]
-    for li in range(len(points)):
-        for ts1 in params:
-            for ts2 in params:
-                try:
-                    ts12 = (compose_half_tangents(ts1[0], ts2[0]),
-                            compose_half_tangents(ts1[1], ts2[1]))
-                except ValueError:
-                    continue
-                if (li, ts12) in index:
-                    pairs.append(make_pair(arrows, index[(li, ts1)],
-                                           index[(li, ts2)], index[(li, ts12)], m_of))
-    return GroupoidFiberBundle(objects, arrows, tuple(pairs), name=name)
+    triples = list(composable(ts_list))
+    pairs = tuple(make_pair(arrows, index[(li, ts1)], index[(li, ts2)],
+                            index[(li, ts12)], m_of)
+                  for li in range(len(points)) for ts1, ts2, ts12 in triples)
+    return GroupoidFiberBundle(objects, arrows, pairs, name=name)
 
 
 # ---------------------------------------------------------------------------
 # Hamiltonian circle / torus actions on C^n
-
-@dataclass(frozen=True)
-class HamiltonianActionDatum:
-    """Action groupoid fibers of a quasi-symplectic groupoid acting on a
-    Dirac manifold, with the moment differentials and Dirac fibers."""
-
-    datum: CoisotropicDatum          # projection morphism with L fibers
-    moment: tuple[LinMap, ...]       # mu_* per object sample (= c0)
-    group_dim: int                   # number of circle factors
-
-
-def rotation_field_block(p: Vec, block: int) -> Vec:
-    out = [F(0)] * len(p)
-    out[2 * block] = -p[2 * block + 1]
-    out[2 * block + 1] = p[2 * block]
-    return tuple(out)
-
 
 def _action_object(p: Vec, circles: list[int], n2: int) -> ObjectFiber:
     rho = LinMap.from_cols([sum_blocks(p, blocks) for blocks in circles],
@@ -318,11 +226,13 @@ def _action_object(p: Vec, circles: list[int], n2: int) -> ObjectFiber:
 
 
 def sum_blocks(p: Vec, blocks) -> Vec:
-    acc = [F(0)] * len(p)
+    """The generator of rotation on the given blocks at p: (x, y) -> (-y, x)
+    on each listed block, zero on the others."""
+    out = [F(0)] * len(p)
     for b in blocks:
-        v = rotation_field_block(p, b)
-        acc = [x + y for x, y in zip(acc, v)]
-    return tuple(acc)
+        out[2 * b] -= p[2 * b + 1]
+        out[2 * b + 1] += p[2 * b]
+    return tuple(out)
 
 
 def circle_scenario(n: int, level, ts=(0, F(1, 2), F(-1, 2), 1),
@@ -356,22 +266,14 @@ def level_points(n: int, level, count: int | None = None) -> list[Vec]:
 
 
 def rational_sqrt(x) -> Fraction | None:
+    """The non-negative rational square root of x, or None if there is none."""
     x = frac(x)
     if x < 0:
         return None
-    num, den = x.numerator, x.denominator
-    rn, rd = _isqrt(num), _isqrt(den)
-    if rn is None or rd is None:
+    rn, rd = isqrt(x.numerator), isqrt(x.denominator)
+    if rn * rn != x.numerator or rd * rd != x.denominator:
         return None
     return F(rn, rd)
-
-
-def _isqrt(k: int) -> int | None:
-    r = int(k ** 0.5)
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand * cand == k:
-            return cand
-    return None
 
 
 def torus_scenario(points, ts_pairs=((0, 0), (1, 0), (0, 1), (1, F(1, 2))),
@@ -389,10 +291,15 @@ def _moment_of(p: Vec, circles) -> tuple:
 @dataclass(frozen=True)
 class RotationScenario:
     """A rotation Hamiltonian scenario plus the index metadata needed to
-    build orbit restrictions, product samples and quotient charts."""
+    build orbit restrictions, product samples and quotient charts.
 
-    ham: HamiltonianActionDatum
-    circles: tuple
+    datum is the Hamiltonian action as a coisotropic: the action groupoid
+    over C^n, its moment morphism to the cotangent groupoid of the torus
+    (c0 at each object is the moment differential) and the standard Dirac
+    fibers of C^n."""
+
+    datum: CoisotropicDatum
+    circles: tuple             # rotated blocks, one entry per circle factor
     ts_tuples: tuple
     obj_index: dict            # point -> action-bundle object index
     arrow_at: dict             # (point, ts) -> action-bundle arrow index
@@ -402,7 +309,7 @@ class RotationScenario:
 
 def _build_rotation_hamiltonian(points: list[Vec], circles: list[list[int]],
                                 ts_tuples, name: str,
-                                pulled_omega: bool = False) -> HamiltonianActionDatum:
+                                pulled_omega: bool = False) -> RotationScenario:
     """Shared builder: a torus (one factor per entry of `circles`) acting by
     rotations on C^n, against its cotangent groupoid over the moments.
 
@@ -422,12 +329,7 @@ def _build_rotation_hamiltonian(points: list[Vec], circles: list[list[int]],
 
     g_points = sorted({_moment_of(p, circles) for p in points})
     g_index = {m: i for i, m in enumerate(g_points)}
-    if k == 1:
-        g_bundle = build_cotangent_circle([m[0] for m in g_points],
-                                          [ts[0] for ts in ts_tuples],
-                                          name=f"{name}.base")
-    else:
-        g_bundle = build_cotangent_torus(g_points, ts_tuples, name=f"{name}.base")
+    g_bundle = build_cotangent_torus(g_points, ts_tuples, name=f"{name}.base")
     g_arrow_index = {(li, ts): li * len(ts_tuples) + ti
                      for li in range(len(g_points))
                      for ti, ts in enumerate(ts_tuples)}
@@ -507,22 +409,14 @@ def _build_rotation_hamiltonian(points: list[Vec], circles: list[list[int]],
         return vec_concat(tuple(x + y for x, y in zip(ag, ah)), wh)
 
     pairs = []
-    for p in [as_vec(q) for q in points]:
-        for ts1 in ts_tuples:
-            for ts2 in ts_tuples:
-                try:
-                    ts12 = tuple(compose_half_tangents(a, b)
-                                 for a, b in zip(ts1, ts2))
-                except ValueError:
-                    continue
-                if ts12 not in ts_tuples:
-                    continue
-                rp = rot_for(ts2).apply(p)
-                g_i = arrow_at.get((rp, ts1))
-                h_i = arrow_at.get((p, ts2))
-                gh_i = arrow_at.get((p, ts12))
-                if None not in (g_i, h_i, gh_i):
-                    pairs.append(make_pair(arrows, g_i, h_i, gh_i, m_of))
+    for p in points:
+        for ts1, ts2, ts12 in composable(ts_tuples):
+            rp = rot_for(ts2).apply(p)
+            g_i = arrow_at.get((rp, ts1))
+            h_i = arrow_at.get((p, ts2))
+            gh_i = arrow_at.get((p, ts12))
+            if None not in (g_i, h_i, gh_i):
+                pairs.append(make_pair(arrows, g_i, h_i, gh_i, m_of))
     c_bundle = GroupoidFiberBundle(objects, arrows, tuple(pairs), name=name)
 
     obj_map, c0, cA = [], [], []
@@ -542,9 +436,8 @@ def _build_rotation_hamiltonian(points: list[Vec], circles: list[list[int]],
     morph = MorphismFiber(c_bundle, g_bundle, tuple(obj_map), tuple(c0), tuple(cA),
                           tuple(arrow_map), tuple(c1_list))
     dirac = tuple(graph_two_form(std_symplectic(n2)) for _ in objects)
-    datum = CoisotropicDatum(morph, dirac, name=name)
-    ham = HamiltonianActionDatum(datum, tuple(c0), k)
-    return RotationScenario(ham, tuple(tuple(b) for b in circles), tuple(ts_tuples),
+    return RotationScenario(CoisotropicDatum(morph, dirac, name=name),
+                            tuple(tuple(b) for b in circles), tuple(ts_tuples),
                             obj_index, arrow_at, g_index, g_arrow_index)
 
 
@@ -564,9 +457,10 @@ def moment_row_sum(p: Vec, blocks) -> list:
     return out
 
 
-def hamiltonian_check(h: HamiltonianActionDatum):
+def hamiltonian_check(datum: CoisotropicDatum):
     """Compatibility (action form identity) and ker mu cap ker L = 0,
-    cross-validated per object against the non-degeneracy map.  The
+    cross-validated per object against the non-degeneracy map.  The moment
+    differential mu_* at an object is the morphism's c0 there.  The
     compatibility records are the datum's, computed once per datum and
     relabelled ham.compat here."""
     from .coisotropic import nondeg_assembly, ImageEscapesL
@@ -574,11 +468,11 @@ def hamiltonian_check(h: HamiltonianActionDatum):
     from .linalg import image
     from .report import VerificationReport, witness_subspace
 
-    rep = VerificationReport(f"hamiltonian.{h.datum.name}")
-    rep.records.extend(replace(r, check_id="ham.compat") for r in h.datum.compatibility)
-    for i in range(len(h.datum.c_bundle.objects)):
-        ker_mu = kernel(h.moment[i])
-        ker_l = kernel_of(h.datum.dirac[i])
+    rep = VerificationReport(f"hamiltonian.{datum.name}")
+    rep.records.extend(replace(r, check_id="ham.compat") for r in datum.compatibility)
+    for i in range(len(datum.c_bundle.objects)):
+        ker_mu = kernel(datum.morphism.c0[i])
+        ker_l = kernel_of(datum.dirac[i])
         nondeg = ker_mu.intersect(ker_l).dim == 0
         rep.add("ham.nondeg", nondeg,
                 detail=f"object {i}: ker mu_* cap ker L = 0",
@@ -586,7 +480,7 @@ def hamiltonian_check(h: HamiltonianActionDatum):
         # the equivalence: surjectivity of the assembled map iff the kernel
         # condition, both computed independently
         try:
-            mat, fp = nondeg_assembly(h.datum, i)
+            mat, fp = nondeg_assembly(datum, i)
             surj = image(mat) == fp
         except ImageEscapesL:
             surj = False
@@ -606,9 +500,9 @@ def circle_orbit_datum(scn: RotationScenario, level) -> CoisotropicDatum:
     2-form vanishes; the datum is produced by the generic orbit constructor,
     which re-derives that instead of assuming it.
     """
-    k = scn.ham.group_dim
+    k = len(scn.circles)
     level = (frac(level),) if k == 1 else tuple(frac(x) for x in level)
-    g_bundle = scn.ham.datum.g_bundle
+    g_bundle = scn.datum.g_bundle
     li = scn.g_index[level]
     ob_g = g_bundle.objects[li]
 
@@ -631,18 +525,12 @@ def circle_orbit_datum(scn: RotationScenario, level) -> CoisotropicDatum:
     def m_of(v):
         return tuple(x + y for x, y in zip(v[:k], v[k:]))
 
-    pairs = []
     ts_list = list(scn.ts_tuples)
-    for i1, ts1 in enumerate(ts_list):
-        for i2, ts2 in enumerate(ts_list):
-            try:
-                ts12 = tuple(compose_half_tangents(a, b) for a, b in zip(ts1, ts2))
-            except ValueError:
-                continue
-            if ts12 in ts_list:
-                pairs.append(make_pair(arrows, i1, i2, ts_list.index(ts12), m_of))
-    c_bundle = GroupoidFiberBundle((obj,), arrows, tuple(pairs),
-                                   name=f"{scn.ham.datum.name}.orbit")
+    pairs = tuple(make_pair(arrows, ts_list.index(ts1), ts_list.index(ts2),
+                            ts_list.index(ts12), m_of)
+                  for ts1, ts2, ts12 in composable(ts_list))
+    c_bundle = GroupoidFiberBundle((obj,), arrows, pairs,
+                                   name=f"{scn.datum.name}.orbit")
     morph = MorphismFiber(c_bundle, g_bundle, (li,), (LinMap.zero(ob_g.dim, 0),),
                           (LinMap.identity(k),), tuple(arrow_map), tuple(c1_list))
     return orbit_lagrangian(OrbitSample(morph))
@@ -651,7 +539,6 @@ def circle_orbit_datum(scn: RotationScenario, level) -> CoisotropicDatum:
 def pair_orbit_datum(bundle: GroupoidFiberBundle) -> CoisotropicDatum:
     """The single dense orbit of a pair groupoid: the inclusion is the
     identity and the canonical 2-form is the base symplectic form."""
-    from .groupoid import identity_morphism
     return orbit_lagrangian(OrbitSample(identity_morphism(bundle)))
 
 
@@ -736,7 +623,7 @@ def reduced_form_oracle(p: Vec, level) -> TwoFormFiber:
     omega = std_symplectic(n2)
     jac = chart_jacobian(p)
     jac_on_z = LinMap.from_cols([jac.apply(b) for b in tz.basis], rows_dim=2)
-    orbit_dir = rotation_field(p)
+    orbit_dir = sum_blocks(p, range(n2 // 2))
     # well-definedness: the orbit direction spans ker(dpi|_Z) and is in the
     # radical of the restricted form
     from .linalg import canonicalize as _canon
@@ -903,20 +790,19 @@ def run_reduction(red: ReductionScenario):
     """
     from .intersection import strong_intersection, strong_exact_sequence
     from .morita import MoritaEquivalenceDatum, NatTransFiber, transfer
-    from .groupoid import identity_morphism
     from .report import VerificationReport
 
-    rep = VerificationReport(f"reduction.{red.scn.ham.datum.name}")
+    rep = VerificationReport(f"reduction.{red.scn.datum.name}")
     n = 2 * len(red.scn.circles[0])   # real dimension of the acted-on space
 
-    si = strong_intersection(red.orbit, red.scn.ham.datum,
+    si = strong_intersection(red.orbit, red.scn.datum,
                              list(red.obj_pairs), list(red.arrow_pairs))
     rep.add("reduction.intersection", si.report.passed,
             detail="strong intersection with the orbit coisotropic")
     if not si.report.passed or si.datum is None:
         rep.merge(si.report)
         return {}, rep
-    seq = strong_exact_sequence(red.orbit, red.scn.ham.datum, si)
+    seq = strong_exact_sequence(red.orbit, red.scn.datum, si)
     rep.add("reduction.exact_sequence", seq.passed,
             detail="the intersection exact sequence holds")
 
@@ -929,13 +815,7 @@ def run_reduction(red: ReductionScenario):
     pt = si.datum.g_bundle
     ident_k = identity_morphism(prod)
     to_point = si.datum.morphism
-    chart_to_point = MorphismFiber(
-        chart_bundle, pt,
-        tuple(0 for _ in chart_bundle.objects),
-        tuple(LinMap.zero(0, o.dim) for o in chart_bundle.objects),
-        tuple(LinMap.zero(0, o.adim) for o in chart_bundle.objects),
-        tuple(0 for _ in chart_bundle.arrows),
-        tuple(LinMap.zero(0, a.dim) for a in chart_bundle.arrows))
+    chart_to_point = morphism_to_point(chart_bundle, pt)
     theta = {x: NatTransFiber(x, 0, LinMap.zero(0, prod.objects[x].dim))
              for x in range(len(prod.objects))}
     m = MoritaEquivalenceDatum(
@@ -984,7 +864,6 @@ class NatTransFixture:
 def pair_nat_trans_fixture(n: int = 2, linear_part=None) -> NatTransFixture:
     """On the pair groupoid, any linear map P induces a morphism, and
     theta(x) = (P x, x) is a natural transformation from the identity to it."""
-    from .groupoid import identity_morphism
     from .morita import NatTransFiber
 
     bundle = build_pair_groupoid(n, num_objects=1, name="pair.nat")
@@ -1009,7 +888,6 @@ def pair_nat_trans_fixture(n: int = 2, linear_part=None) -> NatTransFixture:
 def circle_nat_trans_fixture(level=F(1, 2)) -> NatTransFixture:
     """On the circle action groupoid over a 90-degree-closed orbit, the
     rotation by the group element t = 1 is homotopic to the identity."""
-    from .groupoid import identity_morphism
     from .morita import NatTransFiber
 
     level = frac(level)
@@ -1019,9 +897,8 @@ def circle_nat_trans_fixture(level=F(1, 2)) -> NatTransFixture:
     scn = _build_rotation_hamiltonian([as_vec(p) for p in orbit], [[0]],
                                       [(F(0),), (F(1),), (F(-1),)],
                                       name="circle.nat", pulled_omega=True)
-    c = scn.ham.datum.morphism
-    bundle = c.dom
-    rot = rotation_block(*circle_point(1), 1)
+    bundle = scn.datum.c_bundle
+    rot = rotation_for_circle(*circle_point(1), [0], 2)
 
     obj_map = []
     c0 = []

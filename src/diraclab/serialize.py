@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from contextlib import contextmanager
 from fractions import Fraction
 
 from .coisotropic import CoisotropicDatum
@@ -28,6 +29,22 @@ from .linalg import LinMap, Subspace, canonicalize, frac
 
 class SchemaError(ValueError):
     pass
+
+
+@contextmanager
+def _reading(schema: str, d):
+    """Check that d is a document of the given schema, and turn a missing
+    key or a field of the wrong shape inside the block into a SchemaError."""
+    if not isinstance(d, dict):
+        raise SchemaError(f"expected a {schema} object, got {type(d).__name__}")
+    if d.get("schema") != schema:
+        raise SchemaError(f"expected {schema}")
+    try:
+        yield
+    except KeyError as e:
+        raise SchemaError(f"{schema} document lacks the key {e}") from e
+    except (TypeError, IndexError) as e:
+        raise SchemaError(f"malformed {schema} document: {e}") from e
 
 
 def scalar_to_json(x: Fraction) -> str:
@@ -71,9 +88,8 @@ def dirac_family_to_json(fibers) -> dict:
 
 
 def dirac_family_from_json(d: dict) -> list[DiracFiber]:
-    if d.get("schema") != "df-v1":
-        raise SchemaError("expected df-v1")
-    return [dirac_from_json(x) for x in d["fibers"]]
+    with _reading("df-v1", d):
+        return [dirac_from_json(x) for x in d["fibers"]]
 
 
 def bundle_to_json(b: GroupoidFiberBundle) -> dict:
@@ -99,26 +115,25 @@ def bundle_to_json(b: GroupoidFiberBundle) -> dict:
 
 
 def bundle_from_json(d: dict) -> GroupoidFiberBundle:
-    if d.get("schema") != "gfb-v1":
-        raise SchemaError("expected gfb-v1")
-    objects = tuple(ObjectFiber(o["dim"], o["adim"], matrix_from_json(o["rho"]),
-                                matrix_from_json(o["sigma"]),
-                                three_form_from_json(o["phi"]))
-                    for o in d["objects"])
-    arrows = tuple(ArrowFiber(
-        a["src"], a["tgt"], a["dim"], matrix_from_json(a["s_star"]),
-        matrix_from_json(a["t_star"]),
-        TwoFormFiber(matrix_from_json(a["omega"])) if a["omega"] else None,
-        matrix_from_json(a["left"]), matrix_from_json(a["right"]),
-        unit=a["unit"],
-        u_star=matrix_from_json(a["u_star"]) if a["u_star"] else None)
-        for a in d["arrows"])
-    pairs = []
-    for p in d["pairs"]:
-        tang = pair_tangent(arrows[p["g"]], arrows[p["h"]])
-        pairs.append(ComposablePairFiber(p["g"], p["h"], p["gh"], tang,
-                                         matrix_from_json(p["m_star"])))
-    return GroupoidFiberBundle(objects, arrows, tuple(pairs), name=d["name"])
+    with _reading("gfb-v1", d):
+        objects = tuple(ObjectFiber(o["dim"], o["adim"], matrix_from_json(o["rho"]),
+                                    matrix_from_json(o["sigma"]),
+                                    three_form_from_json(o["phi"]))
+                        for o in d["objects"])
+        arrows = tuple(ArrowFiber(
+            a["src"], a["tgt"], a["dim"], matrix_from_json(a["s_star"]),
+            matrix_from_json(a["t_star"]),
+            TwoFormFiber(matrix_from_json(a["omega"])) if a["omega"] else None,
+            matrix_from_json(a["left"]), matrix_from_json(a["right"]),
+            unit=a["unit"],
+            u_star=matrix_from_json(a["u_star"]) if a["u_star"] else None)
+            for a in d["arrows"])
+        pairs = []
+        for p in d["pairs"]:
+            tang = pair_tangent(arrows[p["g"]], arrows[p["h"]])
+            pairs.append(ComposablePairFiber(p["g"], p["h"], p["gh"], tang,
+                                             matrix_from_json(p["m_star"])))
+        return GroupoidFiberBundle(objects, arrows, tuple(pairs), name=d["name"])
 
 
 def content_hash(doc: dict) -> str:
@@ -159,17 +174,16 @@ def datum_to_json(datum: CoisotropicDatum) -> dict:
 
 
 def datum_from_json(d: dict) -> CoisotropicDatum:
-    if d.get("schema") != "cd-v1":
-        raise SchemaError("expected cd-v1")
-    if content_hash(d["c_bundle"]) != d["c_bundle_hash"]:
-        raise SchemaError("c_bundle content hash mismatch")
-    if content_hash(d["g_bundle"]) != d["g_bundle_hash"]:
-        raise SchemaError("g_bundle content hash mismatch")
-    dom = bundle_from_json(d["c_bundle"])
-    cod = bundle_from_json(d["g_bundle"])
-    morph = morphism_from_json(d["morphism"], dom, cod)
-    dirac = tuple(dirac_family_from_json(d["dirac"]))
-    return CoisotropicDatum(morph, dirac, name=d["name"])
+    with _reading("cd-v1", d):
+        if content_hash(d["c_bundle"]) != d["c_bundle_hash"]:
+            raise SchemaError("c_bundle content hash mismatch")
+        if content_hash(d["g_bundle"]) != d["g_bundle_hash"]:
+            raise SchemaError("g_bundle content hash mismatch")
+        dom = bundle_from_json(d["c_bundle"])
+        cod = bundle_from_json(d["g_bundle"])
+        morph = morphism_from_json(d["morphism"], dom, cod)
+        dirac = tuple(dirac_family_from_json(d["dirac"]))
+        return CoisotropicDatum(morph, dirac, name=d["name"])
 
 
 def dumps(doc: dict) -> str:

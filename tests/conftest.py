@@ -36,5 +36,5 @@ def reduction2():
 def strong2(reduction2):
     from diraclab.intersection import strong_intersection
     red = reduction2
-    return strong_intersection(red.orbit, red.scn.ham.datum,
+    return strong_intersection(red.orbit, red.scn.datum,
                                list(red.obj_pairs), list(red.arrow_pairs))

@@ -132,3 +132,67 @@ def test_circle_defaults_to_n1_everywhere(tmp_path, capsys):
         assert outs[0][0] == cli.EXIT_OK
     assert cli.circle_params({}) == (1, Fraction(1, 2))
     assert cli.circle_params({"n": 2, "level": "2"}) == (2, Fraction(2))
+
+
+def test_verify_has_no_samples_option(tmp_path, capsys):
+    spec = write_spec(tmp_path, SPECS["pair"])
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", spec, "--samples", "objects=2"])
+    assert exc.value.code == cli.EXIT_BAD_INPUT
+    assert "--samples" in capsys.readouterr().err
+
+
+def test_a_spec_with_a_samples_field_is_rejected(tmp_path, capsys):
+    spec = write_spec(tmp_path, {**SPECS["pair"], "samples": {"objects": 2}})
+    code, out, err = run(capsys, ["verify", spec])
+    assert (code, out) == (cli.EXIT_BAD_INPUT, "")
+    assert err.startswith("error: ") and "'samples'" in err
+
+
+@pytest.mark.parametrize("cmd", ["verify", "reduce", "dump"])
+def test_a_level_beyond_float_range_without_a_rational_root(tmp_path, capsys, cmd):
+    # 2 * 10^399 = 2^400 * 5^399 is not a square; the level has 400 digits
+    spec = write_spec(tmp_path, {"name": "circle",
+                                 "params": {"n": 1, "level": "1" + "0" * 399}})
+    code, out, err = run(capsys, [cmd, spec])
+    assert (code, out) == (cli.EXIT_BAD_INPUT, "")
+    assert err.startswith("error: ") and "not a rational square" in err
+
+
+@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize("cmd", ["verify", "reduce", "dump"])
+def test_circle_rejects_n_below_one(tmp_path, capsys, cmd, n):
+    spec = write_spec(tmp_path, {"name": "circle", "params": {"n": n}})
+    code, out, err = run(capsys, [cmd, spec])
+    assert (code, out) == (cli.EXIT_BAD_INPUT, "")
+    assert err.startswith("error: ") and "n >= 1" in err
+
+
+@pytest.mark.parametrize("doc", [{"schema": "cd-v1"}, [1, 2]])
+def test_reduce_rejects_a_malformed_coisotropic_file(tmp_path, capsys, doc):
+    spec = write_spec(tmp_path, SPECS["circle-n1"])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["reduce", spec, "--coisotropic", str(bad)])
+    assert (code, out) == (cli.EXIT_BAD_INPUT, "")
+    assert err.startswith("error: cannot load coisotropic file: ")
+
+
+@pytest.mark.parametrize("edit", ["object dim", "matrix entry"])
+def test_reduce_rejects_a_coisotropic_file_with_inconsistent_fibers(tmp_path, capsys, edit):
+    # the content hash is recomputed, so only the fibers' own checks can object
+    from diraclab.serialize import content_hash
+    spec = write_spec(tmp_path, SPECS["circle-n1"])
+    orbit = tmp_path / "orbit.json"
+    code, _, _ = run(capsys, ["dump", spec, "--what", "orbit", "--out", str(orbit)])
+    assert code == cli.EXIT_OK
+    doc = json.loads(orbit.read_text())
+    if edit == "object dim":
+        doc["c_bundle"]["objects"][0]["dim"] += 1
+    else:
+        doc["c_bundle"]["arrows"][0]["left"]["entries"][0][0] = "one"
+    doc["c_bundle_hash"] = content_hash(doc["c_bundle"])
+    orbit.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["reduce", spec, "--coisotropic", str(orbit)])
+    assert (code, out) == (cli.EXIT_BAD_INPUT, "")
+    assert err.startswith("error: cannot load coisotropic file: ")

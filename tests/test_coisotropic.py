@@ -66,12 +66,12 @@ def test_identity_datum_pair_is_strong(pair_bundle):
 
 
 def test_identity_datum_circle(circle1):
-    rep = is_strong(identity_datum(circle1.ham.datum.g_bundle))
+    rep = is_strong(identity_datum(circle1.datum.g_bundle))
     assert rep.passed
 
 
 def test_hamiltonian_datum_strong(circle1):
-    assert is_strong(circle1.ham.datum).passed
+    assert is_strong(circle1.datum).passed
 
 
 def test_nondeg_map_bijective_for_identity(pair_bundle):
@@ -83,7 +83,7 @@ def test_nondeg_map_bijective_for_identity(pair_bundle):
 
 
 def test_corrupted_dirac_fails_nondeg(circle1):
-    datum = circle1.ham.datum
+    datum = circle1.datum
     bad = CoisotropicDatum(datum.morphism,
                            tuple(tangent_dirac(2) for _ in datum.dirac),
                            name="bad")
@@ -94,7 +94,7 @@ def test_corrupted_dirac_fails_nondeg(circle1):
 
 
 def test_nondeg_map_raises_when_image_escapes(circle1):
-    datum = circle1.ham.datum
+    datum = circle1.datum
     bad = CoisotropicDatum(datum.morphism,
                            tuple(tangent_dirac(2) for _ in datum.dirac),
                            name="bad")
@@ -104,7 +104,7 @@ def test_nondeg_map_raises_when_image_escapes(circle1):
 
 
 def test_chain_map_two_characterizations(pair_bundle, circle1):
-    for datum in (identity_datum(pair_bundle), circle1.ham.datum):
+    for datum in (identity_datum(pair_bundle), circle1.datum):
         for i in range(min(2, len(datum.c_bundle.objects))):
             rep = chain_map_check(datum, i)
             assert rep.passed, rep.failures()
@@ -160,7 +160,7 @@ def test_zero_shifted_poisson_transitive(pair_bundle):
 
 
 def test_zero_shifted_poisson_fails_without_surjective_anchor(circle1):
-    g = circle1.ham.datum.g_bundle
+    g = circle1.datum.g_bundle
     rep = zero_shifted_poisson_check(g, [tangent_dirac(1)] * len(g.objects))
     assert not rep.passed
     assert any(r.check_id == "zsp.kernel" for r in rep.failures())
@@ -328,7 +328,7 @@ def test_corrupted_target_is_a_qs_hypothesis_violation(pair_bundle):
 
 
 def test_compatibility_records_are_computed_once_per_datum(circle1):
-    datum = circle1.ham.datum
+    datum = circle1.datum
     c = datum.morphism
     assert datum.compatibility is datum.compatibility
     assert datum.compatibility == tuple(
@@ -336,7 +336,7 @@ def test_compatibility_records_are_computed_once_per_datum(circle1):
                             c.pullback_two_form(k)).records[0]
         for k, ar in enumerate(c.dom.arrows))
     coiso = [r for r in is_coisotropic(datum).records if r.check_id == "coiso.compat"]
-    ham = [r for r in sc.hamiltonian_check(circle1.ham).records
+    ham = [r for r in sc.hamiltonian_check(circle1.datum).records
            if r.check_id == "ham.compat"]
     assert coiso == [replace(r, detail=f"arrow {k}: {r.detail}")
                      for k, r in enumerate(datum.compatibility)]
@@ -344,7 +344,7 @@ def test_compatibility_records_are_computed_once_per_datum(circle1):
 
 
 def test_compatibility_failure_reaches_both_reports(circle1):
-    datum = circle1.ham.datum
+    datum = circle1.datum
     bad = CoisotropicDatum(datum.morphism,
                            (tangent_dirac(2),) + datum.dirac[1:], name="bad")
     failing = [k for k, r in enumerate(bad.compatibility) if r.status == FAIL]
@@ -357,7 +357,7 @@ def test_compatibility_failure_reaches_both_reports(circle1):
 def test_strong_injectivity_fails_with_a_zero_algebroid_leg(torus1):
     # on the objects-only atlas of the torus base, rho = 0, so a zero c_* on
     # the algebroid leaves ker rho cap ker c_* = A
-    g = torus1.ham.datum.g_bundle
+    g = torus1.datum.g_bundle
     objects_only = GroupoidFiberBundle(g.objects, (), (), name="objects")
     ident = identity_morphism(objects_only)
     zeroed = MorphismFiber(objects_only, objects_only, ident.obj_map, ident.c0,
@@ -371,7 +371,7 @@ def test_strong_injectivity_fails_with_a_zero_algebroid_leg(torus1):
 
 
 def test_is_strong_is_is_coisotropic_then_strong_injectivity(pair_bundle, circle1):
-    for datum in (identity_datum(pair_bundle), circle1.ham.datum):
+    for datum in (identity_datum(pair_bundle), circle1.datum):
         rep = is_strong(datum)
         assert rep.records == (is_coisotropic(datum).records
                                + strong_injectivity(datum).records)

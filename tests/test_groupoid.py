@@ -43,11 +43,11 @@ def test_pair_groupoid_qs_passes(pair_bundle):
 
 
 def test_circle_base_qs_passes(circle1):
-    assert qs_check(circle1.ham.datum.g_bundle).passed
+    assert qs_check(circle1.datum.g_bundle).passed
 
 
 def test_torus_base_qs_passes(torus1):
-    assert qs_check(torus1.ham.datum.g_bundle).passed
+    assert qs_check(torus1.datum.g_bundle).passed
 
 
 def test_trivial_point_groupoid_qs():
@@ -63,7 +63,7 @@ def test_corrupted_sigma_fails_item1_with_witness(pair_bundle):
 
 
 def test_corrupted_circle_sigma_fails(circle1):
-    rep = qs_check(sc.corrupt_sigma(circle1.ham.datum.g_bundle))
+    rep = qs_check(sc.corrupt_sigma(circle1.datum.g_bundle))
     assert not rep.passed
 
 
@@ -73,7 +73,7 @@ def test_induced_dirac_pair_is_base_graph(pair_bundle):
 
 
 def test_induced_dirac_circle_is_cotangent(circle1):
-    ob = circle1.ham.datum.g_bundle.objects[0]
+    ob = circle1.datum.g_bundle.objects[0]
     assert induced_dirac(ob) == cotangent_dirac(1)
 
 
@@ -248,7 +248,7 @@ small = st.fractions(min_value=-4, max_value=4, max_denominator=4).filter(bool)
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_multiplicative_identity_matches_the_pairwise_loop(pair_bundle, circle1, data):
-    bundle = data.draw(st.sampled_from([pair_bundle, circle1.ham.datum.g_bundle]))
+    bundle = data.draw(st.sampled_from([pair_bundle, circle1.datum.g_bundle]))
     assert multiplicative_verdicts(bundle) == multiplicative_oracle(bundle)
     k = data.draw(st.integers(0, len(bundle.pairs) - 1))
     p = bundle.pairs[k]

@@ -1,5 +1,6 @@
-"""Source hygiene: every module-level import in src/diraclab is used, and
-every name a function stores is read somewhere in that function."""
+"""Source hygiene: every module-level import in src/diraclab is used, every
+name a function stores is read somewhere in that function, and only the CLI
+imports the scenario builders."""
 
 import ast
 from pathlib import Path
@@ -85,3 +86,28 @@ def test_detects_an_unread_local():
         "    kept = 2\n"
         "    return g\n")
     assert unread_locals(tree) == ["f.dead (line 2)", "f.i (line 3)"]
+
+
+def package_imports(tree: ast.Module) -> set[str]:
+    """The diraclab modules a module imports, at any depth."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            out |= {node.module} if node.module else {a.name for a in node.names}
+    return out
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_the_cli_imports_scenarios(path):
+    # the checkers take their fixtures from their callers, never from scenarios
+    if path.stem not in ("cli", "scenarios"):
+        assert "scenarios" not in package_imports(ast.parse(path.read_text()))
+
+
+def test_package_imports_sees_every_form():
+    tree = ast.parse("from . import scenarios as sc\n"
+                     "from .linalg import kernel\n"
+                     "def f():\n"
+                     "    from .groupoid import qs_check\n"
+                     "import json\n")
+    assert package_imports(tree) == {"scenarios", "linalg", "groupoid"}

@@ -1,10 +1,11 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from diraclab import scenarios as sc
 from diraclab.coisotropic import identity_datum, is_strong
-from diraclab.courant import kernel_of, pullback, tangent_dirac
+from diraclab.courant import cotangent_dirac, kernel_of, pullback, tangent_dirac
 from diraclab.intersection import (
     homotopy_intersection,
     induced_poisson,
@@ -42,13 +43,13 @@ def test_one_factor_zero_dimensional(circle1):
 
 def test_circle_intersection_free_level(reduction1):
     red = reduction1
-    si = strong_intersection(red.orbit, red.scn.ham.datum,
+    si = strong_intersection(red.orbit, red.scn.datum,
                              list(red.obj_pairs), list(red.arrow_pairs))
     assert si.report.passed
     # locally free action: R-ann = 0 everywhere
     assert all(e["R_ann"] == 0 for e in si.ledger.entries)
     assert all(e["kerL"] == e["L"] for e in si.ledger.entries)
-    seq = strong_exact_sequence(red.orbit, red.scn.ham.datum, si)
+    seq = strong_exact_sequence(red.orbit, red.scn.datum, si)
     assert seq.passed
     assert any(r.check_id == "exact.free_implies_transverse" for r in seq.records)
     assert any(r.check_id == "exact.strong_output" for r in seq.records)
@@ -59,7 +60,7 @@ def test_circle_intersection_n2(strong2, reduction2):
     si = strong2
     assert si.report.passed
     assert all(e["L"] == 3 and e["kerL"] == 1 for e in si.ledger.entries)
-    seq = strong_exact_sequence(reduction2.orbit, reduction2.scn.ham.datum, si)
+    seq = strong_exact_sequence(reduction2.orbit, reduction2.scn.datum, si)
     assert seq.passed
     dims = [r.ranks for r in seq.records if r.check_id == "exact.dimension"]
     assert dims and all(d == (0, 0, 0) for d in dims)
@@ -71,9 +72,9 @@ def test_level_zero_middle_dimension():
     scn = sc.circle_scenario(1, F(0), ts=(0, F(1, 2), F(-1, 2)))
     orbit = sc.circle_orbit_datum(scn, F(0))
     obj_pairs = [(0, oi) for p, oi in scn.obj_index.items()]
-    si = strong_intersection(orbit, scn.ham.datum, obj_pairs, [])
+    si = strong_intersection(orbit, scn.datum, obj_pairs, [])
     assert si.report.passed
-    seq = strong_exact_sequence(orbit, scn.ham.datum, si)
+    seq = strong_exact_sequence(orbit, scn.datum, si)
     assert seq.passed
     dims = [r.ranks for r in seq.records if r.check_id == "exact.dimension"]
     assert dims and all(d == (1, 0, 1) for d in dims)
@@ -97,7 +98,7 @@ def test_transversality_hypothesis_violation(circle1, pair_bundle):
 
 def test_homotopy_matches_strong_at_units(reduction1):
     red = reduction1
-    d1, d2 = red.orbit, red.scn.ham.datum
+    d1, d2 = red.orbit, red.scn.datum
     g = d1.morphism.cod
     triples = []
     for ga, ar in enumerate(g.arrows):
@@ -128,7 +129,7 @@ def test_homotopy_matches_strong_at_units(reduction1):
 
 def test_homotopy_nontrivial_middle_arrow(reduction1):
     red = reduction1
-    d1, d2 = red.orbit, red.scn.ham.datum
+    d1, d2 = red.orbit, red.scn.datum
     g = d1.morphism.cod
     triples = []
     for ga, ar in enumerate(g.arrows):
@@ -158,7 +159,7 @@ def test_induced_poisson_identity_datum(pair_bundle):
 def test_induced_poisson_circle_datum(circle1):
     # the circle action on the punctured plane has trivial isotropy at the
     # sampled points, so L - c*L_G is a 0-shifted Poisson structure
-    rep = induced_poisson(circle1.ham.datum)
+    rep = induced_poisson(circle1.datum)
     assert rep.passed, rep.failures()
 
 
@@ -195,3 +196,19 @@ def test_induced_poisson_detects_rank_jump():
     clean = [r for r in rep.records if r.check_id == "induced.clean"]
     assert clean and clean[0].status == "fail"
     assert set(clean[0].ranks) == {0, 1}
+
+
+@pytest.mark.parametrize("make, strong_r", [(cotangent_dirac, 0), (tangent_dirac, 2)])
+def test_rank_ledgers_read_the_tangent_parts_and_the_arrows(pair_bundle, make, strong_r):
+    # R = c1(p_T L1) + c2(p_T L2), plus im(s, t) in the homotopy product
+    d = replace(identity_datum(pair_bundle),
+                dirac=tuple(make(2) for _ in pair_bundle.objects))
+    n = len(pair_bundle.objects)
+    si = strong_intersection(d, d, [(i, i) for i in range(n)])
+    assert si.ledger.ranks("R") == [strong_r] * n
+    assert [e["R_ann"] for e in si.ledger.entries] == [2 - strong_r] * n
+    arrows = pair_bundle.arrows
+    hi = homotopy_intersection(d, d, [(a.src, k, a.tgt) for k, a in enumerate(arrows)])
+    # on the pair groupoid (s, t) is onto T + T at every arrow
+    assert hi.ledger.ranks("R") == [4] * len(arrows)
+    assert [e["R_ann"] for e in hi.ledger.entries] == [0] * len(arrows)

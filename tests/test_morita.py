@@ -25,7 +25,7 @@ def statuses(rep, check_id):
 
 
 def torus_twist(torus1):
-    datum = torus1.ham.datum
+    datum = torus1.datum
     g = datum.g_bundle
     gamma = [TwoFormFiber(LinMap.from_rows([[0, 1], [-1, 0]])) for _ in g.objects]
     dgamma = [ThreeFormFiber.zero(2) for _ in g.objects]
@@ -77,7 +77,7 @@ def test_corrupted_gamma_fails_the_form_identity(pair_bundle):
 def test_zeroed_algebroid_leg_fails_bijectivity(torus1):
     # a nonzero cA is forced by translation equivariance at every sampled
     # arrow, so the legs live on the objects-only atlas of the base
-    g = torus1.ham.datum.g_bundle
+    g = torus1.datum.g_bundle
     objects_only = GroupoidFiberBundle(g.objects, (), (), name="objects")
     ident = identity_morphism(objects_only)
     zeroed = MorphismFiber(objects_only, objects_only, ident.obj_map, ident.c0,
