@@ -57,6 +57,10 @@ def catalog() -> dict[str, str]:
     }
 
 
+# the params each scenario reads; a spec with any other key is rejected
+PARAMS = {"pair": ("n",), "pair-corrupt-sigma": ("n",), "circle": ("n", "level")}
+
+
 def load_spec(path: str) -> sc.ScenarioSpec:
     try:
         with open(path) as fh:
@@ -70,12 +74,27 @@ def load_spec(path: str) -> sc.ScenarioSpec:
     if "samples" in doc:
         raise ScenarioError("scenario files have no 'samples' field: "
                             "each scenario fixes its own sample atlas")
-    return sc.ScenarioSpec(doc["name"], doc.get("params", {}), int(doc.get("seed", 0)))
+    params = doc.get("params", {})
+    if not isinstance(params, dict):
+        raise ScenarioError("'params' must be an object")
+    unknown = sorted(set(params) - set(PARAMS.get(doc["name"], ())))
+    if unknown:
+        raise ScenarioError(f"scenario {doc['name']!r} has no params {unknown}")
+    return sc.ScenarioSpec(doc["name"], params, int_param(doc, "seed", 0))
+
+
+def int_param(doc: dict, key: str, default: int) -> int:
+    """doc[key], or the default if absent; anything but an int is rejected,
+    where int() would truncate 1.5 or read true as 1."""
+    x = doc.get(key, default)
+    if type(x) is not int:
+        raise ScenarioError(f"{key!r} must be an integer, got {x!r}")
+    return x
 
 
 def pair_dim(params: dict) -> int:
     """The real dimension n of the pair scenario's symplectic space."""
-    n = int(params.get("n", 2))
+    n = int_param(params, "n", 2)
     if n <= 0 or n % 2:
         raise ScenarioError(f"pair needs a positive even n, got {n}")
     return n
@@ -83,7 +102,7 @@ def pair_dim(params: dict) -> int:
 
 def circle_params(params: dict) -> tuple[int, Fraction]:
     """The circle scenario's n (default 1) and moment level (default 1/2)."""
-    n = int(params.get("n", 1))
+    n = int_param(params, "n", 1)
     if n < 1:
         raise ScenarioError(f"circle needs n >= 1, got {n}")
     return n, frac(str(params.get("level", "1/2")))
@@ -180,7 +199,7 @@ def _suite_runners(spec: sc.ScenarioSpec, seed: int):
                    for _ in g.objects]
             dg = [ThreeFormFiber.zero(2) for _ in g.objects]
             m1 = gauge_twist_equivalence(datum, gam, dg)
-            leg1 = transfer(m1, list(datum.dirac), check_strong=True)
+            leg1 = transfer(m1, list(datum.dirac), datum)
             rep = leg1.report
             gam2 = [TwoFormFiber(LinMap.from_rows([[0, Fraction(1, 3)],
                                                    [Fraction(-1, 3), 0]]))

@@ -18,6 +18,7 @@ cotangent_trace are images of kernels in the same coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .linalg import (
     DimensionMismatch,
@@ -51,19 +52,18 @@ class CourantFiber:
 
     base_dim: int
 
-    def pairing(self, x: Vec, y: Vec):
+    def pairing(self, x, y):
+        """<(v, a), (w, b)> = a(w) + b(v), for vectors of ints or Fractions."""
         n = self.base_dim
         if len(x) != 2 * n or len(y) != 2 * n:
             raise DimensionMismatch("pairing: ambient mismatch")
-        return dot(x[n:], y[:n]) + dot(y[n:], x[:n])
+        return sum(map(mul, x[n:], y[:n])) + sum(map(mul, y[n:], x[:n]))
 
     def pairing_matrix(self) -> LinMap:
         n = self.base_dim
         z = LinMap.zero(n, n)
         i = LinMap.identity(n)
-        top = hstack(z, i)
-        bot = hstack(i, z)
-        return LinMap(2 * n, 2 * n, top.entries + bot.entries)
+        return vstack(hstack(z, i), hstack(i, z))
 
 
 @dataclass(frozen=True)
@@ -189,10 +189,8 @@ class DiracFiber:
             raise DimensionMismatch("Dirac fiber must live in Q^{2n}")
         if self.space.dim != n:
             raise NotLagrangian(f"dim {self.space.dim} != {n}")
-        for i, x in enumerate(self.space.basis):
-            for y in self.space.basis[i:]:
-                if self.fiber.pairing(x, y) != 0:
-                    raise NotLagrangian("basis not isotropic")
+        if not self.space.is_isotropic(self.fiber.pairing):
+            raise NotLagrangian("basis not isotropic")
 
     @property
     def n(self) -> int:
@@ -211,8 +209,8 @@ class DiracFiber:
         """(T, C): the V and V* rows of space.matrix(), each an n x n map
         from basis coordinates, so that L = {(T x, C x) : x in Q^n}."""
         n = self.n
-        rows = self.space.matrix().entries
-        return LinMap(n, n, rows[:n]), LinMap(n, n, rows[n:])
+        m = self.space.matrix()
+        return m.row_block(0, n), m.row_block(n, 2 * n)
 
 
 def graph_two_form(omega: TwoFormFiber) -> DiracFiber:

@@ -136,8 +136,8 @@ def strong_intersection(d1: CoisotropicDatum, d2: CoisotropicDatum,
         tang = fiber_product(c1m.c0[i1], c2m.c0[i2])
         alg = fiber_product(c1m.cA[i1], c2m.cA[i2])
         inc = tang.matrix()
-        p1 = LinMap(ob1.dim, tang.dim, inc.entries[:ob1.dim])
-        p2 = LinMap(ob2.dim, tang.dim, inc.entries[ob1.dim:])
+        p1 = inc.row_block(0, ob1.dim)
+        p2 = inc.row_block(ob1.dim, inc.rows)
         # componentwise anchor, expressed on the fiber-product bases
         rho = _restrict_pairmap(alg, tang, block_diag(ob1.rho, ob2.rho))
 
@@ -345,9 +345,9 @@ def homotopy_intersection(d1: CoisotropicDatum, d2: CoisotropicDatum,
         tang = kernel(vstack(cond1, cond2))
 
         inc = tang.matrix()
-        p1 = LinMap(n1, tang.dim, inc.entries[:n1])
-        p0 = LinMap(ng, tang.dim, inc.entries[n1:n1 + ng])
-        p2 = LinMap(n2, tang.dim, inc.entries[n1 + ng:])
+        p1 = inc.row_block(0, n1)
+        p0 = inc.row_block(n1, n1 + ng)
+        p2 = inc.row_block(n1 + ng, inc.rows)
 
         l_fiber = dirac_sum(
             dirac_sum(pullback(p1, dirac_negate(d1.dirac[i1])),

@@ -2,20 +2,29 @@
 
 Everything downstream (Dirac fibers, groupoid fibers, reports) is built on
 the two value types here: LinMap (a dense rational matrix) and Subspace
-(a linear subspace of Q^n stored in reduced row echelon form, so that two
-subspaces are equal iff their stored bases are identical tuples).
+(a linear subspace of Q^n given by its reduced row echelon form, so that two
+subspaces are equal iff they are equal as values).
 
 No floating point is used anywhere.
 
-Integer core: Fraction appears only at the boundary.  Every value a caller
-passes in or gets back (LinMap.entries, Subspace.basis, the results of dot,
-kernel, solve) is a Fraction, but the two hot primitives work on Python
-ints inside.  _rref clears each row's denominators, eliminates without
-fractions while keeping every row primitive (its entries have gcd 1), and
-divides by the pivot once, at the end; dot sums products of numerators over
-a common denominator and builds a single Fraction.  Coordinates in a
-Subspace basis are read, not solved: Subspace.coords returns v's entries at
-the pivot columns of the echelon basis.
+Representation: integer rows inside, Fraction only at the boundary.
+- A LinMap holds integer numerators `nums` over one common denominator
+  `den` > 0, normalised so that gcd(den, every numerator) = 1.
+- A Subspace holds the primitive integer rows of its reduced echelon basis
+  (the entries of each row have gcd 1, its pivot entry is positive) and
+  their pivot columns.  Dividing such a row by its pivot entry gives the
+  reduced echelon row over Q, and back, so the stored form is unique.
+Both forms are unique, so dataclass equality and hashing are exact.
+Values a caller passes in (vector and matrix entries) may be ints,
+Fractions or, where frac accepts them, 'p/q' strings; every value it gets
+back is a Fraction.  LinMap.entries and Subspace.basis are Fraction views,
+built on first read and kept on the frozen object; apply, dot, solve and
+coords return Fractions.  Products, sums, stacking, image, kernel,
+fiber_product, solve and the membership tests run on ints throughout:
+_rref_int eliminates fraction-free (Bareiss, "Sylvester's identity and
+multistep integer-preserving Gaussian elimination", Math. Comp. 22, 1968)
+and keeps every row primitive.  Coordinates in a Subspace basis are read,
+not solved: Subspace.coords returns v's entries at the pivot columns.
 
 Relations: fiber_product(m1, m2) is the subspace {(x, y) : m1 x = m2 y},
 the one primitive from which the Dirac operations and the checkers build
@@ -26,13 +35,15 @@ coordinates of their inputs.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
+from operator import mul
 
-Scalar = Fraction
 Vec = tuple[Fraction, ...]
+IntRows = tuple[tuple[int, ...], ...]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -59,22 +70,6 @@ def vec(*entries) -> Vec:
 
 def as_vec(entries) -> Vec:
     return tuple(frac(e) for e in entries)
-
-
-def vec_add(u: Vec, v: Vec) -> Vec:
-    if len(u) != len(v):
-        raise DimensionMismatch(f"vec_add: {len(u)} vs {len(v)}")
-    return tuple(a + b for a, b in zip(u, v))
-
-def vec_sub(u: Vec, v: Vec) -> Vec:
-    if len(u) != len(v):
-        raise DimensionMismatch(f"vec_sub: {len(u)} vs {len(v)}")
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_scale(c, v: Vec) -> Vec:
-    c = frac(c)
-    return tuple(c * a for a in v)
 
 
 def vec_concat(u: Vec, v: Vec) -> Vec:
@@ -109,135 +104,197 @@ def basis_vec(n: int, i: int) -> Vec:
     return tuple(ONE if j == i else ZERO for j in range(n))
 
 
-def is_zero_vec(v: Vec) -> bool:
-    return all(a == 0 for a in v)
+def _clear(v) -> tuple[list[int], int]:
+    """(w, d): ints w and d > 0 with v = w / d, for a vector of ints or Fractions."""
+    d = lcm(*[x.denominator for x in v])
+    if d == 1:
+        return [x.numerator for x in v], 1
+    return [x.numerator * (d // x.denominator) for x in v], d
+
+
+def _int_row(v) -> Sequence[int]:
+    """A row of ints spanning the same line as v, an exact-scalar vector."""
+    if set(map(type, v)) == {int}:
+        return v
+    return _clear([frac(x) for x in v])[0]
+
+
+def _transpose(rows: Sequence[Sequence[int]], ncols: int) -> IntRows:
+    return tuple(zip(*rows)) if rows else ((),) * ncols
+
+
+def _rescaled(m: "LinMap", den: int) -> IntRows:
+    """m's numerators over den, a multiple of m.den."""
+    if m.den == den:
+        return m.nums
+    k = den // m.den
+    return tuple(tuple(k * x for x in r) for r in m.nums)
+
+
+def _normalised(rows: int, cols: int, nums: IntRows, den: int) -> "LinMap":
+    """The LinMap nums / den with the common factor of den and nums divided out."""
+    if den != 1:
+        g = gcd(den, *[gcd(*r) for r in nums])
+        if g != 1:
+            den //= g
+            nums = tuple(tuple(x // g for x in r) for r in nums)
+    return LinMap(rows, cols, nums, den)
 
 
 @dataclass(frozen=True)
 class LinMap:
-    """A linear map Q^cols -> Q^rows, stored as a dense row-major matrix."""
+    """A linear map Q^cols -> Q^rows: the dense row-major matrix nums / den.
+
+    Invariant: den > 0 and gcd(den, every numerator) = 1, so equal maps are
+    equal values.  entries, the matrix as Fractions, is a view built on
+    first read.  Build maps with from_rows, from_cols, identity or zero.
+    """
 
     rows: int
     cols: int
-    entries: tuple[tuple[Fraction, ...], ...]
+    nums: IntRows
+    den: int = 1
 
-    def __post_init__(self):
-        if len(self.entries) != self.rows:
-            raise DimensionMismatch("row count mismatch")
-        for r in self.entries:
-            if len(r) != self.cols:
-                raise DimensionMismatch("col count mismatch")
+    @cached_property
+    def entries(self) -> tuple[Vec, ...]:
+        d = self.den
+        return tuple(tuple(Fraction(x, d) if x else ZERO for x in r) for r in self.nums)
 
     @staticmethod
     def from_rows(rows, cols: int | None = None) -> "LinMap":
-        rows = tuple(tuple(frac(x) for x in r) for r in rows)
+        rows = [[frac(x) for x in r] for r in rows]
         if rows:
             cols = len(rows[0]) if cols is None else cols
         elif cols is None:
             raise DimensionMismatch("empty matrix needs explicit cols")
-        return LinMap(len(rows), cols, rows)
+        if any(len(r) != cols for r in rows):
+            raise DimensionMismatch("col count mismatch")
+        # over the lcm of the denominators, the gcd with den is already 1
+        den = lcm(*[x.denominator for r in rows for x in r])
+        return LinMap(len(rows), cols,
+                      tuple(tuple(x.numerator * (den // x.denominator) for x in r)
+                            for r in rows), den)
 
     @staticmethod
     def from_cols(cols, rows_dim: int | None = None) -> "LinMap":
-        cols = [as_vec(c) for c in cols]
-        if cols:
-            n = len(cols[0]) if rows_dim is None else rows_dim
-        elif rows_dim is None:
+        cols = list(cols)
+        if not cols and rows_dim is None:
             raise DimensionMismatch("empty matrix needs explicit rows")
-        else:
-            n = rows_dim
-        return LinMap(n, len(cols), tuple(tuple(c[i] for c in cols) for i in range(n)))
+        return LinMap.from_rows(cols, rows_dim).transpose()
 
     @staticmethod
     def identity(n: int) -> "LinMap":
-        return LinMap(n, n, tuple(basis_vec(n, i) for i in range(n)))
+        return LinMap(n, n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
     @staticmethod
     def zero(rows: int, cols: int) -> "LinMap":
-        return LinMap(rows, cols, tuple(zero_vec(cols) for _ in range(rows)))
+        return LinMap(rows, cols, ((0,) * cols,) * rows)
 
     def apply(self, v: Vec) -> Vec:
         if len(v) != self.cols:
             raise DimensionMismatch(f"apply: map has {self.cols} cols, vector has {len(v)}")
-        return tuple(dot(r, v) for r in self.entries)
+        w, d = _clear(v)
+        d *= self.den
+        sums = [sum(map(mul, r, w)) for r in self.nums]
+        if d == 1:
+            return tuple(Fraction(s) if s else ZERO for s in sums)
+        return tuple(Fraction(s, d) if s else ZERO for s in sums)
 
     def __matmul__(self, other: "LinMap") -> "LinMap":
         if self.cols != other.rows:
             raise DimensionMismatch(f"matmul: {self.cols} vs {other.rows}")
-        cols = [self.apply(c) for c in other.col_vectors()]
-        return LinMap.from_cols(cols, rows_dim=self.rows)
+        ocols = _transpose(other.nums, other.cols)
+        return _normalised(self.rows, other.cols,
+                           tuple(tuple([sum(map(mul, r, c)) for c in ocols])
+                                 for r in self.nums),
+                           self.den * other.den)
 
     def __add__(self, other: "LinMap") -> "LinMap":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("matrix add shape mismatch")
-        return LinMap(self.rows, self.cols,
-                      tuple(vec_add(a, b) for a, b in zip(self.entries, other.entries)))
+        den = lcm(self.den, other.den)
+        return _normalised(self.rows, self.cols,
+                           tuple(tuple(x + y for x, y in zip(r, s)) for r, s in
+                                 zip(_rescaled(self, den), _rescaled(other, den))),
+                           den)
 
     def __sub__(self, other: "LinMap") -> "LinMap":
         return self + other.scale(-1)
 
     def scale(self, c) -> "LinMap":
         c = frac(c)
-        return LinMap(self.rows, self.cols, tuple(vec_scale(c, r) for r in self.entries))
+        p = c.numerator
+        return _normalised(self.rows, self.cols,
+                           tuple(tuple(p * x for x in r) for r in self.nums),
+                           self.den * c.denominator)
 
     def transpose(self) -> "LinMap":
-        return LinMap(self.cols, self.rows,
-                      tuple(tuple(self.entries[i][j] for i in range(self.rows))
-                            for j in range(self.cols)))
+        return LinMap(self.cols, self.rows, _transpose(self.nums, self.cols), self.den)
+
+    def row_block(self, start: int, stop: int) -> "LinMap":
+        """Rows start..stop-1: the map followed by the projection onto them."""
+        if not 0 <= start <= stop <= self.rows:
+            raise DimensionMismatch(f"row_block: rows {start}:{stop} of {self.rows}")
+        return _normalised(stop - start, self.cols, self.nums[start:stop], self.den)
 
     def col_vectors(self) -> list[Vec]:
-        return [tuple(self.entries[i][j] for i in range(self.rows)) for j in range(self.cols)]
+        return list(_transpose(self.entries, self.cols))
 
     def is_zero(self) -> bool:
-        return all(is_zero_vec(r) for r in self.entries)
+        return not any(map(any, self.nums))
 
     def is_antisymmetric(self) -> bool:
         if self.rows != self.cols:
             return False
-        return all(self.entries[i][j] == -self.entries[j][i]
-                   for i in range(self.rows) for j in range(self.rows))
+        return all(x == -y for r, c in zip(self.nums, _transpose(self.nums, self.cols))
+                   for x, y in zip(r, c))
 
 
 def hstack(a: LinMap, b: LinMap) -> LinMap:
     if a.rows != b.rows:
         raise DimensionMismatch("hstack row mismatch")
+    # over the lcm of two normalised denominators, the gcd stays 1
+    den = lcm(a.den, b.den)
     return LinMap(a.rows, a.cols + b.cols,
-                  tuple(ra + rb for ra, rb in zip(a.entries, b.entries)))
+                  tuple(ra + rb for ra, rb in zip(_rescaled(a, den), _rescaled(b, den))),
+                  den)
 
 
 def vstack(a: LinMap, b: LinMap) -> LinMap:
     if a.cols != b.cols:
         raise DimensionMismatch("vstack col mismatch")
-    return LinMap(a.rows + b.rows, a.cols, a.entries + b.entries)
+    den = lcm(a.den, b.den)
+    return LinMap(a.rows + b.rows, a.cols, _rescaled(a, den) + _rescaled(b, den), den)
 
 
 def block_diag(a: LinMap, d: LinMap) -> LinMap:
     """diag(a, d): the map (x, y) -> (a x, d y) on concatenated coordinates."""
-    return vstack(hstack(a, LinMap.zero(a.rows, d.cols)),
-                  hstack(LinMap.zero(d.rows, a.cols), d))
+    den = lcm(a.den, d.den)
+    right, left = (0,) * d.cols, (0,) * a.cols
+    return LinMap(a.rows + d.rows, a.cols + d.cols,
+                  tuple(r + right for r in _rescaled(a, den))
+                  + tuple(left + r for r in _rescaled(d, den)), den)
 
 
-def _primitive(row: list[int]) -> list[int]:
+def _primitive(row: Sequence[int]) -> Sequence[int]:
     g = gcd(*row)
     return [x // g for x in row] if g > 1 else row
 
 
-def _rref(rows: Sequence[Vec]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form of the nonzero rows; returns (rows, pivot cols).
+def _rref_int(mat: list[Sequence[int]]) -> tuple[list[Sequence[int]], list[int]]:
+    """Reduced row echelon form of an integer matrix; returns (rows, pivot cols).
 
-    Fraction is used only at the boundary.  Each row is scaled by the lcm of
-    its denominators to a row of ints, and elimination stays fraction-free:
+    The rows returned are the nonzero rows of the echelon form, each
+    primitive with a positive pivot entry, and zero at every other row's
+    pivot column.  Elimination is fraction-free:
     row <- (p/g)*row - (f/g)*pivot_row with g = gcd(p, f), after which the
-    row is kept primitive (divided by the gcd of its entries).  The division
-    by the pivot happens once, at the end.  RREF is unique, so the result is
-    the same as Gauss-Jordan elimination over Q.  The input is not modified.
+    row is kept primitive (divided by the gcd of its entries).  RREF is
+    unique, so dividing each row by its pivot entry gives the same rows as
+    Gauss-Jordan elimination over Q.  Neither mat nor its rows are modified.
     """
-    if not rows:
+    if not mat:
         return [], []
-    mat = []
-    for row in rows:
-        d = lcm(*(x.denominator for x in row))
-        mat.append(_primitive([x.numerator * (d // x.denominator) for x in row]))
+    mat = [_primitive(r) for r in mat]
     nrows = len(mat)
     piv_cols = []
     r = 0
@@ -258,41 +315,64 @@ def _rref(rows: Sequence[Vec]) -> tuple[list[list[Fraction]], list[int]]:
         r += 1
         if r == nrows:
             break
-    out = []
-    for row, c in zip(mat, piv_cols):
-        p = row[c]
-        out.append([Fraction(x, p) if x else ZERO for x in row])
+    out = [row if row[c] > 0 else [-x for x in row] for row, c in zip(mat, piv_cols)]
     return out, piv_cols
+
+
+def _rref(rows: Sequence[Vec]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form of the nonzero rows; returns (rows, pivot cols).
+
+    The rows are exact-scalar vectors.  Each is scaled to a row of ints,
+    _rref_int eliminates, and the division by the pivot happens once, at
+    the end.  The input is not modified.
+    """
+    out, piv_cols = _rref_int([_int_row(r) for r in rows])
+    return [[Fraction(x, row[c]) if x else ZERO for x in row]
+            for row, c in zip(out, piv_cols)], piv_cols
 
 
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace of Q^ambient_dim.
+    """A subspace of Q^ambient_dim, given by its reduced echelon basis.
 
-    basis holds the unique reduced-echelon spanning set (one vector per row,
-    pivot-normalized), so equality of Subspaces is plain tuple equality.
+    rows holds that basis as primitive integer rows with a positive pivot
+    entry, pivots their pivot columns; the reduced echelon form is unique,
+    so equality of Subspaces is plain tuple equality.  basis, the
+    pivot-normalised rows as Fractions (1 at each pivot), is a view built
+    on first read.  Build subspaces with canonicalize, image or kernel.
     """
 
     ambient_dim: int
-    basis: tuple[Vec, ...]
+    rows: IntRows
+    pivots: tuple[int, ...] = ()
+
+    def __post_init__(self):
+        if len(self.pivots) != len(self.rows):
+            raise DimensionMismatch("a Subspace needs one pivot column per row")
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
 
-    def _pivots(self) -> list[int]:
-        """The pivot column of each basis row, in basis order."""
-        return [next(i for i, x in enumerate(row) if x != 0) for row in self.basis]
+    @cached_property
+    def basis(self) -> tuple[Vec, ...]:
+        return tuple(tuple(Fraction(x, r[p]) if x else ZERO for x in r)
+                     for r, p in zip(self.rows, self.pivots))
+
+    def _spans(self, w: Sequence[int]) -> bool:
+        """True iff the int row w lies in the span: eliminate w at each pivot."""
+        for row, p in zip(self.rows, self.pivots):
+            f = w[p]
+            if f:
+                g = gcd(row[p], f)
+                a, b = row[p] // g, f // g
+                w = [a * x - b * y for x, y in zip(w, row)]
+        return not any(w)
 
     def contains(self, v: Vec) -> bool:
         if len(v) != self.ambient_dim:
             raise DimensionMismatch("contains: ambient mismatch")
-        res = list(v)
-        for row, p in zip(self.basis, self._pivots()):
-            if res[p] != 0:
-                f = res[p]
-                res = [x - f * y for x, y in zip(res, row)]
-        return all(x == 0 for x in res)
+        return self._spans(_clear(v)[0])
 
     def coords(self, v: Vec) -> Vec | None:
         """The coordinates of v in the basis, or None if v is not in the span.
@@ -303,49 +383,60 @@ class Subspace:
         """
         if not self.contains(v):
             return None
-        return tuple(v[p] for p in self._pivots())
+        return tuple(v[p] for p in self.pivots)
 
     def issubset(self, other: "Subspace") -> bool:
         if self.ambient_dim != other.ambient_dim:
             raise DimensionMismatch("issubset: ambient mismatch")
-        return all(other.contains(v) for v in self.basis)
+        return all(other._spans(r) for r in self.rows)
+
+    def is_isotropic(self, form: Callable[[Sequence[int], Sequence[int]], int]) -> bool:
+        """True iff the bilinear form vanishes on every pair of basis vectors
+        (x = y included); for a symmetric form, iff it vanishes on the subspace.
+
+        form is called on the stored integer rows, positive multiples of the
+        basis vectors, so it must accept sequences of ints; a bilinear form
+        is zero on a pair iff it is zero on their multiples.
+        """
+        rows = self.rows
+        return not any(form(x, y) for i, y in enumerate(rows) for x in rows[:i + 1])
 
     def sum(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:
             raise DimensionMismatch("sum: ambient mismatch")
-        return canonicalize(list(self.basis) + list(other.basis), self.ambient_dim)
+        return canonicalize(self.rows + other.rows, self.ambient_dim)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         # kernel of the stacked annihilator constraints of both subspaces
         if self.ambient_dim != other.ambient_dim:
             raise DimensionMismatch("intersect: ambient mismatch")
-        n1 = self.annihilator()
-        n2 = other.annihilator()
-        constraints = LinMap.from_rows(list(n1.basis) + list(n2.basis), cols=self.ambient_dim)
-        return kernel(constraints)
+        constraints = self.annihilator().rows + other.annihilator().rows
+        return kernel(LinMap(len(constraints), self.ambient_dim, constraints))
 
     def annihilator(self) -> "Subspace":
         """Covectors vanishing on the subspace, as a subspace of the dual."""
-        m = LinMap.from_rows(list(self.basis), cols=self.ambient_dim)
-        return kernel(m)
+        return kernel(LinMap(self.dim, self.ambient_dim, self.rows))
 
     def matrix(self) -> LinMap:
         """Basis vectors as matrix columns (column-echelon representative)."""
-        return LinMap.from_cols(list(self.basis), rows_dim=self.ambient_dim)
+        # over the lcm of the pivot entries, each column keeps the gcd-1
+        # entries of its primitive row, so the map is already normalised
+        den = lcm(*[r[p] for r, p in zip(self.rows, self.pivots)])
+        cols = [[(den // r[p]) * x for x in r] for r, p in zip(self.rows, self.pivots)]
+        return LinMap(self.ambient_dim, self.dim, _transpose(cols, self.ambient_dim), den)
 
 
 def canonicalize(vectors, ambient_dim: int | None = None) -> Subspace:
     """The unique echelon representative of the span of the given vectors."""
-    vectors = [as_vec(v) for v in vectors]
+    rows = [_int_row(v) for v in vectors]
     if ambient_dim is None:
-        if not vectors:
+        if not rows:
             raise DimensionMismatch("canonicalize of empty list needs ambient_dim")
-        ambient_dim = len(vectors[0])
-    for v in vectors:
-        if len(v) != ambient_dim:
-            raise DimensionMismatch("canonicalize: mixed ambient dimensions")
-    rows, _ = _rref(vectors)
-    return Subspace(ambient_dim, tuple(tuple(r) for r in rows))
+        ambient_dim = len(rows[0])
+    if any(len(r) != ambient_dim for r in rows):
+        raise DimensionMismatch("canonicalize: mixed ambient dimensions")
+    out, piv_cols = _rref_int(rows)
+    return Subspace(ambient_dim, tuple(map(tuple, out)), tuple(piv_cols))
 
 
 def zero_subspace(ambient_dim: int) -> Subspace:
@@ -353,7 +444,7 @@ def zero_subspace(ambient_dim: int) -> Subspace:
 
 
 def full_subspace(ambient_dim: int) -> Subspace:
-    return canonicalize([basis_vec(ambient_dim, i) for i in range(ambient_dim)], ambient_dim)
+    return canonicalize(LinMap.identity(ambient_dim).nums, ambient_dim)
 
 
 def span_sum(s1: Subspace, s2: Subspace) -> Subspace:
@@ -370,10 +461,10 @@ def annihilator(s: Subspace) -> Subspace:
 
 def image(f: LinMap, s: Subspace | None = None) -> Subspace:
     if s is None:
-        return canonicalize(f.col_vectors(), f.rows)
+        return canonicalize(_transpose(f.nums, f.cols), f.rows)
     if s.ambient_dim != f.cols:
         raise DimensionMismatch("image: ambient mismatch")
-    return canonicalize([f.apply(v) for v in s.basis], f.rows)
+    return canonicalize([[sum(map(mul, r, v)) for r in f.nums] for v in s.rows], f.rows)
 
 
 def preimage(f: LinMap, s: Subspace) -> Subspace:
@@ -383,20 +474,24 @@ def preimage(f: LinMap, s: Subspace) -> Subspace:
     ann = s.annihilator()
     if ann.dim == 0:
         return full_subspace(f.cols)
-    m = LinMap.from_rows(list(ann.basis), cols=f.rows) @ f
-    return kernel(m)
+    return kernel(LinMap(ann.dim, f.rows, ann.rows) @ f)
 
 
 def kernel(f: LinMap) -> Subspace:
-    rows, piv_cols = _rref(f.entries)
-    free_cols = [c for c in range(f.cols) if c not in piv_cols]
+    rows, piv_cols = _rref_int(list(f.nums))
+    pivs = set(piv_cols)
     gens = []
-    for fc in free_cols:
-        v = [ZERO] * f.cols
-        v[fc] = ONE
-        for r, pc in zip(rows, piv_cols):
-            v[pc] = -r[fc]
-        gens.append(tuple(v))
+    for fc in range(f.cols):
+        if fc in pivs:
+            continue
+        # e_fc - sum of (row[fc] / row[pc]) e_pc, over the lcm of those pivots
+        hits = [(r, pc) for r, pc in zip(rows, piv_cols) if r[fc]]
+        m = lcm(*[r[pc] for r, pc in hits])
+        v = [0] * f.cols
+        v[fc] = m
+        for r, pc in hits:
+            v[pc] = -r[fc] * (m // r[pc])
+        gens.append(v)
     return canonicalize(gens, f.cols)
 
 
@@ -419,13 +514,15 @@ def solve(f: LinMap, b: Vec) -> Vec | None:
     """
     if len(b) != f.rows:
         raise DimensionMismatch("solve: rhs length mismatch")
-    aug = [list(r) + [x] for r, x in zip(f.entries, b)]
-    rows, piv_cols = _rref(aug)
+    w, d = _clear(b)
+    # with F = nums / den and b = w / d:  F x = b  iff  (d nums) x = den w
+    rows, piv_cols = _rref_int([[d * x for x in r] + [f.den * y]
+                                for r, y in zip(f.nums, w)])
     sol = [ZERO] * f.cols
     for r, pc in zip(rows, piv_cols):
         if pc == f.cols:  # pivot in the augmented column: inconsistent
             return None
-        sol[pc] = r[f.cols]
+        sol[pc] = Fraction(r[f.cols], r[pc])
     return tuple(sol)
 
 

@@ -387,14 +387,19 @@ class TransferResult:
 
 
 def transfer(m: MoritaEquivalenceDatum, l1: list[DiracFiber],
-             check_strong: bool = False, roundtrip: bool = True) -> TransferResult:
+             input_datum: CoisotropicDatum | None = None,
+             roundtrip: bool = True) -> TransferResult:
     """Push a coisotropic structure through the equivalence.
 
     Pipeline: pull back along psi1, gauge by the connecting form, descend
     along psi2 (invariance and round-trip checked), then verify the result
-    is coisotropic; in strict mode with a strong input, verify strongness;
-    finally transfer back and compare with the input.
+    is coisotropic; in strict mode, given the input as the datum (m.c1, l1)
+    the caller holds and found strong, verify strongness; finally transfer
+    back and compare with the input.
     """
+    if input_datum is not None and (input_datum.morphism != m.c1
+                                    or input_datum.dirac != tuple(l1)):
+        raise ValueError("transfer: input_datum is not the datum (m.c1, l1)")
     rep = VerificationReport("transfer")
 
     sm = symplectic_morita_check(m.phi1, m.phi2, list(m.gamma), list(m.dgamma))
@@ -439,14 +444,13 @@ def transfer(m: MoritaEquivalenceDatum, l1: list[DiracFiber],
     if not sub.passed:
         rep.merge(sub)
 
-    if check_strong and m.strict:
-        s1 = is_strong(CoisotropicDatum(m.c1, tuple(l1), name="input"))
-        if s1.passed:
+    if input_datum is not None and m.strict:
+        if is_strong(input_datum).passed:
             rep.add("transfer.strong", sub.passed and strong_injectivity(d2).passed,
                     detail="strict equivalence preserves strongness")
 
     if roundtrip:
-        back = transfer(m.reversed(), l2, check_strong=False, roundtrip=False)
+        back = transfer(m.reversed(), l2, roundtrip=False)
         same = all(back.dirac[i] == l1[i] for i in range(len(l1)))
         rep.add("transfer.roundtrip", same,
                 detail="backward transfer returns the original structure")

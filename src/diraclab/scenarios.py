@@ -90,10 +90,7 @@ def build_pair_groupoid(n: int, omega_base: TwoFormFiber | None = None,
     def arrow(i: int, j: int) -> ArrowFiber:
         s_star = hstack(LinMap.zero(n, n), LinMap.identity(n))
         t_star = hstack(LinMap.identity(n), LinMap.zero(n, n))
-        om = TwoFormFiber(LinMap(2 * n, 2 * n,
-                                 hstack(omega_base.matrix, LinMap.zero(n, n)).entries
-                                 + hstack(LinMap.zero(n, n),
-                                          omega_base.matrix.scale(-1)).entries))
+        om = TwoFormFiber(block_diag(omega_base.matrix, omega_base.matrix.scale(-1)))
         left = vstack(LinMap.zero(n, n), LinMap.identity(n).scale(-1))
         right = vstack(LinMap.identity(n), LinMap.zero(n, n))
         unit = i == j
@@ -824,7 +821,7 @@ def run_reduction(red: ReductionScenario):
         to_point, chart_to_point, theta, theta,
         (TwoFormFiber.zero(0),), (ThreeFormFiber.zero(0),),
         tuple(TwoFormFiber.zero(o.dim) for o in prod.objects))
-    res = transfer(m, list(si.dirac), check_strong=False)
+    res = transfer(m, list(si.dirac))
     rep.add("reduction.transfer", res.report.passed,
             detail="transfer along the quotient weak Morita morphism")
     if not res.report.passed:

@@ -24,7 +24,7 @@ from .groupoid import (
     ObjectFiber,
     pair_tangent,
 )
-from .linalg import LinMap, Subspace, canonicalize, frac
+from .linalg import DimensionMismatch, LinMap, Subspace, canonicalize, frac
 
 
 class SchemaError(ValueError):
@@ -57,8 +57,10 @@ def matrix_to_json(m: LinMap) -> dict:
 
 
 def matrix_from_json(d: dict) -> LinMap:
-    return LinMap(d["rows"], d["cols"],
-                  tuple(tuple(frac(x) for x in r) for r in d["entries"]))
+    m = LinMap.from_rows(d["entries"], cols=d["cols"])
+    if m.rows != d["rows"]:
+        raise DimensionMismatch("row count mismatch")
+    return m
 
 
 def three_form_to_json(phi: ThreeFormFiber) -> dict:

@@ -57,6 +57,23 @@ def test_verify_matches_golden(tmp_path, capsys, name):
     assert out == (GOLDEN / f"verify-{name}.json").read_text()
 
 
+DUMPS = {
+    "circle-n1-base": ("circle-n1", ["--what", "base"]),
+    "circle-n1-datum": ("circle-n1", ["--what", "datum"]),
+    "circle-n1-orbit": ("circle-n1", ["--what", "orbit"]),
+    "torus": ("torus", []),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DUMPS))
+def test_dump_matches_golden(tmp_path, capsys, name):
+    # the only goldens holding canonical bases and LinMap entries as written
+    spec, argv = DUMPS[name]
+    code, out, _ = run(capsys, ["dump", write_spec(tmp_path, SPECS[spec]), *argv])
+    assert code == cli.EXIT_OK
+    assert out == (GOLDEN / f"dump-{name}.json").read_text()
+
+
 def test_reduce_matches_golden(tmp_path, capsys):
     spec = write_spec(tmp_path, SPECS["circle-n2"])
     code, out, _ = run(capsys, ["reduce", spec])
@@ -166,6 +183,21 @@ def test_circle_rejects_n_below_one(tmp_path, capsys, cmd, n):
     code, out, err = run(capsys, [cmd, spec])
     assert (code, out) == (cli.EXIT_BAD_INPUT, "")
     assert err.startswith("error: ") and "n >= 1" in err
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"name": "circle", "params": {"n": 1, "levle": "2"}}, "no params ['levle']"),
+    ({"name": "circle", "params": {"n": 1.5}}, "'n' must be an integer"),
+    ({"name": "torus", "params": {"points": 3}}, "no params ['points']"),
+    ({"name": "circle", "params": {"n": True}}, "'n' must be an integer"),
+    ({"name": "circle", "params": [1]}, "'params' must be an object"),
+    ({"name": "circle", "seed": 1.5}, "'seed' must be an integer"),
+])
+@pytest.mark.parametrize("cmd", ["verify", "reduce", "dump"])
+def test_unknown_or_non_integral_params_are_rejected(tmp_path, capsys, cmd, doc, message):
+    code, out, err = run(capsys, [cmd, write_spec(tmp_path, doc)])
+    assert (code, out) == (cli.EXIT_BAD_INPUT, "")
+    assert err.startswith("error: ") and message in err
 
 
 @pytest.mark.parametrize("doc", [{"schema": "cd-v1"}, [1, 2]])

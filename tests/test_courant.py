@@ -210,6 +210,15 @@ def test_not_lagrangian_rejected():
         DiracFiber(CourantFiber(1), canonicalize([], 2))
 
 
+def test_off_diagonal_pairing_is_not_lagrangian():
+    # (e_1, 0) and (0, e_1*) each pair to 0 with themselves but to 1 with
+    # each other, so only the check of distinct basis pairs rejects the span
+    space = canonicalize([vec(1, 0, 0, 0), vec(0, 0, 1, 0)], 4)
+    assert space.dim == 2
+    with pytest.raises(NotLagrangian):
+        DiracFiber(CourantFiber(2), space)
+
+
 def test_three_form_antisymmetry():
     phi = ThreeFormFiber.from_dict(3, {(0, 1, 2): F(2)})
     assert phi.coeff(0, 1, 2) == 2
@@ -333,7 +342,7 @@ def _embed(s, offset, ambient):
 def _block(a, d):
     top = hstack(a, LinMap.zero(a.rows, d.cols))
     bot = hstack(LinMap.zero(d.rows, a.cols), d)
-    return LinMap(a.rows + d.rows, a.cols + d.cols, top.entries + bot.entries)
+    return LinMap.from_rows(top.entries + bot.entries, cols=a.cols + d.cols)
 
 
 def oracle_dirac_sum(l1, l2):

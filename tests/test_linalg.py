@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from diraclab.linalg import (
     dot,
     fiber_product,
     full_subspace,
+    hstack,
     image,
     intersect,
     kernel,
@@ -24,6 +26,7 @@ from diraclab.linalg import (
     solve,
     span_sum,
     vec,
+    vstack,
     zero_subspace,
 )
 
@@ -421,3 +424,146 @@ def test_block_diag():
     assert (m.rows, m.cols) == (3, 3)
     assert m.apply(vec(1, 1, 2)) == vec(3, 6, 1)
     assert block_diag(LinMap.zero(0, 2), d).apply(vec(0, 0, 1)) == vec(3, F(1, 2))
+
+
+# ---------------------------------------------------------------------------
+# the integer representation against Fraction-entry oracles: a LinMap is
+# integer numerators over one denominator, a Subspace the primitive integer
+# rows of its reduced echelon basis
+
+def oracle_mul(a, b, inner, cols):
+    return [[sum((a[i][k] * b[k][j] for k in range(inner)), F(0)) for j in range(cols)]
+            for i in range(len(a))]
+
+
+def oracle_transpose(a, cols):
+    return [[r[j] for r in a] for j in range(cols)]
+
+
+def oracle_block_diag(a, a_cols, d, d_cols):
+    return ([list(r) + [F(0)] * d_cols for r in a]
+            + [[F(0)] * a_cols + list(r) for r in d])
+
+
+def as_rows(m):
+    return [list(r) for r in m.entries]
+
+
+def assert_normalised(m):
+    assert m.den > 0
+    assert gcd(m.den, *[x for r in m.nums for x in r]) == 1
+    assert len(m.nums) == m.rows and all(len(r) == m.cols for r in m.nums)
+    assert all_fractions(m.entries)
+
+
+def assert_canonical(s):
+    assert len(s.rows) == len(s.pivots)
+    assert list(s.pivots) == sorted(set(s.pivots))
+    for r, p in zip(s.rows, s.pivots):
+        assert gcd(*r) == 1
+        assert r[p] > 0 and not any(r[:p])
+        assert all(other[p] == 0 for other in s.rows if other is not r)
+
+
+def dense(draw, rows, cols):
+    return draw(st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_linmap_operations_match_the_fraction_oracle(data):
+    r, k, c, e = (data.draw(st.integers(0, 5)) for _ in range(4))
+    a, a2 = dense(data.draw, r, k), dense(data.draw, r, k)
+    b, h, v = dense(data.draw, k, c), dense(data.draw, r, c), dense(data.draw, e, k)
+    x = data.draw(st.lists(entries, min_size=k, max_size=k))
+    s = data.draw(entries)
+    A, A2 = (LinMap.from_rows(m, cols=k) for m in (a, a2))
+    B = LinMap.from_rows(b, cols=c)
+    H, V = LinMap.from_rows(h, cols=c), LinMap.from_rows(v, cols=k)
+    results = {
+        "matmul": (A @ B, oracle_mul(a, b, k, c)),
+        "add": (A + A2, [[p + q for p, q in zip(u, w)] for u, w in zip(a, a2)]),
+        "sub": (A - A2, [[p - q for p, q in zip(u, w)] for u, w in zip(a, a2)]),
+        "scale": (A.scale(s), [[s * p for p in u] for u in a]),
+        "transpose": (A.transpose(), oracle_transpose(a, k)),
+        "hstack": (hstack(A, H), [list(u) + list(w) for u, w in zip(a, h)]),
+        "vstack": (vstack(A, V), a + v),
+        "block_diag": (block_diag(A, B), oracle_block_diag(a, k, b, c)),
+        "from_cols": (LinMap.from_cols(oracle_transpose(a, k), rows_dim=r), a),
+    }
+    for name, (m, oracle) in results.items():
+        assert as_rows(m) == oracle, name
+        assert_normalised(m)
+        # the stored form is unique: building from the oracle gives an equal value
+        again = LinMap.from_rows(oracle, cols=m.cols)
+        assert (m, hash(m)) == (again, hash(again)), name
+    assert A.apply(x) == plain_apply(a, x)
+    assert all_fractions([A.apply(x)])
+    assert A.row_block(0, r // 2) == LinMap.from_rows(a[:r // 2], cols=k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices())
+def test_subspace_rows_are_primitive_with_the_oracle_basis(mc):
+    m, cols = mc
+    space = canonicalize(m, cols)
+    assert_canonical(space)
+    basis = oracle_rref(m)[0]
+    assert [list(v) for v in space.basis] == basis
+    assert all_fractions(space.basis)
+    mat = space.matrix()
+    assert as_rows(mat) == oracle_transpose(basis, cols) if basis else mat.cols == 0
+    assert_normalised(mat)
+    for s in (kernel(LinMap.from_rows(m, cols=cols)), space.annihilator(),
+              image(LinMap.from_rows(m, cols=cols).transpose())):
+        assert_canonical(s)
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices(), st.data())
+def test_equal_spans_from_other_generators_are_equal_values(mc, data):
+    # an invertible recombination of the generators (a permutation, nonzero
+    # scalings and adding multiples of one generator to the others) spans
+    # the same subspace, so the values and their hashes must agree
+    m, cols = mc
+    gens = [list(r) for r in data.draw(st.permutations(m))]
+    nonzero = entries.filter(lambda x: x != 0)
+    gens = [[c * x for x in g] for c, g in zip(data.draw(
+        st.lists(nonzero, min_size=len(gens), max_size=len(gens))), gens)]
+    if gens:
+        c = data.draw(entries)
+        gens = [gens[0]] + [[x + c * y for x, y in zip(g, gens[0])] for g in gens[1:]]
+    s1, s2 = canonicalize(m, cols), canonicalize(gens, cols)
+    assert (s1, hash(s1)) == (s2, hash(s2))
+    assert s2.basis == tuple(tuple(r) for r in oracle_rref(m)[0])
+    assert image(LinMap.from_cols(gens, rows_dim=cols)) == s1
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices(max_rows=6, max_cols=6), st.data())
+def test_isotropy_matches_the_pairwise_oracle(mc, data):
+    m, cols = mc
+    space = canonicalize(m, cols)
+    form = dense(data.draw, cols, cols)
+
+    def bilinear(x, y):
+        return sum((a * b for a, b in zip(x, plain_apply(form, y))), F(0))
+
+    pairs = [(x, y) for i, y in enumerate(space.basis) for x in space.basis[:i + 1]]
+    assert space.is_isotropic(bilinear) == all(bilinear(x, y) == 0 for x, y in pairs)
+    assert space.is_isotropic(lambda x, y: 0)
+
+
+def test_views_are_built_once():
+    m = LinMap.from_rows([[F(1, 2), 0], [3, F(-5, 4)]])
+    assert (m.den, m.nums) == (4, ((2, 0), (12, -5)))
+    assert m.entries is m.entries
+    s = canonicalize([vec(2, 4, F(1, 3))])
+    assert (s.rows, s.pivots) == (((6, 12, 1),), (0,))
+    assert s.basis is s.basis and s.basis == ((F(1), F(2), F(1, 6)),)
+
+
+def test_a_subspace_needs_one_pivot_per_row():
+    with pytest.raises(DimensionMismatch):
+        Subspace(2, ((1, 0),))

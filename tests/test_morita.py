@@ -1,9 +1,14 @@
 """Direct tests of the Morita layer: symplectic equivalences, descent,
 transfer and the composition of two transfers."""
 
+import dataclasses
+import random
 from fractions import Fraction
 
-from diraclab.coisotropic import identity_datum
+import pytest
+
+from diraclab import coisotropic, scenarios as sc
+from diraclab.coisotropic import CoisotropicDatum, identity_datum
 from diraclab.courant import ThreeFormFiber, TwoFormFiber, tangent_dirac
 from diraclab.groupoid import GroupoidFiberBundle, MorphismFiber, identity_morphism
 from diraclab.linalg import LinMap
@@ -11,11 +16,13 @@ from diraclab.morita import (
     ChainSample,
     descend_dirac,
     gauge_twist_equivalence,
+    homotopy_identities,
+    random_connection,
     symplectic_morita_check,
     transfer,
     transfer_composition_check,
 )
-from diraclab.report import FAIL, PASS
+from diraclab.report import FAIL, PASS, VerificationReport
 
 F = Fraction
 
@@ -42,11 +49,38 @@ def test_torus_twist_is_a_symplectic_equivalence(torus1):
 
 def test_torus_transfer_and_round_trip(torus1):
     datum, m = torus_twist(torus1)
-    result = transfer(m, list(datum.dirac), check_strong=True)
+    result = transfer(m, list(datum.dirac), datum)
     assert result.report.passed, result.report.failures()
     assert statuses(result.report, "transfer.roundtrip") == [PASS]
     assert statuses(result.report, "transfer.strong") == [PASS]
     assert len(result.dirac) == len(datum.c_bundle.objects)
+
+
+def test_transfer_reads_the_input_compatibility_from_the_datum(torus1, monkeypatch):
+    # the caller's datum already holds its per-arrow compatibility records,
+    # so the strong check on the input adds no compatibility_check call
+    datum, m = torus_twist(torus1)
+    datum = CoisotropicDatum(datum.morphism, datum.dirac, name=datum.name)
+    assert len(datum.compatibility) == len(datum.c_bundle.arrows)
+    calls = []
+    real = coisotropic.compatibility_check
+    monkeypatch.setattr(coisotropic, "compatibility_check",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    strict = transfer(m, list(datum.dirac), datum)
+    with_datum = len(calls)
+    calls.clear()
+    plain = transfer(m, list(datum.dirac))
+    assert with_datum == len(calls) > 0
+    assert statuses(strict.report, "transfer.strong") == [PASS]
+    assert statuses(plain.report, "transfer.strong") == []
+
+
+def test_transfer_rejects_a_datum_of_another_structure(torus1):
+    datum, m = torus_twist(torus1)
+    other = list(datum.dirac)
+    other[0] = tangent_dirac(other[0].n)
+    with pytest.raises(ValueError, match="input_datum"):
+        transfer(m, other, datum)
 
 
 def test_reversed_twice_is_the_identity(torus1):
@@ -161,3 +195,47 @@ def test_descend_dirac_with_a_swapped_fiber_fails_the_hypothesis(torus1):
     assert any(touched) and not all(touched)
     assert statuses(rep, "descend.hypothesis") == \
         [FAIL if t else PASS for t in touched]
+
+
+# ---------------------------------------------------------------------------
+# the homotopy identities on the circle's rotation-by-one fixture
+
+def homotopy_report(fx, theta):
+    """The identities under two independently drawn connections, as the
+    circle homotopy suite runs them."""
+    rep = VerificationReport("homotopy")
+    for seed in (0, 1):
+        rng = random.Random(seed)
+        conn = {k: random_connection(fx.f.cod, k, rng)
+                for k in range(len(fx.f.cod.arrows))}
+        rep.merge(homotopy_identities(fx.f, fx.g, theta, fx.eta, conn,
+                                      fx.inverse_pairs))
+    return rep
+
+
+def test_homotopy_identities_hold_on_the_circle_fixture():
+    fx = sc.circle_nat_trans_fixture()
+    rep = homotopy_report(fx, fx.theta)
+    assert rep.passed, rep.failures()
+    ids = {r.check_id for r in rep.records}
+    assert ids == {"homotopy.structure", "homotopy.prop.tangent",
+                   "homotopy.prop.algebroid", "homotopy.sigma_ad",
+                   "homotopy.theta_form", "homotopy.inverse"}
+    assert len(rep.records) == 2 * len(ids) * len(fx.theta)
+
+
+def test_a_corrupted_theta_star_fails_the_structure_identity():
+    # one entry of theta(0)_* shifted: s theta_* = f_* breaks, and with it
+    # the two identities that read theta-dot against f_* and g_*; sigma_ad
+    # does not involve theta_*, and the other objects are untouched
+    fx = sc.circle_nat_trans_fixture()
+    rows = [list(r) for r in fx.theta[0].theta_star.entries]
+    rows[0][0] += 1
+    theta = dict(fx.theta)
+    theta[0] = dataclasses.replace(theta[0], theta_star=LinMap.from_rows(rows))
+    rep = homotopy_report(fx, theta)
+    failed = {(r.check_id, r.detail.split(":")[0])
+              for r in rep.records if r.status != PASS}
+    assert failed == {("homotopy.structure", "object 0"),
+                      ("homotopy.prop.tangent", "object 0"),
+                      ("homotopy.inverse", "object 0")}
