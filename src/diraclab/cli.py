@@ -1,8 +1,17 @@
 """Command-line front end: build scenarios, run verification suites, emit
 deterministic reports.
 
-Exit codes: 0 all checks pass, 1 at least one check failed or a hypothesis
-was violated, 2 malformed input.
+Each shipped scenario is one row of SCENARIOS, keyed by its name:
+- ``about``, the line ``list`` prints;
+- ``params(dict) -> dict``, the spec's params checked, defaults filled in.
+  Its keys are the declared params; a spec with any other key is rejected;
+- ``suites(params, seed) -> {suite: zero-argument runner -> report}``; what
+  only one suite needs is built when that suite runs;
+- ``dumps``, ``{what: params -> document}``; ``dump`` rejects any other what.
+
+Exit codes, mapped once in ``main``: 0 all checks pass; 1 a check failed, or
+a reduction hypothesis was violated (prints a hypothesis-violated document);
+2 malformed input, i.e. any other ValueError (prints ``error: ...``).
 """
 
 from __future__ import annotations
@@ -11,26 +20,23 @@ import argparse
 import json
 import random
 import sys
+from collections import Counter
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import partial
+from typing import Callable
 
 from . import scenarios as sc
-from .coisotropic import identity_datum, is_coisotropic, is_strong, chain_map_check
+from .coisotropic import (chain_map_check, identity_datum,
+                          infinitesimal_coisotropic_check, is_coisotropic, is_strong)
+from .courant import ThreeFormFiber, TwoFormFiber
 from .dorfman import involutivity_check
 from .groupoid import qs_check
-from .intersection import (
-    induced_poisson,
-    strong_exact_sequence,
-    strong_intersection,
-)
-from .linalg import frac
+from .intersection import induced_poisson, strong_exact_sequence, strong_intersection
+from .linalg import LinMap, canonicalize, frac, vec
 from .report import HYPOTHESIS_VIOLATED, PASS, VerificationReport
-from .serialize import (
-    bundle_to_json,
-    datum_from_json,
-    datum_to_json,
-    dirac_family_to_json,
-    dumps,
-)
+from .serialize import (bundle_to_json, datum_from_json, datum_to_json,
+                        dirac_family_to_json, dumps)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -39,48 +45,6 @@ EXIT_BAD_INPUT = 2
 
 class ScenarioError(ValueError):
     pass
-
-
-def catalog() -> dict[str, str]:
-    return {
-        "pair": "pair groupoid of a symplectic vector space (params: n)",
-        "pair-corrupt-sigma": "pair groupoid with a sign flipped in sigma "
-                              "(negative fixture)",
-        "circle": "circle acting on C^n with its cotangent groupoid "
-                  "(params: n, level)",
-        "torus": "2-torus acting on C^2 with its cotangent groupoid",
-        "so3": "linear Poisson frame on the dual of so(3)",
-        "graph-twist": "graph of a 2-form with its compatible twist",
-        "twist-mismatch": "graph of a 2-form with the wrong twist "
-                          "(negative fixture)",
-        "line-bivector": "plane bivector x d/dx ^ d/dy restricted to a line",
-    }
-
-
-# the params each scenario reads; a spec with any other key is rejected
-PARAMS = {"pair": ("n",), "pair-corrupt-sigma": ("n",), "circle": ("n", "level")}
-
-
-def load_spec(path: str) -> sc.ScenarioSpec:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
-        raise ScenarioError(f"cannot read scenario: {e}")
-    if not isinstance(doc, dict) or "name" not in doc:
-        raise ScenarioError("scenario file needs a 'name' field")
-    if doc["name"] not in catalog():
-        raise ScenarioError(f"unknown scenario name: {doc['name']!r}")
-    if "samples" in doc:
-        raise ScenarioError("scenario files have no 'samples' field: "
-                            "each scenario fixes its own sample atlas")
-    params = doc.get("params", {})
-    if not isinstance(params, dict):
-        raise ScenarioError("'params' must be an object")
-    unknown = sorted(set(params) - set(PARAMS.get(doc["name"], ())))
-    if unknown:
-        raise ScenarioError(f"scenario {doc['name']!r} has no params {unknown}")
-    return sc.ScenarioSpec(doc["name"], params, int_param(doc, "seed", 0))
 
 
 def int_param(doc: dict, key: str, default: int) -> int:
@@ -92,197 +56,257 @@ def int_param(doc: dict, key: str, default: int) -> int:
     return x
 
 
-def pair_dim(params: dict) -> int:
-    """The real dimension n of the pair scenario's symplectic space."""
+def no_params(_params: dict) -> dict:
+    return {}
+
+
+def pair_params(params: dict) -> dict:
+    """The real dimension n (default 2) of the pair scenario's symplectic space."""
     n = int_param(params, "n", 2)
     if n <= 0 or n % 2:
         raise ScenarioError(f"pair needs a positive even n, got {n}")
-    return n
+    return {"n": n}
 
 
-def circle_params(params: dict) -> tuple[int, Fraction]:
+def circle_params(params: dict) -> dict:
     """The circle scenario's n (default 1) and moment level (default 1/2)."""
     n = int_param(params, "n", 1)
     if n < 1:
         raise ScenarioError(f"circle needs n >= 1, got {n}")
-    return n, frac(str(params.get("level", "1/2")))
+    return {"n": n, "level": frac(str(params.get("level", "1/2")))}
 
 
-def hypothesis_violated(e: Exception) -> int:
-    print(dumps({"status": HYPOTHESIS_VIOLATED, "detail": str(e)}))
-    return EXIT_CHECK_FAILED
+def pair_bundle(p: dict):
+    return sc.build_pair_groupoid(p["n"], num_objects=4)
 
 
-def _suite_runners(spec: sc.ScenarioSpec, seed: int):
-    """Map of suite name -> zero-argument runner returning a report."""
-    name = spec.name
-    params = spec.params
-    runners = {}
+def torus():
+    return sc.torus_scenario([(Fraction(3, 5), Fraction(4, 5), 1, 0)])
 
-    if name in ("pair", "pair-corrupt-sigma"):
-        n = pair_dim(params)
-        bundle = sc.build_pair_groupoid(n, num_objects=4)
-        if name == "pair-corrupt-sigma":
-            bundle = sc.corrupt_sigma(bundle)
-        runners["qs"] = lambda: qs_check(bundle)
-        if name == "pair":
-            def coiso():
-                rep = VerificationReport("coisotropic")
-                datum = identity_datum(bundle)
-                rep.merge(is_coisotropic(datum))
-                rep.merge(chain_map_check(datum, 0))
-                return rep
-            runners["coisotropic"] = coiso
 
-            def adjoint():
-                from .morita import random_connection, sigma_ad_check, \
-                    curvature_defect_check
-                rng = random.Random(seed)
-                conn = {k: random_connection(bundle, k, rng)
-                        for k in range(len(bundle.arrows))}
-                rep = sigma_ad_check(bundle, conn)
-                for i in range(len(bundle.pairs)):
-                    rep.merge(curvature_defect_check(bundle, i, conn))
-                return rep
-            runners["adjoint"] = adjoint
-            runners["induced"] = lambda: induced_poisson(identity_datum(bundle))
+def pair_suites(p: dict, seed: int) -> dict:
+    bundle = pair_bundle(p)
 
-    elif name == "circle":
-        n, level = circle_params(params)
-        scn = sc.circle_scenario(n, level)
-        runners["qs"] = lambda: qs_check(scn.datum.g_bundle)
-        runners["hamiltonian"] = lambda: sc.hamiltonian_check(scn.datum)
-        def coiso():
-            rep = VerificationReport("coisotropic")
-            rep.merge(is_strong(scn.datum))
-            rep.merge(is_strong(sc.circle_orbit_datum(scn, level)))
-            return rep
-        runners["coisotropic"] = coiso
+    def coisotropic():
+        rep = VerificationReport("coisotropic")
+        datum = identity_datum(bundle)
+        rep.merge(is_coisotropic(datum))
+        rep.merge(chain_map_check(datum, 0))
+        return rep
 
-        def inter():
-            red = sc.circle_reduction(n, level)
-            si = strong_intersection(red.orbit, red.scn.datum,
-                                     list(red.obj_pairs), list(red.arrow_pairs))
-            rep = si.report
-            rep.merge(strong_exact_sequence(red.orbit, red.scn.datum, si))
-            return rep
-        runners["intersection"] = inter
+    def adjoint():
+        from .morita import curvature_defect_check, random_connection, sigma_ad_check
+        rng = random.Random(seed)
+        conn = {k: random_connection(bundle, k, rng)
+                for k in range(len(bundle.arrows))}
+        rep = sigma_ad_check(bundle, conn)
+        for i in range(len(bundle.pairs)):
+            rep.merge(curvature_defect_check(bundle, i, conn))
+        return rep
 
-        def homotopy():
-            from .morita import homotopy_identities, random_connection
-            fx = sc.circle_nat_trans_fixture(level)
-            rep = VerificationReport("homotopy")
-            for off in (0, 1):
-                rng = random.Random(seed + off)
-                conn = {k: random_connection(fx.f.cod, k, rng)
-                        for k in range(len(fx.f.cod.arrows))}
-                rep.merge(homotopy_identities(fx.f, fx.g, fx.theta, fx.eta,
-                                              conn, fx.inverse_pairs))
-            return rep
-        runners["homotopy"] = homotopy
+    return {"qs": lambda: qs_check(bundle), "coisotropic": coisotropic, "adjoint": adjoint,
+            "induced": lambda: induced_poisson(identity_datum(bundle))}
 
-    elif name == "torus":
-        pts = [(Fraction(3, 5), Fraction(4, 5), 1, 0)]
-        scn = sc.torus_scenario(pts)
-        runners["qs"] = lambda: qs_check(scn.datum.g_bundle)
-        runners["hamiltonian"] = lambda: sc.hamiltonian_check(scn.datum)
-        runners["coisotropic"] = lambda: is_strong(scn.datum)
 
-        def transfer_suite():
-            from .courant import ThreeFormFiber, TwoFormFiber
-            from .linalg import LinMap
-            from .morita import (ChainSample, gauge_twist_equivalence, transfer,
-                                 transfer_composition_check)
-            datum = scn.datum
-            g = datum.g_bundle
-            gam = [TwoFormFiber(LinMap.from_rows([[0, 1], [-1, 0]]))
-                   for _ in g.objects]
-            dg = [ThreeFormFiber.zero(2) for _ in g.objects]
-            m1 = gauge_twist_equivalence(datum, gam, dg)
-            leg1 = transfer(m1, list(datum.dirac), datum)
-            rep = leg1.report
-            gam2 = [TwoFormFiber(LinMap.from_rows([[0, Fraction(1, 3)],
-                                                   [Fraction(-1, 3), 0]]))
-                    for _ in g.objects]
-            m2 = gauge_twist_equivalence(datum, gam2, dg)
-            c = datum.morphism
-            chain = [ChainSample(ar.dim, ar.src, ar.tgt, ar.s_star, ar.t_star,
-                                 a, LinMap.identity(ar.dim),
-                                 c.arrow_map[a], c.c1[a])
-                     for a, ar in enumerate(c.dom.arrows)]
-            rep.merge(transfer_composition_check(m1, m2, chain,
-                                                 list(datum.dirac), leg1))
-            return rep
-        runners["transfer"] = transfer_suite
+def circle_suites(p: dict, seed: int) -> dict:
+    n, level = p["n"], p["level"]
+    scn = sc.circle_scenario(n, level)
 
-    elif name in ("so3", "graph-twist", "twist-mismatch"):
-        frames = {"so3": sc.build_lie_poisson_so3,
-                  "graph-twist": sc.graph_frame_with_twist,
-                  "twist-mismatch": sc.mismatched_twist_frame}
-        frame = frames[name]()
-        pts = sc.involutivity_points(seed=seed or 11)
-        runners["dorfman"] = lambda: involutivity_check(frame, pts)
+    def coisotropic():
+        rep = VerificationReport("coisotropic")
+        rep.merge(is_strong(scn.datum))
+        rep.merge(is_strong(sc.circle_orbit_datum(scn, level)))
+        return rep
 
-    elif name == "line-bivector":
-        def line():
-            from .coisotropic import infinitesimal_coisotropic_check
-            from .courant import ThreeFormFiber
-            from .linalg import canonicalize, vec
-            rep = VerificationReport("line")
-            fx = sc.line_bivector_fixture()
-            at_one = fx.l_n[fx.params.index(Fraction(1))]
-            at_zero = fx.l_n[fx.params.index(Fraction(0))]
-            rep.add("line.pullback.at_one",
-                    at_one.space == canonicalize([vec(1, 0)], 2),
-                    detail="pullback at the generic point is the tangent line")
-            rep.add("line.pullback.at_zero",
-                    at_zero.space == canonicalize([vec(0, 1)], 2),
-                    detail="pullback at the special point is the cotangent line")
-            phi1 = [ThreeFormFiber.zero(1)] * len(fx.params)
-            phi2 = [ThreeFormFiber.zero(2)] * len(fx.params)
-            sub = infinitesimal_coisotropic_check(list(fx.cmaps), list(fx.l_n),
-                                                  list(fx.l_m), phi1, phi2)
-            ranks = sub.records[-1].ranks
-            rep.add("line.rank_jump.detected",
-                    not sub.passed and ranks is not None and set(ranks) == {1, 2},
-                    detail=f"fiber-product ranks {list(ranks or [])} jump at the origin")
-            return rep
-        runners["line"] = line
+    def intersection():
+        red = sc.circle_reduction(n, level)
+        si = strong_intersection(red.orbit, red.scn.datum,
+                                 list(red.obj_pairs), list(red.arrow_pairs))
+        rep = si.report
+        rep.merge(strong_exact_sequence(red.orbit, red.scn.datum, si))
+        return rep
 
-    return runners
+    def homotopy():
+        from .morita import homotopy_identities, random_connection
+        fx = sc.circle_nat_trans_fixture(level)
+        rep = VerificationReport("homotopy")
+        for off in (0, 1):
+            rng = random.Random(seed + off)
+            conn = {k: random_connection(fx.f.cod, k, rng)
+                    for k in range(len(fx.f.cod.arrows))}
+            rep.merge(homotopy_identities(fx.f, fx.g, fx.theta, fx.eta,
+                                          conn, fx.inverse_pairs))
+        return rep
+
+    return {"qs": lambda: qs_check(scn.datum.g_bundle),
+            "hamiltonian": lambda: sc.hamiltonian_check(scn.datum),
+            "coisotropic": coisotropic, "intersection": intersection,
+            "homotopy": homotopy}
+
+
+def torus_suites(_p: dict, _seed: int) -> dict:
+    scn = torus()
+
+    def transfer_suite():
+        from .morita import (ChainSample, gauge_twist_equivalence, transfer,
+                             transfer_composition_check)
+        datum = scn.datum
+        g = datum.g_bundle
+        gam = [TwoFormFiber(LinMap.from_rows([[0, 1], [-1, 0]]))
+               for _ in g.objects]
+        dg = [ThreeFormFiber.zero(2) for _ in g.objects]
+        m1 = gauge_twist_equivalence(datum, gam, dg)
+        leg1 = transfer(m1, list(datum.dirac), datum)
+        rep = leg1.report
+        gam2 = [TwoFormFiber(LinMap.from_rows([[0, Fraction(1, 3)],
+                                               [Fraction(-1, 3), 0]]))
+                for _ in g.objects]
+        m2 = gauge_twist_equivalence(datum, gam2, dg)
+        c = datum.morphism
+        chain = [ChainSample(ar.dim, ar.src, ar.tgt, ar.s_star, ar.t_star,
+                             a, LinMap.identity(ar.dim),
+                             c.arrow_map[a], c.c1[a])
+                 for a, ar in enumerate(c.dom.arrows)]
+        rep.merge(transfer_composition_check(m1, m2, chain,
+                                             list(datum.dirac), leg1))
+        return rep
+
+    return {"qs": lambda: qs_check(scn.datum.g_bundle),
+            "hamiltonian": lambda: sc.hamiltonian_check(scn.datum),
+            "coisotropic": lambda: is_strong(scn.datum),
+            "transfer": transfer_suite}
+
+
+def dorfman_suites(frame: Callable) -> Callable:
+    """The suites of a Dorfman-bracket frame scenario; seed 0 reads as 11."""
+    return lambda _p, seed: {"dorfman": partial(
+        involutivity_check, frame(), sc.involutivity_points(seed=seed or 11))}
+
+
+def line_suite() -> VerificationReport:
+    rep = VerificationReport("line")
+    fx = sc.line_bivector_fixture()
+    at_one = fx.l_n[fx.params.index(Fraction(1))]
+    at_zero = fx.l_n[fx.params.index(Fraction(0))]
+    rep.add("line.pullback.at_one",
+            at_one.space == canonicalize([vec(1, 0)], 2),
+            detail="pullback at the generic point is the tangent line")
+    rep.add("line.pullback.at_zero",
+            at_zero.space == canonicalize([vec(0, 1)], 2),
+            detail="pullback at the special point is the cotangent line")
+    phi1 = [ThreeFormFiber.zero(1)] * len(fx.params)
+    phi2 = [ThreeFormFiber.zero(2)] * len(fx.params)
+    sub = infinitesimal_coisotropic_check(list(fx.cmaps), list(fx.l_n),
+                                          list(fx.l_m), phi1, phi2)
+    ranks = sub.records[-1].ranks
+    rep.add("line.rank_jump.detected",
+            not sub.passed and ranks is not None and set(ranks) == {1, 2},
+            detail=f"fiber-product ranks {list(ranks or [])} jump at the origin")
+    return rep
+
+
+@dataclass(frozen=True)
+class Scenario:
+    about: str
+    params: Callable[[dict], dict]
+    suites: Callable[[dict, int], dict]
+    dumps: dict = field(default_factory=dict)
+
+
+SCENARIOS = {
+    "pair": Scenario(
+        "pair groupoid of a symplectic vector space (params: n)",
+        pair_params, pair_suites,
+        {"base": lambda p: bundle_to_json(pair_bundle(p))}),
+    "pair-corrupt-sigma": Scenario(
+        "pair groupoid with a sign flipped in sigma (negative fixture)",
+        pair_params,
+        lambda p, _seed: {"qs": partial(qs_check, sc.corrupt_sigma(pair_bundle(p)))}),
+    "circle": Scenario(
+        "circle acting on C^n with its cotangent groupoid (params: n, level)",
+        circle_params, circle_suites,
+        {"base": lambda p: bundle_to_json(sc.circle_scenario(**p).datum.g_bundle),
+         "datum": lambda p: datum_to_json(sc.circle_scenario(**p).datum),
+         # the datum `reduce --coisotropic` consumes, on the reduction's atlas
+         "orbit": lambda p: datum_to_json(sc.circle_reduction(**p).orbit)}),
+    "torus": Scenario(
+        "2-torus acting on C^2 with its cotangent groupoid",
+        no_params, torus_suites,
+        {"base": lambda _p: bundle_to_json(torus().datum.g_bundle)}),
+    "so3": Scenario(
+        "linear Poisson frame on the dual of so(3)",
+        no_params, dorfman_suites(sc.build_lie_poisson_so3)),
+    "graph-twist": Scenario(
+        "graph of a 2-form with its compatible twist",
+        no_params, dorfman_suites(sc.graph_frame_with_twist)),
+    "twist-mismatch": Scenario(
+        "graph of a 2-form with the wrong twist (negative fixture)",
+        no_params, dorfman_suites(sc.mismatched_twist_frame)),
+    "line-bivector": Scenario(
+        "plane bivector x d/dx ^ d/dy restricted to a line",
+        no_params, lambda _p, _seed: {"line": line_suite}),
+}
+
+
+def load_spec(path: str) -> tuple[str, dict, int]:
+    """The spec's scenario name, its checked params and its seed."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except (OSError, json.JSONDecodeError) as e:
+        raise ScenarioError(f"cannot read scenario: {e}")
+    if not isinstance(doc, dict) or "name" not in doc:
+        raise ScenarioError("scenario file needs a 'name' field")
+    name = doc["name"]
+    if name not in SCENARIOS:
+        raise ScenarioError(f"unknown scenario name: {name!r}")
+    if "samples" in doc:
+        raise ScenarioError("scenario files have no 'samples' field: "
+                            "each scenario fixes its own sample atlas")
+    params = doc.get("params", {})
+    if not isinstance(params, dict):
+        raise ScenarioError("'params' must be an object")
+    checked = SCENARIOS[name].params(params)
+    unknown = sorted(set(params) - set(checked))
+    if unknown:
+        raise ScenarioError(f"scenario {name!r} has no params {unknown}")
+    return name, checked, int_param(doc, "seed", 0)
+
+
+def emit(doc: dict, out: str | None) -> None:
+    """Write the document to the --out file, or else to stdout."""
+    text = dumps(doc)
+    if out:
+        with open(out, "w") as fh:
+            fh.write(text + "\n")
+    else:
+        print(text)
 
 
 def cmd_list(_args) -> int:
-    for name, desc in sorted(catalog().items()):
-        print(f"{name:20s} {desc}")
+    for name, row in sorted(SCENARIOS.items()):
+        print(f"{name:20s} {row.about}")
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    try:
-        spec = load_spec(args.scenario)
-        seed = args.seed if args.seed is not None else spec.seed
-        runners = _suite_runners(spec, seed)
-    except (ScenarioError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    name, params, seed = load_spec(args.scenario)
+    if args.seed is not None:
+        seed = args.seed
+    runners = SCENARIOS[name].suites(params, seed)
     wanted = sorted(runners) if args.suite == "all" else [args.suite]
     if any(w not in runners for w in wanted):
-        print(f"error: no suite {args.suite!r} for scenario {spec.name!r}",
-              file=sys.stderr)
-        return EXIT_BAD_INPUT
+        raise ScenarioError(f"no suite {args.suite!r} for scenario {name!r}")
 
     reports = [(w, runners[w]()) for w in wanted]
     ok = all(r.passed and r.hypothesis_ok for _, r in reports)
     if args.report == "json":
-        doc = {"scenario": spec.name, "seed": seed,
+        doc = {"scenario": name, "seed": seed,
                "suites": {w: r.to_json() for w, r in reports}}
         print(dumps(doc))
     else:
         for w, r in reports:
-            counts = {}
-            for rec in r.records:
-                counts[rec.status] = counts.get(rec.status, 0) + 1
+            counts = dict(Counter(rec.status for rec in r.records))
             print(f"suite {w}: {'PASS' if r.passed else 'FAIL'} {counts}")
             for rec in r.records:
                 if rec.status != PASS:
@@ -291,24 +315,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    try:
-        spec = load_spec(args.scenario)
-        if spec.name != "circle":
-            raise ScenarioError("reduction is shipped for the circle scenario")
-        n, level = circle_params(spec.params)
-        if args.level:
-            level = frac(args.level)
-    except (ScenarioError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-
-    try:
-        red = sc.circle_reduction(n, level)
-    except sc.ReductionHypothesisViolated as e:
-        return hypothesis_violated(e)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    name, params, _ = load_spec(args.scenario)
+    if name != "circle":
+        raise ScenarioError("reduction is shipped for the circle scenario")
+    level = frac(args.level) if args.level else params["level"]
+    red = sc.circle_reduction(params["n"], level)
 
     if args.coisotropic not in (None, "orbit"):
         try:
@@ -317,84 +328,30 @@ def cmd_reduce(args) -> int:
         except (OSError, ValueError) as e:
             # a malformed file raises JSONDecodeError or SchemaError, and
             # fibers of inconsistent shape fail their own checks: all ValueErrors
-            print(f"error: cannot load coisotropic file: {e}", file=sys.stderr)
-            return EXIT_BAD_INPUT
-        if bundle_to_json(custom.g_bundle) != bundle_to_json(red.scn.datum.g_bundle):
-            print("error: custom coisotropic targets a different base bundle",
-                  file=sys.stderr)
-            return EXIT_BAD_INPUT
-        red = sc.ReductionScenario(red.scn, red.level,
-                                   CoisotropicDatumWithBase(custom, red),
-                                   red.obj_pairs, red.arrow_pairs,
-                                   red.level_point_idx)
+            raise ScenarioError(f"cannot load coisotropic file: {e}") from e
+        base = red.scn.datum.g_bundle
+        if bundle_to_json(custom.g_bundle) != bundle_to_json(base):
+            raise ScenarioError("custom coisotropic targets a different base bundle")
+        # rebind the loaded datum onto the freshly built, content-equal base
+        red = replace(red, orbit=replace(
+            custom, morphism=replace(custom.morphism, cod=base)))
 
-    try:
-        fibers, rep = sc.run_reduction(red)
-    except sc.ReductionHypothesisViolated as e:
-        return hypothesis_violated(e)
-    doc = {
+    fibers, rep = sc.run_reduction(red)
+    emit({
         "status": "pass" if rep.passed else "fail",
         "report": rep.to_json(),
         "reduced": {str(k): dirac_family_to_json([v])["fibers"][0]
                     for k, v in sorted(fibers.items(), key=lambda kv: str(kv[0]))},
-    }
-    out = dumps(doc)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(out + "\n")
-    else:
-        print(out)
+    }, args.out)
     return EXIT_OK if rep.passed and rep.hypothesis_ok else EXIT_CHECK_FAILED
 
 
-def CoisotropicDatumWithBase(custom, red):
-    """Rebind a loaded orbit-style datum onto the freshly built base bundle
-    (content-equal by the schema check above)."""
-    from .coisotropic import CoisotropicDatum
-    from .groupoid import MorphismFiber
-    m = custom.morphism
-    rebased = MorphismFiber(m.dom, red.scn.datum.g_bundle, m.obj_map, m.c0,
-                            m.cA, m.arrow_map, m.c1)
-    return CoisotropicDatum(rebased, custom.dirac, name=custom.name)
-
-
 def cmd_dump(args) -> int:
-    try:
-        spec = load_spec(args.scenario)
-        pair_n = pair_dim(spec.params) if spec.name == "pair" else None
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    if spec.name == "pair":
-        doc = bundle_to_json(sc.build_pair_groupoid(pair_n))
-    elif spec.name == "circle":
-        try:
-            n, level = circle_params(spec.params)
-            if args.what == "orbit":
-                # the datum `reduce --coisotropic` consumes, on the reduction's atlas
-                doc = datum_to_json(sc.circle_reduction(n, level).orbit)
-            elif args.what == "datum":
-                doc = datum_to_json(sc.circle_scenario(n, level).datum)
-            else:
-                doc = bundle_to_json(sc.circle_scenario(n, level).datum.g_bundle)
-        except sc.ReductionHypothesisViolated as e:
-            return hypothesis_violated(e)
-        except ValueError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return EXIT_BAD_INPUT
-    elif spec.name == "torus":
-        pts = [(Fraction(3, 5), Fraction(4, 5), 1, 0)]
-        doc = bundle_to_json(sc.torus_scenario(pts).datum.g_bundle)
-    else:
-        print(f"error: scenario {spec.name!r} has no dumpable bundle",
-              file=sys.stderr)
-        return EXIT_BAD_INPUT
-    out = dumps(doc)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(out + "\n")
-    else:
-        print(out)
+    name, params, _ = load_spec(args.scenario)
+    document = SCENARIOS[name].dumps.get(args.what)
+    if document is None:
+        raise ScenarioError(f"scenario {name!r} cannot dump --what {args.what}")
+    emit(document(params), args.out)
     return EXIT_OK
 
 
@@ -404,8 +361,7 @@ def main(argv=None) -> int:
                                              "identities on sampled groupoid fibers")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    p_list = sub.add_parser("list", help="list shipped scenarios")
-    p_list.set_defaults(fn=cmd_list)
+    sub.add_parser("list", help="list shipped scenarios").set_defaults(fn=cmd_list)
 
     p_ver = sub.add_parser("verify", help="run verification suites")
     p_ver.add_argument("scenario", help="scenario.json path")
@@ -429,7 +385,14 @@ def main(argv=None) -> int:
     p_dump.set_defaults(fn=cmd_dump)
 
     args = ap.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except sc.ReductionHypothesisViolated as e:
+        print(dumps({"status": HYPOTHESIS_VIOLATED, "detail": str(e)}))
+        return EXIT_CHECK_FAILED
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_BAD_INPUT
 
 
 if __name__ == "__main__":

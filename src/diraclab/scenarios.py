@@ -50,13 +50,6 @@ from .linalg import (
 F = Fraction
 
 
-@dataclass(frozen=True)
-class ScenarioSpec:
-    name: str
-    params: dict
-    seed: int = 0
-
-
 def circle_point(t) -> tuple[Fraction, Fraction]:
     """Rational point on the unit circle from the tangent-half parameter."""
     t = frac(t)

@@ -124,6 +124,52 @@ def test_reduce_at_level_zero_is_hypothesis_violated(tmp_path, capsys, level, ar
     assert err == ""
 
 
+@pytest.mark.parametrize("suite", ["all", "intersection"])
+def test_verify_at_a_fixed_point_level_is_hypothesis_violated(tmp_path, capsys, suite):
+    # the intersection suite builds the reduction, whose quotient needs a free action
+    spec = write_spec(tmp_path, {"name": "circle", "params": {"n": 1, "level": "0"}})
+    code, out, err = run(capsys, ["verify", spec, "--suite", suite])
+    assert (code, err) == (cli.EXIT_CHECK_FAILED, "")
+    doc = json.loads(out)
+    assert doc["status"] == "hypothesis-violated"
+    assert "fixed point" in doc["detail"]
+
+
+@pytest.mark.parametrize("name, what", [("pair", "datum"), ("pair", "orbit"),
+                                        ("torus", "datum"), ("torus", "orbit"),
+                                        ("so3", "base")])
+def test_dump_rejects_a_document_the_scenario_lacks(tmp_path, capsys, name, what):
+    code, out, err = run(capsys, ["dump", write_spec(tmp_path, SPECS[name]),
+                                  "--what", what])
+    assert (code, out) == (cli.EXIT_BAD_INPUT, "")
+    assert err == f"error: scenario {name!r} cannot dump --what {what}\n"
+
+
+def test_dump_pair_writes_the_bundle_verify_checks(tmp_path, capsys):
+    from diraclab.scenarios import build_pair_groupoid
+    from diraclab.serialize import bundle_to_json, dumps
+    code, out, _ = run(capsys, ["dump", write_spec(tmp_path, SPECS["pair"])])
+    assert code == cli.EXIT_OK
+    assert out == dumps(bundle_to_json(build_pair_groupoid(2, num_objects=4))) + "\n"
+
+
+def test_the_table_declares_exactly_the_golden_suites():
+    # every golden verify report runs --suite all, so a suite cannot be added
+    # to or dropped from the table without its golden
+    declared = {(name, suite) for name, row in cli.SCENARIOS.items()
+                for suite in row.suites(row.params({}), 0)}
+    golden = {(doc["scenario"], suite)
+              for doc in (json.loads(p.read_text()) for p in GOLDEN.glob("verify-*.json"))
+              for suite in doc["suites"]}
+    assert declared == golden
+
+
+def test_list_prints_one_line_per_scenario_in_sorted_order(capsys):
+    code, out, _ = run(capsys, ["list"])
+    assert code == cli.EXIT_OK
+    assert [line.split()[0] for line in out.splitlines()] == sorted(cli.SCENARIOS)
+
+
 @pytest.mark.parametrize("params", [{}, {"n": 2, "level": "1/2"}])
 def test_dumped_orbit_round_trips_through_reduce(tmp_path, capsys, params):
     # dump --what orbit writes the datum reduce consumes, so reducing with it
@@ -147,8 +193,9 @@ def test_circle_defaults_to_n1_everywhere(tmp_path, capsys):
         outs = [run(capsys, [argv[0], path, *argv[1:]]) for path in (bare, explicit)]
         assert outs[0] == outs[1]
         assert outs[0][0] == cli.EXIT_OK
-    assert cli.circle_params({}) == (1, Fraction(1, 2))
-    assert cli.circle_params({"n": 2, "level": "2"}) == (2, Fraction(2))
+    circle_params = cli.SCENARIOS["circle"].params
+    assert circle_params({}) == {"n": 1, "level": Fraction(1, 2)}
+    assert circle_params({"n": 2, "level": "2"}) == {"n": 2, "level": Fraction(2)}
 
 
 def test_verify_has_no_samples_option(tmp_path, capsys):

@@ -1,8 +1,11 @@
 """Source hygiene: every module-level import in src/diraclab is used, every
-name a function stores is read somewhere in that function, and only the CLI
-imports the scenario builders."""
+name a function stores is read somewhere in that function, only the CLI
+imports the scenario builders, and importing the CLI does not load morita."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -111,3 +114,13 @@ def test_package_imports_sees_every_form():
                      "    from .groupoid import qs_check\n"
                      "import json\n")
     assert package_imports(tree) == {"scenarios", "linalg", "groupoid"}
+
+
+def test_importing_the_cli_does_not_load_morita():
+    # only three suites use morita, so they import it themselves: at the top
+    # of cli its import time would be paid by every command at start-up
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    probe = "import sys, diraclab.cli; print('diraclab.morita' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
