@@ -11,7 +11,8 @@ Each shipped scenario is one row of SCENARIOS, keyed by its name:
 
 Exit codes, mapped once in ``main``: 0 all checks pass; 1 a check failed, or
 a reduction hypothesis was violated (prints a hypothesis-violated document);
-2 malformed input, i.e. any other ValueError (prints ``error: ...``).
+2 malformed input, i.e. any other ValueError, or an ``--out`` file that
+cannot be written (prints ``error: ...``).
 """
 
 from __future__ import annotations
@@ -68,12 +69,21 @@ def pair_params(params: dict) -> dict:
     return {"n": n}
 
 
+def parse_level(text: str) -> Fraction:
+    """A moment level p/q; Fraction raises ZeroDivisionError, not a
+    ValueError, on a zero denominator, so that is rejected here."""
+    try:
+        return frac(text)
+    except ZeroDivisionError:
+        raise ScenarioError(f"level {text!r} has a zero denominator") from None
+
+
 def circle_params(params: dict) -> dict:
     """The circle scenario's n (default 1) and moment level (default 1/2)."""
     n = int_param(params, "n", 1)
     if n < 1:
         raise ScenarioError(f"circle needs n >= 1, got {n}")
-    return {"n": n, "level": frac(str(params.get("level", "1/2")))}
+    return {"n": n, "level": parse_level(str(params.get("level", "1/2")))}
 
 
 def pair_bundle(p: dict):
@@ -258,7 +268,7 @@ def load_spec(path: str) -> tuple[str, dict, int]:
     if not isinstance(doc, dict) or "name" not in doc:
         raise ScenarioError("scenario file needs a 'name' field")
     name = doc["name"]
-    if name not in SCENARIOS:
+    if not isinstance(name, str) or name not in SCENARIOS:
         raise ScenarioError(f"unknown scenario name: {name!r}")
     if "samples" in doc:
         raise ScenarioError("scenario files have no 'samples' field: "
@@ -277,8 +287,11 @@ def emit(doc: dict, out: str | None) -> None:
     """Write the document to the --out file, or else to stdout."""
     text = dumps(doc)
     if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as e:
+            raise ScenarioError(f"cannot write {out!r}: {e.strerror or e}") from e
     else:
         print(text)
 
@@ -318,7 +331,7 @@ def cmd_reduce(args) -> int:
     name, params, _ = load_spec(args.scenario)
     if name != "circle":
         raise ScenarioError("reduction is shipped for the circle scenario")
-    level = frac(args.level) if args.level else params["level"]
+    level = parse_level(args.level) if args.level else params["level"]
     red = sc.circle_reduction(params["n"], level)
 
     if args.coisotropic not in (None, "orbit"):

@@ -13,11 +13,21 @@ in the basis coordinates of L: with (T, C) = L.parts() the tangent and
 cotangent components of L's basis, an element of L is (T x, C x) for x in
 Q^n, so matching conditions are linear equations in x.  kernel_of and
 cotangent_trace are images of kernels in the same coordinates.
+
+Memo: graph_two_form, dirac_sum, pullback and pushforward (like
+linalg.fiber_product) are pure functions of frozen, hashable values, and a
+run asks for the same ones many times (the compatibility at one arrow is
+checked by several suites, identity legs repeat their inputs).  Each keeps
+one functools.cache per process, unbounded and with no knob; a miss runs the
+same code, a hit returns the same frozen fiber, which passed its isotropy
+check when it was built, and an exception is raised again on every call,
+never cached.  DiracFiber.parts() is kept on the frozen fiber the same way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, cached_property
 from operator import mul
 
 from .linalg import (
@@ -208,11 +218,16 @@ class DiracFiber:
     def parts(self) -> tuple[LinMap, LinMap]:
         """(T, C): the V and V* rows of space.matrix(), each an n x n map
         from basis coordinates, so that L = {(T x, C x) : x in Q^n}."""
+        return self._parts
+
+    @cached_property
+    def _parts(self) -> tuple[LinMap, LinMap]:
         n = self.n
         m = self.space.matrix()
         return m.row_block(0, n), m.row_block(n, 2 * n)
 
 
+@cache
 def graph_two_form(omega: TwoFormFiber) -> DiracFiber:
     """Span of (e_i, i_{e_i} omega); non-degenerate by construction."""
     n = omega.dim
@@ -243,6 +258,7 @@ def cotangent_dirac(n: int) -> DiracFiber:
     return graph_bivector(LinMap.zero(n, n))
 
 
+@cache
 def dirac_sum(l1: DiracFiber, l2: DiracFiber) -> DiracFiber:
     """{(v, a1 + a2) : (v, ai) in Li}; Lagrangian for every input pair."""
     if l1.n != l2.n:
@@ -266,6 +282,7 @@ def gauge(l: DiracFiber, b: TwoFormFiber) -> DiracFiber:
     return dirac_sum(l, graph_two_form(b))
 
 
+@cache
 def pullback(f: LinMap, l: DiracFiber) -> DiracFiber:
     """f*L = {(w, f^T a) : (f w, a) in L} for f : Q^m -> Q^n."""
     if f.rows != l.n:
@@ -275,6 +292,7 @@ def pullback(f: LinMap, l: DiracFiber) -> DiracFiber:
     return DiracFiber(CourantFiber(f.cols), image(out, fiber_product(f, t)))
 
 
+@cache
 def pushforward(f: LinMap, l: DiracFiber) -> DiracFiber:
     """f_* L = {(f v, a) : (v, f^T a) in L} for surjective f : Q^n -> Q^m."""
     if f.cols != l.n:

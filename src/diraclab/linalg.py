@@ -31,6 +31,14 @@ the one primitive from which the Dirac operations and the checkers build
 their fiber products; block_diag(a, d) is the map (x, y) -> (a x, d y).
 Combined with image, they compose linear relations in the basis
 coordinates of their inputs.
+
+Memo: fiber_product is a pure function of two frozen LinMaps, and the Dirac
+operations built on it ask for the same ones many times in a run, so it
+keeps one functools.cache per process, unbounded and with no knob.  A miss
+runs the same code, a hit returns the same frozen Subspace, and an exception
+is raised again on every call, never cached.  kernel and canonicalize are
+not memoized: a kernel memo in place of this one ran no faster on circle
+n = 2 and held more memory, and canonicalize takes lists.
 """
 
 from __future__ import annotations
@@ -38,7 +46,7 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from math import gcd, lcm
 from operator import mul
 
@@ -495,6 +503,7 @@ def kernel(f: LinMap) -> Subspace:
     return canonicalize(gens, f.cols)
 
 
+@cache
 def fiber_product(m1: LinMap, m2: LinMap) -> Subspace:
     """{(x, y) : m1 x = m2 y} as a subspace of the direct sum of the sources."""
     return kernel(hstack(m1, m2.scale(-1)))

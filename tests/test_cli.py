@@ -275,3 +275,37 @@ def test_reduce_rejects_a_coisotropic_file_with_inconsistent_fibers(tmp_path, ca
     code, out, err = run(capsys, ["reduce", spec, "--coisotropic", str(orbit)])
     assert (code, out) == (cli.EXIT_BAD_INPUT, "")
     assert err.startswith("error: cannot load coisotropic file: ")
+
+
+@pytest.mark.parametrize("name", [[1], {"torus": 1}, 3, None])
+@pytest.mark.parametrize("cmd", ["verify", "reduce", "dump"])
+def test_a_non_string_scenario_name_is_rejected(tmp_path, capsys, cmd, name):
+    code, out, err = run(capsys, [cmd, write_spec(tmp_path, {"name": name})])
+    assert (code, out) == (cli.EXIT_BAD_INPUT, "")
+    assert err == f"error: unknown scenario name: {name!r}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["dump", "--what", "base"],
+    ["reduce"],
+])
+def test_an_out_file_that_cannot_be_written_is_rejected(tmp_path, capsys, argv):
+    spec = write_spec(tmp_path, SPECS["circle-n1"])
+    target = tmp_path / "missing" / "x.json"
+    cmd, *rest = argv
+    code, out, err = run(capsys, [cmd, spec, *rest, "--out", str(target)])
+    assert (code, out) == (cli.EXIT_BAD_INPUT, "")
+    assert err.startswith(f"error: cannot write {str(target)!r}: ")
+    assert not target.parent.exists()
+
+
+def test_a_level_with_a_zero_denominator_is_rejected(tmp_path, capsys):
+    spec = write_spec(tmp_path, {"name": "circle", "params": {"n": 1, "level": "1/0"}})
+    for cmd in (["verify", spec, "--suite", "qs"], ["dump", spec]):
+        code, out, err = run(capsys, cmd)
+        assert (code, out) == (cli.EXIT_BAD_INPUT, "")
+        assert err == "error: level '1/0' has a zero denominator\n"
+    spec = write_spec(tmp_path, SPECS["circle-n1"])
+    code, out, err = run(capsys, ["reduce", spec, "--level", "1/0"])
+    assert (code, out) == (cli.EXIT_BAD_INPUT, "")
+    assert err == "error: level '1/0' has a zero denominator\n"

@@ -28,6 +28,7 @@ from diraclab.courant import (
     two_form_of,
 )
 from diraclab.linalg import (
+    DimensionMismatch,
     LinMap,
     annihilator,
     basis_vec,
@@ -478,3 +479,49 @@ def test_pushforward_matches_oracle(fl):
     f, l = fl
     assert image(f).dim == f.rows
     assert pushforward(f, l).space == oracle_pushforward(f, l)
+
+
+# ---------------------------------------------------------------------------
+# The memo: graph_two_form, dirac_sum, pullback and pushforward return the
+# identical frozen fiber for equal inputs, and the value their code computes.
+
+@settings(max_examples=40, deadline=None)
+@given(dims.flatmap(lambda n: st.tuples(
+    antisymmetric(n), dirac_fibers(n), dirac_fibers(n),
+    non_bijective_maps(n), surjective_maps(n))))
+def test_memoized_operations_match_their_uncached_code(args):
+    b, l1, l2, f, g = args
+    for op, op_args in [(graph_two_form, (TwoFormFiber(b),)),
+                        (dirac_sum, (l1, l2)),
+                        (pullback, (f, l1)),
+                        (pushforward, (g, l2))]:
+        first = op(*op_args)
+        assert first == op.__wrapped__(*op_args)
+        assert op(*op_args) is first
+
+
+def test_failing_operations_raise_on_every_call():
+    l = tangent_dirac(2)
+    not_onto = LinMap.from_rows([[1, 0], [0, 0]])
+    before = (pushforward.cache_info().misses, pullback.cache_info().misses)
+    for _ in range(3):
+        with pytest.raises(ValueError, match="surjective"):
+            pushforward(not_onto, l)
+        with pytest.raises(DimensionMismatch):
+            pullback(LinMap.identity(3), l)
+    # nothing was stored, so each call ran the code again
+    assert (pushforward.cache_info().misses,
+            pullback.cache_info().misses) == (before[0] + 3, before[1] + 3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(dims.flatmap(dirac_fibers))
+def test_cached_parts_are_the_row_blocks_and_leave_equality_alone(l):
+    fresh = DiracFiber(l.fiber, l.space)
+    key = hash(fresh)
+    n = l.n
+    m = l.space.matrix()
+    parts = fresh.parts()
+    assert parts == (m.row_block(0, n), m.row_block(n, 2 * n))
+    assert fresh.parts() is parts
+    assert hash(fresh) == key == hash(l) and fresh == l

@@ -1,8 +1,12 @@
 """Source hygiene: every module-level import in src/diraclab is used, every
 name a function stores is read somewhere in that function, only the CLI
-imports the scenario builders, and importing the CLI does not load morita."""
+imports the scenario builders, importing the CLI does not load morita, only
+the five relation operations are memoized, and every function the
+benchmark's traced run wraps exists."""
 
 import ast
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -124,3 +128,72 @@ def test_importing_the_cli_does_not_load_morita():
     done = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
+
+
+MEMOS = {"cache", "lru_cache"}
+
+# the relation operations a run repeats on equal frozen inputs; a memo
+# anywhere else is a deliberate change to this table
+MEMOIZED = {"courant": ["dirac_sum", "graph_two_form", "pullback", "pushforward"],
+            "linalg": ["fiber_product"]}
+
+
+def qualified_defs(node, prefix=""):
+    """(qualified name, node) of every function and class under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield prefix + child.name, child
+            yield from qualified_defs(child, f"{prefix}{child.name}.")
+        else:
+            yield from qualified_defs(child, prefix)
+
+
+def memo_sites(tree: ast.Module) -> list[str]:
+    """Every use of functools.cache or lru_cache, sorted: the qualified name
+    of the function it decorates, or "line N" for any other use."""
+    decorates = {}
+    for qual, node in qualified_defs(tree):
+        for dec in node.decorator_list:
+            decorates[id(dec.func if isinstance(dec, ast.Call) else dec)] = qual
+    uses = [n for n in ast.walk(tree)
+            if (isinstance(n, ast.Name) and n.id in MEMOS)
+            or (isinstance(n, ast.Attribute) and n.attr in MEMOS)]
+    return sorted(decorates.get(id(n), f"line {n.lineno}") for n in uses)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_the_relation_operations_are_memoized(path):
+    assert memo_sites(ast.parse(path.read_text())) == MEMOIZED.get(path.stem, [])
+
+
+def test_memo_sites_sees_every_form():
+    tree = ast.parse("import functools\n"
+                     "from functools import cache, cached_property, lru_cache\n"
+                     "@cache\n"
+                     "def f(): pass\n"
+                     "class C:\n"
+                     "    @functools.lru_cache(maxsize=2)\n"
+                     "    def g(self): pass\n"
+                     "    @cached_property\n"
+                     "    def p(self): pass\n"
+                     "h = cache(len)\n")
+    assert memo_sites(tree) == ["C.g", "f", "line 10"]
+
+
+def test_every_traced_function_exists():
+    # perfbench/layers.py names the functions traced_cli.py wraps, each in
+    # its defining module, as a function or as Class.method
+    path = SRC.parent.parent / "perfbench" / "layers.py"
+    spec = importlib.util.spec_from_file_location("perfbench_layers", path)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    missing = []
+    for mod_name, names in layers.TRACED.items():
+        module = importlib.import_module(f"diraclab.{mod_name}")
+        for name in names:
+            owner, _, attr = name.rpartition(".")
+            space = vars(getattr(module, owner)) if owner else vars(module)
+            if not callable(space.get(attr)):
+                missing.append(f"{mod_name}.{name}")
+    assert missing == []
+    assert layers.DISTINCT <= set(layers.keys())

@@ -567,3 +567,26 @@ def test_views_are_built_once():
 def test_a_subspace_needs_one_pivot_per_row():
     with pytest.raises(DimensionMismatch):
         Subspace(2, ((1, 0),))
+
+
+# ---------------------------------------------------------------------------
+# the fiber_product memo: equal inputs give the identical frozen value
+
+@settings(max_examples=60, deadline=None)
+@given(relation_pairs())
+def test_fiber_product_memo_matches_the_uncached_function(pair):
+    m1, m2 = pair
+    fp = fiber_product(m1, m2)
+    assert fp == fiber_product.__wrapped__(m1, m2)
+    assert fiber_product(m1, m2) is fp
+    # an equal map built afresh is the same key
+    assert fiber_product(LinMap.from_rows(m1.entries, cols=m1.cols), m2) is fp
+
+
+def test_fiber_product_raises_on_every_call():
+    misses = fiber_product.cache_info().misses
+    for _ in range(3):
+        with pytest.raises(DimensionMismatch):
+            fiber_product(LinMap.identity(2), LinMap.identity(3))
+    # nothing was stored, so each call ran the code again
+    assert fiber_product.cache_info().misses == misses + 3
