@@ -331,7 +331,7 @@ def cmd_reduce(args) -> int:
     name, params, _ = load_spec(args.scenario)
     if name != "circle":
         raise ScenarioError("reduction is shipped for the circle scenario")
-    level = parse_level(args.level) if args.level else params["level"]
+    level = parse_level(args.level) if args.level is not None else params["level"]
     red = sc.circle_reduction(params["n"], level)
 
     if args.coisotropic not in (None, "orbit"):

@@ -27,13 +27,13 @@ from .groupoid import (
     GroupoidFiberBundle,
     MorphismFiber,
     compatibility_check,
+    identity_morphism,
     induced_dirac,
 )
 from .linalg import (
     DimensionMismatch,
     LinMap,
     Subspace,
-    basis_vec,
     block_diag,
     fiber_product,
     full_subspace,
@@ -109,11 +109,8 @@ def nondeg_assembly(datum: CoisotropicDatum, obj_idx: int):
     # map: b -> (rho_C b, c* sigma c_* b, cA b)
     sig_pull = c0.transpose() @ ob_g.sigma @ cA
     mat = vstack(vstack(ob_c.rho, sig_pull), cA)
-    for j in range(ob_c.adim):
-        col = mat.apply(basis_vec(ob_c.adim, j))
-        if not l.space.contains(col[:2 * n]):
-            raise ImageEscapesL(
-                f"object {obj_idx}: image of (rho_C, c*sigma c_*) leaves L")
+    if l.space.coords(mat.row_block(0, 2 * n)) is None:
+        raise ImageEscapesL(f"object {obj_idx}: image of (rho_C, c*sigma c_*) leaves L")
 
     # fiber product over (x, a), with (v, alpha) = (T x, C x) in L:
     # c0 v = rho_G a and alpha = c0^T sigma a
@@ -235,19 +232,16 @@ def chain_map_check(datum: CoisotropicDatum, obj_idx: int) -> VerificationReport
     # top row
     sig_pull = c0.transpose() @ ob_g.sigma @ cA
     first = vstack(ob_c.rho, sig_pull)
-    l_coords_cols = []
-    for j in range(r_c):
-        col = first.apply(basis_vec(r_c, j))
-        x = l.space.coords(col)
-        if x is None:
-            rep.add("chain_map.image_in_L", False,
-                    detail=f"object {obj_idx}: image of (rho_C, c*sigma c_*) leaves L",
-                    witness=witness_vector(col))
-            return rep
-        l_coords_cols.append(x)
+    l_coords = l.space.coords(first)
+    if l_coords is None:
+        col = next(v for v in first.col_vectors() if not l.space.contains(v))
+        rep.add("chain_map.image_in_L", False,
+                detail=f"object {obj_idx}: image of (rho_C, c*sigma c_*) leaves L",
+                witness=witness_vector(col))
+        return rep
     rep.add("chain_map.image_in_L", True,
             detail=f"object {obj_idx}: image of (rho_C, c*sigma c_*) lies in L")
-    d1 = vstack(LinMap.from_cols(l_coords_cols, rows_dim=n), cA)
+    d1 = vstack(l_coords, cA)
     d2 = hstack(c0 @ p_t, ob_g.rho.scale(-1))
     ChainComplex3(d1, d2)               # raises unless d2 d1 = 0
 
@@ -318,24 +312,17 @@ def orbit_lagrangian(orbit: OrbitSample) -> CoisotropicDatum:
         # image of rho must be c0(T_C) and well-definedness must hold
         if image(rho_g_on_c) != image(c0):
             raise ValueError("orbit sample: anchor image differs from orbit tangent")
-        ker_rho = kernel(ob_c.rho)
         pairing = ob_g.sigma @ cA        # columns sigma(a_j) in T_G*
-        for z in ker_rho.basis:
-            val = pairing.apply(z)
-            if any((ob_g.rho @ cA).transpose().apply(val)[j] != 0
-                   for j in range(ob_c.adim)):
-                raise ValueError("orbit sample: gamma is not well-defined on rho(A)")
+        # <sigma z, rho b> = 0 for z in ker rho_C and every b
+        if not (rho_g_on_c.transpose() @ pairing @ kernel(ob_c.rho).matrix()).is_zero():
+            raise ValueError("orbit sample: gamma is not well-defined on rho(A)")
         # gamma in the abstract orbit coordinates: for basis u_k = c0(e_k),
-        # pick a_k with rho_C a_k = e_k and set gamma_kl = <sigma a_k, c0 e_l>
-        n = ob_c.dim
-        rows = []
-        for k in range(n):
-            a_k = solve(ob_c.rho, basis_vec(n, k))
-            if a_k is None:
-                raise ValueError("orbit sample: rho_C is not onto the orbit tangent")
-            sig = pairing.apply(a_k)
-            rows.append(tuple(c0.transpose().apply(sig)))
-        gamma = TwoFormFiber(LinMap.from_rows(rows, cols=n))
+        # pick a_k with rho_C a_k = e_k (the columns of a) and set
+        # gamma_kl = <sigma a_k, c0 e_l>
+        a = solve(ob_c.rho, LinMap.identity(ob_c.dim))
+        if a is None:
+            raise ValueError("orbit sample: rho_C is not onto the orbit tangent")
+        gamma = TwoFormFiber((c0.transpose() @ pairing @ a).transpose())
         dirac.append(graph_two_form(gamma))
     return CoisotropicDatum(c, tuple(dirac), name="orbit")
 
@@ -398,7 +385,6 @@ def infinitesimal_coisotropic_check(cmaps: list[LinMap],
 
 def identity_datum(bundle: GroupoidFiberBundle, name: str = "") -> CoisotropicDatum:
     """The induced Dirac structure on the identity morphism."""
-    from .groupoid import identity_morphism
     dirac = tuple(induced_dirac(ob) for ob in bundle.objects)
     return CoisotropicDatum(identity_morphism(bundle), dirac,
                             name=name or f"identity.{bundle.name}")

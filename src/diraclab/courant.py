@@ -36,18 +36,14 @@ from .linalg import (
     Subspace,
     Vec,
     ZERO,
-    basis_vec,
     block_diag,
-    canonicalize,
     dot,
     fiber_product,
     frac,
-    full_subspace,
     hstack,
     image,
     kernel,
     solve,
-    vec_concat,
     vstack,
 )
 
@@ -229,15 +225,15 @@ class DiracFiber:
 
 @cache
 def graph_two_form(omega: TwoFormFiber) -> DiracFiber:
-    """Span of (e_i, i_{e_i} omega); non-degenerate by construction."""
+    """Span of (e_i, i_{e_i} omega), the image of (I, omega-flat);
+    non-degenerate by construction."""
     n = omega.dim
-    flat = omega.flat()
-    gens = [vec_concat(basis_vec(n, i), flat.apply(basis_vec(n, i))) for i in range(n)]
-    return DiracFiber(CourantFiber(n), canonicalize(gens, 2 * n))
+    return DiracFiber(CourantFiber(n), image(vstack(LinMap.identity(n), omega.flat())))
 
 
 def graph_bivector(pi: LinMap) -> DiracFiber:
-    """Span of (pi(e_i*, .), e_i*); its kernel meets V only at 0.
+    """Span of (pi(e_i*, .), e_i*), the image of (pi^T, I); its kernel meets
+    V only at 0.
 
     The matrix entry pi[i][j] is the pairing of the bivector with
     (dx_i, dx_j), and contraction happens in the first slot.
@@ -245,9 +241,7 @@ def graph_bivector(pi: LinMap) -> DiracFiber:
     if not pi.is_antisymmetric():
         raise ValueError("bivector matrix must be antisymmetric")
     n = pi.rows
-    sharp = pi.transpose()
-    gens = [vec_concat(sharp.apply(basis_vec(n, i)), basis_vec(n, i)) for i in range(n)]
-    return DiracFiber(CourantFiber(n), canonicalize(gens, 2 * n))
+    return DiracFiber(CourantFiber(n), image(vstack(pi.transpose(), LinMap.identity(n))))
 
 
 def tangent_dirac(n: int) -> DiracFiber:
@@ -317,15 +311,12 @@ def cotangent_trace(l: DiracFiber) -> Subspace:
 
 
 def perp(s: Subspace) -> Subspace:
-    """Orthogonal complement for the fixed symmetric pairing."""
+    """Orthogonal complement for the fixed symmetric pairing: ker S^T P for
+    the basis matrix S and the pairing matrix P."""
     if s.ambient_dim % 2 != 0:
         raise DimensionMismatch("perp needs an even ambient")
-    n = s.ambient_dim // 2
-    pair = CourantFiber(n).pairing_matrix()
-    if s.dim == 0:
-        return full_subspace(2 * n)
-    m = LinMap.from_rows([pair.apply(v) for v in s.basis], cols=2 * n)
-    return kernel(m)
+    pair = CourantFiber(s.ambient_dim // 2).pairing_matrix()
+    return kernel(s.matrix().transpose() @ pair)
 
 
 def is_lagrangian(s: Subspace) -> bool:
@@ -342,12 +333,8 @@ def two_form_of(l: DiracFiber) -> TwoFormFiber:
     if not is_nondegenerate(l):
         raise ValueError("fiber is not the graph of a 2-form")
     t, c = l.parts()
-    cols = []
-    for i in range(l.n):
-        # unique x with tangent part T x = e_i
-        x = solve(t, basis_vec(l.n, i))
-        if x is None:
-            raise ValueError("fiber is not a graph over V")
-        cols.append(c.apply(x))
-    flat = LinMap.from_cols(cols, rows_dim=l.n)  # flat matrix = omega^T
-    return TwoFormFiber(flat.transpose())
+    # the unique X with tangent part T X = I; C X is the flat matrix omega^T
+    x = solve(t, LinMap.identity(l.n))
+    if x is None:
+        raise ValueError("fiber is not a graph over V")
+    return TwoFormFiber((c @ x).transpose())

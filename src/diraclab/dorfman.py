@@ -16,6 +16,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .courant import CourantFiber
 from .linalg import Vec, ZERO, as_vec, canonicalize, frac, vec_concat
 from .report import VerificationReport, witness_vector
 
@@ -293,11 +294,9 @@ def involutivity_check(frame: PolyDiracFrame, sample_points) -> VerificationRepo
         span = canonicalize(vals, 2 * n)
         if span.dim != n:
             raise FrameNotLagrangian(f"frame span has dim {span.dim} at {p}")
-        for i, x in enumerate(vals):
-            for y in vals[i:]:
-                lhs = sum((x[n + k] * y[k] + y[n + k] * x[k] for k in range(n)), ZERO)
-                if lhs != 0:
-                    raise FrameNotLagrangian(f"frame not isotropic at {p}")
+        # the pairing vanishes on the frame iff it vanishes on its span
+        if not span.is_isotropic(CourantFiber(n).pairing):
+            raise FrameNotLagrangian(f"frame not isotropic at {p}")
         spans.append(span)
 
     for i, j in itertools.combinations(range(len(frame.sections)), 2):

@@ -35,14 +35,12 @@ from .linalg import (
     DimensionMismatch,
     LinMap,
     Subspace,
-    basis_vec,
     block_diag,
-    canonicalize,
     fiber_product,
     hstack,
+    image,
     kernel,
     solve,
-    vec_concat,
     vstack,
 )
 from .report import VerificationReport, witness_subspace, witness_vector
@@ -143,16 +141,15 @@ def pair_tangent(g: ArrowFiber, h: ArrowFiber) -> Subspace:
 
 
 def make_pair(bundle_arrows, g_idx: int, h_idx: int, gh_idx: int,
-              m_of) -> ComposablePairFiber:
+              m: LinMap) -> ComposablePairFiber:
     """Build a pair fiber from a closed-form multiplication differential.
 
-    m_of maps (v, w) vectors (as one concatenated tuple) to T_gh vectors.
+    m : T_g + T_h -> T_gh acts on concatenated (v, w) coordinates; the pair
+    stores it on the tangent basis, m_star = m @ tangent.matrix().
     """
     g, h = bundle_arrows[g_idx], bundle_arrows[h_idx]
     tang = pair_tangent(g, h)
-    cols = [m_of(b) for b in tang.basis]
-    m_star = LinMap.from_cols(cols, rows_dim=bundle_arrows[gh_idx].dim)
-    return ComposablePairFiber(g_idx, h_idx, gh_idx, tang, m_star)
+    return ComposablePairFiber(g_idx, h_idx, gh_idx, tang, m @ tang.matrix())
 
 
 @dataclass(frozen=True)
@@ -222,8 +219,8 @@ def unit_groupoid(n: int, num_objects: int = 2,
                               LinMap.zero(n, 0), unit=True,
                               u_star=LinMap.identity(n))
                    for i in range(num_objects))
-    pairs = tuple(make_pair(arrows, i, i, i, lambda v, n=n: v[:n])
-                  for i in range(num_objects))
+    first = hstack(LinMap.identity(n), LinMap.zero(n, n))   # (v, w) -> v
+    pairs = tuple(make_pair(arrows, i, i, i, first) for i in range(num_objects))
     return GroupoidFiberBundle(objects, arrows, pairs, name=name)
 
 
@@ -278,9 +275,7 @@ def qs_check(bundle: GroupoidFiberBundle) -> VerificationReport:
                 witness=None if ker12.dim == 0 else
                 {"object": i, **witness_subspace(ker12)})
 
-        im = canonicalize([vec_concat(ob.rho.apply(basis_vec(ob.adim, j)),
-                                      ob.sigma.apply(basis_vec(ob.adim, j)))
-                           for j in range(ob.adim)], 2 * n)
+        im = image(stacked)
         ker_dual = kernel(hstack(ob.sigma.transpose(), ob.rho.transpose()))
         rep.add("qs.lemma.item3", im == ker_dual,
                 detail=f"object {i}: ker(rho* + sigma*) = im(rho, sigma)",
@@ -344,49 +339,39 @@ def qs_check(bundle: GroupoidFiberBundle) -> VerificationReport:
                 detail=f"pair {idx}: m*omega = pr1*omega + pr2*omega")
 
         if h.unit:
-            ok = True
+            # V with s_* V = rho; then m(V, aR) = V + aL on all of A at once
             wit = None
-            for j in range(bundle.objects[g.src].adim):
-                a = basis_vec(bundle.objects[g.src].adim, j)
-                v = solve(g.s_star, bundle.objects[g.src].rho.apply(a))
-                if v is None:
-                    ok = False
-                    wit = {"pair": idx, "reason": "source differential not surjective"}
-                    break
-                w = vec_concat(v, h.right.apply(a))
-                w_coords = p.tangent.coords(w)
-                if w_coords is None:
-                    ok = False
-                    wit = {"pair": idx, **witness_vector(w)}
-                    break
-                got = p.m_star.apply(w_coords)
-                want = tuple(x + y for x, y in zip(v, g.left.apply(a)))
-                if got != want:
-                    ok = False
-                    wit = {"pair": idx, "algebroid_index": j,
-                           "got": [str(x) for x in got],
-                           "want": [str(x) for x in want]}
-                    break
-            rep.add("qs.pair.translation", ok,
+            v = solve(g.s_star, bundle.objects[g.src].rho)
+            if v is None:
+                wit = {"pair": idx, "reason": "source differential not surjective"}
+            else:
+                w = vstack(v, h.right)
+                want = v + g.left
+                x = p.tangent.coords(w)
+                if x is None or p.m_star @ x != want:
+                    wit = {"pair": idx, **_translation_witness(p, w, want)}
+            rep.add("qs.pair.translation", wit is None,
                     detail=f"pair {idx}: m(v, a) = v + aL", witness=wit)
     return rep
 
 
-def coords(space: Subspace, v) -> tuple:
-    """Coordinates of v in the echelon basis of the subspace."""
-    x = space.coords(tuple(v))
-    if x is None:
-        raise ValueError("vector not in subspace")
-    return x
+def _translation_witness(p: ComposablePairFiber, w: LinMap, want: LinMap) -> dict:
+    """The first algebroid index where m(w) = want fails: the column of w
+    that leaves the pair tangent, or the two sides of the identity."""
+    for j, (wj, want_j) in enumerate(zip(w.col_vectors(), want.col_vectors())):
+        if not p.tangent.contains(wj):
+            return witness_vector(wj)
+        got = p.m_star.apply(tuple(wj[q] for q in p.tangent.pivots))
+        if got != want_j:
+            return {"algebroid_index": j, "got": [str(x) for x in got],
+                    "want": [str(x) for x in want_j]}
+    raise AssertionError("no failing column")
 
 
 def induced_dirac(obj: ObjectFiber) -> DiracFiber:
     """im(rho, sigma) as a Dirac fiber; errors if it is not Lagrangian."""
     n = obj.dim
-    gens = [vec_concat(obj.rho.apply(basis_vec(obj.adim, j)),
-                       obj.sigma.apply(basis_vec(obj.adim, j)))
-            for j in range(obj.adim)]
-    space = canonicalize(gens, 2 * n)
+    space = image(vstack(obj.rho, obj.sigma))
     if space.dim != n:
         raise ValueError(
             f"im(rho, sigma) has dim {space.dim} != {n}: fiber is not quasi-symplectic")

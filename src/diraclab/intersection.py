@@ -26,6 +26,7 @@ from .groupoid import (
     ArrowFiber,
     GroupoidFiberBundle,
     ObjectFiber,
+    induced_dirac,
     morphism_to_point,
     point_bundle,
 )
@@ -34,13 +35,11 @@ from .linalg import (
     LinMap,
     Subspace,
     annihilator,
-    basis_vec,
     block_diag,
     fiber_product,
     hstack,
     image,
     kernel,
-    vec_concat,
     vstack,
 )
 from .report import VerificationReport, witness_subspace
@@ -235,13 +234,10 @@ def _restrict_pairmap(dom_space: Subspace, cod_space: Subspace,
                       m: LinMap) -> LinMap:
     """Express a componentwise map m = diag(top, bottom) between
     fiber-product subspaces in their echelon-basis coordinates."""
-    cols = []
-    for b in dom_space.basis:
-        x = cod_space.coords(m.apply(b))
-        if x is None:
-            raise DimensionMismatch("componentwise map leaves the fiber product")
-        cols.append(x)
-    return LinMap.from_cols(cols, rows_dim=cod_space.dim)
+    x = cod_space.coords(m @ dom_space.matrix())
+    if x is None:
+        raise DimensionMismatch("componentwise map leaves the fiber product")
+    return x
 
 
 def strong_exact_sequence(d1: CoisotropicDatum, d2: CoisotropicDatum,
@@ -268,16 +264,14 @@ def strong_exact_sequence(d1: CoisotropicDatum, d2: CoisotropicDatum,
         r_space = _shared_tangent_sum(d1, i1, d2, i2)
         r_ann = annihilator(r_space)
 
-        sigma1 = ob_g.sigma @ c1m.cA[i1]
-        sigma2 = ob_g.sigma @ c2m.cA[i2]
-        well_defined = all(
-            sigma1.apply(b[:r1]) == sigma2.apply(b[r1:]) for b in middle.basis)
+        # on the middle basis B = (B1, B2): sigma c1 B1 = sigma c2 B2
+        b = middle.matrix()
+        to_rann = ob_g.sigma @ c1m.cA[i1] @ b.row_block(0, r1)
+        well_defined = to_rann == ob_g.sigma @ c2m.cA[i2] @ b.row_block(r1, b.rows)
         rep.add("exact.well_defined", well_defined,
                 detail=f"point {f.base}: sigma c1 b1 = sigma c2 b2 on the middle term")
         if not well_defined:
             continue
-        to_rann = LinMap.from_cols([sigma1.apply(b[:r1]) for b in middle.basis],
-                                   rows_dim=ob_g.dim)
 
         img = image(to_rann)
         rep.add("exact.into_rann", img.issubset(r_ann),
@@ -355,20 +349,15 @@ def homotopy_intersection(d1: CoisotropicDatum, d2: CoisotropicDatum,
             pullback(p0, graph_two_form(ar.omega.neg())))
         dirac.append(l_fiber)
 
-        # translated anchor on A_{C1} + A_{C2}
-        rho_cols = []
-        for j in range(ob1.adim + ob2.adim):
-            b = basis_vec(ob1.adim + ob2.adim, j)
-            b1, b2 = b[:ob1.adim], b[ob1.adim:]
-            middle = tuple(x - y for x, y in
-                           zip(ar.right.apply(c2m.cA[i2].apply(b2)),
-                               ar.left.apply(c1m.cA[i1].apply(b1))))
-            w = vec_concat(vec_concat(ob1.rho.apply(b1), middle), ob2.rho.apply(b2))
-            x = tang.coords(w)
-            if x is None:
-                raise DimensionMismatch("translated anchor leaves the product tangent")
-            rho_cols.append(x)
-        rho = LinMap.from_cols(rho_cols, rows_dim=tang.dim)
+        # translated anchor on A_{C1} + A_{C2}:
+        # (b1, b2) -> (rho b1, (c2 b2)^R - (c1 b1)^L, rho b2)
+        anchor = vstack(vstack(hstack(ob1.rho, LinMap.zero(n1, ob2.adim)),
+                               hstack((ar.left @ c1m.cA[i1]).scale(-1),
+                                      ar.right @ c2m.cA[i2])),
+                        hstack(LinMap.zero(n2, ob1.adim), ob2.rho))
+        rho = tang.coords(anchor)
+        if rho is None:
+            raise DimensionMismatch("translated anchor leaves the product tangent")
         fibers.append(HomotopyProductFiber((i1, ga, i2), tang, rho, p1, p0, p2))
 
         # R = im((c1 pT, c2 pT) on L1 x L2) + im(s, t) in T_G0 x T_G0
@@ -400,7 +389,6 @@ def _homotopy_sequence_checks(rep: VerificationReport, d1, i1, d2, i2,
     g = d1.morphism.cod
     ob1, ob2 = c1m.dom.objects[i1], c2m.dom.objects[i2]
     ob_g_s, ob_g_t = g.objects[ar.src], g.objects[ar.tgt]
-    r1 = ob1.adim
 
     k1 = kernel(vstack(ob1.rho, c1m.cA[i1]))
     k2 = kernel(vstack(ob2.rho, c2m.cA[i2]))
@@ -408,12 +396,9 @@ def _homotopy_sequence_checks(rep: VerificationReport, d1, i1, d2, i2,
     middle = kernel(rho)
     r_ann = annihilator(r_space)
 
-    sigma_s = ob_g_s.sigma @ c1m.cA[i1]
-    sigma_t = ob_g_t.sigma @ c2m.cA[i2]
-    to_rann = LinMap.from_cols(
-        [vec_concat(sigma_s.apply(b[:r1]),
-                    tuple(-x for x in sigma_t.apply(b[r1:])))
-         for b in middle.basis], rows_dim=ob_g_s.dim + ob_g_t.dim)
+    # (b1, b2) -> (sigma c1 b1, -sigma c2 b2) on the middle basis
+    to_rann = block_diag(ob_g_s.sigma @ c1m.cA[i1],
+                         (ob_g_t.sigma @ c2m.cA[i2]).scale(-1)) @ middle.matrix()
     img = image(to_rann)
     rep.add("homotopy.exact.into_rann", img.issubset(r_ann),
             detail=f"point {(i1, i2)}: boundary map lands in the annihilator of R")
@@ -452,7 +437,6 @@ def _homotopy_sequence_checks(rep: VerificationReport, d1, i1, d2, i2,
 def induced_poisson(datum: CoisotropicDatum) -> VerificationReport:
     """L - c*L_G per object, cross-point rank comparison, and the 0-shifted
     Poisson conditions on the result."""
-    from .groupoid import induced_dirac
     rep = VerificationReport("induced_poisson")
     c = datum.morphism
     out = []

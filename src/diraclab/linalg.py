@@ -17,14 +17,15 @@ Representation: integer rows inside, Fraction only at the boundary.
 Both forms are unique, so dataclass equality and hashing are exact.
 Values a caller passes in (vector and matrix entries) may be ints,
 Fractions or, where frac accepts them, 'p/q' strings; every value it gets
-back is a Fraction.  LinMap.entries and Subspace.basis are Fraction views,
-built on first read and kept on the frozen object; apply, dot, solve and
-coords return Fractions.  Products, sums, stacking, image, kernel,
-fiber_product, solve and the membership tests run on ints throughout:
-_rref_int eliminates fraction-free (Bareiss, "Sylvester's identity and
-multistep integer-preserving Gaussian elimination", Math. Comp. 22, 1968)
-and keeps every row primitive.  Coordinates in a Subspace basis are read,
-not solved: Subspace.coords returns v's entries at the pivot columns.
+back is a Fraction or a LinMap.  LinMap.entries and Subspace.basis are
+Fraction views, built on first read and kept on the frozen object; apply and
+dot return Fractions, solve and coords take and return whole LinMaps.
+Products, sums, stacking, image, kernel, fiber_product, solve and the
+membership tests run on ints throughout: _rref_int eliminates fraction-free
+(Bareiss, "Sylvester's identity and multistep integer-preserving Gaussian
+elimination", Math. Comp. 22, 1968) and keeps every row primitive.
+Coordinates in a Subspace basis are read, not solved: Subspace.coords
+returns M's rows at the pivot columns.
 
 Relations: fiber_product(m1, m2) is the subspace {(x, y) : m1 x = m2 y},
 the one primitive from which the Dirac operations and the checkers build
@@ -382,16 +383,19 @@ class Subspace:
             raise DimensionMismatch("contains: ambient mismatch")
         return self._spans(_clear(v)[0])
 
-    def coords(self, v: Vec) -> Vec | None:
-        """The coordinates of v in the basis, or None if v is not in the span.
+    def coords(self, m: LinMap) -> LinMap | None:
+        """The coordinates of M's columns in the basis, as a map
+        Q^{M.cols} -> Q^dim, or None if some column is not in the span.
 
         The basis is in reduced echelon form: each row is 1 at its pivot
         column and every other row is 0 there, so the coefficient of a row
-        is v's entry at that row's pivot.  No elimination is needed.
+        is a column's entry at that row's pivot.  No elimination is needed.
         """
-        if not self.contains(v):
+        if m.rows != self.ambient_dim:
+            raise DimensionMismatch("coords: ambient mismatch")
+        if not all(map(self._spans, _transpose(m.nums, m.cols))):
             return None
-        return tuple(v[p] for p in self.pivots)
+        return _normalised(self.dim, m.cols, tuple(m.nums[p] for p in self.pivots), m.den)
 
     def issubset(self, other: "Subspace") -> bool:
         if self.ambient_dim != other.ambient_dim:
@@ -515,24 +519,27 @@ def quotient_dim(s1: Subspace, s2: Subspace) -> int:
     return s1.dim - s2.dim
 
 
-def solve(f: LinMap, b: Vec) -> Vec | None:
-    """One solution of F x = b, or None.
+def solve(f: LinMap, b: LinMap) -> LinMap | None:
+    """One solution X of F X = B, or None if some column of B is not in the
+    image of F.
 
-    Deterministic: free variables are set to 0 in echelon order, so every
-    lift built on top of solve is reproducible.
+    One elimination of [F | B]; free variables are set to 0 in echelon
+    order, so column j of X is the same for every B with that column j, and
+    every lift built on top of solve is reproducible.
     """
-    if len(b) != f.rows:
-        raise DimensionMismatch("solve: rhs length mismatch")
-    w, d = _clear(b)
-    # with F = nums / den and b = w / d:  F x = b  iff  (d nums) x = den w
-    rows, piv_cols = _rref_int([[d * x for x in r] + [f.den * y]
-                                for r, y in zip(f.nums, w)])
-    sol = [ZERO] * f.cols
+    if b.rows != f.rows:
+        raise DimensionMismatch("solve: rhs rows mismatch")
+    # with F = nums / den and B = bnums / bden:  F X = B  iff  (bden nums) X = den bnums
+    n = f.cols
+    rows, piv_cols = _rref_int([[b.den * x for x in r] + [f.den * y for y in s]
+                                for r, s in zip(f.nums, b.nums)])
+    if piv_cols and piv_cols[-1] >= n:  # a pivot among B's columns: inconsistent
+        return None
+    den = lcm(*[r[pc] for r, pc in zip(rows, piv_cols)])
+    sol = [(0,) * b.cols] * n
     for r, pc in zip(rows, piv_cols):
-        if pc == f.cols:  # pivot in the augmented column: inconsistent
-            return None
-        sol[pc] = Fraction(r[f.cols], r[pc])
-    return tuple(sol)
+        sol[pc] = tuple((den // r[pc]) * y for y in r[n:])
+    return _normalised(n, b.cols, tuple(sol), den)
 
 
 def random_fraction(rng, bound: int = 8) -> Fraction:

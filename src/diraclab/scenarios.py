@@ -15,12 +15,15 @@ groupoid.unit_groupoid and groupoid.morphism_to_point.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import isqrt
 
-from .coisotropic import CoisotropicDatum, OrbitSample, orbit_lagrangian
-from .courant import ThreeFormFiber, TwoFormFiber, graph_two_form
+from .coisotropic import (CoisotropicDatum, ImageEscapesL, OrbitSample, nondeg_assembly,
+                          orbit_lagrangian)
+from .courant import (ThreeFormFiber, TwoFormFiber, graph_bivector, graph_two_form,
+                      kernel_of, pullback)
 from .dorfman import Poly, PolyDiracFrame, PolyForm, PolySection, contract, d, zero_poly
 from .groupoid import (
     ArrowFiber,
@@ -33,19 +36,21 @@ from .groupoid import (
     point_bundle,
     unit_groupoid,
 )
+from .intersection import strong_exact_sequence, strong_intersection
 from .linalg import (
     LinMap,
     Vec,
     as_vec,
-    basis_vec,
     block_diag,
+    canonicalize,
     frac,
     hstack,
+    image,
     kernel,
-    vec_concat,
+    solve,
     vstack,
-    zero_vec,
 )
+from .report import VerificationReport, witness_subspace
 
 F = Fraction
 
@@ -100,22 +105,22 @@ def build_pair_groupoid(n: int, omega_base: TwoFormFiber | None = None,
             arrows.append(arrow(i, j))
     arrows = tuple(arrows)
 
-    def m_of(v, i=None):
-        return v[:n] + v[3 * n:]
-
+    # (v_g, v_h) -> (first half of v_g, second half of v_h)
+    m = block_diag(hstack(LinMap.identity(n), LinMap.zero(n, n)),
+                   hstack(LinMap.zero(n, n), LinMap.identity(n)))
     pairs = []
     for i in range(num_objects):
         for j in range(num_objects):
             for k in range(num_objects):
                 if (i + j + k) % 2 == 0 or num_objects <= 2:
                     pairs.append(make_pair(arrows, index[(i, j)], index[(j, k)],
-                                           index[(i, k)], m_of))
+                                           index[(i, k)], m))
     # pairs with a unit second factor exercise the translation identity
     for i in range(num_objects):
         for j in range(num_objects):
             if i != j:
                 pairs.append(make_pair(arrows, index[(i, j)], index[(j, j)],
-                                       index[(i, j)], m_of))
+                                       index[(i, j)], m))
     return GroupoidFiberBundle(objects, arrows, tuple(pairs), name=name)
 
 
@@ -193,14 +198,11 @@ def build_cotangent_torus(points, ts_tuples,
                                      u_star=vstack(zero, ident) if unit else None))
     arrows = tuple(arrows)
 
-    def m_of(v):
-        # v = (angles_g, xi_g, angles_h, xi_h); the product keeps xi_g
-        return vec_concat(tuple(x + y for x, y in zip(v[:k], v[2 * k:3 * k])),
-                          v[k:2 * k])
-
+    # (angles_g, xi_g, angles_h, xi_h) -> (angles_g + angles_h, xi_g)
+    m = hstack(hstack(LinMap.identity(2 * k), trans), LinMap.zero(2 * k, k))
     triples = list(composable(ts_list))
     pairs = tuple(make_pair(arrows, index[(li, ts1)], index[(li, ts2)],
-                            index[(li, ts12)], m_of)
+                            index[(li, ts12)], m)
                   for li in range(len(points)) for ts1, ts2, ts12 in triples)
     return GroupoidFiberBundle(objects, arrows, pairs, name=name)
 
@@ -365,15 +367,10 @@ def _build_rotation_hamiltonian(points: list[Vec], circles: list[list[int]],
             add_object(rp)
             dim = k + n2
             s_star = hstack(LinMap.zero(n2, k), LinMap.identity(n2))
-            t_cols = [sum_blocks(rp, circles[ci]) for ci in range(k)]
-            t_star = hstack(LinMap.from_cols(t_cols, rows_dim=n2), r)
-            left = LinMap.from_cols(
-                [vec_concat(basis_vec(k, ci),
-                            tuple(-x for x in sum_blocks(p, circles[ci])))
-                 for ci in range(k)], rows_dim=dim)
-            right = LinMap.from_cols(
-                [vec_concat(basis_vec(k, ci), zero_vec(n2)) for ci in range(k)],
-                rows_dim=dim)
+            t_star = hstack(objects[obj_index[rp]].rho, r)
+            # a^L = (a, -rho_p a) and a^R = (a, 0)
+            left = vstack(LinMap.identity(k), objects[obj_index[p]].rho.scale(-1))
+            right = vstack(LinMap.identity(k), LinMap.zero(n2, k))
             unit = all(t == 0 for t in ts)
             u_star = vstack(LinMap.zero(k, n2), LinMap.identity(n2)) if unit else None
             arrow_at[(p, ts)] = len(arrows)
@@ -393,11 +390,8 @@ def _build_rotation_hamiltonian(points: list[Vec], circles: list[list[int]],
     arrows = tuple(arrows)
     objects = tuple(objects)
 
-    def m_of(v):
-        # v = (angles_g, w_g, angles_h, w_h); the product keeps w_h
-        ag, ah, wh = v[:k], v[k + n2:2 * k + n2], v[2 * k + n2:]
-        return vec_concat(tuple(x + y for x, y in zip(ag, ah)), wh)
-
+    # (angles_g, w_g, angles_h, w_h) -> (angles_g + angles_h, w_h)
+    m = hstack(block_diag(LinMap.identity(k), LinMap.zero(n2, n2)), LinMap.identity(k + n2))
     pairs = []
     for p in points:
         for ts1, ts2, ts12 in composable(ts_tuples):
@@ -406,7 +400,7 @@ def _build_rotation_hamiltonian(points: list[Vec], circles: list[list[int]],
             h_i = arrow_at.get((p, ts2))
             gh_i = arrow_at.get((p, ts12))
             if None not in (g_i, h_i, gh_i):
-                pairs.append(make_pair(arrows, g_i, h_i, gh_i, m_of))
+                pairs.append(make_pair(arrows, g_i, h_i, gh_i, m))
     c_bundle = GroupoidFiberBundle(objects, arrows, tuple(pairs), name=name)
 
     obj_map, c0, cA = [], [], []
@@ -453,11 +447,6 @@ def hamiltonian_check(datum: CoisotropicDatum):
     differential mu_* at an object is the morphism's c0 there.  The
     compatibility records are the datum's, computed once per datum and
     relabelled ham.compat here."""
-    from .coisotropic import nondeg_assembly, ImageEscapesL
-    from .courant import kernel_of
-    from .linalg import image
-    from .report import VerificationReport, witness_subspace
-
     rep = VerificationReport(f"hamiltonian.{datum.name}")
     rep.records.extend(replace(r, check_id="ham.compat") for r in datum.compatibility)
     for i in range(len(datum.c_bundle.objects)):
@@ -512,12 +501,10 @@ def circle_orbit_datum(scn: RotationScenario, level) -> CoisotropicDatum:
         c1_list.append(vstack(LinMap.identity(k), LinMap.zero(ob_g.dim, k)))
     arrows = tuple(arrows)
 
-    def m_of(v):
-        return tuple(x + y for x, y in zip(v[:k], v[k:]))
-
+    m = hstack(LinMap.identity(k), LinMap.identity(k))   # (v_g, v_h) -> v_g + v_h
     ts_list = list(scn.ts_tuples)
     pairs = tuple(make_pair(arrows, ts_list.index(ts1), ts_list.index(ts2),
-                            ts_list.index(ts12), m_of)
+                            ts_list.index(ts12), m)
                   for ts1, ts2, ts12 in composable(ts_list))
     c_bundle = GroupoidFiberBundle((obj,), arrows, pairs,
                                    name=f"{scn.datum.name}.orbit")
@@ -616,24 +603,20 @@ def reduced_form_oracle(p: Vec, level) -> TwoFormFiber:
     orbit_dir = sum_blocks(p, range(n2 // 2))
     # well-definedness: the orbit direction spans ker(dpi|_Z) and is in the
     # radical of the restricted form
-    from .linalg import canonicalize as _canon
     ker_pi = kernel(jac_on_z)
-    from .linalg import solve as _solve
-    orbit_coords = _solve(tz.matrix(), orbit_dir)
+    orbit_coords = solve(tz.matrix(), LinMap.from_cols([orbit_dir], rows_dim=n2))
     if orbit_coords is None:
         raise ReductionHypothesisViolated("orbit direction leaves the level tangent")
-    if _canon([orbit_coords], tz.dim) != ker_pi:
+    orbit_coords = orbit_coords.col_vectors()[0]
+    if canonicalize([orbit_coords], tz.dim) != ker_pi:
         raise ReductionHypothesisViolated("chart kernel is not the orbit direction")
     for b in tz.basis:
         if omega(tz.matrix().apply(orbit_coords), b) != 0:
             raise ReductionHypothesisViolated("orbit direction not in the radical")
-    rows = []
-    w = []
-    for i in range(2):
-        x = _solve(jac_on_z, basis_vec(2, i))
-        if x is None:
-            raise ReductionHypothesisViolated("chart differential not surjective")
-        w.append(tz.matrix().apply(x))
+    x = solve(jac_on_z, LinMap.identity(2))
+    if x is None:
+        raise ReductionHypothesisViolated("chart differential not surjective")
+    w = [tz.matrix().apply(xi) for xi in x.col_vectors()]
     rows = [[omega(w[i], w[j]) for j in range(2)] for i in range(2)]
     return TwoFormFiber(LinMap.from_rows(rows))
 
@@ -678,8 +661,7 @@ def mismatched_twist_frame() -> PolyDiracFrame:
 
 
 def involutivity_points(seed: int = 11, count: int = 20) -> list:
-    import random as _random
-    rng = _random.Random(seed)
+    rng = random.Random(seed)
     pts = []
     while len(pts) < count:
         p = tuple(F(rng.randint(-2 ** 16, 2 ** 16), rng.randint(1, 9))
@@ -703,7 +685,6 @@ class LineBivectorFixture:
 
 
 def line_bivector_fixture(params=(F(1), F(0), F(2), F(-1, 2))) -> LineBivectorFixture:
-    from .courant import graph_bivector, pullback as _pullback
     cmaps = []
     l_m = []
     l_n = []
@@ -714,7 +695,7 @@ def line_bivector_fixture(params=(F(1), F(0), F(2), F(-1, 2))) -> LineBivectorFi
         lm = graph_bivector(pi)
         cmaps.append(c)
         l_m.append(lm)
-        l_n.append(_pullback(c, lm))
+        l_n.append(pullback(c, lm))
     return LineBivectorFixture(tuple(frac(t) for t in params), tuple(cmaps),
                                tuple(l_m), tuple(l_n))
 
@@ -756,8 +737,8 @@ def build_quotient_morphism(red: ReductionScenario, si):
     obj_map, c0, cA = [], [], []
     for k, f in enumerate(si.fibers):
         obj_map.append(chart_of[k])
-        cols = [jacs[k].apply(b[f.tangent.ambient_dim - n:]) for b in f.tangent.basis]
-        c0.append(LinMap.from_cols(cols, rows_dim=chart_bundle.objects[0].dim))
+        inc = f.tangent.matrix()
+        c0.append(jacs[k] @ inc.row_block(inc.rows - n, inc.rows))
         cA.append(LinMap.zero(0, f.algebroid.dim))
     unit_of_chart = {}
     for k, ar in enumerate(chart_bundle.arrows):
@@ -778,9 +759,7 @@ def run_reduction(red: ReductionScenario):
 
     Returns (reduced fibers per chart label, report).
     """
-    from .intersection import strong_intersection, strong_exact_sequence
     from .morita import MoritaEquivalenceDatum, NatTransFiber, transfer
-    from .report import VerificationReport
 
     rep = VerificationReport(f"reduction.{red.scn.datum.name}")
     n = 2 * len(red.scn.circles[0])   # real dimension of the acted-on space

@@ -309,3 +309,11 @@ def test_a_level_with_a_zero_denominator_is_rejected(tmp_path, capsys):
     code, out, err = run(capsys, ["reduce", spec, "--level", "1/0"])
     assert (code, out) == (cli.EXIT_BAD_INPUT, "")
     assert err == "error: level '1/0' has a zero denominator\n"
+
+
+def test_reduce_rejects_an_empty_level(tmp_path, capsys):
+    # an empty --level is malformed input, not a request for the spec's level
+    spec = write_spec(tmp_path, SPECS["circle-n1"])
+    code, out, err = run(capsys, ["reduce", spec, "--level", ""])
+    assert (code, out) == (cli.EXIT_BAD_INPUT, "")
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -275,9 +275,10 @@ def random_chain_datum(seed: int) -> CoisotropicDatum:
     cols = []
     for j in range(r_c):
         target = ob_g.rho.apply(cA.apply(basis_vec(r_c, j)))
-        x = solve(c0, target)
+        x = solve(c0, LinMap.from_cols([target], rows_dim=c0.rows))
         if x is None:
             return random_chain_datum(seed + 7919)
+        x = x.col_vectors()[0]
         if ker_c0.dim:
             noise = ker_c0.matrix().apply(
                 tuple(F(rng.randint(-2, 2)) for _ in range(ker_c0.dim)))

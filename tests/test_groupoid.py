@@ -222,7 +222,8 @@ def multiplicative_oracle(bundle):
         basis = p.tangent.basis
 
         def m(x):
-            return p.m_star.apply(solve(p.tangent.matrix(), x))
+            x = solve(p.tangent.matrix(), LinMap.from_cols([x]))
+            return (p.m_star @ x).col_vectors()[0]
 
         verdicts.append(all(
             gh.omega(m(x), m(y))
@@ -314,3 +315,33 @@ def test_gauge_qs_of_a_corrupted_bundle_is_hypothesis_violated(pair_bundle):
     assert [(r.check_id, r.status) for r in rep.records] == \
         [("gauge.preserves_qs", HYPOTHESIS_VIOLATED)]
     assert out.objects == bad.objects
+
+
+def test_translation_witness_names_the_first_failing_algebroid_index(pair_bundle):
+    # at a pair (g, unit) with g not a unit the identity reads
+    # m(v, aR) = v + aL = 0; a shifted m_star breaks it at index 0, and a
+    # doubled second column of aR takes that column out of the pair tangent
+    b = pair_bundle
+    u = next(i for i, p in enumerate(b.pairs)
+             if b.arrows[p.h].unit and not b.arrows[p.g].unit)
+    p = b.pairs[u]
+    shift = LinMap.from_rows([[1] * p.m_star.cols] + [[0] * p.m_star.cols] * 3)
+    shifted = replace(b, pairs=tuple(replace(q, m_star=q.m_star + shift) if i == u else q
+                                     for i, q in enumerate(b.pairs)))
+    col1_doubled = LinMap.from_rows([[1, 0], [0, 2]])
+    both = replace(shifted, arrows=tuple(
+        replace(a, right=a.right @ col1_doubled) if k == p.h else a
+        for k, a in enumerate(b.arrows)))
+
+    def witnesses(bundle):
+        return [r.witness for r in qs_check(bundle).failures()
+                if r.check_id == "qs.pair.translation"]
+
+    got_want = {"pair": u, "algebroid_index": 0,
+                "got": ["1", "0", "0", "0"], "want": ["0", "0", "0", "0"]}
+    assert witnesses(shifted) == [got_want]
+    # index 0 is still the one named at u; the other pairs through the unit
+    # arrow name the column that leaves their tangent
+    assert witnesses(both) == [got_want] + [
+        {"pair": i, "vector": ["0", "0", "0", "1", "0", "2", "0", "0"]}
+        for i, q in enumerate(b.pairs) if q.h == p.h and i != u]

@@ -120,9 +120,9 @@ def test_homotopy_matches_strong_at_units(reduction1):
             u1 = b[:n1]
             w = vec_concat(vec_concat(
                 u1, ar.u_star.apply(d1.morphism.c0[i1].apply(u1))), b[n1:])
-            x = solve(f.tangent.matrix(), w)
+            x = solve(f.tangent.matrix(), LinMap.from_cols([w]))
             assert x is not None
-            cols.append(x)
+            cols.append(x.col_vectors()[0])
         inc = LinMap.from_cols(cols, rows_dim=f.tangent.dim)
         assert pullback(inc, hi.dirac[k]) == si.dirac[sk]
 

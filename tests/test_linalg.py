@@ -33,6 +33,11 @@ from diraclab.linalg import (
 F = Fraction
 
 
+def col(*entries):
+    """The one-column map with the given entries."""
+    return LinMap.from_cols([vec(*entries)], rows_dim=len(entries))
+
+
 def test_canonicalize_full_plane():
     s = canonicalize([vec(1, 0), vec(0, 1)])
     assert s.basis == (vec(1, 0), vec(0, 1))
@@ -76,18 +81,18 @@ def test_preimage_projection():
 
 def test_solve_identity():
     f = LinMap.identity(2)
-    assert solve(f, vec(3, 5)) == vec(3, 5)
+    assert solve(f, col(3, 5)) == col(3, 5)
 
 
 def test_solve_underdetermined_free_variable_zero():
     # echelon back-substitution with the free variable pinned to zero
     f = LinMap.from_rows([[1, 1]])
-    assert solve(f, vec(2)) == vec(2, 0)
+    assert solve(f, col(2)) == col(2, 0)
 
 
 def test_solve_inconsistent():
     f = LinMap.from_rows([[0, 0]])
-    assert solve(f, vec(1)) is None
+    assert solve(f, col(1)) is None
 
 
 def test_quotient_dim_requires_nesting():
@@ -156,10 +161,10 @@ def test_image_preimage_adjunction(s, rows):
        st.tuples(*[rationals] * 4))
 def test_solve_produces_solutions(rows, x):
     f = LinMap.from_rows([list(r) for r in rows], cols=4)
-    b = f.apply(tuple(F(v) for v in x))
+    b = f @ col(*x)
     sol = solve(f, b)
     assert sol is not None
-    assert f.apply(sol) == b
+    assert f @ sol == b
 
 
 def test_kernel_matches_rank():
@@ -287,9 +292,11 @@ def test_kernel_matches_oracle(mc):
 def test_solve_matches_oracle(mc, data):
     m, cols = mc
     b = tuple(data.draw(st.lists(entries, min_size=len(m), max_size=len(m))))
-    sol = solve(LinMap.from_rows(m, cols=cols), b)
-    assert sol == oracle_solve(m, b, cols)
-    assert sol is None or all_fractions([sol])
+    sol = solve(LinMap.from_rows(m, cols=cols), col(*b))
+    want = oracle_solve(m, b, cols)
+    assert (sol is None) == (want is None)
+    assert sol is None or sol.col_vectors() == [want]
+    assert sol is None or all_fractions(sol.entries)
 
 
 @settings(max_examples=60, deadline=None)
@@ -299,9 +306,9 @@ def test_coords_match_solve_in_the_span(mc, data):
     m, cols = mc
     space = canonicalize(m, cols)
     c = tuple(data.draw(st.lists(entries, min_size=space.dim, max_size=space.dim)))
-    v = space.matrix().apply(c)
-    assert space.coords(v) == solve(space.matrix(), v) == c
-    assert all_fractions([space.coords(v)])
+    v = space.matrix() @ col(*c)
+    assert space.coords(v) == solve(space.matrix(), v) == col(*c)
+    assert all_fractions(space.coords(v).entries)
 
 
 @settings(max_examples=60, deadline=None)
@@ -309,18 +316,70 @@ def test_coords_match_solve_in_the_span(mc, data):
 def test_coords_are_none_off_the_span(mc, data):
     m, cols = mc
     space = canonicalize(m, cols)
-    v = tuple(data.draw(st.lists(entries, min_size=cols, max_size=cols)))
+    v = col(*data.draw(st.lists(entries, min_size=cols, max_size=cols)))
     assert space.coords(v) == solve(space.matrix(), v)
     # a unit vector at a non-pivot column is never in the span
     _, piv_cols = oracle_rref(m)
     for j in range(cols):
         if j not in piv_cols:
-            assert space.coords(basis_vec(cols, j)) is None
+            assert space.coords(col(*basis_vec(cols, j))) is None
 
 
 def test_coords_reject_a_wrong_length():
     with pytest.raises(DimensionMismatch):
-        canonicalize([vec(1, 2)]).coords(vec(1, 2, 3))
+        canonicalize([vec(1, 2)]).coords(col(1, 2, 3))
+
+
+@st.composite
+def columns_for(draw, m, rows):
+    """0 to 4 columns of length `rows`, each either m applied to a random
+    vector (so it lies in the image of m) or random entries."""
+    out = []
+    for _ in range(draw(st.integers(0, 4))):
+        if draw(st.booleans()):
+            x = draw(st.lists(entries, min_size=m.cols, max_size=m.cols))
+            out.append(m.apply(tuple(x)))
+        else:
+            out.append(tuple(draw(st.lists(entries, min_size=rows, max_size=rows))))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices(), st.data())
+def test_solve_of_a_map_is_the_oracle_column_by_column(mc, data):
+    m, cols = mc
+    f = LinMap.from_rows(m, cols=cols)
+    bs = data.draw(columns_for(f, len(m)))
+    sol = solve(f, LinMap.from_cols(bs, rows_dim=len(m)))
+    wants = [oracle_solve(m, b, cols) for b in bs]
+    # None exactly when some column is inconsistent
+    assert (sol is None) == (None in wants)
+    assert sol is None or sol == LinMap.from_cols(wants, rows_dim=cols)
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices(), st.data())
+def test_coords_of_a_map_are_the_coords_of_each_column(mc, data):
+    m, cols = mc
+    space = canonicalize(m, cols)
+    basis_rows = [list(r) for r in space.matrix().entries]
+    vs = data.draw(columns_for(space.matrix(), cols))
+    x = space.coords(LinMap.from_cols(vs, rows_dim=cols))
+    wants = [oracle_solve(basis_rows, v, space.dim) for v in vs]
+    # None exactly when some column leaves the span
+    assert (x is None) == (None in wants)
+    assert x is None or x == LinMap.from_cols(wants, rows_dim=space.dim)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: solve(LinMap.identity(2), LinMap.identity(3)),
+    lambda: solve(LinMap.zero(3, 2), LinMap.zero(2, 0)),
+    lambda: canonicalize([vec(1, 2)]).coords(LinMap.identity(3)),
+    lambda: canonicalize([vec(1, 2)]).coords(LinMap.zero(1, 0)),
+])
+def test_map_forms_reject_a_row_count_mismatch(call):
+    with pytest.raises(DimensionMismatch):
+        call()
 
 
 @settings(max_examples=100, deadline=None)
@@ -350,13 +409,13 @@ def test_rref_keeps_zero_and_duplicate_rows_out():
 def test_solve_inconsistent_large_denominators():
     f = LinMap.from_rows([[F(1, 999983), F(2, 999979)],
                           [F(2, 999983), F(4, 999979)]])
-    assert solve(f, (F(1), F(3))) is None
-    assert solve(f, (F(1), F(2))) == (F(999983), F(0))
+    assert solve(f, col(1, 3)) is None
+    assert solve(f, col(1, 2)) == col(999983, 0)
 
 
 @pytest.mark.parametrize("call", [
     lambda: dot(vec(1, 2), vec(1, 2, 3)),
-    lambda: solve(LinMap.identity(2), vec(1)),
+    lambda: solve(LinMap.identity(2), col(1)),
     lambda: LinMap.identity(2).apply(vec(1, 2, 3)),
     lambda: LinMap.identity(2) @ LinMap.identity(3),
     lambda: kernel(LinMap.identity(2)).contains(vec(1)),
