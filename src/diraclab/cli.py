@@ -12,13 +12,16 @@ Each shipped scenario is one row of SCENARIOS, keyed by its name:
 Exit codes, mapped once in ``main``: 0 all checks pass; 1 a check failed, or
 a reduction hypothesis was violated (prints a hypothesis-violated document);
 2 malformed input, i.e. any other ValueError, or an ``--out`` file that
-cannot be written (prints ``error: ...``).
+cannot be written (prints ``error: ...``).  ``reduce`` and ``dump`` check
+their ``--out`` file before they build anything, so an unwritable path costs
+no work, and write it only when their document is done.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from collections import Counter
@@ -32,7 +35,7 @@ from .coisotropic import (chain_map_check, identity_datum,
                           infinitesimal_coisotropic_check, is_coisotropic, is_strong)
 from .courant import ThreeFormFiber, TwoFormFiber
 from .dorfman import involutivity_check
-from .groupoid import qs_check
+from .groupoid import GroupoidFiberBundle, qs_check
 from .intersection import induced_poisson, strong_exact_sequence, strong_intersection
 from .linalg import LinMap, canonicalize, frac, vec
 from .report import HYPOTHESIS_VIOLATED, PASS, VerificationReport
@@ -283,6 +286,23 @@ def load_spec(path: str) -> tuple[str, dict, int]:
     return name, checked, int_param(doc, "seed", 0)
 
 
+def writable(out: str | None) -> None:
+    """Reject an --out file that cannot be opened for writing, and leave it
+    as it was: a command checks this before its work, and emit writes after."""
+    if out:
+        existed = os.path.exists(out)
+        try:
+            open(out, "a").close()
+        except OSError as e:
+            raise unwritable(out, e) from e
+        if not existed:
+            os.remove(out)
+
+
+def unwritable(out: str, e: OSError) -> ScenarioError:
+    return ScenarioError(f"cannot write {out!r}: {e.strerror or e}")
+
+
 def emit(doc: dict, out: str | None) -> None:
     """Write the document to the --out file, or else to stdout."""
     text = dumps(doc)
@@ -291,7 +311,7 @@ def emit(doc: dict, out: str | None) -> None:
             with open(out, "w") as fh:
                 fh.write(text + "\n")
         except OSError as e:
-            raise ScenarioError(f"cannot write {out!r}: {e.strerror or e}") from e
+            raise unwritable(out, e) from e
     else:
         print(text)
 
@@ -332,9 +352,9 @@ def cmd_reduce(args) -> int:
     if name != "circle":
         raise ScenarioError("reduction is shipped for the circle scenario")
     level = parse_level(args.level) if args.level is not None else params["level"]
+    writable(args.out)
     red = sc.circle_reduction(params["n"], level)
-
-    if args.coisotropic not in (None, "orbit"):
+    if args.coisotropic != "orbit":
         try:
             with open(args.coisotropic) as fh:
                 custom = datum_from_json(json.load(fh))
@@ -345,10 +365,13 @@ def cmd_reduce(args) -> int:
         base = red.scn.datum.g_bundle
         if bundle_to_json(custom.g_bundle) != bundle_to_json(base):
             raise ScenarioError("custom coisotropic targets a different base bundle")
+        # the reduction's product samples name the orbit's objects and arrows
+        if atlas_indexing(custom.c_bundle) != atlas_indexing(red.orbit.c_bundle):
+            raise ScenarioError("custom coisotropic's C-bundle does not index its "
+                                "objects and arrows as the orbit's does")
         # rebind the loaded datum onto the freshly built, content-equal base
         red = replace(red, orbit=replace(
             custom, morphism=replace(custom.morphism, cod=base)))
-
     fibers, rep = sc.run_reduction(red)
     emit({
         "status": "pass" if rep.passed else "fail",
@@ -359,11 +382,17 @@ def cmd_reduce(args) -> int:
     return EXIT_OK if rep.passed and rep.hypothesis_ok else EXIT_CHECK_FAILED
 
 
+def atlas_indexing(bundle: GroupoidFiberBundle) -> tuple:
+    """The object count and each arrow's (source, target) indices."""
+    return len(bundle.objects), [(a.src, a.tgt) for a in bundle.arrows]
+
+
 def cmd_dump(args) -> int:
     name, params, _ = load_spec(args.scenario)
     document = SCENARIOS[name].dumps.get(args.what)
     if document is None:
         raise ScenarioError(f"scenario {name!r} cannot dump --what {args.what}")
+    writable(args.out)
     emit(document(params), args.out)
     return EXIT_OK
 

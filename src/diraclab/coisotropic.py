@@ -120,11 +120,6 @@ def nondeg_assembly(datum: CoisotropicDatum, obj_idx: int):
     return mat, image(block_diag(l.space.matrix(), LinMap.identity(r_g)), fp)
 
 
-def nondeg_map(datum: CoisotropicDatum, obj_idx: int) -> LinMap:
-    mat, _ = nondeg_assembly(datum, obj_idx)
-    return mat
-
-
 def is_coisotropic(datum: CoisotropicDatum) -> VerificationReport:
     """Compatibility at all sampled C-arrows plus surjectivity of the
     non-degeneracy map at all sampled C-objects; 3-form compatibility is a
@@ -289,21 +284,13 @@ def chain_map_check(datum: CoisotropicDatum, obj_idx: int) -> VerificationReport
     return rep
 
 
-@dataclass(frozen=True)
-class OrbitSample:
-    """Restricted fibers over one groupoid orbit: the inclusion morphism of
-    the restricted bundle together with chosen anchor preimages."""
-
-    inclusion: MorphismFiber     # C = G|_O -> G
-
-
-def orbit_lagrangian(orbit: OrbitSample) -> CoisotropicDatum:
-    """The canonical presymplectic 2-form on an orbit, as a Lagrangian datum.
+def orbit_lagrangian(c: MorphismFiber) -> CoisotropicDatum:
+    """The canonical presymplectic 2-form on an orbit, as a Lagrangian datum
+    on the inclusion c : C = G|_O -> G of the restricted bundle.
 
     gamma is defined on T O = im rho by gamma(rho a, rho b) = <sigma a, rho b>;
     well-definedness (the value depends only on rho a) is checked, not assumed.
     """
-    c = orbit.inclusion
     dirac = []
     for i, ob_c in enumerate(c.dom.objects):
         ob_g = c.cod.objects[c.obj_map[i]]
@@ -383,8 +370,8 @@ def infinitesimal_coisotropic_check(cmaps: list[LinMap],
     return rep
 
 
-def identity_datum(bundle: GroupoidFiberBundle, name: str = "") -> CoisotropicDatum:
+def identity_datum(bundle: GroupoidFiberBundle) -> CoisotropicDatum:
     """The induced Dirac structure on the identity morphism."""
     dirac = tuple(induced_dirac(ob) for ob in bundle.objects)
     return CoisotropicDatum(identity_morphism(bundle), dirac,
-                            name=name or f"identity.{bundle.name}")
+                            name=f"identity.{bundle.name}")

@@ -52,24 +52,13 @@ class NotLagrangian(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class CourantFiber:
-    """The split fiber Q^n + (Q^n)* with its fixed symmetric pairing."""
-
-    base_dim: int
-
-    def pairing(self, x, y):
-        """<(v, a), (w, b)> = a(w) + b(v), for vectors of ints or Fractions."""
-        n = self.base_dim
-        if len(x) != 2 * n or len(y) != 2 * n:
-            raise DimensionMismatch("pairing: ambient mismatch")
-        return sum(map(mul, x[n:], y[:n])) + sum(map(mul, y[n:], x[:n]))
-
-    def pairing_matrix(self) -> LinMap:
-        n = self.base_dim
-        z = LinMap.zero(n, n)
-        i = LinMap.identity(n)
-        return vstack(hstack(z, i), hstack(i, z))
+def pairing(x, y):
+    """<(v, a), (w, b)> = a(w) + b(v) on Q^n + (Q^n)*, for vectors of ints
+    or Fractions."""
+    if len(x) != len(y) or len(x) % 2:
+        raise DimensionMismatch("pairing: ambient mismatch")
+    n = len(x) // 2
+    return sum(map(mul, x[n:], y[:n])) + sum(map(mul, y[n:], x[:n]))
 
 
 @dataclass(frozen=True)
@@ -184,32 +173,22 @@ class ThreeFormFiber:
 
 @dataclass(frozen=True)
 class DiracFiber:
-    """A Lagrangian subspace of Q^n + (Q^n)*."""
+    """A Lagrangian subspace of Q^n + (Q^n)*, for the pairing above."""
 
-    fiber: CourantFiber
     space: Subspace
 
     def __post_init__(self):
-        n = self.fiber.base_dim
-        if self.space.ambient_dim != 2 * n:
-            raise DimensionMismatch("Dirac fiber must live in Q^{2n}")
+        if self.space.ambient_dim % 2:
+            raise DimensionMismatch("Dirac fiber must live in an even ambient Q^{2n}")
+        n = self.n
         if self.space.dim != n:
             raise NotLagrangian(f"dim {self.space.dim} != {n}")
-        if not self.space.is_isotropic(self.fiber.pairing):
+        if not self.space.is_isotropic(pairing):
             raise NotLagrangian("basis not isotropic")
 
     @property
     def n(self) -> int:
-        return self.fiber.base_dim
-
-    @staticmethod
-    def from_subspace(space: Subspace) -> "DiracFiber":
-        if space.ambient_dim % 2 != 0:
-            raise DimensionMismatch("ambient must be even")
-        return DiracFiber(CourantFiber(space.ambient_dim // 2), space)
-
-    def basis(self) -> list[Vec]:
-        return list(self.space.basis)
+        return self.space.ambient_dim // 2
 
     def parts(self) -> tuple[LinMap, LinMap]:
         """(T, C): the V and V* rows of space.matrix(), each an n x n map
@@ -228,7 +207,7 @@ def graph_two_form(omega: TwoFormFiber) -> DiracFiber:
     """Span of (e_i, i_{e_i} omega), the image of (I, omega-flat);
     non-degenerate by construction."""
     n = omega.dim
-    return DiracFiber(CourantFiber(n), image(vstack(LinMap.identity(n), omega.flat())))
+    return DiracFiber(image(vstack(LinMap.identity(n), omega.flat())))
 
 
 def graph_bivector(pi: LinMap) -> DiracFiber:
@@ -241,7 +220,7 @@ def graph_bivector(pi: LinMap) -> DiracFiber:
     if not pi.is_antisymmetric():
         raise ValueError("bivector matrix must be antisymmetric")
     n = pi.rows
-    return DiracFiber(CourantFiber(n), image(vstack(pi.transpose(), LinMap.identity(n))))
+    return DiracFiber(image(vstack(pi.transpose(), LinMap.identity(n))))
 
 
 def tangent_dirac(n: int) -> DiracFiber:
@@ -260,14 +239,14 @@ def dirac_sum(l1: DiracFiber, l2: DiracFiber) -> DiracFiber:
     t1, c1 = l1.parts()
     t2, c2 = l2.parts()
     out = vstack(hstack(t1, LinMap.zero(l1.n, l1.n)), hstack(c1, c2))
-    return DiracFiber(l1.fiber, image(out, fiber_product(t1, t2)))
+    return DiracFiber(image(out, fiber_product(t1, t2)))
 
 
 def dirac_negate(l: DiracFiber) -> DiracFiber:
     """{(v, -a) : (v, a) in L}."""
     n = l.n
     m = block_diag(LinMap.identity(n), LinMap.identity(n).scale(-1))
-    return DiracFiber(l.fiber, image(m, l.space))
+    return DiracFiber(image(m, l.space))
 
 
 def gauge(l: DiracFiber, b: TwoFormFiber) -> DiracFiber:
@@ -283,7 +262,7 @@ def pullback(f: LinMap, l: DiracFiber) -> DiracFiber:
         raise DimensionMismatch("pullback: map target must match fiber")
     t, c = l.parts()
     out = block_diag(LinMap.identity(f.cols), f.transpose() @ c)
-    return DiracFiber(CourantFiber(f.cols), image(out, fiber_product(f, t)))
+    return DiracFiber(image(out, fiber_product(f, t)))
 
 
 @cache
@@ -295,7 +274,7 @@ def pushforward(f: LinMap, l: DiracFiber) -> DiracFiber:
         raise ValueError("pushforward requires a surjective map")
     t, c = l.parts()
     out = block_diag(f @ t, LinMap.identity(f.rows))
-    return DiracFiber(CourantFiber(f.rows), image(out, fiber_product(c, f.transpose())))
+    return DiracFiber(image(out, fiber_product(c, f.transpose())))
 
 
 def kernel_of(l: DiracFiber) -> Subspace:
@@ -315,8 +294,9 @@ def perp(s: Subspace) -> Subspace:
     the basis matrix S and the pairing matrix P."""
     if s.ambient_dim % 2 != 0:
         raise DimensionMismatch("perp needs an even ambient")
-    pair = CourantFiber(s.ambient_dim // 2).pairing_matrix()
-    return kernel(s.matrix().transpose() @ pair)
+    n = s.ambient_dim // 2
+    z, i = LinMap.zero(n, n), LinMap.identity(n)
+    return kernel(s.matrix().transpose() @ vstack(hstack(z, i), hstack(i, z)))
 
 
 def is_lagrangian(s: Subspace) -> bool:

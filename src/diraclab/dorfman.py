@@ -16,8 +16,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .courant import CourantFiber
-from .linalg import Vec, ZERO, as_vec, canonicalize, frac, vec_concat
+from . import courant
+from .linalg import Vec, ZERO, canonicalize, frac, vec, vec_concat
 from .report import VerificationReport, witness_vector
 
 Monomial = tuple[int, ...]
@@ -228,10 +228,6 @@ class PolySection:
                           tuple(p.eval(point) for p in self.alpha))
 
 
-def section(v, alpha) -> PolySection:
-    return PolySection(tuple(v), tuple(alpha))
-
-
 def pairing(s1: PolySection, s2: PolySection) -> Poly:
     """<(v,a),(w,b)> = a(w) + b(v) as a polynomial function."""
     n = s1.arity
@@ -281,7 +277,7 @@ class FrameNotLagrangian(ValueError):
 def involutivity_check(frame: PolyDiracFrame, sample_points) -> VerificationReport:
     """Evaluate all bracket pairs at each point and test span membership."""
     n = frame.arity
-    points = [as_vec(p) for p in sample_points]
+    points = [vec(*p) for p in sample_points]
     if len(points) < 10:
         raise ValueError("need at least 10 sample points")
     if len(frame.sections) != n:
@@ -295,7 +291,7 @@ def involutivity_check(frame: PolyDiracFrame, sample_points) -> VerificationRepo
         if span.dim != n:
             raise FrameNotLagrangian(f"frame span has dim {span.dim} at {p}")
         # the pairing vanishes on the frame iff it vanishes on its span
-        if not span.is_isotropic(CourantFiber(n).pairing):
+        if not span.is_isotropic(courant.pairing):
             raise FrameNotLagrangian(f"frame not isotropic at {p}")
         spans.append(span)
 

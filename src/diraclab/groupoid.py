@@ -378,14 +378,13 @@ def induced_dirac(obj: ObjectFiber) -> DiracFiber:
     ker_dual = kernel(hstack(obj.sigma.transpose(), obj.rho.transpose()))
     if space != ker_dual:
         raise ValueError("im(rho, sigma) != ker(rho* + sigma*): invalid input fiber")
-    return DiracFiber.from_subspace(space)
+    return DiracFiber(space)
 
 
 def compatibility_check(arrow: ArrowFiber, l_src: DiracFiber, l_tgt: DiracFiber,
-                        pullback_form: TwoFormFiber,
-                        check_id: str = "coiso.compat") -> VerificationReport:
+                        pullback_form: TwoFormFiber) -> VerificationReport:
     """t*L = s*L + graph(c*omega) at one sampled arrow, exactly."""
-    rep = VerificationReport(check_id)
+    rep = VerificationReport("coiso.compat")
     lhs = pullback(arrow.t_star, l_tgt)
     rhs = dirac_sum(pullback(arrow.s_star, l_src), graph_two_form(pullback_form))
     ok = lhs == rhs
@@ -394,7 +393,7 @@ def compatibility_check(arrow: ArrowFiber, l_src: DiracFiber, l_tgt: DiracFiber,
         extra = [v for v in lhs.space.basis if not rhs.space.contains(v)]
         wit = witness_vector(extra[0]) if extra else \
             witness_vector(next(v for v in rhs.space.basis if not lhs.space.contains(v)))
-    rep.add(check_id, ok, detail="t*L = s*L + graph(c*omega)", witness=wit)
+    rep.add("coiso.compat", ok, detail="t*L = s*L + graph(c*omega)", witness=wit)
     return rep
 
 
@@ -436,43 +435,3 @@ def gauged_sigma(ob: ObjectFiber, gamma: TwoFormFiber) -> LinMap:
     # sigma'(a) = sigma(a) - i_{rho a} gamma
     return ob.sigma - gamma.flat() @ ob.rho
 
-
-def nat_trans_form_identity(f: MorphismFiber, g: MorphismFiber,
-                            theta) -> VerificationReport:
-    """g*omega - f*omega = t*(theta*omega) - s*(theta*omega) at sampled arrows.
-
-    theta maps each domain object index to a fiber with attributes
-    `arrow` (codomain arrow index) and `theta_star` (T_x dom -> T_theta(x)).
-    """
-    if f.dom is not g.dom or f.cod is not g.cod:
-        raise DimensionMismatch("natural transformation needs a parallel pair")
-    rep = VerificationReport("nat_trans.form")
-    theta_form = {}
-    for x, fib in theta.items():
-        om = f.cod.arrows[fib.arrow].omega
-        theta_form[x] = om.pullback(fib.theta_star).matrix
-    for k, ar in enumerate(f.dom.arrows):
-        if ar.src not in theta_form or ar.tgt not in theta_form:
-            continue
-        lhs = g.pullback_two_form(k).matrix - f.pullback_two_form(k).matrix
-        rhs = (ar.t_star.transpose() @ theta_form[ar.tgt] @ ar.t_star
-               - ar.s_star.transpose() @ theta_form[ar.src] @ ar.s_star)
-        rep.add("nat_trans.form.arrow", lhs == rhs,
-                detail=f"arrow {k}: g*omega - f*omega = t*theta*omega - s*theta*omega")
-    return rep
-
-
-def star_composite_form_identity(cod: GroupoidFiberBundle, theta, eta,
-                                 composite) -> VerificationReport:
-    """(eta * theta)*omega = eta*omega + theta*omega per sampled object."""
-    rep = VerificationReport("nat_trans.star")
-    for x in composite:
-        if x not in theta or x not in eta:
-            continue
-        forms = {}
-        for nameo, fib in (("theta", theta[x]), ("eta", eta[x]), ("comp", composite[x])):
-            om = cod.arrows[fib.arrow].omega
-            forms[nameo] = om.pullback(fib.theta_star).matrix
-        rep.add("nat_trans.star.object", forms["comp"] == forms["eta"] + forms["theta"],
-                detail=f"object {x}: (eta * theta)*omega = eta*omega + theta*omega")
-    return rep

@@ -34,7 +34,6 @@ from .linalg import (
     DimensionMismatch,
     LinMap,
     Subspace,
-    annihilator,
     block_diag,
     fiber_product,
     hstack,
@@ -98,8 +97,7 @@ class StrongIntersection:
 
 def strong_intersection(d1: CoisotropicDatum, d2: CoisotropicDatum,
                         obj_pairs: list[tuple[int, int]],
-                        arrow_pairs: list[tuple[int, int]] | None = None,
-                        ) -> StrongIntersection:
+                        arrow_pairs: list[tuple[int, int]]) -> StrongIntersection:
     """Strong fiber product of two coisotropics over their shared target.
 
     The first datum is the reversed leg: the composite Dirac fiber is
@@ -159,7 +157,7 @@ def strong_intersection(d1: CoisotropicDatum, d2: CoisotropicDatum,
 
     datum = None
     if transverse and fibers:
-        datum = _product_datum(d1, d2, fibers, dirac, arrow_pairs or [])
+        datum = _product_datum(d1, d2, fibers, dirac, arrow_pairs)
         sub = is_coisotropic(datum)
         rep.add("strong.coisotropic", sub.passed,
                 detail="product datum is coisotropic toward the trivial target")
@@ -262,7 +260,7 @@ def strong_exact_sequence(d1: CoisotropicDatum, d2: CoisotropicDatum,
         middle = image(f.algebroid.matrix(), kernel(f.rho))
 
         r_space = _shared_tangent_sum(d1, i1, d2, i2)
-        r_ann = annihilator(r_space)
+        r_ann = r_space.annihilator()
 
         # on the middle basis B = (B1, B2): sigma c1 B1 = sigma c2 B2
         b = middle.matrix()
@@ -394,7 +392,7 @@ def _homotopy_sequence_checks(rep: VerificationReport, d1, i1, d2, i2,
     k2 = kernel(vstack(ob2.rho, c2m.cA[i2]))
     left = image(block_diag(k1.matrix(), k2.matrix()))
     middle = kernel(rho)
-    r_ann = annihilator(r_space)
+    r_ann = r_space.annihilator()
 
     # (b1, b2) -> (sigma c1 b1, -sigma c2 b2) on the middle basis
     to_rann = block_diag(ob_g_s.sigma @ c1m.cA[i1],

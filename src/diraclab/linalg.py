@@ -77,10 +77,6 @@ def vec(*entries) -> Vec:
     return tuple(frac(e) for e in entries)
 
 
-def as_vec(entries) -> Vec:
-    return tuple(frac(e) for e in entries)
-
-
 def vec_concat(u: Vec, v: Vec) -> Vec:
     return tuple(u) + tuple(v)
 
@@ -328,18 +324,6 @@ def _rref_int(mat: list[Sequence[int]]) -> tuple[list[Sequence[int]], list[int]]
     return out, piv_cols
 
 
-def _rref(rows: Sequence[Vec]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form of the nonzero rows; returns (rows, pivot cols).
-
-    The rows are exact-scalar vectors.  Each is scaled to a row of ints,
-    _rref_int eliminates, and the division by the pivot happens once, at
-    the end.  The input is not modified.
-    """
-    out, piv_cols = _rref_int([_int_row(r) for r in rows])
-    return [[Fraction(x, row[c]) if x else ZERO for x in row]
-            for row, c in zip(out, piv_cols)], piv_cols
-
-
 @dataclass(frozen=True)
 class Subspace:
     """A subspace of Q^ambient_dim, given by its reduced echelon basis.
@@ -451,24 +435,8 @@ def canonicalize(vectors, ambient_dim: int | None = None) -> Subspace:
     return Subspace(ambient_dim, tuple(map(tuple, out)), tuple(piv_cols))
 
 
-def zero_subspace(ambient_dim: int) -> Subspace:
-    return Subspace(ambient_dim, ())
-
-
 def full_subspace(ambient_dim: int) -> Subspace:
     return canonicalize(LinMap.identity(ambient_dim).nums, ambient_dim)
-
-
-def span_sum(s1: Subspace, s2: Subspace) -> Subspace:
-    return s1.sum(s2)
-
-
-def intersect(s1: Subspace, s2: Subspace) -> Subspace:
-    return s1.intersect(s2)
-
-
-def annihilator(s: Subspace) -> Subspace:
-    return s.annihilator()
 
 
 def image(f: LinMap, s: Subspace | None = None) -> Subspace:
@@ -511,12 +479,6 @@ def kernel(f: LinMap) -> Subspace:
 def fiber_product(m1: LinMap, m2: LinMap) -> Subspace:
     """{(x, y) : m1 x = m2 y} as a subspace of the direct sum of the sources."""
     return kernel(hstack(m1, m2.scale(-1)))
-
-
-def quotient_dim(s1: Subspace, s2: Subspace) -> int:
-    if not s2.issubset(s1):
-        raise DimensionMismatch("quotient_dim: subspaces not nested")
-    return s1.dim - s2.dim
 
 
 def solve(f: LinMap, b: LinMap) -> LinMap | None:

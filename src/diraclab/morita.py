@@ -5,14 +5,15 @@ coisotropic transfer pipeline with its composition check.
 
 The transfer pipeline reuses what it has already decided: the target
 bundle's quasi-symplectic verdict is decided once per bundle (see groupoid),
-the strict-mode check adds only the injectivity half of strongness to the
-is_coisotropic report it already holds, and the composition check takes the
-first leg's TransferResult from its caller instead of transferring again.
+the strongness check, run when the caller passes the input datum, adds only
+the injectivity half of strongness to the is_coisotropic report it already
+holds, and the composition check takes the first leg's TransferResult from
+its caller instead of transferring again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .coisotropic import CoisotropicDatum, is_coisotropic, is_strong, strong_injectivity
 from .courant import (
@@ -24,7 +25,12 @@ from .courant import (
     pullback,
     pushforward,
 )
-from .groupoid import GroupoidFiberBundle, MorphismFiber, identity_morphism
+from .groupoid import (
+    GroupoidFiberBundle,
+    MorphismFiber,
+    compatibility_check,
+    identity_morphism,
+)
 from .linalg import (
     DimensionMismatch,
     LinMap,
@@ -41,21 +47,20 @@ from .report import VerificationReport
 
 
 def descend_dirac(f: MorphismFiber, dirac: list[DiracFiber],
-                  omega_pull: list[TwoFormFiber] | None = None):
+                  omega_pull: list[TwoFormFiber]):
     """Pushforward of a Dirac family along a weak Morita morphism.
 
-    omega_pull supplies f*omega_2 per domain arrow (the compatibility
-    hypothesis t*L = s*L + graph(f*omega_2), checked here); cross-fiber
-    invariance and the round trip f*f_*L = L are asserted.
+    omega_pull supplies f*omega_2 per domain arrow; the compatibility
+    hypothesis t*L = s*L + graph(f*omega_2) is compatibility_check's,
+    relabelled descend.hypothesis here.  Cross-fiber invariance and the
+    round trip f*f_*L = L are asserted.
     Returns (pushed fibers per codomain object, report).
     """
     rep = VerificationReport("descend_dirac")
     for k, ar in enumerate(f.dom.arrows):
-        form = omega_pull[k] if omega_pull is not None else f.pullback_two_form(k)
-        lhs = pullback(ar.t_star, dirac[ar.tgt])
-        rhs = dirac_sum(pullback(ar.s_star, dirac[ar.src]), graph_two_form(form))
-        rep.add("descend.hypothesis", lhs == rhs,
-                detail=f"arrow {k}: t*L = s*L + graph(f*omega)")
+        r = compatibility_check(ar, dirac[ar.src], dirac[ar.tgt], omega_pull[k]).records[0]
+        rep.records.append(replace(r, check_id="descend.hypothesis",
+                                   detail=f"arrow {k}: {r.detail}"))
     groups: dict[int, list[int]] = {}
     for i in range(len(f.dom.objects)):
         groups.setdefault(f.obj_map[i], []).append(i)
@@ -320,7 +325,6 @@ class MoritaEquivalenceDatum:
     gamma: tuple[TwoFormFiber, ...]
     dgamma: tuple[ThreeFormFiber, ...]
     delta: tuple[TwoFormFiber, ...]
-    strict: bool = False
 
     def connecting_form(self, x: int) -> TwoFormFiber:
         """-g*gamma + theta1*omega1 - theta2*omega2 at the K-object x."""
@@ -335,13 +339,48 @@ class MoritaEquivalenceDatum:
             self.c2, self.c1, self.theta2, self.theta1,
             tuple(gm.neg() for gm in self.gamma),
             tuple(dg.neg() for dg in self.dgamma),
-            tuple(d.neg() for d in self.delta),
-            strict=self.strict)
+            tuple(d.neg() for d in self.delta))
 
 
 def _theta_form(cod: GroupoidFiberBundle, fib: NatTransFiber) -> LinMap:
+    """theta*omega: the 2-form of the arrow theta(x), pulled back by theta_*."""
     om = cod.arrows[fib.arrow].omega
     return om.pullback(fib.theta_star).matrix
+
+
+def nat_trans_form_identity(f: MorphismFiber, g: MorphismFiber,
+                            theta: dict[int, NatTransFiber]) -> VerificationReport:
+    """g*omega - f*omega = t*(theta*omega) - s*(theta*omega) at the sampled
+    arrows whose two ends theta covers."""
+    if f.dom is not g.dom or f.cod is not g.cod:
+        raise DimensionMismatch("natural transformation needs a parallel pair")
+    rep = VerificationReport("nat_trans.form")
+    theta_form = {x: _theta_form(f.cod, fib) for x, fib in theta.items()}
+    for k, ar in enumerate(f.dom.arrows):
+        if ar.src not in theta_form or ar.tgt not in theta_form:
+            continue
+        lhs = g.pullback_two_form(k).matrix - f.pullback_two_form(k).matrix
+        rhs = (ar.t_star.transpose() @ theta_form[ar.tgt] @ ar.t_star
+               - ar.s_star.transpose() @ theta_form[ar.src] @ ar.s_star)
+        rep.add("nat_trans.form.arrow", lhs == rhs,
+                detail=f"arrow {k}: g*omega - f*omega = t*theta*omega - s*theta*omega")
+    return rep
+
+
+def star_composite_form_identity(cod: GroupoidFiberBundle,
+                                 theta: dict[int, NatTransFiber],
+                                 eta: dict[int, NatTransFiber],
+                                 composite: dict[int, NatTransFiber]) -> VerificationReport:
+    """(eta * theta)*omega = eta*omega + theta*omega at each sampled object
+    all three cover."""
+    rep = VerificationReport("nat_trans.star")
+    for x, fib in composite.items():
+        if x not in theta or x not in eta:
+            continue
+        rep.add("nat_trans.star.object",
+                _theta_form(cod, fib) == _theta_form(cod, eta[x]) + _theta_form(cod, theta[x]),
+                detail=f"object {x}: (eta * theta)*omega = eta*omega + theta*omega")
+    return rep
 
 
 def _unit_arrow_at(bundle: GroupoidFiberBundle, obj_idx: int) -> int:
@@ -364,9 +403,9 @@ def transfer(m: MoritaEquivalenceDatum, l1: list[DiracFiber],
 
     Pipeline: pull back along psi1, gauge by the connecting form, descend
     along psi2 (invariance and round-trip checked), then verify the result
-    is coisotropic; in strict mode, given the input as the datum (m.c1, l1)
-    the caller holds and found strong, verify strongness; finally transfer
-    back and compare with the input.
+    is coisotropic; given the input as the datum (m.c1, l1) the caller
+    holds, and that datum strong, verify strongness; finally transfer back
+    and compare with the input.
     """
     if input_datum is not None and (input_datum.morphism != m.c1
                                     or input_datum.dirac != tuple(l1)):
@@ -415,10 +454,9 @@ def transfer(m: MoritaEquivalenceDatum, l1: list[DiracFiber],
     if not sub.passed:
         rep.merge(sub)
 
-    if input_datum is not None and m.strict:
-        if is_strong(input_datum).passed:
-            rep.add("transfer.strong", sub.passed and strong_injectivity(d2).passed,
-                    detail="strict equivalence preserves strongness")
+    if input_datum is not None and is_strong(input_datum).passed:
+        rep.add("transfer.strong", sub.passed and strong_injectivity(d2).passed,
+                detail="strict equivalence preserves strongness")
 
     if roundtrip:
         back = transfer(m.reversed(), l2, roundtrip=False)
@@ -456,8 +494,7 @@ def _sigma_ad_holds(bundle: GroupoidFiberBundle, cf: ConnectionFiber,
 
 def gauge_twist_equivalence(datum: CoisotropicDatum,
                             gamma: list[TwoFormFiber],
-                            dgamma: list[ThreeFormFiber],
-                            strict: bool = True) -> MoritaEquivalenceDatum:
+                            dgamma: list[ThreeFormFiber]) -> MoritaEquivalenceDatum:
     """The self-equivalence of c : C -> G twisted by a 2-form on the target
     objects; gamma must make the identity span a symplectic equivalence
     (basic and closed for the self-pairing), which transfer re-checks."""
@@ -474,7 +511,7 @@ def gauge_twist_equivalence(datum: CoisotropicDatum,
         for i in range(len(c.dom.objects)))
     return MoritaEquivalenceDatum(
         ident_c, ident_c, c, identity_morphism(c.cod), identity_morphism(c.cod),
-        c, c, theta, theta, tuple(gamma), tuple(dgamma), delta, strict=strict)
+        c, c, theta, theta, tuple(gamma), tuple(dgamma), delta)
 
 
 @dataclass(frozen=True)

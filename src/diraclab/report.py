@@ -7,7 +7,6 @@ conditional and the condition does not hold, so no claim is made either way).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 PASS = "pass"
@@ -70,9 +69,6 @@ class VerificationReport:
             "passed": self.passed,
             "records": [r.to_json() for r in self.records],
         }
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
 
 
 def witness_vector(v) -> dict:

@@ -20,8 +20,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import isqrt
 
-from .coisotropic import (CoisotropicDatum, ImageEscapesL, OrbitSample, nondeg_assembly,
-                          orbit_lagrangian)
+from .coisotropic import CoisotropicDatum, ImageEscapesL, nondeg_assembly, orbit_lagrangian
 from .courant import (ThreeFormFiber, TwoFormFiber, graph_bivector, graph_two_form,
                       kernel_of, pullback)
 from .dorfman import Poly, PolyDiracFrame, PolyForm, PolySection, contract, d, zero_poly
@@ -40,7 +39,6 @@ from .intersection import strong_exact_sequence, strong_intersection
 from .linalg import (
     LinMap,
     Vec,
-    as_vec,
     block_diag,
     canonicalize,
     frac,
@@ -48,6 +46,7 @@ from .linalg import (
     image,
     kernel,
     solve,
+    vec,
     vstack,
 )
 from .report import VerificationReport, witness_subspace
@@ -73,22 +72,18 @@ def std_symplectic(n2: int) -> TwoFormFiber:
 # ---------------------------------------------------------------------------
 # pair groupoid of a constant symplectic vector space
 
-def build_pair_groupoid(n: int, omega_base: TwoFormFiber | None = None,
-                        num_objects: int = 3,
+def build_pair_groupoid(n: int, num_objects: int = 3,
                         name: str = "pair") -> GroupoidFiberBundle:
-    """Fibers of M x M over M for a constant symplectic form on Q^n."""
-    if omega_base is None:
-        omega_base = std_symplectic(n)
-    if not omega_base.is_nondegenerate():
-        raise ValueError("pair groupoid needs a nondegenerate base form")
-    sigma = omega_base.flat()  # sigma(a) = i_a omega
+    """Fibers of M x M over M for the standard symplectic form on Q^n, n even."""
+    omega = std_symplectic(n)
+    sigma = omega.flat()  # sigma(a) = i_a omega
     obj = ObjectFiber(n, n, LinMap.identity(n), sigma, ThreeFormFiber.zero(n))
     objects = tuple(obj for _ in range(num_objects))
 
     def arrow(i: int, j: int) -> ArrowFiber:
         s_star = hstack(LinMap.zero(n, n), LinMap.identity(n))
         t_star = hstack(LinMap.identity(n), LinMap.zero(n, n))
-        om = TwoFormFiber(block_diag(omega_base.matrix, omega_base.matrix.scale(-1)))
+        om = TwoFormFiber(block_diag(omega.matrix, omega.matrix.scale(-1)))
         left = vstack(LinMap.zero(n, n), LinMap.identity(n).scale(-1))
         right = vstack(LinMap.identity(n), LinMap.zero(n, n))
         unit = i == j
@@ -124,10 +119,9 @@ def build_pair_groupoid(n: int, omega_base: TwoFormFiber | None = None,
     return GroupoidFiberBundle(objects, arrows, tuple(pairs), name=name)
 
 
-def corrupt_sigma(bundle: GroupoidFiberBundle,
-                  obj_idx: int = 0) -> GroupoidFiberBundle:
-    """One-bit corruption fixture: flip the sign of one sigma entry."""
-    ob = bundle.objects[obj_idx]
+def corrupt_sigma(bundle: GroupoidFiberBundle) -> GroupoidFiberBundle:
+    """One-bit corruption fixture: flip the sign of one sigma entry of object 0."""
+    ob = bundle.objects[0]
     rows = [list(r) for r in ob.sigma.entries]
     found = False
     for i, row in enumerate(rows):
@@ -141,7 +135,7 @@ def corrupt_sigma(bundle: GroupoidFiberBundle,
     if not found:
         rows[0][0] = F(1)
     bad = replace(ob, sigma=LinMap.from_rows(rows, cols=ob.sigma.cols))
-    objects = tuple(bad if k == obj_idx else o for k, o in enumerate(bundle.objects))
+    objects = (bad,) + bundle.objects[1:]
     return GroupoidFiberBundle(objects, bundle.arrows, bundle.pairs,
                                name=f"{bundle.name}.corrupt-sigma")
 
@@ -227,12 +221,9 @@ def sum_blocks(p: Vec, blocks) -> Vec:
     return tuple(out)
 
 
-def circle_scenario(n: int, level, ts=(0, F(1, 2), F(-1, 2), 1),
-                    extra_points=(), name: str = "circle") -> RotationScenario:
-    level = frac(level)
-    pts = level_points(n, level) + [as_vec(p) for p in extra_points]
-    return _build_rotation_hamiltonian(pts, [[b for b in range(n)]],
-                                       [(frac(t),) for t in ts], name)
+def circle_scenario(n: int, level) -> RotationScenario:
+    return _build_rotation_hamiltonian(level_points(n, level), [[b for b in range(n)]],
+                                       [(0,), (F(1, 2),), (F(-1, 2),), (1,)], "circle")
 
 
 def level_points(n: int, level, count: int | None = None) -> list[Vec]:
@@ -268,11 +259,9 @@ def rational_sqrt(x) -> Fraction | None:
     return F(rn, rd)
 
 
-def torus_scenario(points, ts_pairs=((0, 0), (1, 0), (0, 1), (1, F(1, 2))),
-                   name: str = "torus") -> RotationScenario:
-    pts = [as_vec(p) for p in points]
-    return _build_rotation_hamiltonian(pts, [[0], [1]],
-                                       [(frac(a), frac(b)) for a, b in ts_pairs], name)
+def torus_scenario(points) -> RotationScenario:
+    return _build_rotation_hamiltonian([vec(*p) for p in points], [[0], [1]],
+                                       [(0, 0), (1, 0), (0, 1), (1, F(1, 2))], "torus")
 
 
 def _moment_of(p: Vec, circles) -> tuple:
@@ -345,7 +334,7 @@ def _build_rotation_hamiltonian(points: list[Vec], circles: list[list[int]],
     # depth 0: sampled points; depth 1: their rotates (arrows live at both)
     arrow_base = []
     for p in points:
-        p = as_vec(p)
+        p = vec(*p)
         if p not in arrow_base:
             arrow_base.append(p)
     points = list(arrow_base)
@@ -510,13 +499,7 @@ def circle_orbit_datum(scn: RotationScenario, level) -> CoisotropicDatum:
                                    name=f"{scn.datum.name}.orbit")
     morph = MorphismFiber(c_bundle, g_bundle, (li,), (LinMap.zero(ob_g.dim, 0),),
                           (LinMap.identity(k),), tuple(arrow_map), tuple(c1_list))
-    return orbit_lagrangian(OrbitSample(morph))
-
-
-def pair_orbit_datum(bundle: GroupoidFiberBundle) -> CoisotropicDatum:
-    """The single dense orbit of a pair groupoid: the inclusion is the
-    identity and the canonical 2-form is the base symplectic form."""
-    return orbit_lagrangian(OrbitSample(identity_morphism(bundle)))
+    return orbit_lagrangian(morph)
 
 
 # ---------------------------------------------------------------------------
@@ -660,10 +643,11 @@ def mismatched_twist_frame() -> PolyDiracFrame:
     return PolyDiracFrame(good.sections, PolyForm.zero(3, 3))
 
 
-def involutivity_points(seed: int = 11, count: int = 20) -> list:
+def involutivity_points(seed: int) -> list:
+    """Twenty nonzero rational points of Q^3 drawn from the seed."""
     rng = random.Random(seed)
     pts = []
-    while len(pts) < count:
+    while len(pts) < 20:
         p = tuple(F(rng.randint(-2 ** 16, 2 ** 16), rng.randint(1, 9))
                   for _ in range(3))
         if any(x != 0 for x in p):
@@ -684,20 +668,19 @@ class LineBivectorFixture:
     l_n: tuple                 # pointwise pullback fibers over the line
 
 
-def line_bivector_fixture(params=(F(1), F(0), F(2), F(-1, 2))) -> LineBivectorFixture:
+def line_bivector_fixture() -> LineBivectorFixture:
+    params = (F(1), F(0), F(2), F(-1, 2))
     cmaps = []
     l_m = []
     l_n = []
     for t in params:
-        t = frac(t)
         c = LinMap.from_rows([[1], [0]])
         pi = LinMap.from_rows([[0, t], [-t, 0]])
         lm = graph_bivector(pi)
         cmaps.append(c)
         l_m.append(lm)
         l_n.append(pullback(c, lm))
-    return LineBivectorFixture(tuple(frac(t) for t in params), tuple(cmaps),
-                               tuple(l_m), tuple(l_n))
+    return LineBivectorFixture(params, tuple(cmaps), tuple(l_m), tuple(l_n))
 
 
 # ---------------------------------------------------------------------------
@@ -863,7 +846,7 @@ def circle_nat_trans_fixture(level=F(1, 2)) -> NatTransFixture:
     r = rational_sqrt(2 * level)
     base = (r, F(0))
     orbit = [base, (F(0), r), (-r, F(0)), (F(0), -r)]
-    scn = _build_rotation_hamiltonian([as_vec(p) for p in orbit], [[0]],
+    scn = _build_rotation_hamiltonian([vec(*p) for p in orbit], [[0]],
                                       [(F(0),), (F(1),), (F(-1),)],
                                       name="circle.nat", pulled_omega=True)
     bundle = scn.datum.c_bundle

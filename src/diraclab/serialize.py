@@ -15,7 +15,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from .coisotropic import CoisotropicDatum
-from .courant import CourantFiber, DiracFiber, ThreeFormFiber, TwoFormFiber
+from .courant import DiracFiber, ThreeFormFiber, TwoFormFiber
 from .groupoid import (
     ArrowFiber,
     ComposablePairFiber,
@@ -24,7 +24,7 @@ from .groupoid import (
     ObjectFiber,
     pair_tangent,
 )
-from .linalg import DimensionMismatch, LinMap, Subspace, canonicalize, frac
+from .linalg import DimensionMismatch, LinMap, canonicalize, frac
 
 
 class SchemaError(ValueError):
@@ -79,10 +79,8 @@ def dirac_to_json(l: DiracFiber) -> dict:
 
 
 def dirac_from_json(d: dict) -> DiracFiber:
-    n = d["n"]
-    space = canonicalize([[frac(x) for x in row] for row in d["basis"]], 2 * n) \
-        if d["basis"] else Subspace(2 * n, ())
-    return DiracFiber(CourantFiber(n), space)
+    return DiracFiber(canonicalize([[frac(x) for x in row] for row in d["basis"]],
+                                   2 * d["n"]))
 
 
 def dirac_family_to_json(fibers) -> dict:

@@ -277,6 +277,28 @@ def test_reduce_rejects_a_coisotropic_file_with_inconsistent_fibers(tmp_path, ca
     assert err.startswith("error: cannot load coisotropic file: ")
 
 
+def test_reduce_rejects_a_coisotropic_file_indexed_unlike_the_orbit(tmp_path, capsys):
+    # the last arrow dropped, with the pairs through it and its morphism
+    # entries, and the hash recomputed: a consistent datum, but the
+    # reduction's product samples name an arrow it no longer has
+    from diraclab.serialize import content_hash
+    spec = write_spec(tmp_path, SPECS["circle-n1"])
+    orbit = tmp_path / "orbit.json"
+    code, _, _ = run(capsys, ["dump", spec, "--what", "orbit", "--out", str(orbit)])
+    assert code == cli.EXIT_OK
+    doc = json.loads(orbit.read_text())
+    c_bundle, morphism = doc["c_bundle"], doc["morphism"]
+    last = len(c_bundle["arrows"]) - 1
+    del c_bundle["arrows"][last], morphism["arrow_map"][last], morphism["c1"][last]
+    c_bundle["pairs"] = [p for p in c_bundle["pairs"]
+                         if last not in (p["g"], p["h"], p["gh"])]
+    doc["c_bundle_hash"] = content_hash(c_bundle)
+    orbit.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["reduce", spec, "--coisotropic", str(orbit)])
+    assert (code, out) == (cli.EXIT_BAD_INPUT, "")
+    assert err.startswith("error: custom coisotropic's C-bundle does not index")
+
+
 @pytest.mark.parametrize("name", [[1], {"torus": 1}, 3, None])
 @pytest.mark.parametrize("cmd", ["verify", "reduce", "dump"])
 def test_a_non_string_scenario_name_is_rejected(tmp_path, capsys, cmd, name):
@@ -289,7 +311,13 @@ def test_a_non_string_scenario_name_is_rejected(tmp_path, capsys, cmd, name):
     ["dump", "--what", "base"],
     ["reduce"],
 ])
-def test_an_out_file_that_cannot_be_written_is_rejected(tmp_path, capsys, argv):
+def test_an_out_file_that_cannot_be_written_is_rejected(tmp_path, capsys, monkeypatch,
+                                                        argv):
+    # the path is checked before the command builds anything
+    def refuse(*_args):
+        pytest.fail("the command built its scenario before it checked --out")
+    for builder in ("circle_scenario", "circle_reduction", "run_reduction"):
+        monkeypatch.setattr(cli.sc, builder, refuse)
     spec = write_spec(tmp_path, SPECS["circle-n1"])
     target = tmp_path / "missing" / "x.json"
     cmd, *rest = argv
@@ -297,6 +325,27 @@ def test_an_out_file_that_cannot_be_written_is_rejected(tmp_path, capsys, argv):
     assert (code, out) == (cli.EXIT_BAD_INPUT, "")
     assert err.startswith(f"error: cannot write {str(target)!r}: ")
     assert not target.parent.exists()
+
+
+@pytest.mark.parametrize("exists", [True, False])
+@pytest.mark.parametrize("level, argv, code", [
+    ("0", ["reduce"], cli.EXIT_CHECK_FAILED),            # hypothesis violated
+    ("1/3", ["dump", "--what", "base"], cli.EXIT_BAD_INPUT),  # no rational points
+])
+def test_out_changes_only_when_the_command_writes(tmp_path, capsys, exists,
+                                                  level, argv, code):
+    spec = write_spec(tmp_path, {"name": "circle", "params": {"n": 1, "level": level}})
+    target = tmp_path / "out.json"
+    if exists:
+        target.write_text("kept\n")
+    cmd, *rest = argv
+    assert run(capsys, [cmd, spec, *rest, "--out", str(target)])[0] == code
+    assert target.read_text() == "kept\n" if exists else not target.exists()
+    # a command that succeeds replaces the contents
+    spec = write_spec(tmp_path, SPECS["circle-n1"])
+    assert run(capsys, ["dump", spec, "--out", str(target)])[0] == cli.EXIT_OK
+    _, stdout, _ = run(capsys, ["dump", spec])
+    assert target.read_text() == stdout
 
 
 def test_a_level_with_a_zero_denominator_is_rejected(tmp_path, capsys):

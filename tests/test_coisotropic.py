@@ -15,7 +15,6 @@ from diraclab.coisotropic import (
     is_coisotropic,
     is_strong,
     nondeg_assembly,
-    nondeg_map,
     orbit_lagrangian,
     strong_injectivity,
     zero_shifted_poisson_check,
@@ -79,7 +78,7 @@ def test_nondeg_map_bijective_for_identity(pair_bundle):
     mat, fp = nondeg_assembly(idd, 0)
     assert image(mat) == fp
     assert kernel(mat).dim == 0
-    assert nondeg_map(idd, 0) == mat
+    assert nondeg_assembly(idd, 0)[0] == mat
 
 
 def test_corrupted_dirac_fails_nondeg(circle1):
@@ -100,7 +99,7 @@ def test_nondeg_map_raises_when_image_escapes(circle1):
                            name="bad")
     with pytest.raises(ImageEscapesL):
         for i in range(len(bad.c_bundle.objects)):
-            nondeg_map(bad, i)
+            nondeg_assembly(bad, i)
 
 
 def test_chain_map_two_characterizations(pair_bundle, circle1):
@@ -116,7 +115,7 @@ def test_chain_complex_rejects_nonzero_composite():
 
 
 def test_orbit_lagrangian_pair_full_orbit(pair_bundle):
-    datum = sc.pair_orbit_datum(pair_bundle)
+    datum = orbit_lagrangian(identity_morphism(pair_bundle))
     assert datum.dirac[0] == graph_two_form(sc.std_symplectic(2))
     assert is_strong(datum).passed
 
@@ -128,7 +127,6 @@ def test_orbit_lagrangian_circle_point_orbit(circle1):
 
 
 def test_orbit_well_definedness_rejects_corrupt_input(circle1):
-    from diraclab.coisotropic import OrbitSample
     datum = sc.circle_orbit_datum(circle1, F(1, 2))
     c = datum.morphism
     # corrupt the base sigma so gamma would depend on the anchor preimage:
@@ -142,7 +140,7 @@ def test_orbit_well_definedness_rejects_corrupt_input(circle1):
     with pytest.raises(ValueError):
         bad_morph = MorphismFiber(c.dom, bad_cod, c.obj_map, c.c0, c.cA,
                                   tuple(), tuple())
-        orbit_lagrangian(OrbitSample(bad_morph))
+        orbit_lagrangian(bad_morph)
 
 
 def test_zero_shifted_poisson_trivial_groupoid():
@@ -298,7 +296,7 @@ def random_chain_datum(seed: int) -> CoisotropicDatum:
     lam = gauge(graph_bivector(random_antisymmetric(rng, m, bound=3)),
                 TwoFormFiber(random_antisymmetric(rng, m, bound=3)))
     space = iso.sum(perp(iso).intersect(lam.space))
-    l = DiracFiber.from_subspace(space)
+    l = DiracFiber(space)
 
     c_bundle = GroupoidFiberBundle((ob_c,), (), (), name="random-c")
     g_bundle = GroupoidFiberBundle((ob_g,), (), (), name="random-g")

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diraclab.courant import (
-    CourantFiber,
     DiracFiber,
     NotLagrangian,
     TwoFormFiber,
@@ -21,6 +20,7 @@ from diraclab.courant import (
     is_lagrangian,
     is_nondegenerate,
     kernel_of,
+    pairing,
     perp,
     pullback,
     pushforward,
@@ -30,7 +30,6 @@ from diraclab.courant import (
 from diraclab.linalg import (
     DimensionMismatch,
     LinMap,
-    annihilator,
     basis_vec,
     canonicalize,
     full_subspace,
@@ -206,9 +205,17 @@ def test_two_form_roundtrip():
 
 def test_not_lagrangian_rejected():
     with pytest.raises(NotLagrangian):
-        DiracFiber(CourantFiber(1), canonicalize([vec(1, 1)], 2))
+        DiracFiber(canonicalize([vec(1, 1)], 2))
     with pytest.raises(NotLagrangian):
-        DiracFiber(CourantFiber(1), canonicalize([], 2))
+        DiracFiber(canonicalize([], 2))
+
+
+def test_a_dirac_fiber_needs_an_even_ambient():
+    with pytest.raises(DimensionMismatch):
+        DiracFiber(canonicalize([vec(1, 0, 0)], 3))
+    assert pairing(vec(1, 2, 3, 4), vec(5, 6, 7, 8)) == 3 * 5 + 4 * 6 + 7 * 1 + 8 * 2
+    with pytest.raises(DimensionMismatch):
+        pairing(vec(1, 2), vec(1, 2, 3, 4))
 
 
 def test_off_diagonal_pairing_is_not_lagrangian():
@@ -217,7 +224,7 @@ def test_off_diagonal_pairing_is_not_lagrangian():
     space = canonicalize([vec(1, 0, 0, 0), vec(0, 0, 1, 0)], 4)
     assert space.dim == 2
     with pytest.raises(NotLagrangian):
-        DiracFiber(CourantFiber(2), space)
+        DiracFiber(space)
 
 
 def test_three_form_antisymmetry():
@@ -407,8 +414,8 @@ def split_lagrangian(w_gens, b):
     w = canonicalize(w_gens, n)
     flat = b.transpose()
     gens = [vec_concat(v, flat.apply(v)) for v in w.basis]
-    gens += [zero_vec(n) + a for a in annihilator(w).basis]
-    return DiracFiber(CourantFiber(n), canonicalize(gens, 2 * n))
+    gens += [zero_vec(n) + a for a in w.annihilator().basis]
+    return DiracFiber(canonicalize(gens, 2 * n))
 
 
 def dirac_fibers(n):
@@ -517,7 +524,7 @@ def test_failing_operations_raise_on_every_call():
 @settings(max_examples=40, deadline=None)
 @given(dims.flatmap(dirac_fibers))
 def test_cached_parts_are_the_row_blocks_and_leave_equality_alone(l):
-    fresh = DiracFiber(l.fiber, l.space)
+    fresh = DiracFiber(l.space)
     key = hash(fresh)
     n = l.n
     m = l.space.matrix()

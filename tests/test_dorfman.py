@@ -17,12 +17,15 @@ from diraclab.dorfman import (
     involutivity_check,
     lie_bracket,
     pairing,
-    section,
     zero_poly,
 )
 from diraclab.linalg import vec
 
 F = Fraction
+
+
+def section(v, alpha):
+    return PolySection(tuple(v), tuple(alpha))
 
 
 def P(arity, **mono):

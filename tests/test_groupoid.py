@@ -19,11 +19,10 @@ from diraclab.groupoid import (
     compatibility_check,
     gauge_qs,
     induced_dirac,
-    nat_trans_form_identity,
     qs_check,
-    star_composite_form_identity,
 )
 from diraclab.linalg import LinMap, kernel, solve
+from diraclab.morita import NatTransFiber, nat_trans_form_identity, star_composite_form_identity
 from diraclab.report import HYPOTHESIS_VIOLATED, PASS
 
 F = Fraction
@@ -155,7 +154,6 @@ def test_nat_trans_form_identity_through_units():
     # theta through units makes both sides vanish
     fx = nat_fixture()
     bundle = fx.f.cod
-    from diraclab.morita import NatTransFiber
     unit = next(k for k, a in enumerate(bundle.arrows) if a.unit)
     theta = {0: NatTransFiber(0, unit, bundle.arrows[unit].u_star)}
     rep = nat_trans_form_identity(fx.f, fx.f, theta)
@@ -163,7 +161,6 @@ def test_nat_trans_form_identity_through_units():
 
 
 def test_star_composite_form_identity():
-    from diraclab.morita import NatTransFiber
     from diraclab.linalg import vstack
     fx = nat_fixture()
     bundle = fx.f.cod

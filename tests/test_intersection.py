@@ -69,7 +69,7 @@ def test_circle_intersection_n2(strong2, reduction2):
 def test_level_zero_middle_dimension():
     # the fixed-point level: 1-dimensional kernel overlap, with the boundary
     # map carrying it isomorphically onto the annihilator of R
-    scn = sc.circle_scenario(1, F(0), ts=(0, F(1, 2), F(-1, 2)))
+    scn = sc.circle_scenario(1, F(0))
     orbit = sc.circle_orbit_datum(scn, F(0))
     obj_pairs = [(0, oi) for p, oi in scn.obj_index.items()]
     si = strong_intersection(orbit, scn.datum, obj_pairs, [])
@@ -204,7 +204,7 @@ def test_rank_ledgers_read_the_tangent_parts_and_the_arrows(pair_bundle, make, s
     d = replace(identity_datum(pair_bundle),
                 dirac=tuple(make(2) for _ in pair_bundle.objects))
     n = len(pair_bundle.objects)
-    si = strong_intersection(d, d, [(i, i) for i in range(n)])
+    si = strong_intersection(d, d, [(i, i) for i in range(n)], [])
     assert si.ledger.ranks("R") == [strong_r] * n
     assert [e["R_ann"] for e in si.ledger.entries] == [2 - strong_r] * n
     arrows = pair_bundle.arrows

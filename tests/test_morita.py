@@ -66,12 +66,12 @@ def test_transfer_reads_the_input_compatibility_from_the_datum(torus1, monkeypat
     real = coisotropic.compatibility_check
     monkeypatch.setattr(coisotropic, "compatibility_check",
                         lambda *a, **k: calls.append(1) or real(*a, **k))
-    strict = transfer(m, list(datum.dirac), datum)
+    checked = transfer(m, list(datum.dirac), datum)
     with_datum = len(calls)
     calls.clear()
     plain = transfer(m, list(datum.dirac))
     assert with_datum == len(calls) > 0
-    assert statuses(strict.report, "transfer.strong") == [PASS]
+    assert statuses(checked.report, "transfer.strong") == [PASS]
     assert statuses(plain.report, "transfer.strong") == []
 
 
@@ -195,6 +195,9 @@ def test_descend_dirac_with_a_swapped_fiber_fails_the_hypothesis(torus1):
     assert any(touched) and not all(touched)
     assert statuses(rep, "descend.hypothesis") == \
         [FAIL if t else PASS for t in touched]
+    # each failure carries compatibility_check's witness
+    assert all(r.witness for r in rep.records
+               if r.check_id == "descend.hypothesis" and r.status == FAIL)
 
 
 # ---------------------------------------------------------------------------
