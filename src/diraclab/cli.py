@@ -34,8 +34,7 @@ from . import scenarios as sc
 from .coisotropic import (chain_map_check, identity_datum,
                           infinitesimal_coisotropic_check, is_coisotropic, is_strong)
 from .courant import ThreeFormFiber, TwoFormFiber
-from .dorfman import involutivity_check
-from .groupoid import GroupoidFiberBundle, qs_check
+from .groupoid import GroupoidFiberBundle
 from .intersection import induced_poisson, strong_exact_sequence, strong_intersection
 from .linalg import LinMap, canonicalize, frac, vec
 from .report import HYPOTHESIS_VIOLATED, PASS, VerificationReport
@@ -117,7 +116,7 @@ def pair_suites(p: dict, seed: int) -> dict:
             rep.merge(curvature_defect_check(bundle, i, conn))
         return rep
 
-    return {"qs": lambda: qs_check(bundle), "coisotropic": coisotropic, "adjoint": adjoint,
+    return {"qs": lambda: bundle.qs_report, "coisotropic": coisotropic, "adjoint": adjoint,
             "induced": lambda: induced_poisson(identity_datum(bundle))}
 
 
@@ -151,7 +150,7 @@ def circle_suites(p: dict, seed: int) -> dict:
                                           conn, fx.inverse_pairs))
         return rep
 
-    return {"qs": lambda: qs_check(scn.datum.g_bundle),
+    return {"qs": lambda: scn.datum.g_bundle.qs_report,
             "hamiltonian": lambda: sc.hamiltonian_check(scn.datum),
             "coisotropic": coisotropic, "intersection": intersection,
             "homotopy": homotopy}
@@ -184,16 +183,25 @@ def torus_suites(_p: dict, _seed: int) -> dict:
                                              list(datum.dirac), leg1))
         return rep
 
-    return {"qs": lambda: qs_check(scn.datum.g_bundle),
+    return {"qs": lambda: scn.datum.g_bundle.qs_report,
             "hamiltonian": lambda: sc.hamiltonian_check(scn.datum),
             "coisotropic": lambda: is_strong(scn.datum),
             "transfer": transfer_suite}
 
 
+def corrupt_sigma_suites(p: dict, _seed: int) -> dict:
+    bundle = sc.corrupt_sigma(pair_bundle(p))
+    return {"qs": lambda: bundle.qs_report}
+
+
 def dorfman_suites(frame: Callable) -> Callable:
-    """The suites of a Dorfman-bracket frame scenario; seed 0 reads as 11."""
-    return lambda _p, seed: {"dorfman": partial(
-        involutivity_check, frame(), sc.involutivity_points(seed=seed or 11))}
+    """The suites of a Dorfman-bracket frame scenario; seed 0 reads as 11.
+    The dorfman module is imported only when the suite runs."""
+    def dorfman(seed: int) -> VerificationReport:
+        from .dorfman import involutivity_check
+        return involutivity_check(frame(), sc.involutivity_points(seed=seed or 11))
+
+    return lambda _p, seed: {"dorfman": partial(dorfman, seed)}
 
 
 def line_suite() -> VerificationReport:
@@ -233,8 +241,7 @@ SCENARIOS = {
         {"base": lambda p: bundle_to_json(pair_bundle(p))}),
     "pair-corrupt-sigma": Scenario(
         "pair groupoid with a sign flipped in sigma (negative fixture)",
-        pair_params,
-        lambda p, _seed: {"qs": partial(qs_check, sc.corrupt_sigma(pair_bundle(p)))}),
+        pair_params, corrupt_sigma_suites),
     "circle": Scenario(
         "circle acting on C^n with its cotangent groupoid (params: n, level)",
         circle_params, circle_suites,
@@ -369,6 +376,12 @@ def cmd_reduce(args) -> int:
         if atlas_indexing(custom.c_bundle) != atlas_indexing(red.orbit.c_bundle):
             raise ScenarioError("custom coisotropic's C-bundle does not index its "
                                 "objects and arrows as the orbit's does")
+        # well-formed, but the strong intersection needs every unit's section
+        bare = [k for k, a in enumerate(custom.c_bundle.arrows)
+                if a.unit and a.u_star is None]
+        if bare:
+            raise sc.ReductionHypothesisViolated(
+                f"custom coisotropic's unit arrows {bare} carry no u_star")
         # rebind the loaded datum onto the freshly built, content-equal base
         red = replace(red, orbit=replace(
             custom, morphism=replace(custom.morphism, cod=base)))

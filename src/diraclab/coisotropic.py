@@ -4,8 +4,8 @@ its two-way cohomology characterization, orbit constructors, and the
 0-shifted Poisson conditions.
 
 Data are immutable, so results that belong to one object are computed once
-on it: the target's quasi-symplectic verdict is the bundle's
-quasi_symplectic property, and the per-arrow compatibility records are the
+on it: the target's quasi-symplectic verdict is read from the bundle's
+qs_report property, and the per-arrow compatibility records are the
 datum's compatibility property, shared by is_coisotropic, is_strong and the
 Hamiltonian check.
 """
@@ -127,7 +127,7 @@ def is_coisotropic(datum: CoisotropicDatum) -> VerificationReport:
     rep = VerificationReport(f"coiso.{datum.name or 'datum'}")
     c = datum.morphism
 
-    if not c.cod.quasi_symplectic:
+    if not c.cod.qs_report.passed:
         rep.add_hypothesis_violation("coiso.qs_target",
                                      "codomain bundle fails qs_check")
         return rep

@@ -11,10 +11,11 @@ Translations are stored, not derived: deriving them would need global
 multiplication, so scenario builders supply closed forms and qs_check
 verifies the defining identities.
 
-Bundles are immutable, so the quasi-symplectic verdict is a property of the
-bundle: GroupoidFiberBundle.quasi_symplectic runs qs_check once per bundle
-object, and every checker that needs a quasi-symplectic target (is_coisotropic,
-gauge_qs, and through them transfer) reads it.  A bundle built with
+Bundles are immutable, so the quasi-symplectic report is a property of the
+bundle: GroupoidFiberBundle.qs_report runs qs_check once per bundle object.
+The CLI's qs suites return it, and every checker that needs a
+quasi-symplectic target (is_coisotropic, gauge_qs, and through them transfer)
+reads its verdict; none of them may mutate it.  A bundle built with
 dataclasses.replace is a new object and is decided afresh.
 """
 
@@ -130,9 +131,10 @@ class GroupoidFiberBundle:
         return dims.pop()
 
     @cached_property
-    def quasi_symplectic(self) -> bool:
-        """Whether qs_check passes, decided once for this bundle."""
-        return qs_check(self).passed
+    def qs_report(self) -> VerificationReport:
+        """qs_check on this bundle, run once and shared: read it, never
+        merge into it."""
+        return qs_check(self)
 
 
 def pair_tangent(g: ArrowFiber, h: ArrowFiber) -> Subspace:
@@ -208,8 +210,7 @@ def identity_morphism(bundle: GroupoidFiberBundle) -> MorphismFiber:
     )
 
 
-def unit_groupoid(n: int, num_objects: int = 2,
-                  name: str = "unit") -> GroupoidFiberBundle:
+def unit_groupoid(n: int, num_objects: int, name: str) -> GroupoidFiberBundle:
     """The trivial groupoid M over M: only unit arrows, A = 0."""
     objects = tuple(ObjectFiber(n, 0, LinMap.zero(n, 0), LinMap.zero(n, 0),
                                 ThreeFormFiber.zero(n))
@@ -404,7 +405,7 @@ def gauge_qs(bundle: GroupoidFiberBundle,
 
     dgamma is caller-supplied data: fibers cannot differentiate.  The
     transformed bundle is re-checked, not assumed quasi-symplectic; each
-    bundle's verdict is its quasi_symplectic property, decided once.
+    bundle's verdict is read from its qs_report, decided once.
     """
     if len(gamma) != len(bundle.objects) or len(dgamma) != len(bundle.objects):
         raise DimensionMismatch("need one gamma and dgamma fiber per object")
@@ -423,8 +424,8 @@ def gauge_qs(bundle: GroupoidFiberBundle,
     out = GroupoidFiberBundle(tuple(new_objects), tuple(new_arrows), bundle.pairs,
                               name=f"{bundle.name}.gauged")
     rep = VerificationReport("gauge_qs")
-    if bundle.quasi_symplectic:
-        rep.add("gauge.preserves_qs", out.quasi_symplectic,
+    if bundle.qs_report.passed:
+        rep.add("gauge.preserves_qs", out.qs_report.passed,
                 detail="gauge transform of a quasi-symplectic bundle stays quasi-symplectic")
     else:
         rep.add_hypothesis_violation("gauge.preserves_qs", "input bundle fails qs_check")

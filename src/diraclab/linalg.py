@@ -508,7 +508,7 @@ def random_fraction(rng, bound: int = 8) -> Fraction:
     return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
 
 
-def random_matrix(rng, rows: int, cols: int, bound: int = 8) -> LinMap:
+def random_matrix(rng, rows: int, cols: int, bound: int) -> LinMap:
     return LinMap.from_rows([[random_fraction(rng, bound) for _ in range(cols)]
                              for _ in range(rows)], cols=cols)
 

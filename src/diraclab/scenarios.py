@@ -23,7 +23,6 @@ from math import isqrt
 from .coisotropic import CoisotropicDatum, ImageEscapesL, nondeg_assembly, orbit_lagrangian
 from .courant import (ThreeFormFiber, TwoFormFiber, graph_bivector, graph_two_form,
                       kernel_of, pullback)
-from .dorfman import Poly, PolyDiracFrame, PolyForm, PolySection, contract, d, zero_poly
 from .groupoid import (
     ArrowFiber,
     GroupoidFiberBundle,
@@ -80,16 +79,18 @@ def build_pair_groupoid(n: int, num_objects: int = 3,
     obj = ObjectFiber(n, n, LinMap.identity(n), sigma, ThreeFormFiber.zero(n))
     objects = tuple(obj for _ in range(num_objects))
 
+    # every arrow has the same differentials, 2-form and translations
+    s_star = hstack(LinMap.zero(n, n), LinMap.identity(n))
+    t_star = hstack(LinMap.identity(n), LinMap.zero(n, n))
+    om = TwoFormFiber(block_diag(omega.matrix, omega.matrix.scale(-1)))
+    left = vstack(LinMap.zero(n, n), LinMap.identity(n).scale(-1))
+    right = vstack(LinMap.identity(n), LinMap.zero(n, n))
+    u_star = vstack(LinMap.identity(n), LinMap.identity(n))
+
     def arrow(i: int, j: int) -> ArrowFiber:
-        s_star = hstack(LinMap.zero(n, n), LinMap.identity(n))
-        t_star = hstack(LinMap.identity(n), LinMap.zero(n, n))
-        om = TwoFormFiber(block_diag(omega.matrix, omega.matrix.scale(-1)))
-        left = vstack(LinMap.zero(n, n), LinMap.identity(n).scale(-1))
-        right = vstack(LinMap.identity(n), LinMap.zero(n, n))
         unit = i == j
-        u_star = vstack(LinMap.identity(n), LinMap.identity(n)) if unit else None
         return ArrowFiber(j, i, 2 * n, s_star, t_star, om, left, right,
-                          unit=unit, u_star=u_star)
+                          unit=unit, u_star=u_star if unit else None)
 
     # arrow (i, j) goes from object j to object i
     index = {}
@@ -165,8 +166,7 @@ def composable(ts_list):
                 yield ts1, ts2, ts12
 
 
-def build_cotangent_torus(points, ts_tuples,
-                          name: str = "ttorus") -> GroupoidFiberBundle:
+def build_cotangent_torus(points, ts_tuples, name: str) -> GroupoidFiberBundle:
     """T*T^k over R^k, k = len(points[0]): objects are the moment levels xi,
     arrows carry (rotation, xi), one per level and parameter tuple.
 
@@ -180,6 +180,7 @@ def build_cotangent_torus(points, ts_tuples,
     om = TwoFormFiber(vstack(hstack(zero, ident.scale(-1)), hstack(ident, zero)))
     proj = hstack(zero, ident)
     trans = vstack(ident, zero)
+    u_star = vstack(zero, ident)
     ts_list = [tuple(frac(t) for t in ts) for ts in ts_tuples]
     arrows = []
     index = {}
@@ -189,7 +190,7 @@ def build_cotangent_torus(points, ts_tuples,
             index[(li, ts)] = len(arrows)
             arrows.append(ArrowFiber(li, li, 2 * k, proj, proj, om, trans, trans,
                                      unit=unit,
-                                     u_star=vstack(zero, ident) if unit else None))
+                                     u_star=u_star if unit else None))
     arrows = tuple(arrows)
 
     # (angles_g, xi_g, angles_h, xi_h) -> (angles_g + angles_h, xi_g)
@@ -301,6 +302,11 @@ def _build_rotation_hamiltonian(points: list[Vec], circles: list[list[int]],
     With pulled_omega the action groupoid is equipped with the pullback of
     the base 2-form (a multiplicative form) and the matching infinitesimal
     sigma, so connection identities can be exercised on it.
+
+    Each map is built once per value it depends on: the rotations once per
+    parameter, the blocks shared by every arrow once, and the moment
+    differential and the translations once per point.  Maps are frozen
+    values, so sharing one across arrows changes nothing downstream.
     """
     n2 = len(points[0])
     k = len(circles)
@@ -315,20 +321,25 @@ def _build_rotation_hamiltonian(points: list[Vec], circles: list[list[int]],
                      for li in range(len(g_points))
                      for ti, ts in enumerate(ts_tuples)}
 
-    def rot_for(ts) -> LinMap:
+    rot = {}
+    for ts in ts_tuples:
         m = LinMap.identity(n2)
-        for ci, t in enumerate(ts):
-            c, s = circle_point(t)
-            m = rotation_for_circle(c, s, circles[ci], n2) @ m
-        return m
+        for blocks, t in zip(circles, ts):
+            m = rotation_for_circle(*circle_point(t), blocks, n2) @ m
+        rot[ts] = m
 
+    # per object: its fiber, its moment differential c0 and its base object
     objects: list[ObjectFiber] = []
     obj_index: dict[Vec, int] = {}
+    obj_map, c0 = [], []
 
     def add_object(p: Vec) -> int:
         if p not in obj_index:
             obj_index[p] = len(objects)
             objects.append(_action_object(p, circles, n2))
+            c0.append(LinMap.from_rows([moment_row_sum(p, blocks) for blocks in circles],
+                                       cols=n2))
+            obj_map.append(g_index[_moment_of(p, circles)])
         return obj_index[p]
 
     # depth 0: sampled points; depth 1: their rotates (arrows live at both)
@@ -338,77 +349,64 @@ def _build_rotation_hamiltonian(points: list[Vec], circles: list[list[int]],
         if p not in arrow_base:
             arrow_base.append(p)
     points = list(arrow_base)
-    for p in list(arrow_base):
+    for p in points:
         for ts in ts_tuples:
-            rp = rot_for(ts).apply(p)
+            rp = rot[ts].apply(p)
             if rp not in arrow_base:
                 arrow_base.append(rp)
 
+    # the same at every arrow: s_* projects onto T_p, a^R = (a, 0), and the
+    # unit section and the angle rows of c1 are the inclusion of T_p
+    ident_k, zero_kn = LinMap.identity(k), LinMap.zero(k, n2)
+    s_star = hstack(LinMap.zero(n2, k), LinMap.identity(n2))
+    right = vstack(ident_k, LinMap.zero(n2, k))
+    u_star = vstack(zero_kn, LinMap.identity(n2))
+    c1_top = hstack(ident_k, zero_kn)
     arrows = []
     arrow_at: dict[tuple, int] = {}
     arrow_map = []
     c1_list = []
     for p in arrow_base:
-        add_object(p)
+        src = add_object(p)
+        # a^L = (a, -rho_p a); c1 is the identity on angles and mu_* on T_p
+        left = vstack(ident_k, objects[src].rho.scale(-1))
+        c1_mat = vstack(c1_top, hstack(LinMap.zero(k, k), c0[src]))
         for ts in ts_tuples:
-            r = rot_for(ts)
-            rp = r.apply(p)
-            add_object(rp)
-            dim = k + n2
-            s_star = hstack(LinMap.zero(n2, k), LinMap.identity(n2))
-            t_star = hstack(objects[obj_index[rp]].rho, r)
-            # a^L = (a, -rho_p a) and a^R = (a, 0)
-            left = vstack(LinMap.identity(k), objects[obj_index[p]].rho.scale(-1))
-            right = vstack(LinMap.identity(k), LinMap.zero(n2, k))
+            r = rot[ts]
+            tgt = add_object(r.apply(p))
             unit = all(t == 0 for t in ts)
-            u_star = vstack(LinMap.zero(k, n2), LinMap.identity(n2)) if unit else None
+            g_ai = g_arrow_index[(obj_map[src], ts)]
+            om = g_bundle.arrows[g_ai].omega.pullback(c1_mat) if pulled_omega else None
             arrow_at[(p, ts)] = len(arrows)
-            mu_rows = [moment_row_sum(p, circles[ci]) for ci in range(k)]
-            c1_mat = vstack(
-                hstack(LinMap.identity(k), LinMap.zero(k, n2)),
-                hstack(LinMap.zero(k, k), LinMap.from_rows(mu_rows, cols=n2)))
-            om = None
-            if pulled_omega:
-                g_ar = g_bundle.arrows[g_arrow_index[(g_index[_moment_of(p, circles)], ts)]]
-                om = g_ar.omega.pullback(c1_mat)
-            arrows.append(ArrowFiber(obj_index[p], obj_index[rp], dim,
-                                     s_star, t_star, om, left, right,
-                                     unit=unit, u_star=u_star))
+            arrows.append(ArrowFiber(src, tgt, k + n2,
+                                     s_star, hstack(objects[tgt].rho, r), om, left, right,
+                                     unit=unit, u_star=u_star if unit else None))
             c1_list.append(c1_mat)
-            arrow_map.append(g_arrow_index[(g_index[_moment_of(p, circles)], ts)])
+            arrow_map.append(g_ai)
     arrows = tuple(arrows)
+    cA = (ident_k,) * len(objects)
+    if pulled_omega:
+        objects = [replace(ob, sigma=c0[i].transpose()
+                           @ g_bundle.objects[obj_map[i]].sigma @ cA[i])
+                   for i, ob in enumerate(objects)]
     objects = tuple(objects)
 
     # (angles_g, w_g, angles_h, w_h) -> (angles_g + angles_h, w_h)
-    m = hstack(block_diag(LinMap.identity(k), LinMap.zero(n2, n2)), LinMap.identity(k + n2))
+    m = hstack(block_diag(ident_k, LinMap.zero(n2, n2)), LinMap.identity(k + n2))
+    triples = list(composable(ts_tuples))
     pairs = []
     for p in points:
-        for ts1, ts2, ts12 in composable(ts_tuples):
-            rp = rot_for(ts2).apply(p)
+        for ts1, ts2, ts12 in triples:
+            rp = rot[ts2].apply(p)
             g_i = arrow_at.get((rp, ts1))
             h_i = arrow_at.get((p, ts2))
             gh_i = arrow_at.get((p, ts12))
             if None not in (g_i, h_i, gh_i):
                 pairs.append(make_pair(arrows, g_i, h_i, gh_i, m))
     c_bundle = GroupoidFiberBundle(objects, arrows, tuple(pairs), name=name)
-
-    obj_map, c0, cA = [], [], []
-    inv_index = {i: p for p, i in obj_index.items()}
-    for i in range(len(objects)):
-        p = inv_index[i]
-        obj_map.append(g_index[_moment_of(p, circles)])
-        c0.append(LinMap.from_rows([moment_row_sum(p, circles[ci]) for ci in range(k)],
-                                   cols=n2))
-        cA.append(LinMap.identity(k))
-    if pulled_omega:
-        objects = tuple(
-            replace(ob, sigma=c0[i].transpose()
-                    @ g_bundle.objects[obj_map[i]].sigma @ cA[i])
-            for i, ob in enumerate(objects))
-        c_bundle = GroupoidFiberBundle(objects, arrows, c_bundle.pairs, name=name)
-    morph = MorphismFiber(c_bundle, g_bundle, tuple(obj_map), tuple(c0), tuple(cA),
+    morph = MorphismFiber(c_bundle, g_bundle, tuple(obj_map), tuple(c0), cA,
                           tuple(arrow_map), tuple(c1_list))
-    dirac = tuple(graph_two_form(std_symplectic(n2)) for _ in objects)
+    dirac = (graph_two_form(std_symplectic(n2)),) * len(objects)
     return RotationScenario(CoisotropicDatum(morph, dirac, name=name),
                             tuple(tuple(b) for b in circles), tuple(ts_tuples),
                             obj_index, arrow_at, g_index, g_arrow_index)
@@ -474,21 +472,15 @@ def circle_orbit_datum(scn: RotationScenario, level) -> CoisotropicDatum:
     li = scn.g_index[level]
     ob_g = g_bundle.objects[li]
 
-    obj = ObjectFiber(0, k, LinMap.zero(0, k), LinMap.zero(0, k),
-                      ThreeFormFiber.zero(0))
-    arrows = []
-    arrow_map = []
-    c1_list = []
-    for ts in scn.ts_tuples:
-        unit = all(t == 0 for t in ts)
-        # restricted arrow tangent is the angle directions only
-        arrows.append(ArrowFiber(0, 0, k, LinMap.zero(0, k), LinMap.zero(0, k),
-                                 TwoFormFiber.zero(k), LinMap.identity(k),
-                                 LinMap.identity(k), unit=unit,
-                                 u_star=LinMap.zero(k, 0) if unit else None))
-        arrow_map.append(scn.g_arrow_index[(li, ts)])
-        c1_list.append(vstack(LinMap.identity(k), LinMap.zero(ob_g.dim, k)))
-    arrows = tuple(arrows)
+    zero, ident = LinMap.zero(0, k), LinMap.identity(k)
+    obj = ObjectFiber(0, k, zero, zero, ThreeFormFiber.zero(0))
+    # restricted arrow tangent is the angle directions only, at every arrow
+    om, u_star = TwoFormFiber.zero(k), LinMap.zero(k, 0)
+    units = [all(t == 0 for t in ts) for ts in scn.ts_tuples]
+    arrows = tuple(ArrowFiber(0, 0, k, zero, zero, om, ident, ident, unit=unit,
+                              u_star=u_star if unit else None) for unit in units)
+    arrow_map = tuple(scn.g_arrow_index[(li, ts)] for ts in scn.ts_tuples)
+    c1 = (vstack(ident, LinMap.zero(ob_g.dim, k)),) * len(arrows)
 
     m = hstack(LinMap.identity(k), LinMap.identity(k))   # (v_g, v_h) -> v_g + v_h
     ts_list = list(scn.ts_tuples)
@@ -498,7 +490,7 @@ def circle_orbit_datum(scn: RotationScenario, level) -> CoisotropicDatum:
     c_bundle = GroupoidFiberBundle((obj,), arrows, pairs,
                                    name=f"{scn.datum.name}.orbit")
     morph = MorphismFiber(c_bundle, g_bundle, (li,), (LinMap.zero(ob_g.dim, 0),),
-                          (LinMap.identity(k),), tuple(arrow_map), tuple(c1_list))
+                          (ident,), arrow_map, c1)
     return orbit_lagrangian(morph)
 
 
@@ -531,18 +523,13 @@ def circle_reduction(n: int, level) -> ReductionScenario:
                                       [(frac(t),) for t in ts], "circle")
     orbit = circle_orbit_datum(scn, level)
 
-    obj_pairs = []
-    level_idx = []
-    for p, oi in scn.obj_index.items():
-        if _moment_of(p, scn.circles) == (level,):
-            obj_pairs.append((0, oi))
-            level_idx.append(oi)
-    arrow_pairs = []
-    for (p, ts), ai in scn.arrow_at.items():
-        if _moment_of(p, scn.circles) == (level,):
-            arrow_pairs.append((list(scn.ts_tuples).index(ts), ai))
-    return ReductionScenario(scn, level, orbit, tuple(obj_pairs),
-                             tuple(arrow_pairs), tuple(level_idx))
+    level_idx = tuple(oi for p, oi in scn.obj_index.items()
+                      if _moment_of(p, scn.circles) == (level,))
+    ts_pos = {ts: i for i, ts in enumerate(scn.ts_tuples)}
+    arrow_pairs = tuple((ts_pos[ts], ai) for (p, ts), ai in scn.arrow_at.items()
+                        if scn.obj_index[p] in level_idx)
+    return ReductionScenario(scn, level, orbit, tuple((0, oi) for oi in level_idx),
+                             arrow_pairs, level_idx)
 
 
 class ReductionHypothesisViolated(ValueError):
@@ -605,10 +592,11 @@ def reduced_form_oracle(p: Vec, level) -> TwoFormFiber:
 
 
 # ---------------------------------------------------------------------------
-# polynomial fixtures
+# polynomial fixtures; each imports the dorfman module only when it is built
 
 def build_lie_poisson_so3() -> PolyDiracFrame:
     """Linear-Poisson frame on the dual of so(3): pi_ij = eps_ijk x_k."""
+    from .dorfman import Poly, PolyDiracFrame, PolyForm, PolySection, zero_poly
     n = 3
     x, y, z = (Poly.var(n, i) for i in range(n))
     zero = zero_poly(n)
@@ -624,6 +612,7 @@ def build_lie_poisson_so3() -> PolyDiracFrame:
 
 def graph_frame_with_twist() -> PolyDiracFrame:
     """Frame of graph(omega) on Q^3 with its compatible twist -d(omega)."""
+    from .dorfman import Poly, PolyDiracFrame, PolyForm, PolySection, contract, d
     n = 3
     x1 = Poly.var(n, 0)
     omega = PolyForm.from_dict(n, 2, {(1, 2): x1 * x1, (0, 1): x1})
@@ -639,6 +628,7 @@ def graph_frame_with_twist() -> PolyDiracFrame:
 
 def mismatched_twist_frame() -> PolyDiracFrame:
     """The same graph frame with twist 0 instead of -d(omega): rejected."""
+    from .dorfman import PolyDiracFrame, PolyForm
     good = graph_frame_with_twist()
     return PolyDiracFrame(good.sections, PolyForm.zero(3, 3))
 

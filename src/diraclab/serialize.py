@@ -9,7 +9,6 @@ verify those hashes.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from contextlib import contextmanager
 from fractions import Fraction
@@ -137,6 +136,7 @@ def bundle_from_json(d: dict) -> GroupoidFiberBundle:
 
 
 def content_hash(doc: dict) -> str:
+    import hashlib   # loads OpenSSL, so only the commands that hash pay for it
     return hashlib.sha256(
         json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
 

@@ -74,6 +74,43 @@ def test_dump_matches_golden(tmp_path, capsys, name):
     assert out == (GOLDEN / f"dump-{name}.json").read_text()
 
 
+# sha256 of `dump <circle-n2> --what datum`, 414 KB, too large for a golden
+# file; recorded with
+#     python -m diraclab.cli dump circle-n2.json --what datum | sha256sum
+# at a3957c0, before the rotation builder computed each map once.
+CIRCLE_N2_DATUM_SHA256 = "ad5c129250ef08344382ab8afaf91525293ceea9eabf5886befd57305031e079"
+
+
+def test_dump_circle_n2_datum_matches_its_hash(tmp_path, capsys):
+    import hashlib
+    code, out, _ = run(capsys, ["dump", write_spec(tmp_path, SPECS["circle-n2"]),
+                                "--what", "datum"])
+    assert code == cli.EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == CIRCLE_N2_DATUM_SHA256
+
+
+@pytest.mark.parametrize("name", ["pair", "pair-corrupt-sigma", "circle-n1", "torus"])
+def test_the_qs_suite_is_the_bundles_report_run_once(monkeypatch, name):
+    # every suite runs; qs_check runs at most once per bundle object, and the
+    # report the qs suite returns is shared, so no suite may change it
+    from diraclab import groupoid
+    qs_check, checked = groupoid.qs_check, []
+
+    def counted(bundle):
+        checked.append(bundle)
+        return qs_check(bundle)
+    monkeypatch.setattr(groupoid, "qs_check", counted)
+    spec = SPECS[name]
+    row = cli.SCENARIOS[spec["name"]]
+    runners = row.suites(row.params(spec.get("params", {})), 0)
+    rep = runners["qs"]()
+    records = list(rep.records)
+    for suite in sorted(runners):
+        runners[suite]()
+    assert runners["qs"]() is rep and rep.records == records
+    assert len({id(b) for b in checked}) == len(checked)
+
+
 def test_reduce_matches_golden(tmp_path, capsys):
     spec = write_spec(tmp_path, SPECS["circle-n2"])
     code, out, _ = run(capsys, ["reduce", spec])
@@ -297,6 +334,28 @@ def test_reduce_rejects_a_coisotropic_file_indexed_unlike_the_orbit(tmp_path, ca
     code, out, err = run(capsys, ["reduce", spec, "--coisotropic", str(orbit)])
     assert (code, out) == (cli.EXIT_BAD_INPUT, "")
     assert err.startswith("error: custom coisotropic's C-bundle does not index")
+
+
+def test_reduce_on_a_unit_arrow_without_u_star_is_hypothesis_violated(tmp_path, capsys):
+    # the unit arrow's u_star nulled and the hash recomputed: a well-formed
+    # document whose unit lacks its section, which the strong intersection
+    # needs, so the reduction's hypothesis fails (exit 1), not the input
+    from diraclab.serialize import content_hash
+    spec = write_spec(tmp_path, SPECS["circle-n1"])
+    orbit = tmp_path / "orbit.json"
+    code, _, _ = run(capsys, ["dump", spec, "--what", "orbit", "--out", str(orbit)])
+    assert code == cli.EXIT_OK
+    doc = json.loads(orbit.read_text())
+    units = [k for k, a in enumerate(doc["c_bundle"]["arrows"]) if a["unit"]]
+    assert units == [0]
+    doc["c_bundle"]["arrows"][0]["u_star"] = None
+    doc["c_bundle_hash"] = content_hash(doc["c_bundle"])
+    orbit.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["reduce", spec, "--coisotropic", str(orbit)])
+    assert (code, err) == (cli.EXIT_CHECK_FAILED, "")
+    assert json.loads(out) == {"status": "hypothesis-violated",
+                               "detail": "custom coisotropic's unit arrows [0] "
+                                         "carry no u_star"}
 
 
 @pytest.mark.parametrize("name", [[1], {"torus": 1}, 3, None])

@@ -144,7 +144,7 @@ def test_orbit_well_definedness_rejects_corrupt_input(circle1):
 
 
 def test_zero_shifted_poisson_trivial_groupoid():
-    bundle = sc.unit_groupoid(2)
+    bundle = sc.unit_groupoid(2, 2, "unit")
     rep = zero_shifted_poisson_check(bundle, [cotangent_dirac(2)] * 2)
     assert rep.passed
 

@@ -262,7 +262,7 @@ def random_lagrangians(n=2):
 
 def random_invertible(rng, n):
     from diraclab.linalg import random_matrix
-    m = random_matrix(rng, n, n)
+    m = random_matrix(rng, n, n, 8)
     return m if kernel(m).dim == 0 else None
 
 
@@ -286,8 +286,8 @@ def test_dirac_sum_associative(l1, l2, l3):
 def test_pullback_contravariant(seed):
     rng = random.Random(seed)
     from diraclab.linalg import random_matrix
-    f = random_matrix(rng, 2, 3)  # Q^3 -> Q^2
-    g = random_matrix(rng, 3, 2)  # Q^2 -> Q^3
+    f = random_matrix(rng, 2, 3, 8)  # Q^3 -> Q^2
+    g = random_matrix(rng, 3, 2, 8)  # Q^2 -> Q^3
     l = gauge(graph_bivector(random_antisymmetric(rng, 2)),
               TwoFormFiber(random_antisymmetric(rng, 2)))
     assert pullback(g, pullback(f, l)) == pullback(f @ g, l)

@@ -78,7 +78,7 @@ def test_induced_dirac_circle_is_cotangent(circle1):
 
 def test_induced_dirac_rejects_trivial_groupoid():
     # A = 0 on a positive-dimensional base cannot be quasi-symplectic
-    ob = sc.unit_groupoid(2).objects[0]
+    ob = sc.unit_groupoid(2, 2, "unit").objects[0]
     with pytest.raises(ValueError):
         induced_dirac(ob)
 
@@ -93,7 +93,7 @@ def test_compatibility_identity_morphism(pair_bundle):
 
 
 def test_compatibility_trivial_forms():
-    bundle = sc.unit_groupoid(2)
+    bundle = sc.unit_groupoid(2, 2, "unit")
     l = tangent_dirac(2)
     ar = bundle.arrows[0]
     rep = compatibility_check(ar, l, l, TwoFormFiber.zero(2))
@@ -294,11 +294,14 @@ def test_doubled_m_star_fails_only_multiplicativity(pair_bundle):
 
 def test_quasi_symplectic_is_decided_per_bundle(pair_bundle):
     bad = sc.corrupt_sigma(pair_bundle)
-    assert pair_bundle.quasi_symplectic is True
-    assert bad.quasi_symplectic is False
+    assert pair_bundle.qs_report.passed is True
+    assert bad.qs_report.passed is False
+    # the report is computed once per bundle object and shared
+    assert pair_bundle.qs_report is pair_bundle.qs_report
+    assert pair_bundle.qs_report.records == qs_check(pair_bundle).records
     # a replaced bundle is a new object and is decided afresh
-    assert replace(pair_bundle, objects=bad.objects).quasi_symplectic is False
-    assert replace(bad, objects=pair_bundle.objects).quasi_symplectic is True
+    assert replace(pair_bundle, objects=bad.objects).qs_report.passed is False
+    assert replace(bad, objects=pair_bundle.objects).qs_report.passed is True
     # the verdict is no field: equality and hashing ignore it
     assert replace(pair_bundle) == pair_bundle
     assert hash(replace(pair_bundle)) == hash(pair_bundle)

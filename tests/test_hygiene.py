@@ -123,13 +123,17 @@ def test_package_imports_sees_every_form():
 
 
 def test_importing_the_cli_does_not_load_morita():
-    # only three suites use morita, so they import it themselves: at the top
-    # of cli its import time would be paid by every command at start-up
+    # only three suites use morita and three use dorfman, and only
+    # content_hash uses hashlib (which loads OpenSSL), so each is imported
+    # where it is used: at the top of cli its import time would be paid by
+    # every command at start-up
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
-    probe = "import sys, diraclab.cli; print('diraclab.morita' in sys.modules)"
+    probe = ("import sys; before = set(sys.modules); import diraclab.cli; "
+             "print(sorted({'diraclab.morita', 'diraclab.dorfman', 'hashlib'}"
+             " & (set(sys.modules) - before)))")
     done = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, timeout=60)
-    assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
+    assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
 
 
 MEMOS = {"cache", "lru_cache"}

@@ -81,7 +81,7 @@ def test_cotangent_torus_is_the_closed_form(k):
         for li in range(len(levels)) for g, h, gh in TS_PAIRS]
     for p in bundle.pairs:
         assert p.m_star == cf["m_of"] @ p.tangent.matrix()
-    assert bundle.quasi_symplectic
+    assert bundle.qs_report.passed
 
 
 def test_sum_blocks_is_the_rotation_generator_on_its_blocks():
