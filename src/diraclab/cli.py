@@ -196,7 +196,8 @@ def corrupt_sigma_suites(p: dict, _seed: int) -> dict:
 
 def dorfman_suites(frame: Callable) -> Callable:
     """The suites of a Dorfman-bracket frame scenario; seed 0 reads as 11.
-    The dorfman module is imported only when the suite runs."""
+    The dorfman module is imported only when the suite runs, and frame looks
+    its builder up on scenarios then, not when SCENARIOS is built."""
     def dorfman(seed: int) -> VerificationReport:
         from .dorfman import involutivity_check
         return involutivity_check(frame(), sc.involutivity_points(seed=seed or 11))
@@ -243,7 +244,8 @@ SCENARIOS = {
         "pair groupoid with a sign flipped in sigma (negative fixture)",
         pair_params, corrupt_sigma_suites),
     "circle": Scenario(
-        "circle acting on C^n with its cotangent groupoid (params: n, level)",
+        "circle acting on C^n with its cotangent groupoid (params: n, level;"
+        " n >= 3 samples only C^2 x 0)",
         circle_params, circle_suites,
         {"base": lambda p: bundle_to_json(sc.circle_scenario(**p).datum.g_bundle),
          "datum": lambda p: datum_to_json(sc.circle_scenario(**p).datum),
@@ -255,13 +257,13 @@ SCENARIOS = {
         {"base": lambda _p: bundle_to_json(torus().datum.g_bundle)}),
     "so3": Scenario(
         "linear Poisson frame on the dual of so(3)",
-        no_params, dorfman_suites(sc.build_lie_poisson_so3)),
+        no_params, dorfman_suites(lambda: sc.build_lie_poisson_so3())),
     "graph-twist": Scenario(
         "graph of a 2-form with its compatible twist",
-        no_params, dorfman_suites(sc.graph_frame_with_twist)),
+        no_params, dorfman_suites(lambda: sc.graph_frame_with_twist())),
     "twist-mismatch": Scenario(
         "graph of a 2-form with the wrong twist (negative fixture)",
-        no_params, dorfman_suites(sc.mismatched_twist_frame)),
+        no_params, dorfman_suites(lambda: sc.mismatched_twist_frame())),
     "line-bivector": Scenario(
         "plane bivector x d/dx ^ d/dy restricted to a line",
         no_params, lambda _p, _seed: {"line": line_suite}),

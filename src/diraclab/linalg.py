@@ -21,9 +21,15 @@ back is a Fraction or a LinMap.  LinMap.entries and Subspace.basis are
 Fraction views, built on first read and kept on the frozen object; apply and
 dot return Fractions, solve and coords take and return whole LinMaps.
 Products, sums, stacking, image, kernel, fiber_product, solve and the
-membership tests run on ints throughout: _rref_int eliminates fraction-free
-(Bareiss, "Sylvester's identity and multistep integer-preserving Gaussian
-elimination", Math. Comp. 22, 1968) and keeps every row primitive.
+membership tests run on ints throughout:
+- _product, behind both LinMap.__matmul__ and image, multiplies row by row
+  and touches only the nonzero entries of its left operand; the maps the
+  scenarios build are mostly zeros and identity blocks.
+- _rref_int eliminates fraction-free (Bareiss, "Sylvester's identity and
+  multistep integer-preserving Gaussian elimination", Math. Comp. 22, 1968)
+  and keeps every row primitive.  Each of image, kernel, solve and
+  canonicalize eliminates once: kernel eliminates F with its columns
+  reversed, which yields the kernel's reduced echelon rows directly.
 Coordinates in a Subspace basis are read, not solved: Subspace.coords
 returns M's rows at the pivot columns.
 
@@ -37,9 +43,10 @@ Memo: fiber_product is a pure function of two frozen LinMaps, and the Dirac
 operations built on it ask for the same ones many times in a run, so it
 keeps one functools.cache per process, unbounded and with no knob.  A miss
 runs the same code, a hit returns the same frozen Subspace, and an exception
-is raised again on every call, never cached.  kernel and canonicalize are
-not memoized: a kernel memo in place of this one ran no faster on circle
-n = 2 and held more memory, and canonicalize takes lists.
+is raised again on every call, never cached.  Nothing below it is
+memoized: a kernel memo in place of this one ran no faster on circle n = 2
+and held more memory, canonicalize takes lists, and image and kernel cost
+one elimination each.
 """
 
 from __future__ import annotations
@@ -128,6 +135,32 @@ def _transpose(rows: Sequence[Sequence[int]], ncols: int) -> IntRows:
     return tuple(zip(*rows)) if rows else ((),) * ncols
 
 
+def _product(a: Sequence[Sequence[int]], b: IntRows, ncols: int) -> IntRows:
+    """The integer matrix product a b, where b has ncols columns.
+
+    Row by row (Gustavson, "Two fast algorithms for sparse matrices:
+    multiplication and permuted transposition", ACM TOMS 4(3), 1978): row i
+    of the product is the sum of the rows of b weighted by the nonzero
+    entries of row i of a.  A lone weight of 1 shares b's row, and a row of
+    a with no nonzero entry gives the one shared zero row.
+    """
+    zero = (0,) * ncols
+    out = []
+    for r in a:
+        acc = None
+        for x, row in zip(r, b):
+            if not x:
+                continue
+            if acc is None:
+                acc = row if x == 1 else [x * y for y in row]
+            elif x == 1:
+                acc = [s + y for s, y in zip(acc, row)]
+            else:
+                acc = [s + x * y for s, y in zip(acc, row)]
+        out.append(zero if acc is None else tuple(acc))
+    return tuple(out)
+
+
 def _rescaled(m: "LinMap", den: int) -> IntRows:
     """m's numerators over den, a multiple of m.den."""
     if m.den == den:
@@ -206,12 +239,13 @@ class LinMap:
         return tuple(Fraction(s, d) if s else ZERO for s in sums)
 
     def __matmul__(self, other: "LinMap") -> "LinMap":
+        """The composite self . other: each row of the product is the sum of
+        other's rows weighted by the nonzero entries of self's row, over the
+        product of the denominators, normalised."""
         if self.cols != other.rows:
             raise DimensionMismatch(f"matmul: {self.cols} vs {other.rows}")
-        ocols = _transpose(other.nums, other.cols)
         return _normalised(self.rows, other.cols,
-                           tuple(tuple([sum(map(mul, r, c)) for c in ocols])
-                                 for r in self.nums),
+                           _product(self.nums, other.nums, other.cols),
                            self.den * other.den)
 
     def __add__(self, other: "LinMap") -> "LinMap":
@@ -286,7 +320,7 @@ def _primitive(row: Sequence[int]) -> Sequence[int]:
     return [x // g for x in row] if g > 1 else row
 
 
-def _rref_int(mat: list[Sequence[int]]) -> tuple[list[Sequence[int]], list[int]]:
+def _rref_int(mat: Sequence[Sequence[int]]) -> tuple[list[Sequence[int]], list[int]]:
     """Reduced row echelon form of an integer matrix; returns (rows, pivot cols).
 
     The rows returned are the nonzero rows of the echelon form, each
@@ -304,8 +338,10 @@ def _rref_int(mat: list[Sequence[int]]) -> tuple[list[Sequence[int]], list[int]]
     piv_cols = []
     r = 0
     for c in range(len(mat[0])):
-        pivot = next((i for i in range(r, nrows) if mat[i][c]), None)
-        if pivot is None:
+        for pivot in range(r, nrows):
+            if mat[pivot][c]:
+                break
+        else:
             continue
         mat[r], mat[pivot] = mat[pivot], mat[r]
         prow = mat[r]
@@ -400,7 +436,7 @@ class Subspace:
     def sum(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:
             raise DimensionMismatch("sum: ambient mismatch")
-        return canonicalize(self.rows + other.rows, self.ambient_dim)
+        return _span(self.rows + other.rows, self.ambient_dim)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         # kernel of the stacked annihilator constraints of both subspaces
@@ -422,6 +458,12 @@ class Subspace:
         return LinMap(self.ambient_dim, self.dim, _transpose(cols, self.ambient_dim), den)
 
 
+def _span(rows: Sequence[Sequence[int]], ambient_dim: int) -> Subspace:
+    """The Subspace spanned by int rows, each of length ambient_dim."""
+    out, piv_cols = _rref_int(rows)
+    return Subspace(ambient_dim, tuple(map(tuple, out)), tuple(piv_cols))
+
+
 def canonicalize(vectors, ambient_dim: int | None = None) -> Subspace:
     """The unique echelon representative of the span of the given vectors."""
     rows = [_int_row(v) for v in vectors]
@@ -431,20 +473,27 @@ def canonicalize(vectors, ambient_dim: int | None = None) -> Subspace:
         ambient_dim = len(rows[0])
     if any(len(r) != ambient_dim for r in rows):
         raise DimensionMismatch("canonicalize: mixed ambient dimensions")
-    out, piv_cols = _rref_int(rows)
-    return Subspace(ambient_dim, tuple(map(tuple, out)), tuple(piv_cols))
+    return _span(rows, ambient_dim)
 
 
 def full_subspace(ambient_dim: int) -> Subspace:
-    return canonicalize(LinMap.identity(ambient_dim).nums, ambient_dim)
+    # the identity rows are already primitive and in reduced echelon form
+    return Subspace(ambient_dim, LinMap.identity(ambient_dim).nums,
+                    tuple(range(ambient_dim)))
 
 
 def image(f: LinMap, s: Subspace | None = None) -> Subspace:
+    """F(S), or the image of F when s is None.
+
+    The rows of S F^T are F applied to S's basis rows, computed by the
+    sparse product of __matmul__ and eliminated once.
+    """
+    ft = _transpose(f.nums, f.cols)
     if s is None:
-        return canonicalize(_transpose(f.nums, f.cols), f.rows)
+        return _span(ft, f.rows)
     if s.ambient_dim != f.cols:
         raise DimensionMismatch("image: ambient mismatch")
-    return canonicalize([[sum(map(mul, r, v)) for r in f.nums] for v in s.rows], f.rows)
+    return _span(_product(s.rows, ft, f.rows), f.rows)
 
 
 def preimage(f: LinMap, s: Subspace) -> Subspace:
@@ -458,21 +507,33 @@ def preimage(f: LinMap, s: Subspace) -> Subspace:
 
 
 def kernel(f: LinMap) -> Subspace:
-    rows, piv_cols = _rref_int(list(f.nums))
+    """{x : F x = 0}, from one elimination of F with its columns reversed.
+
+    A free column c of the reversed matrix gives the null vector
+    e_c - sum of (row[c] / row[pc]) e_pc over the rows whose pivot pc comes
+    before c.  Read back in the original order, that vector is zero before
+    c and zero at every other free column, so, made primitive with a
+    positive entry at c, it is already the kernel's reduced echelon row with
+    pivot c, and the rows come out in pivot order.
+    """
+    n = f.cols
+    last = n - 1
+    rows, piv_cols = _rref_int([r[::-1] for r in f.nums])
     pivs = set(piv_cols)
-    gens = []
-    for fc in range(f.cols):
-        if fc in pivs:
+    out, pivots = [], []
+    for c in reversed(range(n)):
+        if c in pivs:
             continue
-        # e_fc - sum of (row[fc] / row[pc]) e_pc, over the lcm of those pivots
-        hits = [(r, pc) for r, pc in zip(rows, piv_cols) if r[fc]]
+        # m times that vector, m the lcm of its pivots, at the original indices
+        hits = [(r, pc) for r, pc in zip(rows, piv_cols) if r[c]]
         m = lcm(*[r[pc] for r, pc in hits])
-        v = [0] * f.cols
-        v[fc] = m
+        v = [0] * n
+        v[last - c] = m
         for r, pc in hits:
-            v[pc] = -r[fc] * (m // r[pc])
-        gens.append(v)
-    return canonicalize(gens, f.cols)
+            v[last - pc] = -r[c] * (m // r[pc])
+        out.append(tuple(_primitive(v)))
+        pivots.append(last - c)
+    return Subspace(n, tuple(out), tuple(pivots))
 
 
 @cache

@@ -364,6 +364,7 @@ def _build_rotation_hamiltonian(points: list[Vec], circles: list[list[int]],
     c1_top = hstack(ident_k, zero_kn)
     arrows = []
     arrow_at: dict[tuple, int] = {}
+    rotated: dict[tuple, Vec] = {}  # (point, ts) -> the point rotated by ts
     arrow_map = []
     c1_list = []
     for p in arrow_base:
@@ -373,7 +374,8 @@ def _build_rotation_hamiltonian(points: list[Vec], circles: list[list[int]],
         c1_mat = vstack(c1_top, hstack(LinMap.zero(k, k), c0[src]))
         for ts in ts_tuples:
             r = rot[ts]
-            tgt = add_object(r.apply(p))
+            rotated[(p, ts)] = r.apply(p)
+            tgt = add_object(rotated[(p, ts)])
             unit = all(t == 0 for t in ts)
             g_ai = g_arrow_index[(obj_map[src], ts)]
             om = g_bundle.arrows[g_ai].omega.pullback(c1_mat) if pulled_omega else None
@@ -397,8 +399,7 @@ def _build_rotation_hamiltonian(points: list[Vec], circles: list[list[int]],
     pairs = []
     for p in points:
         for ts1, ts2, ts12 in triples:
-            rp = rot[ts2].apply(p)
-            g_i = arrow_at.get((rp, ts1))
+            g_i = arrow_at.get((rotated[(p, ts2)], ts1))
             h_i = arrow_at.get((p, ts2))
             gh_i = arrow_at.get((p, ts12))
             if None not in (g_i, h_i, gh_i):

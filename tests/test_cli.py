@@ -425,3 +425,17 @@ def test_reduce_rejects_an_empty_level(tmp_path, capsys):
     code, out, err = run(capsys, ["reduce", spec, "--level", ""])
     assert (code, out) == (cli.EXIT_BAD_INPUT, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_the_dorfman_suite_looks_its_builder_up_when_it_runs(monkeypatch):
+    built = []
+    build = cli.sc.build_lie_poisson_so3
+
+    def patched():
+        built.append(True)
+        return build()
+    monkeypatch.setattr(cli.sc, "build_lie_poisson_so3", patched)
+    row = cli.SCENARIOS["so3"]
+    rep = row.suites(row.params({}), 0)["dorfman"]()
+    assert built == [True]
+    assert rep.passed

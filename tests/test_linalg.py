@@ -650,3 +650,82 @@ def test_fiber_product_raises_on_every_call():
             fiber_product(LinMap.identity(2), LinMap.identity(3))
     # nothing was stored, so each call ran the code again
     assert fiber_product.cache_info().misses == misses + 3
+
+
+# ---------------------------------------------------------------------------
+# the sparse product and the one-elimination kernel and image, on the shapes
+# the scenarios build: mostly zeros, identity blocks, zero maps and empty
+# sides
+
+def sparse(draw, rows, cols):
+    """A rows x cols list of Fractions: a zero map, a (rectangular) identity,
+    or a few nonzero entries, mostly 1 and -1, at random cells."""
+    kind = draw(st.sampled_from(["sparse", "identity", "zero"]))
+    m = [[F(0)] * cols for _ in range(rows)]
+    if kind == "identity":
+        for i in range(min(rows, cols)):
+            m[i][i] = F(1)
+    elif kind == "sparse" and rows and cols:
+        cells = draw(st.sets(st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1)),
+                             max_size=rows * cols // 2 + 1))
+        for i, j in sorted(cells):
+            m[i][j] = draw(st.one_of(st.just(F(1)), st.just(F(-1)), entries))
+    return m
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_matmul_matches_the_fraction_product_on_sparse_operands(data):
+    r, k, c = (data.draw(st.integers(0, 7)) for _ in range(3))
+    a, b = sparse(data.draw, r, k), sparse(data.draw, k, c)
+    prod = LinMap.from_rows(a, cols=k) @ LinMap.from_rows(b, cols=c)
+    oracle = oracle_mul(a, b, k, c)
+    assert as_rows(prod) == oracle
+    assert_normalised(prod)
+    assert prod == LinMap.from_rows(oracle, cols=c)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_image_is_the_span_of_the_images_of_the_basis(data):
+    r, k = data.draw(st.integers(0, 6)), data.draw(st.integers(1, 6))
+    f = LinMap.from_rows(sparse(data.draw, r, k), cols=k)
+    s = canonicalize(sparse(data.draw, data.draw(st.integers(0, 4)), k), k)
+    got = image(f, s)
+    assert got == canonicalize([f.apply(v) for v in s.basis], r)
+    assert_canonical(got)
+
+
+@pytest.mark.parametrize("m, cols, basis", [
+    ([], 3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]),      # no rows: everything
+    ([[], []], 0, []),                                # no columns: Q^0
+    ([[1, 2], [3, 4], [5, 6]], 2, []),                # full column rank
+    ([[0, 1, 0, 2], [0, 3, 0, 1]], 4, [[1, 0, 0, 0], [0, 0, 1, 0]]),  # zero columns
+    ([[0, 2, 4, 0]], 4, [[1, 0, 0, 0], [0, -2, 1, 0], [0, 0, 0, 1]]),
+    ([[1, 2, 2]], 3, [[2, 0, -1], [0, 1, -1]]),       # null vectors not yet primitive
+    ([[0, 0], [0, 0]], 2, [[1, 0], [0, 1]]),          # the zero map
+])
+def test_kernel_edge_cases(m, cols, basis):
+    k = kernel(LinMap.from_rows(m, cols=cols))
+    assert k == canonicalize(basis, cols)
+    assert k.basis == oracle_kernel([[F(x) for x in r] for r in m], cols)
+    assert_canonical(k)
+
+
+def test_kernel_and_image_eliminate_once(monkeypatch):
+    from diraclab import linalg
+    calls, rref_int = [], linalg._rref_int
+
+    def counted(mat):
+        calls.append(len(mat))
+        return rref_int(mat)
+    monkeypatch.setattr(linalg, "_rref_int", counted)
+    f = LinMap.from_rows([[1, 2, 3, 0], [2, 4, 7, 1], [0, 0, 1, 1]])
+    k = kernel(f)
+    assert calls == [3]
+    assert k.basis == oracle_kernel(as_rows(f), 4)
+    s = canonicalize([vec(1, 0, 0, 0), vec(0, 1, 1, 0)], 4)
+    calls.clear()
+    im = image(f, s)
+    assert calls == [2]
+    assert im == canonicalize([f.apply(v) for v in s.basis], 3)
