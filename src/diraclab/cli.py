@@ -25,7 +25,6 @@ import os
 import random
 import sys
 from collections import Counter
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import partial
 from typing import Callable
@@ -37,6 +36,7 @@ from .courant import ThreeFormFiber, TwoFormFiber
 from .groupoid import GroupoidFiberBundle
 from .intersection import induced_poisson, strong_exact_sequence, strong_intersection
 from .linalg import LinMap, canonicalize, frac, vec
+from .records import field, record, replace
 from .report import HYPOTHESIS_VIOLATED, PASS, VerificationReport
 from .serialize import (bundle_to_json, datum_from_json, datum_to_json,
                         dirac_family_to_json, dumps)
@@ -227,7 +227,7 @@ def line_suite() -> VerificationReport:
     return rep
 
 
-@dataclass(frozen=True)
+@record
 class Scenario:
     about: str
     params: Callable[[dict], dict]

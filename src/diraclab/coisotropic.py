@@ -12,7 +12,6 @@ Hamiltonian check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .courant import (
@@ -44,10 +43,11 @@ from .linalg import (
     solve,
     vstack,
 )
+from .records import record, replace
 from .report import CheckRecord, VerificationReport, witness_subspace, witness_vector
 
 
-@dataclass(frozen=True)
+@record
 class CoisotropicDatum:
     """A morphism fiber bundle c : C -> G with a Dirac fiber per C-object.
 
@@ -178,7 +178,7 @@ def is_strong(datum: CoisotropicDatum) -> VerificationReport:
     return rep
 
 
-@dataclass(frozen=True)
+@record
 class ChainComplex3:
     """Three spaces with two composable maps; composite must vanish."""
 

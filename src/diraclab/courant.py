@@ -26,7 +26,6 @@ never cached.  DiracFiber.parts() is kept on the frozen fiber the same way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, cached_property
 from operator import mul
 
@@ -46,6 +45,7 @@ from .linalg import (
     solve,
     vstack,
 )
+from .records import record
 
 
 class NotLagrangian(ValueError):
@@ -61,7 +61,7 @@ def pairing(x, y):
     return sum(map(mul, x[n:], y[:n])) + sum(map(mul, y[n:], x[:n]))
 
 
-@dataclass(frozen=True)
+@record
 class TwoFormFiber:
     """An antisymmetric bilinear form on Q^n."""
 
@@ -100,7 +100,7 @@ class TwoFormFiber:
         return kernel(self.matrix).dim == 0
 
 
-@dataclass(frozen=True)
+@record
 class ThreeFormFiber:
     """An alternating 3-tensor on Q^n, stored on increasing index triples."""
 
@@ -171,7 +171,7 @@ class ThreeFormFiber:
         return not self.coeffs
 
 
-@dataclass(frozen=True)
+@record
 class DiracFiber:
     """A Lagrangian subspace of Q^n + (Q^n)*, for the pairing above."""
 

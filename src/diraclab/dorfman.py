@@ -13,17 +13,17 @@ sound, acceptance is probabilistic in the choice of sample points.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import courant
 from .linalg import Vec, ZERO, canonicalize, frac, vec, vec_concat
+from .records import record
 from .report import VerificationReport, witness_vector
 
 Monomial = tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@record
 class Poly:
     """Multivariate polynomial over Q; exponent vector -> coefficient."""
 
@@ -107,7 +107,7 @@ def zero_poly(arity: int) -> Poly:
     return Poly(arity, ())
 
 
-@dataclass(frozen=True)
+@record
 class PolyForm:
     """Alternating k-form with Poly coefficients, on increasing index tuples."""
 
@@ -208,7 +208,7 @@ def lie_bracket(v: list[Poly], w: list[Poly]) -> list[Poly]:
     return out
 
 
-@dataclass(frozen=True)
+@record
 class PolySection:
     """A section (v, alpha) of TQ^n + T*Q^n with polynomial components."""
 
@@ -254,7 +254,7 @@ def dorfman_bracket(s1: PolySection, s2: PolySection, phi: PolyForm) -> PolySect
     return PolySection(tuple(lie_bracket(v, w)), tuple(comps))
 
 
-@dataclass(frozen=True)
+@record
 class PolyDiracFrame:
     """A frame of n sections, pointwise spanning a Lagrangian subspace."""
 

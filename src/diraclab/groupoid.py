@@ -16,12 +16,11 @@ bundle: GroupoidFiberBundle.qs_report runs qs_check once per bundle object.
 The CLI's qs suites return it, and every checker that needs a
 quasi-symplectic target (is_coisotropic, gauge_qs, and through them transfer)
 reads its verdict; none of them may mutate it.  A bundle built with
-dataclasses.replace is a new object and is decided afresh.
+records.replace is a new object and is decided afresh.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .courant import (
@@ -44,10 +43,11 @@ from .linalg import (
     solve,
     vstack,
 )
+from .records import record, replace
 from .report import VerificationReport, witness_subspace, witness_vector
 
 
-@dataclass(frozen=True)
+@record
 class ObjectFiber:
     """Linear data of a groupoid at an object: T, A, rho, sigma, phi."""
 
@@ -66,7 +66,7 @@ class ObjectFiber:
             raise DimensionMismatch("phi dim")
 
 
-@dataclass(frozen=True)
+@record
 class ArrowFiber:
     """Linear data at an arrow g: differentials, 2-form, translations."""
 
@@ -82,7 +82,7 @@ class ArrowFiber:
     u_star: LinMap | None = None   # T_obj -> T_g at units
 
 
-@dataclass(frozen=True)
+@record
 class ComposablePairFiber:
     """A pair (g, h) with src(g) = tgt(h), product arrow gh, and m_star
     expressed on the echelon basis of the tangent fiber product."""
@@ -94,7 +94,7 @@ class ComposablePairFiber:
     m_star: LinMap             # tangent-basis coordinates -> T_gh
 
 
-@dataclass(frozen=True)
+@record
 class GroupoidFiberBundle:
     objects: tuple[ObjectFiber, ...]
     arrows: tuple[ArrowFiber, ...]
@@ -154,7 +154,7 @@ def make_pair(bundle_arrows, g_idx: int, h_idx: int, gh_idx: int,
     return ComposablePairFiber(g_idx, h_idx, gh_idx, tang, m @ tang.matrix())
 
 
-@dataclass(frozen=True)
+@record
 class MorphismFiber:
     """Differentials of a groupoid morphism at sampled objects and arrows."""
 

@@ -10,8 +10,6 @@ auxiliary spaces across all sampled product points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .coisotropic import CoisotropicDatum, zero_shifted_poisson_check, is_coisotropic
 from .courant import (
     DiracFiber,
@@ -41,10 +39,11 @@ from .linalg import (
     kernel,
     vstack,
 )
+from .records import field, record
 from .report import VerificationReport, witness_subspace
 
 
-@dataclass(frozen=True)
+@record
 class StrongProductFiber:
     """Product object fiber: tangent and algebroid fiber products with the
     componentwise anchor and the two projections."""
@@ -57,7 +56,7 @@ class StrongProductFiber:
     p2: LinMap
 
 
-@dataclass(frozen=True)
+@record
 class HomotopyProductFiber:
     """Product object fiber over (x1, g, x2) with the translated anchor."""
 
@@ -69,7 +68,7 @@ class HomotopyProductFiber:
     p2: LinMap
 
 
-@dataclass
+@record
 class RankLedger:
     """Per-point dimensions of the auxiliary spaces; cleanness is constancy."""
 
@@ -86,7 +85,7 @@ class RankLedger:
         return [e[key] for e in self.entries]
 
 
-@dataclass
+@record
 class StrongIntersection:
     fibers: list[StrongProductFiber]
     dirac: list[DiracFiber]
@@ -297,7 +296,7 @@ def strong_exact_sequence(d1: CoisotropicDatum, d2: CoisotropicDatum,
     return rep
 
 
-@dataclass
+@record
 class HomotopyIntersection:
     fibers: list[HomotopyProductFiber]
     dirac: list[DiracFiber]

@@ -14,7 +14,8 @@ Representation: integer rows inside, Fraction only at the boundary.
   (the entries of each row have gcd 1, its pivot entry is positive) and
   their pivot columns.  Dividing such a row by its pivot entry gives the
   reduced echelon row over Q, and back, so the stored form is unique.
-Both forms are unique, so dataclass equality and hashing are exact.
+Both forms are unique, so record equality and hashing (records.record,
+those of the field tuple) are exact.
 Values a caller passes in (vector and matrix entries) may be ints,
 Fractions or, where frac accepts them, 'p/q' strings; every value it gets
 back is a Fraction or a LinMap.  LinMap.entries and Subspace.basis are
@@ -52,11 +53,12 @@ one elimination each.
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from math import gcd, lcm
 from operator import mul
+
+from .records import record
 
 Vec = tuple[Fraction, ...]
 IntRows = tuple[tuple[int, ...], ...]
@@ -179,7 +181,7 @@ def _normalised(rows: int, cols: int, nums: IntRows, den: int) -> "LinMap":
     return LinMap(rows, cols, nums, den)
 
 
-@dataclass(frozen=True)
+@record
 class LinMap:
     """A linear map Q^cols -> Q^rows: the dense row-major matrix nums / den.
 
@@ -360,7 +362,7 @@ def _rref_int(mat: Sequence[Sequence[int]]) -> tuple[list[Sequence[int]], list[i
     return out, piv_cols
 
 
-@dataclass(frozen=True)
+@record
 class Subspace:
     """A subspace of Q^ambient_dim, given by its reduced echelon basis.
 

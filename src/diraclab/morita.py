@@ -13,8 +13,6 @@ its caller instead of transferring again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 from .coisotropic import CoisotropicDatum, is_coisotropic, is_strong, strong_injectivity
 from .courant import (
     DiracFiber,
@@ -43,6 +41,7 @@ from .linalg import (
     solve,
     vstack,
 )
+from .records import record, replace
 from .report import VerificationReport
 
 
@@ -125,7 +124,7 @@ def symplectic_morita_check(phi1: MorphismFiber, phi2: MorphismFiber,
 # ---------------------------------------------------------------------------
 # connections and the adjoint calculus
 
-@dataclass(frozen=True)
+@record
 class ConnectionFiber:
     """A splitting tau of the source sequence at one arrow, with the derived
     left splitting computed through the stored right translation."""
@@ -224,7 +223,7 @@ def curvature_defect_check(bundle: GroupoidFiberBundle, pair_idx: int,
     return rep
 
 
-@dataclass(frozen=True)
+@record
 class NatTransFiber:
     """theta at one domain object: the codomain arrow theta(x) and the
     differential theta_star."""
@@ -303,7 +302,7 @@ def homotopy_identities(f: MorphismFiber, g: MorphismFiber,
 # ---------------------------------------------------------------------------
 # coisotropic transfer
 
-@dataclass(frozen=True)
+@record
 class MoritaEquivalenceDatum:
     """The seven-groupoid transfer diagram sampled fiberwise.
 
@@ -390,7 +389,7 @@ def _unit_arrow_at(bundle: GroupoidFiberBundle, obj_idx: int) -> int:
     raise ValueError(f"no unit arrow sampled at object {obj_idx}")
 
 
-@dataclass
+@record
 class TransferResult:
     dirac: dict[int, DiracFiber]      # per C2-object
     report: VerificationReport
@@ -514,7 +513,7 @@ def gauge_twist_equivalence(datum: CoisotropicDatum,
         c, c, theta, theta, tuple(gamma), tuple(dgamma), delta)
 
 
-@dataclass(frozen=True)
+@record
 class ChainSample:
     """One object sample of a composed equivalence: the homotopy fiber
     product object with its projections and connecting transformation."""

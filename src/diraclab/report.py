@@ -7,14 +7,14 @@ conditional and the condition does not hold, so no claim is made either way).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from .records import field, record
 
 PASS = "pass"
 FAIL = "fail"
 HYPOTHESIS_VIOLATED = "hypothesis-violated"
 
 
-@dataclass(frozen=True)
+@record
 class CheckRecord:
     check_id: str
     status: str
@@ -33,7 +33,7 @@ class CheckRecord:
         return out
 
 
-@dataclass
+@record
 class VerificationReport:
     suite: str
     records: list[CheckRecord] = field(default_factory=list)

@@ -16,7 +16,6 @@ groupoid.unit_groupoid and groupoid.morphism_to_point.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import isqrt
 
@@ -48,6 +47,7 @@ from .linalg import (
     vec,
     vstack,
 )
+from .records import record, replace
 from .report import VerificationReport, witness_subspace
 
 F = Fraction
@@ -270,7 +270,7 @@ def _moment_of(p: Vec, circles) -> tuple:
                  for blocks in circles)
 
 
-@dataclass(frozen=True)
+@record
 class RotationScenario:
     """A rotation Hamiltonian scenario plus the index metadata needed to
     build orbit restrictions, product samples and quotient charts.
@@ -349,9 +349,10 @@ def _build_rotation_hamiltonian(points: list[Vec], circles: list[list[int]],
         if p not in arrow_base:
             arrow_base.append(p)
     points = list(arrow_base)
+    rotated: dict[tuple, Vec] = {}  # (point, ts) -> the point rotated by ts
     for p in points:
         for ts in ts_tuples:
-            rp = rot[ts].apply(p)
+            rp = rotated[(p, ts)] = rot[ts].apply(p)
             if rp not in arrow_base:
                 arrow_base.append(rp)
 
@@ -364,7 +365,6 @@ def _build_rotation_hamiltonian(points: list[Vec], circles: list[list[int]],
     c1_top = hstack(ident_k, zero_kn)
     arrows = []
     arrow_at: dict[tuple, int] = {}
-    rotated: dict[tuple, Vec] = {}  # (point, ts) -> the point rotated by ts
     arrow_map = []
     c1_list = []
     for p in arrow_base:
@@ -374,7 +374,8 @@ def _build_rotation_hamiltonian(points: list[Vec], circles: list[list[int]],
         c1_mat = vstack(c1_top, hstack(LinMap.zero(k, k), c0[src]))
         for ts in ts_tuples:
             r = rot[ts]
-            rotated[(p, ts)] = r.apply(p)
+            if (p, ts) not in rotated:
+                rotated[(p, ts)] = r.apply(p)
             tgt = add_object(rotated[(p, ts)])
             unit = all(t == 0 for t in ts)
             g_ai = g_arrow_index[(obj_map[src], ts)]
@@ -498,7 +499,7 @@ def circle_orbit_datum(scn: RotationScenario, level) -> CoisotropicDatum:
 # ---------------------------------------------------------------------------
 # reduction pipeline and its independent oracle
 
-@dataclass(frozen=True)
+@record
 class ReductionScenario:
     scn: RotationScenario
     level: Fraction
@@ -649,7 +650,7 @@ def involutivity_points(seed: int) -> list:
 # ---------------------------------------------------------------------------
 # the plane bivector restricted to a line (pullback / rank-jump fixture)
 
-@dataclass(frozen=True)
+@record
 class LineBivectorFixture:
     """c : Q -> Q^2, t -> (t, 0), against pi = x d/dx ^ d/dy."""
 
@@ -795,7 +796,7 @@ def run_reduction(red: ReductionScenario):
 # ---------------------------------------------------------------------------
 # natural-transformation fixtures for the homotopy identity suite
 
-@dataclass(frozen=True)
+@record
 class NatTransFixture:
     f: MorphismFiber
     g: MorphismFiber

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -49,6 +48,7 @@ from diraclab.linalg import (
     vstack,
 )
 
+from diraclab.records import replace
 from diraclab.report import FAIL, HYPOTHESIS_VIOLATED
 
 F = Fraction
@@ -133,7 +133,7 @@ def test_orbit_well_definedness_rejects_corrupt_input(circle1):
     # over a point orbit that surfaces as an anchor-image mismatch instead
     bad_cod_objects = list(c.cod.objects)
     ob = bad_cod_objects[c.obj_map[0]]
-    from dataclasses import replace
+    from diraclab.records import replace
     bad_cod_objects[c.obj_map[0]] = replace(ob, rho=LinMap.from_rows([[1]]))
     bad_cod = GroupoidFiberBundle(tuple(bad_cod_objects), c.cod.arrows, (),
                                   name="bad")

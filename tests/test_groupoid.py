@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -23,6 +22,7 @@ from diraclab.groupoid import (
 )
 from diraclab.linalg import LinMap, kernel, solve
 from diraclab.morita import NatTransFiber, nat_trans_form_identity, star_composite_form_identity
+from diraclab.records import replace
 from diraclab.report import HYPOTHESIS_VIOLATED, PASS
 
 F = Fraction

@@ -1,7 +1,8 @@
 """Source hygiene: every module-level import in src/diraclab is used, every
 name a function stores is read somewhere in that function, only the CLI
-imports the scenario builders, importing the CLI does not load morita, only
-the five relation operations are memoized, every public function is reached
+imports the scenario builders, importing the CLI does not load morita or
+dataclasses, no module uses dataclasses or the namedtuple constructors that
+skip validation, only the five relation operations are memoized, every public function is reached
 from src or allowlisted with a reason, and every function the benchmark's
 traced run wraps exists."""
 
@@ -126,14 +127,46 @@ def test_importing_the_cli_does_not_load_morita():
     # only three suites use morita and three use dorfman, and only
     # content_hash uses hashlib (which loads OpenSSL), so each is imported
     # where it is used: at the top of cli its import time would be paid by
-    # every command at start-up
+    # every command at start-up; records are namedtuples, because dataclasses
+    # imports inspect and execs several methods per class
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     probe = ("import sys; before = set(sys.modules); import diraclab.cli; "
-             "print(sorted({'diraclab.morita', 'diraclab.dorfman', 'hashlib'}"
-             " & (set(sys.modules) - before)))")
+             "print(sorted({'diraclab.morita', 'diraclab.dorfman', 'hashlib',"
+             " 'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
     done = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
+
+
+def record_misuses(tree: ast.Module) -> list[str]:
+    """Every import of dataclasses, and every call of namedtuple's _replace
+    or _make, which build a record without running its __post_init__."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out += [f"import {a.name} (line {node.lineno})" for a in node.names
+                    if a.name.split(".")[0] == "dataclasses"]
+        elif isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
+            out.append(f"from dataclasses (line {node.lineno})")
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr in ("_replace", "_make")):
+            out.append(f"{node.func.attr} (line {node.lineno})")
+    return out
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_records_are_built_through_their_class(path):
+    assert record_misuses(ast.parse(path.read_text())) == []
+
+
+def test_record_misuses_sees_every_form():
+    tree = ast.parse("import dataclasses\n"
+                     "from dataclasses import replace\n"
+                     "def f(x, y):\n"
+                     "    return x._replace(a=1), type(y)._make([1]), x.replace(a=1)\n")
+    assert record_misuses(tree) == ["import dataclasses (line 1)",
+                                    "from dataclasses (line 2)",
+                                    "_replace (line 4)", "_make (line 4)"]
 
 
 MEMOS = {"cache", "lru_cache"}

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -13,6 +12,7 @@ from diraclab.intersection import (
     strong_intersection,
 )
 from diraclab.linalg import LinMap, image, solve, vec_concat
+from diraclab.records import replace
 
 F = Fraction
 

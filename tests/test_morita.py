@@ -1,7 +1,6 @@
 """Direct tests of the Morita layer: symplectic equivalences, descent,
 transfer and the composition of two transfers."""
 
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -22,6 +21,7 @@ from diraclab.morita import (
     transfer,
     transfer_composition_check,
 )
+from diraclab.records import replace
 from diraclab.report import FAIL, PASS, VerificationReport
 
 F = Fraction
@@ -235,7 +235,7 @@ def test_a_corrupted_theta_star_fails_the_structure_identity():
     rows = [list(r) for r in fx.theta[0].theta_star.entries]
     rows[0][0] += 1
     theta = dict(fx.theta)
-    theta[0] = dataclasses.replace(theta[0], theta_star=LinMap.from_rows(rows))
+    theta[0] = replace(theta[0], theta_star=LinMap.from_rows(rows))
     rep = homotopy_report(fx, theta)
     failed = {(r.check_id, r.detail.split(":")[0])
               for r in rep.records if r.status != PASS}

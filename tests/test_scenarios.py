@@ -1,7 +1,9 @@
 """Scenario builders: the cotangent-torus builder against the closed forms of
 T*S^1 and T*T^2, the composable-pair enumerator, the rotation generator, the
+rotation builder's one application of each rotation to each point, the
 terminal morphism to the point, and the exact rational square root."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -94,6 +96,19 @@ def test_sum_blocks_is_the_rotation_generator_on_its_blocks():
     quotient = tuple((x - y) / (2 * t) for x, y in zip(rot.apply(p), p))
     assert all(abs(q - g) < F(1, 10 ** 5)
                for q, g in zip(quotient, sc.sum_blocks(p, [1])))
+
+
+@pytest.mark.parametrize("build", [sc.circle_scenario, sc.circle_reduction])
+def test_each_rotation_is_applied_to_each_point_once(monkeypatch, build):
+    applied, apply = Counter(), LinMap.apply
+
+    def counted(self, v):
+        applied[(self, tuple(v))] += 1
+        return apply(self, v)
+    monkeypatch.setattr(LinMap, "apply", counted)
+    build(2, F(1, 2))
+    assert applied
+    assert [key for key, count in applied.items() if count > 1] == []
 
 
 def test_morphism_to_point_sends_everything_to_the_unit(circle1):
