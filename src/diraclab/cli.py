@@ -15,6 +15,13 @@ a reduction hypothesis was violated (prints a hypothesis-violated document);
 cannot be written (prints ``error: ...``).  ``reduce`` and ``dump`` check
 their ``--out`` file before they build anything, so an unwritable path costs
 no work, and write it only when their document is done.
+
+Each command loads only the modules its scenario runs.  This module imports
+at its top only what every command needs: scenarios, serialize and the
+modules they load (linalg, courant, records, report).  Each suite runner
+imports its checkers from groupoid, coisotropic, intersection, morita or
+dorfman when it runs, and the scenario builders and the loaders in
+serialize do the same, so a command loads only the checkers its suites run.
 """
 
 from __future__ import annotations
@@ -30,11 +37,7 @@ from functools import partial
 from typing import Callable
 
 from . import scenarios as sc
-from .coisotropic import (chain_map_check, identity_datum,
-                          infinitesimal_coisotropic_check, is_coisotropic, is_strong)
 from .courant import ThreeFormFiber, TwoFormFiber
-from .groupoid import GroupoidFiberBundle
-from .intersection import induced_poisson, strong_exact_sequence, strong_intersection
 from .linalg import LinMap, canonicalize, frac, vec
 from .records import field, record, replace
 from .report import HYPOTHESIS_VIOLATED, PASS, VerificationReport
@@ -71,21 +74,31 @@ def pair_params(params: dict) -> dict:
     return {"n": n}
 
 
-def parse_level(text: str) -> Fraction:
-    """A moment level p/q; Fraction raises ZeroDivisionError, not a
-    ValueError, on a zero denominator, so that is rejected here."""
+def parse_level(level: str | int) -> Fraction:
+    """A moment level, a "p/q" string or an integer.  Fraction raises
+    ZeroDivisionError, not a ValueError, on a zero denominator, and its own
+    message on a malformed string does not name the level, so both are
+    rejected here."""
     try:
-        return frac(text)
+        return frac(level)
     except ZeroDivisionError:
-        raise ScenarioError(f"level {text!r} has a zero denominator") from None
+        raise ScenarioError(f"level {level!r} has a zero denominator") from None
+    except ValueError:
+        raise ScenarioError(f"level {level!r} is not a 'p/q' string") from None
 
 
 def circle_params(params: dict) -> dict:
-    """The circle scenario's n (default 1) and moment level (default 1/2)."""
+    """The circle scenario's n (default 1) and moment level (default 1/2).
+    The level is a "p/q" string or an integer: a JSON number with a fraction
+    part is a float, not the exact level it prints as, and str() would read
+    true as "True"."""
     n = int_param(params, "n", 1)
     if n < 1:
         raise ScenarioError(f"circle needs n >= 1, got {n}")
-    return {"n": n, "level": parse_level(str(params.get("level", "1/2")))}
+    level = params.get("level", "1/2")
+    if type(level) not in (str, int):
+        raise ScenarioError(f"'level' must be a 'p/q' string or an integer, got {level!r}")
+    return {"n": n, "level": parse_level(level)}
 
 
 def pair_bundle(p: dict):
@@ -100,6 +113,7 @@ def pair_suites(p: dict, seed: int) -> dict:
     bundle = pair_bundle(p)
 
     def coisotropic():
+        from .coisotropic import chain_map_check, identity_datum, is_coisotropic
         rep = VerificationReport("coisotropic")
         datum = identity_datum(bundle)
         rep.merge(is_coisotropic(datum))
@@ -116,8 +130,13 @@ def pair_suites(p: dict, seed: int) -> dict:
             rep.merge(curvature_defect_check(bundle, i, conn))
         return rep
 
+    def induced():
+        from .coisotropic import identity_datum
+        from .intersection import induced_poisson
+        return induced_poisson(identity_datum(bundle))
+
     return {"qs": lambda: bundle.qs_report, "coisotropic": coisotropic, "adjoint": adjoint,
-            "induced": lambda: induced_poisson(identity_datum(bundle))}
+            "induced": induced}
 
 
 def circle_suites(p: dict, seed: int) -> dict:
@@ -125,12 +144,14 @@ def circle_suites(p: dict, seed: int) -> dict:
     scn = sc.circle_scenario(n, level)
 
     def coisotropic():
+        from .coisotropic import is_strong
         rep = VerificationReport("coisotropic")
         rep.merge(is_strong(scn.datum))
         rep.merge(is_strong(sc.circle_orbit_datum(scn, level)))
         return rep
 
     def intersection():
+        from .intersection import strong_exact_sequence, strong_intersection
         red = sc.circle_reduction(n, level)
         si = strong_intersection(red.orbit, red.scn.datum,
                                  list(red.obj_pairs), list(red.arrow_pairs))
@@ -159,6 +180,10 @@ def circle_suites(p: dict, seed: int) -> dict:
 def torus_suites(_p: dict, _seed: int) -> dict:
     scn = torus()
 
+    def coisotropic():
+        from .coisotropic import is_strong
+        return is_strong(scn.datum)
+
     def transfer_suite():
         from .morita import (ChainSample, gauge_twist_equivalence, transfer,
                              transfer_composition_check)
@@ -185,7 +210,7 @@ def torus_suites(_p: dict, _seed: int) -> dict:
 
     return {"qs": lambda: scn.datum.g_bundle.qs_report,
             "hamiltonian": lambda: sc.hamiltonian_check(scn.datum),
-            "coisotropic": lambda: is_strong(scn.datum),
+            "coisotropic": coisotropic,
             "transfer": transfer_suite}
 
 
@@ -206,6 +231,7 @@ def dorfman_suites(frame: Callable) -> Callable:
 
 
 def line_suite() -> VerificationReport:
+    from .coisotropic import infinitesimal_coisotropic_check
     rep = VerificationReport("line")
     fx = sc.line_bivector_fixture()
     at_one = fx.l_n[fx.params.index(Fraction(1))]

@@ -5,8 +5,10 @@ its two-way cohomology characterization, orbit constructors, and the
 
 Data are immutable, so results that belong to one object are computed once
 on it: the target's quasi-symplectic verdict is read from the bundle's
-qs_report property, and the per-arrow compatibility records are the
-datum's compatibility property, shared by is_coisotropic, is_strong and the
+qs_report property, the per-arrow compatibility records are the datum's
+compatibility property, shared by is_coisotropic, is_strong and the
+Hamiltonian check, and the per-object non-degeneracy maps are the datum's
+assemblies property, shared by is_coisotropic, chain_map_check and the
 Hamiltonian check.
 """
 
@@ -86,6 +88,18 @@ class CoisotropicDatum:
                                 c.pullback_two_form(k)).records[0]
             for k, ar in enumerate(c.dom.arrows))
 
+    @cached_property
+    def assemblies(self) -> tuple:
+        """The nondeg_assembly of each C-object, in object order, or the
+        ImageEscapesL it raised there, computed once for this datum."""
+        out = []
+        for i in range(len(self.c_bundle.objects)):
+            try:
+                out.append(nondeg_assembly(self, i))
+            except ImageEscapesL as e:
+                out.append(e.with_traceback(None))   # keep no frames alive
+        return tuple(out)
+
 
 class ImageEscapesL(ValueError):
     """im(rho_C, c*sigma c_*) is not contained in L: the compatibility
@@ -141,12 +155,11 @@ def is_coisotropic(datum: CoisotropicDatum) -> VerificationReport:
     for k, r in enumerate(datum.compatibility):
         rep.records.append(replace(r, detail=f"arrow {k}: " + r.detail))
 
-    for i in range(len(c.dom.objects)):
-        try:
-            mat, fp = nondeg_assembly(datum, i)
-        except ImageEscapesL as e:
-            rep.add("coiso.nondeg", False, detail=str(e))
+    for i, assembly in enumerate(datum.assemblies):
+        if isinstance(assembly, ImageEscapesL):
+            rep.add("coiso.nondeg", False, detail=str(assembly))
             continue
+        mat, fp = assembly
         im = image(mat)
         ok = im == fp
         wit = None
@@ -270,8 +283,9 @@ def chain_map_check(datum: CoisotropicDatum, obj_idx: int) -> VerificationReport
     quasi_iso = iso_minus and inj0 and surj0 and inj1 and surj1
     middle_iso = inj0 and surj0
 
-    # the other characterization, computed from the assembled map
-    mat, fp = nondeg_assembly(datum, obj_idx)
+    # the other characterization, computed from the assembled map; it
+    # exists, because its image-in-L condition is the one checked above
+    mat, fp = datum.assemblies[obj_idx]
     surjective = image(mat) == fp
     bijective = surjective and kernel(mat).dim == 0
 

@@ -11,6 +11,13 @@ _build_rotation_hamiltonian for a torus acting on C^n by rotations, whose
 composable pairs all come from composable().  The point groupoid, the unit
 groupoids and the terminal morphism are groupoid.point_bundle,
 groupoid.unit_groupoid and groupoid.morphism_to_point.
+
+Each command loads only the modules its scenario runs: this module imports
+at its top only what every builder needs (linalg, courant, records and
+report), and each builder imports its groupoid, coisotropic, intersection,
+morita or dorfman names itself, when it runs.  The Dorfman frames need none
+of groupoid, coisotropic and intersection, and the pair and torus builders
+no intersection.
 """
 
 from __future__ import annotations
@@ -19,21 +26,8 @@ import random
 from fractions import Fraction
 from math import isqrt
 
-from .coisotropic import CoisotropicDatum, ImageEscapesL, nondeg_assembly, orbit_lagrangian
 from .courant import (ThreeFormFiber, TwoFormFiber, graph_bivector, graph_two_form,
                       kernel_of, pullback)
-from .groupoid import (
-    ArrowFiber,
-    GroupoidFiberBundle,
-    MorphismFiber,
-    ObjectFiber,
-    identity_morphism,
-    make_pair,
-    morphism_to_point,
-    point_bundle,
-    unit_groupoid,
-)
-from .intersection import strong_exact_sequence, strong_intersection
 from .linalg import (
     LinMap,
     Vec,
@@ -74,6 +68,7 @@ def std_symplectic(n2: int) -> TwoFormFiber:
 def build_pair_groupoid(n: int, num_objects: int = 3,
                         name: str = "pair") -> GroupoidFiberBundle:
     """Fibers of M x M over M for the standard symplectic form on Q^n, n even."""
+    from .groupoid import ArrowFiber, GroupoidFiberBundle, ObjectFiber, make_pair
     omega = std_symplectic(n)
     sigma = omega.flat()  # sigma(a) = i_a omega
     obj = ObjectFiber(n, n, LinMap.identity(n), sigma, ThreeFormFiber.zero(n))
@@ -122,6 +117,7 @@ def build_pair_groupoid(n: int, num_objects: int = 3,
 
 def corrupt_sigma(bundle: GroupoidFiberBundle) -> GroupoidFiberBundle:
     """One-bit corruption fixture: flip the sign of one sigma entry of object 0."""
+    from .groupoid import GroupoidFiberBundle
     ob = bundle.objects[0]
     rows = [list(r) for r in ob.sigma.entries]
     found = False
@@ -173,6 +169,7 @@ def build_cotangent_torus(points, ts_tuples, name: str) -> GroupoidFiberBundle:
     In the basis (dtheta, dxi): rho = 0, sigma = -I, and the 2-form is
     omega = sum dxi_i ^ dtheta_i; s_* = t_* project onto dxi.
     """
+    from .groupoid import ArrowFiber, GroupoidFiberBundle, ObjectFiber, make_pair
     k = len(points[0])
     ident, zero = LinMap.identity(k), LinMap.zero(k, k)
     objects = tuple(ObjectFiber(k, k, zero, ident.scale(-1), ThreeFormFiber.zero(k))
@@ -206,6 +203,7 @@ def build_cotangent_torus(points, ts_tuples, name: str) -> GroupoidFiberBundle:
 # Hamiltonian circle / torus actions on C^n
 
 def _action_object(p: Vec, circles: list[int], n2: int) -> ObjectFiber:
+    from .groupoid import ObjectFiber
     rho = LinMap.from_cols([sum_blocks(p, blocks) for blocks in circles],
                            rows_dim=n2)
     return ObjectFiber(n2, len(circles), rho, LinMap.zero(n2, len(circles)),
@@ -308,6 +306,8 @@ def _build_rotation_hamiltonian(points: list[Vec], circles: list[list[int]],
     differential and the translations once per point.  Maps are frozen
     values, so sharing one across arrows changes nothing downstream.
     """
+    from .coisotropic import CoisotropicDatum
+    from .groupoid import ArrowFiber, GroupoidFiberBundle, MorphismFiber, make_pair
     n2 = len(points[0])
     k = len(circles)
     ts_tuples = [tuple(frac(t) for t in ts) for ts in ts_tuples]
@@ -434,8 +434,9 @@ def hamiltonian_check(datum: CoisotropicDatum):
     """Compatibility (action form identity) and ker mu cap ker L = 0,
     cross-validated per object against the non-degeneracy map.  The moment
     differential mu_* at an object is the morphism's c0 there.  The
-    compatibility records are the datum's, computed once per datum and
-    relabelled ham.compat here."""
+    compatibility records and the assembled maps are the datum's, computed
+    once per datum; the records are relabelled ham.compat here."""
+    from .coisotropic import ImageEscapesL
     rep = VerificationReport(f"hamiltonian.{datum.name}")
     rep.records.extend(replace(r, check_id="ham.compat") for r in datum.compatibility)
     for i in range(len(datum.c_bundle.objects)):
@@ -447,11 +448,12 @@ def hamiltonian_check(datum: CoisotropicDatum):
                 witness=None if nondeg else witness_subspace(ker_mu.intersect(ker_l)))
         # the equivalence: surjectivity of the assembled map iff the kernel
         # condition, both computed independently
-        try:
-            mat, fp = nondeg_assembly(datum, i)
-            surj = image(mat) == fp
-        except ImageEscapesL:
+        assembly = datum.assemblies[i]
+        if isinstance(assembly, ImageEscapesL):
             surj = False
+        else:
+            mat, fp = assembly
+            surj = image(mat) == fp
         rep.add("ham.equivalence", surj == nondeg,
                 detail=f"object {i}: coisotropic non-degeneracy <=> kernel condition")
     return rep
@@ -468,6 +470,9 @@ def circle_orbit_datum(scn: RotationScenario, level) -> CoisotropicDatum:
     2-form vanishes; the datum is produced by the generic orbit constructor,
     which re-derives that instead of assuming it.
     """
+    from .coisotropic import orbit_lagrangian
+    from .groupoid import (ArrowFiber, GroupoidFiberBundle, MorphismFiber, ObjectFiber,
+                           make_pair)
     k = len(scn.circles)
     level = (frac(level),) if k == 1 else tuple(frac(x) for x in level)
     g_bundle = scn.datum.g_bundle
@@ -682,6 +687,7 @@ def build_quotient_morphism(red: ReductionScenario, si):
     """The weak Morita morphism from the strong-product groupoid onto the
     quotient chart (trivial groupoid); returns (morphism, chart label map,
     chart index per product fiber)."""
+    from .groupoid import MorphismFiber, point_bundle, unit_groupoid
     n = 2 * len(red.scn.circles[0])
     inv_index = {i: p for p, i in red.scn.obj_index.items()}
     prod = si.datum.c_bundle
@@ -734,6 +740,8 @@ def run_reduction(red: ReductionScenario):
 
     Returns (reduced fibers per chart label, report).
     """
+    from .groupoid import identity_morphism, morphism_to_point
+    from .intersection import strong_exact_sequence, strong_intersection
     from .morita import MoritaEquivalenceDatum, NatTransFiber, transfer
 
     rep = VerificationReport(f"reduction.{red.scn.datum.name}")
@@ -808,6 +816,7 @@ class NatTransFixture:
 def pair_nat_trans_fixture(n: int = 2, linear_part=None) -> NatTransFixture:
     """On the pair groupoid, any linear map P induces a morphism, and
     theta(x) = (P x, x) is a natural transformation from the identity to it."""
+    from .groupoid import MorphismFiber, identity_morphism
     from .morita import NatTransFiber
 
     bundle = build_pair_groupoid(n, num_objects=1, name="pair.nat")
@@ -832,6 +841,7 @@ def pair_nat_trans_fixture(n: int = 2, linear_part=None) -> NatTransFixture:
 def circle_nat_trans_fixture(level=F(1, 2)) -> NatTransFixture:
     """On the circle action groupoid over a 90-degree-closed orbit, the
     rotation by the group element t = 1 is homotopic to the identity."""
+    from .groupoid import MorphismFiber, identity_morphism
     from .morita import NatTransFiber
 
     level = frac(level)

@@ -5,6 +5,10 @@ Scalars serialize as exact "p/q" strings, matrices as row-major nested
 arrays; dump -> load round trips preserve every scalar bit-exactly.
 Coisotropic dumps reference their bundle dumps by content hash, and loaders
 verify those hashes.
+
+The CLI loads this module in every command, for dumps, so it imports at
+its top only linalg and courant.  The gfb-v1 and cd-v1 loaders import their
+groupoid and coisotropic classes themselves; the dumpers only read fields.
 """
 
 from __future__ import annotations
@@ -13,16 +17,7 @@ import json
 from contextlib import contextmanager
 from fractions import Fraction
 
-from .coisotropic import CoisotropicDatum
 from .courant import DiracFiber, ThreeFormFiber, TwoFormFiber
-from .groupoid import (
-    ArrowFiber,
-    ComposablePairFiber,
-    GroupoidFiberBundle,
-    MorphismFiber,
-    ObjectFiber,
-    pair_tangent,
-)
 from .linalg import DimensionMismatch, LinMap, canonicalize, frac
 
 
@@ -114,6 +109,8 @@ def bundle_to_json(b: GroupoidFiberBundle) -> dict:
 
 
 def bundle_from_json(d: dict) -> GroupoidFiberBundle:
+    from .groupoid import (ArrowFiber, ComposablePairFiber, GroupoidFiberBundle,
+                           ObjectFiber, pair_tangent)
     with _reading("gfb-v1", d):
         objects = tuple(ObjectFiber(o["dim"], o["adim"], matrix_from_json(o["rho"]),
                                     matrix_from_json(o["sigma"]),
@@ -151,6 +148,7 @@ def morphism_to_json(m: MorphismFiber) -> dict:
 
 def morphism_from_json(d: dict, dom: GroupoidFiberBundle,
                        cod: GroupoidFiberBundle) -> MorphismFiber:
+    from .groupoid import MorphismFiber
     return MorphismFiber(dom, cod, tuple(d["obj_map"]),
                          tuple(matrix_from_json(x) for x in d["c0"]),
                          tuple(matrix_from_json(x) for x in d["cA"]),
@@ -174,6 +172,7 @@ def datum_to_json(datum: CoisotropicDatum) -> dict:
 
 
 def datum_from_json(d: dict) -> CoisotropicDatum:
+    from .coisotropic import CoisotropicDatum
     with _reading("cd-v1", d):
         if content_hash(d["c_bundle"]) != d["c_bundle_hash"]:
             raise SchemaError("c_bundle content hash mismatch")

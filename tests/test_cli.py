@@ -233,6 +233,20 @@ def test_circle_defaults_to_n1_everywhere(tmp_path, capsys):
     circle_params = cli.SCENARIOS["circle"].params
     assert circle_params({}) == {"n": 1, "level": Fraction(1, 2)}
     assert circle_params({"n": 2, "level": "2"}) == {"n": 2, "level": Fraction(2)}
+    assert circle_params({"n": 2, "level": 2}) == {"n": 2, "level": Fraction(2)}
+
+
+@pytest.mark.parametrize("cmd", ["verify", "reduce", "dump"])
+@pytest.mark.parametrize("level", [0.5, 4.5, 2.0, True, [1], None, {"p": 1}])
+def test_a_level_that_is_neither_a_string_nor_an_integer_is_rejected(tmp_path, capsys,
+                                                                     cmd, level):
+    # a JSON float is not the exact level it prints as, and str() would read
+    # true as "True"; the message names the param, as int_param's does for n
+    spec = write_spec(tmp_path, {"name": "circle", "params": {"n": 1, "level": level}})
+    code, out, err = run(capsys, [cmd, spec])
+    assert (code, out) == (cli.EXIT_BAD_INPUT, "")
+    assert err == (f"error: 'level' must be a 'p/q' string or an integer, "
+                   f"got {level!r}\n")
 
 
 def test_verify_has_no_samples_option(tmp_path, capsys):
@@ -424,7 +438,15 @@ def test_reduce_rejects_an_empty_level(tmp_path, capsys):
     spec = write_spec(tmp_path, SPECS["circle-n1"])
     code, out, err = run(capsys, ["reduce", spec, "--level", ""])
     assert (code, out) == (cli.EXIT_BAD_INPUT, "")
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err == "error: level '' is not a 'p/q' string\n"
+
+
+def test_a_malformed_level_string_is_rejected_by_name(tmp_path, capsys):
+    spec = write_spec(tmp_path, {"name": "circle", "params": {"n": 1, "level": "1/2x"}})
+    for argv in (["verify", spec], ["dump", spec], ["reduce", spec]):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (cli.EXIT_BAD_INPUT, "")
+        assert err == "error: level '1/2x' is not a 'p/q' string\n"
 
 
 def test_the_dorfman_suite_looks_its_builder_up_when_it_runs(monkeypatch):

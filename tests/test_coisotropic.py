@@ -35,6 +35,7 @@ from diraclab.groupoid import (
     compatibility_check,
     identity_morphism,
     induced_dirac,
+    unit_groupoid,
 )
 from diraclab.linalg import (
     LinMap,
@@ -102,6 +103,29 @@ def test_nondeg_map_raises_when_image_escapes(circle1):
             nondeg_assembly(bad, i)
 
 
+@pytest.mark.parametrize("tangent", [False, True])
+def test_each_object_is_assembled_once_per_datum(circle1, monkeypatch, tangent):
+    # is_coisotropic, chain_map_check and the Hamiltonian check read the
+    # datum's assemblies, so each object's map is assembled once, including
+    # an object whose assembly raised ImageEscapesL
+    from diraclab import coisotropic
+    datum = circle1.datum
+    dirac = tuple(tangent_dirac(2) for _ in datum.dirac) if tangent else datum.dirac
+    fresh = CoisotropicDatum(datum.morphism, dirac, name=datum.name)
+    calls = []
+    monkeypatch.setattr(coisotropic, "nondeg_assembly",
+                        lambda d, i: calls.append(i) or nondeg_assembly(d, i))
+    objects = range(len(fresh.c_bundle.objects))
+    assert is_strong(fresh).passed != tangent
+    assert is_coisotropic(fresh).passed != tangent
+    assert sc.hamiltonian_check(fresh).passed != tangent
+    for i in objects:
+        chain_map_check(fresh, i)
+    assert calls == list(objects)
+    escaped = [isinstance(a, ImageEscapesL) for a in fresh.assemblies]
+    assert escaped == [tangent] * len(objects)
+
+
 def test_chain_map_two_characterizations(pair_bundle, circle1):
     for datum in (identity_datum(pair_bundle), circle1.datum):
         for i in range(min(2, len(datum.c_bundle.objects))):
@@ -144,7 +168,7 @@ def test_orbit_well_definedness_rejects_corrupt_input(circle1):
 
 
 def test_zero_shifted_poisson_trivial_groupoid():
-    bundle = sc.unit_groupoid(2, 2, "unit")
+    bundle = unit_groupoid(2, 2, "unit")
     rep = zero_shifted_poisson_check(bundle, [cotangent_dirac(2)] * 2)
     assert rep.passed
 

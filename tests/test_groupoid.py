@@ -18,7 +18,9 @@ from diraclab.groupoid import (
     compatibility_check,
     gauge_qs,
     induced_dirac,
+    point_bundle,
     qs_check,
+    unit_groupoid,
 )
 from diraclab.linalg import LinMap, kernel, solve
 from diraclab.morita import NatTransFiber, nat_trans_form_identity, star_composite_form_identity
@@ -50,7 +52,7 @@ def test_torus_base_qs_passes(torus1):
 
 
 def test_trivial_point_groupoid_qs():
-    assert qs_check(sc.point_bundle()).passed
+    assert qs_check(point_bundle()).passed
 
 
 def test_corrupted_sigma_fails_item1_with_witness(pair_bundle):
@@ -78,7 +80,7 @@ def test_induced_dirac_circle_is_cotangent(circle1):
 
 def test_induced_dirac_rejects_trivial_groupoid():
     # A = 0 on a positive-dimensional base cannot be quasi-symplectic
-    ob = sc.unit_groupoid(2, 2, "unit").objects[0]
+    ob = unit_groupoid(2, 2, "unit").objects[0]
     with pytest.raises(ValueError):
         induced_dirac(ob)
 
@@ -93,7 +95,7 @@ def test_compatibility_identity_morphism(pair_bundle):
 
 
 def test_compatibility_trivial_forms():
-    bundle = sc.unit_groupoid(2, 2, "unit")
+    bundle = unit_groupoid(2, 2, "unit")
     l = tangent_dirac(2)
     ar = bundle.arrows[0]
     rep = compatibility_check(ar, l, l, TwoFormFiber.zero(2))

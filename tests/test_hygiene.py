@@ -1,14 +1,17 @@
 """Source hygiene: every module-level import in src/diraclab is used, every
 name a function stores is read somewhere in that function, only the CLI
-imports the scenario builders, importing the CLI does not load morita or
-dataclasses, no module uses dataclasses or the namedtuple constructors that
-skip validation, only the five relation operations are memoized, every public function is reached
-from src or allowlisted with a reason, and every function the benchmark's
-traced run wraps exists."""
+imports the scenario builders, importing the CLI does not load morita,
+groupoid, coisotropic, intersection or dataclasses, verifying each scenario
+loads only the diraclab modules it runs, no module uses dataclasses or the
+namedtuple constructors that skip validation, only the five relation
+operations are memoized, every public function is reached from src or
+allowlisted with a reason, and every function the benchmark's traced run
+wraps exists."""
 
 import ast
 import importlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -124,18 +127,57 @@ def test_package_imports_sees_every_form():
 
 
 def test_importing_the_cli_does_not_load_morita():
-    # only three suites use morita and three use dorfman, and only
+    # only three suites use morita and three use dorfman, the Dorfman frames
+    # use none of groupoid, coisotropic and intersection, and only
     # content_hash uses hashlib (which loads OpenSSL), so each is imported
     # where it is used: at the top of cli its import time would be paid by
     # every command at start-up; records are namedtuples, because dataclasses
     # imports inspect and execs several methods per class
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     probe = ("import sys; before = set(sys.modules); import diraclab.cli; "
-             "print(sorted({'diraclab.morita', 'diraclab.dorfman', 'hashlib',"
+             "print(sorted({'diraclab.morita', 'diraclab.dorfman', 'diraclab.groupoid',"
+             " 'diraclab.coisotropic', 'diraclab.intersection', 'hashlib',"
              " 'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
     done = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
+
+
+# The diraclab modules that `verify` on each shipped scenario, with its
+# default params and every suite, loads in a fresh interpreter: the modules
+# every command loads, plus those its suites run
+EVERY_COMMAND = {"cli", "records", "report", "linalg", "courant", "scenarios", "serialize"}
+CHECKERS = {"groupoid", "coisotropic", "intersection", "morita"}
+LOADED_BY_VERIFY = {
+    "so3": EVERY_COMMAND | {"dorfman"},
+    "graph-twist": EVERY_COMMAND | {"dorfman"},
+    "twist-mismatch": EVERY_COMMAND | {"dorfman"},
+    "pair-corrupt-sigma": EVERY_COMMAND | {"groupoid"},
+    "line-bivector": EVERY_COMMAND | {"groupoid", "coisotropic"},
+    "torus": EVERY_COMMAND | {"groupoid", "coisotropic", "morita"},
+    "pair": EVERY_COMMAND | CHECKERS,
+    "circle": EVERY_COMMAND | CHECKERS,
+}
+
+
+def test_the_load_table_names_every_scenario():
+    from diraclab.cli import SCENARIOS
+    assert sorted(LOADED_BY_VERIFY) == sorted(SCENARIOS)
+
+
+@pytest.mark.parametrize("name", sorted(LOADED_BY_VERIFY))
+def test_verify_loads_only_the_modules_its_scenario_runs(tmp_path, name):
+    spec = tmp_path / "scenario.json"
+    spec.write_text(json.dumps({"name": name}))
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    probe = ("import sys; from diraclab import cli; code = cli.main(['verify', sys.argv[1]]); "
+             "print(sorted(m.removeprefix('diraclab.') for m in sys.modules"
+             " if m.startswith('diraclab.')),"
+             " file=sys.stderr); sys.exit(code)")
+    done = subprocess.run([sys.executable, "-c", probe, str(spec)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode in (0, 1), done.stderr
+    assert done.stderr == f"{sorted(LOADED_BY_VERIFY[name])}\n"
 
 
 def record_misuses(tree: ast.Module) -> list[str]:

@@ -5,6 +5,7 @@ import pytest
 from diraclab import scenarios as sc
 from diraclab.coisotropic import identity_datum, is_strong
 from diraclab.courant import cotangent_dirac, kernel_of, pullback, tangent_dirac
+from diraclab.groupoid import point_bundle
 from diraclab.intersection import (
     homotopy_intersection,
     induced_poisson,
@@ -144,7 +145,7 @@ def test_homotopy_nontrivial_middle_arrow(reduction1):
 
 
 def test_homotopy_over_point_bundle():
-    idd = identity_datum(sc.point_bundle())
+    idd = identity_datum(point_bundle())
     hi = homotopy_intersection(idd, idd, [(0, 0, 0)])
     assert hi.report.passed
     assert hi.dirac[0].n == 0

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from diraclab import scenarios as sc
+from diraclab.groupoid import point_bundle
 from diraclab.serialize import (
     SchemaError,
     bundle_from_json,
@@ -28,7 +28,7 @@ def bundles(pair_bundle, circle1, torus1):
             "circle": circle1.datum.c_bundle,
             "circle.base": circle1.datum.g_bundle,
             "torus.base": torus1.datum.g_bundle,
-            "point": sc.point_bundle()}
+            "point": point_bundle()}
 
 
 @pytest.mark.parametrize("which", ["pair", "circle", "circle.base", "torus.base", "point"])
