@@ -7,12 +7,22 @@ pushforward) are total at the fiber level: each always returns a Lagrangian
 subspace.  Smoothness questions ("if L1 + L2 is smooth") are handled at the
 bundle level by cross-point rank comparison, not here.
 
-The four operations sum, gauge (a sum with a graph), pullback and
-pushforward are relation images, image(out, fiber_product(m1, m2)), taken
-in the basis coordinates of L: with (T, C) = L.parts() the tangent and
-cotangent components of L's basis, an element of L is (T x, C x) for x in
-Q^n, so matching conditions are linear equations in x.  kernel_of and
-cotangent_trace are images of kernels in the same coordinates.
+Graphs of 2-forms: a Lagrangian L is graph(omega) for a 2-form omega iff
+L cap V* = 0, iff the pivots of its reduced echelon basis are the V
+coordinates 0..n-1.  DiracFiber.form reads omega off those rows, and
+graph_two_form writes them down, neither with an elimination.  On graphs
+pullback and sum have closed forms, f*graph(omega) = graph(f^T omega f)
+and graph(w1) + graph(w2) = graph(w1 + w2) (Bursztyn, "A brief
+introduction to Dirac manifolds", arXiv:1112.5037; Bursztyn, Crainic,
+Weinstein and Zhu, arXiv:math/0303180).
+
+Non-graphs take the relation-image path: sum, gauge (a sum with a graph)
+and pullback on a non-graph input, and pushforward on every input, are
+image(out, fiber_product(m1, m2)), taken in the basis coordinates of L:
+with (T, C) = L.parts() the tangent and cotangent components of L's basis,
+an element of L is (T x, C x) for x in Q^n, so matching conditions are
+linear equations in x.  kernel_of and cotangent_trace are images of
+kernels in the same coordinates.
 
 Memo: graph_two_form, dirac_sum, pullback and pushforward (like
 linalg.fiber_product) are pure functions of frozen, hashable values, and a
@@ -21,12 +31,15 @@ checked by several suites, identity legs repeat their inputs).  Each keeps
 one functools.cache per process, unbounded and with no knob; a miss runs the
 same code, a hit returns the same frozen fiber, which passed its isotropy
 check when it was built, and an exception is raised again on every call,
-never cached.  DiracFiber.parts() is kept on the frozen fiber the same way.
+never cached.  The closed forms on graphs go through graph_two_form, so
+equal forms share one fiber.  DiracFiber.parts() and DiracFiber.form are
+kept on the frozen fiber the same way.
 """
 
 from __future__ import annotations
 
 from functools import cache, cached_property
+from math import gcd, lcm
 from operator import mul
 
 from .linalg import (
@@ -173,7 +186,11 @@ class ThreeFormFiber:
 
 @record
 class DiracFiber:
-    """A Lagrangian subspace of Q^n + (Q^n)*, for the pairing above."""
+    """A Lagrangian subspace of Q^n + (Q^n)*, for the pairing above.
+
+    form is the 2-form omega with L = graph(omega), read off the echelon
+    basis, or None when L is not a graph (L cap V* != 0).
+    """
 
     space: Subspace
 
@@ -201,13 +218,41 @@ class DiracFiber:
         m = self.space.matrix()
         return m.row_block(0, n), m.row_block(n, 2 * n)
 
+    @cached_property
+    def form(self) -> TwoFormFiber | None:
+        """The 2-form omega with L = graph(omega), or None if L cap V* != 0.
+
+        L cap V* = 0 iff L projects onto V, iff the pivots of the echelon
+        basis are 0..n-1.  Then row j is (p_j e_j, w_j) with p_j > 0, and
+        row j of omega is w_j / p_j; over the lcm of the p_j the map is
+        normalised, because each row is primitive.
+        """
+        n = self.n
+        if self.space.pivots != tuple(range(n)):
+            return None
+        rows = self.space.rows
+        den = lcm(*[r[j] for j, r in enumerate(rows)])
+        return TwoFormFiber(LinMap(n, n, tuple(tuple((den // r[j]) * x for x in r[n:])
+                                               for j, r in enumerate(rows)), den))
+
 
 @cache
 def graph_two_form(omega: TwoFormFiber) -> DiracFiber:
-    """Span of (e_i, i_{e_i} omega), the image of (I, omega-flat);
-    non-degenerate by construction."""
+    """Span of (e_j, i_{e_j} omega), the image of (I, omega-flat);
+    non-degenerate by construction.
+
+    Written down in echelon form, with no elimination: with omega =
+    nums / den, the row (den e_j | nums[j]) made primitive has its pivot at
+    j and is zero at every other pivot column 0..n-1.
+    """
     n = omega.dim
-    return DiracFiber(image(vstack(LinMap.identity(n), omega.flat())))
+    m = omega.matrix
+    rows = []
+    for j, w in enumerate(m.nums):
+        g = gcd(m.den, *w)
+        rows.append(tuple(m.den // g if k == j else 0 for k in range(n))
+                    + tuple(x // g for x in w))
+    return DiracFiber(Subspace(2 * n, tuple(rows), tuple(range(n))))
 
 
 def graph_bivector(pi: LinMap) -> DiracFiber:
@@ -233,9 +278,15 @@ def cotangent_dirac(n: int) -> DiracFiber:
 
 @cache
 def dirac_sum(l1: DiracFiber, l2: DiracFiber) -> DiracFiber:
-    """{(v, a1 + a2) : (v, ai) in Li}; Lagrangian for every input pair."""
+    """{(v, a1 + a2) : (v, ai) in Li}; Lagrangian for every input pair.
+
+    Two graphs sum to graph(omega1 + omega2); any other pair is the
+    relation image below.
+    """
     if l1.n != l2.n:
         raise DimensionMismatch("dirac_sum: base dim mismatch")
+    if l1.form is not None and l2.form is not None:
+        return graph_two_form(l1.form.add(l2.form))
     t1, c1 = l1.parts()
     t2, c2 = l2.parts()
     out = vstack(hstack(t1, LinMap.zero(l1.n, l1.n)), hstack(c1, c2))
@@ -257,9 +308,15 @@ def gauge(l: DiracFiber, b: TwoFormFiber) -> DiracFiber:
 
 @cache
 def pullback(f: LinMap, l: DiracFiber) -> DiracFiber:
-    """f*L = {(w, f^T a) : (f w, a) in L} for f : Q^m -> Q^n."""
+    """f*L = {(w, f^T a) : (f w, a) in L} for f : Q^m -> Q^n.
+
+    On a graph, f*graph(omega) = graph(f^T omega f); any other L is the
+    relation image below.
+    """
     if f.rows != l.n:
         raise DimensionMismatch("pullback: map target must match fiber")
+    if l.form is not None:
+        return graph_two_form(l.form.pullback(f))
     t, c = l.parts()
     out = block_diag(LinMap.identity(f.cols), f.transpose() @ c)
     return DiracFiber(image(out, fiber_product(f, t)))

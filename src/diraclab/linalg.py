@@ -72,12 +72,13 @@ class DimensionMismatch(ValueError):
 
 
 def frac(x) -> Fraction:
-    """Coerce ints, 'p/q' strings and Fractions to Fraction."""
+    """Coerce ints, 'p/q' strings and Fractions to Fraction.  A bool is not
+    an exact scalar, although Python counts it as an int."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, str):
         return Fraction(x)
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     raise TypeError(f"not an exact scalar: {x!r}")
 

@@ -28,7 +28,8 @@ class SchemaError(ValueError):
 @contextmanager
 def _reading(schema: str, d):
     """Check that d is a document of the given schema, and turn a missing
-    key or a field of the wrong shape inside the block into a SchemaError."""
+    key, a field of the wrong shape or a scalar with a zero denominator
+    inside the block into a SchemaError."""
     if not isinstance(d, dict):
         raise SchemaError(f"expected a {schema} object, got {type(d).__name__}")
     if d.get("schema") != schema:
@@ -39,6 +40,9 @@ def _reading(schema: str, d):
         raise SchemaError(f"{schema} document lacks the key {e}") from e
     except (TypeError, IndexError) as e:
         raise SchemaError(f"malformed {schema} document: {e}") from e
+    except ZeroDivisionError as e:
+        # Fraction("1/0") raises it, not a ValueError
+        raise SchemaError(f"{schema} document has a scalar with a zero denominator") from e
 
 
 def scalar_to_json(x: Fraction) -> str:

@@ -328,6 +328,35 @@ def test_reduce_rejects_a_coisotropic_file_with_inconsistent_fibers(tmp_path, ca
     assert err.startswith("error: cannot load coisotropic file: ")
 
 
+def reduce_with_morphism_entry(tmp_path, capsys, entry):
+    """reduce on circle n = 1 with the dumped orbit's first morphism.c1
+    entry replaced; the content hash covers only the bundles."""
+    spec = write_spec(tmp_path, SPECS["circle-n1"])
+    orbit = tmp_path / "orbit.json"
+    code, _, _ = run(capsys, ["dump", spec, "--what", "orbit", "--out", str(orbit)])
+    assert code == cli.EXIT_OK
+    doc = json.loads(orbit.read_text())
+    doc["morphism"]["c1"][0]["entries"][0][0] = entry
+    orbit.write_text(json.dumps(doc))
+    return run(capsys, ["reduce", spec, "--coisotropic", str(orbit)])
+
+
+def test_reduce_rejects_a_morphism_entry_with_a_zero_denominator(tmp_path, capsys):
+    # Fraction("1/0") raises ZeroDivisionError, which is not a ValueError
+    code, out, err = reduce_with_morphism_entry(tmp_path, capsys, "1/0")
+    assert (code, out) == (cli.EXIT_BAD_INPUT, "")
+    assert err == ("error: cannot load coisotropic file: cd-v1 document has a "
+                   "scalar with a zero denominator\n")
+
+
+def test_reduce_rejects_a_boolean_morphism_entry(tmp_path, capsys):
+    # Python counts true as the int 1, but it is not an exact scalar
+    code, out, err = reduce_with_morphism_entry(tmp_path, capsys, True)
+    assert (code, out) == (cli.EXIT_BAD_INPUT, "")
+    assert err == ("error: cannot load coisotropic file: malformed cd-v1 document: "
+                   "not an exact scalar: True\n")
+
+
 def test_reduce_rejects_a_coisotropic_file_indexed_unlike_the_orbit(tmp_path, capsys):
     # the last arrow dropped, with the pairs through it and its morphism
     # entries, and the hash recomputed: a consistent datum, but the

@@ -40,6 +40,7 @@ from diraclab.linalg import (
     random_antisymmetric,
     vec,
     vec_concat,
+    vstack,
     zero_vec,
 )
 
@@ -532,3 +533,45 @@ def test_cached_parts_are_the_row_blocks_and_leave_equality_alone(l):
     assert parts == (m.row_block(0, n), m.row_block(n, 2 * n))
     assert fresh.parts() is parts
     assert hash(fresh) == key == hash(l) and fresh == l
+
+
+# ---------------------------------------------------------------------------
+# Graphs of 2-forms: DiracFiber.form reads omega off the echelon rows, and
+# graph_two_form, pullback and dirac_sum use the closed forms on graphs.
+
+@settings(max_examples=75, deadline=None)
+@given(dims.flatmap(lambda n: st.tuples(dirac_fibers(n), antisymmetric(n))))
+def test_form_is_the_solved_two_form_and_graphs_need_no_elimination(args):
+    l, m = args
+    n = l.n
+    if oracle_cotangent_trace(l).dim > 0:
+        assert l.form is None
+    else:
+        assert l.form == two_form_of(l)
+        assert graph_two_form.__wrapped__(l.form) == l
+    assert (graph_two_form(TwoFormFiber(m)).space
+            == image(vstack(LinMap.identity(n), m.transpose())))
+
+
+def test_closed_forms_on_graphs_run_no_elimination(monkeypatch):
+    from diraclab import linalg
+    calls, rref_int = [], linalg._rref_int
+
+    def counted(mat):
+        calls.append(len(mat))
+        return rref_int(mat)
+    cot = cotangent_dirac(3)
+    monkeypatch.setattr(linalg, "_rref_int", counted)
+    w1 = antisym([[0, F(1, 2), 3], [F(-1, 2), 0, F(2, 3)], [-3, F(-2, 3), 0]])
+    w2 = antisym([[0, -1, 0], [1, 0, F(5, 7)], [0, F(-5, 7), 0]])
+    f = LinMap.from_rows([[1, 2], [0, F(1, 3)], [4, -1]])
+    l1 = graph_two_form.__wrapped__(w1)
+    l2 = graph_two_form.__wrapped__(w2)
+    assert pullback.__wrapped__(f, l1) == graph_two_form(w1.pullback(f))
+    assert dirac_sum.__wrapped__(l1, l2) == graph_two_form(w1.add(w2))
+    assert calls == []
+    # a fiber that is not a graph keeps the relation-image path
+    assert cot.form is None
+    assert pullback.__wrapped__(f, cot).space == canonicalize(
+        [vec(0, 0, 1, 0), vec(0, 0, 0, 1)], 4)
+    assert calls
