@@ -109,9 +109,6 @@ class TwoFormFiber:
         """f*w for f : Q^m -> Q^n."""
         return TwoFormFiber(f.transpose() @ self.matrix @ f)
 
-    def is_nondegenerate(self) -> bool:
-        return kernel(self.matrix).dim == 0
-
 
 @record
 class ThreeFormFiber:

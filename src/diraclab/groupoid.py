@@ -370,15 +370,13 @@ def _translation_witness(p: ComposablePairFiber, w: LinMap, want: LinMap) -> dic
 
 
 def induced_dirac(obj: ObjectFiber) -> DiracFiber:
-    """im(rho, sigma) as a Dirac fiber; errors if it is not Lagrangian."""
+    """im(rho, sigma) as a Dirac fiber; a ValueError if it is not Lagrangian
+    (DiracFiber checks isotropy, which with dim n gives L = ker(rho* + sigma*))."""
     n = obj.dim
     space = image(vstack(obj.rho, obj.sigma))
     if space.dim != n:
         raise ValueError(
             f"im(rho, sigma) has dim {space.dim} != {n}: fiber is not quasi-symplectic")
-    ker_dual = kernel(hstack(obj.sigma.transpose(), obj.rho.transpose()))
-    if space != ker_dual:
-        raise ValueError("im(rho, sigma) != ker(rho* + sigma*): invalid input fiber")
     return DiracFiber(space)
 
 

@@ -45,6 +45,20 @@ def _reading(schema: str, d):
         raise SchemaError(f"{schema} document has a scalar with a zero denominator") from e
 
 
+def _count(x) -> int:
+    """Every dimension and index field: an int that is not negative, where
+    Python would also take a bool, a float, or a negative index that wraps."""
+    if type(x) is not int or x < 0:
+        raise SchemaError(f"expected a non-negative integer, got {x!r}")
+    return x
+
+
+def _flag(x) -> bool:
+    if type(x) is not bool:
+        raise SchemaError(f"expected a boolean, got {x!r}")
+    return x
+
+
 def scalar_to_json(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
@@ -55,8 +69,8 @@ def matrix_to_json(m: LinMap) -> dict:
 
 
 def matrix_from_json(d: dict) -> LinMap:
-    m = LinMap.from_rows(d["entries"], cols=d["cols"])
-    if m.rows != d["rows"]:
+    m = LinMap.from_rows(d["entries"], cols=_count(d["cols"]))
+    if m.rows != _count(d["rows"]):
         raise DimensionMismatch("row count mismatch")
     return m
 
@@ -68,7 +82,8 @@ def three_form_to_json(phi: ThreeFormFiber) -> dict:
 
 def three_form_from_json(d: dict) -> ThreeFormFiber:
     return ThreeFormFiber.from_dict(
-        d["dim"], {(i, j, k): frac(c) for i, j, k, c in d["coeffs"]})
+        _count(d["dim"]),
+        {(_count(i), _count(j), _count(k)): frac(c) for i, j, k, c in d["coeffs"]})
 
 
 def dirac_to_json(l: DiracFiber) -> dict:
@@ -78,7 +93,7 @@ def dirac_to_json(l: DiracFiber) -> dict:
 
 def dirac_from_json(d: dict) -> DiracFiber:
     return DiracFiber(canonicalize([[frac(x) for x in row] for row in d["basis"]],
-                                   2 * d["n"]))
+                                   2 * _count(d["n"])))
 
 
 def dirac_family_to_json(fibers) -> dict:
@@ -116,22 +131,24 @@ def bundle_from_json(d: dict) -> GroupoidFiberBundle:
     from .groupoid import (ArrowFiber, ComposablePairFiber, GroupoidFiberBundle,
                            ObjectFiber, pair_tangent)
     with _reading("gfb-v1", d):
-        objects = tuple(ObjectFiber(o["dim"], o["adim"], matrix_from_json(o["rho"]),
+        objects = tuple(ObjectFiber(_count(o["dim"]), _count(o["adim"]),
+                                    matrix_from_json(o["rho"]),
                                     matrix_from_json(o["sigma"]),
                                     three_form_from_json(o["phi"]))
                         for o in d["objects"])
         arrows = tuple(ArrowFiber(
-            a["src"], a["tgt"], a["dim"], matrix_from_json(a["s_star"]),
-            matrix_from_json(a["t_star"]),
+            _count(a["src"]), _count(a["tgt"]), _count(a["dim"]),
+            matrix_from_json(a["s_star"]), matrix_from_json(a["t_star"]),
             TwoFormFiber(matrix_from_json(a["omega"])) if a["omega"] else None,
             matrix_from_json(a["left"]), matrix_from_json(a["right"]),
-            unit=a["unit"],
+            unit=_flag(a["unit"]),
             u_star=matrix_from_json(a["u_star"]) if a["u_star"] else None)
             for a in d["arrows"])
         pairs = []
         for p in d["pairs"]:
-            tang = pair_tangent(arrows[p["g"]], arrows[p["h"]])
-            pairs.append(ComposablePairFiber(p["g"], p["h"], p["gh"], tang,
+            g, h, gh = _count(p["g"]), _count(p["h"]), _count(p["gh"])
+            tang = pair_tangent(arrows[g], arrows[h])
+            pairs.append(ComposablePairFiber(g, h, gh, tang,
                                              matrix_from_json(p["m_star"])))
         return GroupoidFiberBundle(objects, arrows, tuple(pairs), name=d["name"])
 
@@ -153,10 +170,10 @@ def morphism_to_json(m: MorphismFiber) -> dict:
 def morphism_from_json(d: dict, dom: GroupoidFiberBundle,
                        cod: GroupoidFiberBundle) -> MorphismFiber:
     from .groupoid import MorphismFiber
-    return MorphismFiber(dom, cod, tuple(d["obj_map"]),
+    return MorphismFiber(dom, cod, tuple(map(_count, d["obj_map"])),
                          tuple(matrix_from_json(x) for x in d["c0"]),
                          tuple(matrix_from_json(x) for x in d["cA"]),
-                         tuple(d["arrow_map"]),
+                         tuple(map(_count, d["arrow_map"])),
                          tuple(matrix_from_json(x) for x in d["c1"]))
 
 

@@ -357,6 +357,36 @@ def test_reduce_rejects_a_boolean_morphism_entry(tmp_path, capsys):
                    "not an exact scalar: True\n")
 
 
+@pytest.mark.parametrize("path, value, message", [
+    (("morphism", "obj_map", 0), 0.0, "expected a non-negative integer, got 0.0"),
+    (("c_bundle", "objects", 0, "dim"), 0.0, "expected a non-negative integer, got 0.0"),
+    (("c_bundle", "pairs", 0, "g"), True, "expected a non-negative integer, got True"),
+    (("c_bundle", "arrows", 0, "unit"), 1, "expected a boolean, got 1"),
+    # a negative index would wrap around to the last arrow
+    (("c_bundle", "pairs", 0, "g"), -3, "expected a non-negative integer, got -3"),
+    (("dirac", "fibers", 0, "n"), False, "expected a non-negative integer, got False"),
+], ids=["obj_map-float", "dim-float", "g-true", "unit-int", "g-negative", "n-false"])
+def test_reduce_rejects_an_integer_or_flag_field_of_the_wrong_kind(tmp_path, capsys,
+                                                                   path, value, message):
+    # both hashes are recomputed, so only the loader's field readers can object
+    from diraclab.serialize import content_hash
+    spec = write_spec(tmp_path, SPECS["circle-n1"])
+    orbit = tmp_path / "orbit.json"
+    code, _, _ = run(capsys, ["dump", spec, "--what", "orbit", "--out", str(orbit)])
+    assert code == cli.EXIT_OK
+    doc = json.loads(orbit.read_text())
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    doc["c_bundle_hash"] = content_hash(doc["c_bundle"])
+    doc["g_bundle_hash"] = content_hash(doc["g_bundle"])
+    orbit.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["reduce", spec, "--coisotropic", str(orbit)])
+    assert (code, out) == (cli.EXIT_BAD_INPUT, "")
+    assert err == f"error: cannot load coisotropic file: {message}\n"
+
+
 def test_reduce_rejects_a_coisotropic_file_indexed_unlike_the_orbit(tmp_path, capsys):
     # the last arrow dropped, with the pairs through it and its morphism
     # entries, and the hash recomputed: a consistent datum, but the

@@ -282,22 +282,33 @@ UNREACHED = {
 }
 
 
-def name_counts(node) -> Counter:
+def name_counts(node, kinds=(ast.Name, ast.Attribute)) -> Counter:
     """How often each identifier occurs under node as an ast.Name or as the
-    attribute of an ast.Attribute."""
+    attribute of an ast.Attribute, counting only nodes of the given kinds."""
     return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
-                   if isinstance(n, (ast.Name, ast.Attribute)))
+                   if isinstance(n, kinds))
 
 
 def unreached(trees: dict) -> list[str]:
     """"module.qualname" of every public function or method whose name
-    occurs in no tree outside its own definition, sorted."""
-    total = sum((name_counts(t) for t in trees.values()), Counter())
-    return sorted(f"{mod}.{qual}" for mod, tree in trees.items()
-                  for qual, node in qualified_defs(tree)
-                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                  and not node.name.startswith("_")
-                  and total[node.name] == name_counts(node)[node.name])
+    occurs in no tree outside its own definition, sorted.  A method, a def
+    directly in a class body, is reached only through an attribute of its
+    name: a function of the same name that is called does not reach it."""
+    methods = {id(d) for t in trees.values() for c in ast.walk(t)
+               if isinstance(c, ast.ClassDef) for d in c.body}
+    as_any = sum((name_counts(t) for t in trees.values()), Counter())
+    as_attribute = sum((name_counts(t, ast.Attribute) for t in trees.values()), Counter())
+    out = []
+    for mod, tree in trees.items():
+        for qual, node in qualified_defs(tree):
+            if (not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    or node.name.startswith("_")):
+                continue
+            kinds, total = ((ast.Attribute, as_attribute) if id(node) in methods
+                            else ((ast.Name, ast.Attribute), as_any))
+            if total[node.name] == name_counts(node, kinds)[node.name]:
+                out.append(f"{mod}.{qual}")
+    return sorted(out)
 
 
 def test_every_public_function_is_reached_or_allowlisted():
@@ -313,9 +324,12 @@ def test_unreached_sees_every_form():
                      "class C:\n"
                      "    def method(self): pass\n"
                      "    def called(self): pass\n"
+                     "    def shared(self): pass\n"
+                     "def shared(): pass\n"
                      "x = used\n"
-                     "C().called()\n")
-    assert unreached({"m": tree}) == ["m.C.method", "m.rec"]
+                     "C().called()\n"
+                     "shared()\n")
+    assert unreached({"m": tree}) == ["m.C.method", "m.C.shared", "m.rec"]
 
 
 def test_every_traced_function_exists():

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -213,3 +214,48 @@ def test_rank_ledgers_read_the_tangent_parts_and_the_arrows(pair_bundle, make, s
     # on the pair groupoid (s, t) is onto T + T at every arrow
     assert hi.ledger.ranks("R") == [4] * len(arrows)
     assert [e["R_ann"] for e in hi.ledger.entries] == [0] * len(arrows)
+
+
+def test_exact_sequence_and_kernel_failures_carry_witnesses(pair_bundle):
+    # cotangent fibers: R = 0, so R-ann is all of T*, while the middle term
+    # and with it the boundary map are zero; and ker L = 0 misses im rho
+    d = replace(identity_datum(pair_bundle),
+                dirac=tuple(cotangent_dirac(2) for _ in pair_bundle.objects))
+    n, arrows = len(pair_bundle.objects), pair_bundle.arrows
+    si = strong_intersection(d, d, [(i, i) for i in range(n)], [])
+    seq = strong_exact_sequence(d, d, si)
+    hi = homotopy_intersection(d, d, [(a.src, k, a.tgt) for k, a in enumerate(arrows)])
+    fails = [r for r in seq.records + hi.report.records if r.status == "fail"]
+    assert Counter(r.check_id for r in fails) == {
+        "exact.rann": n, "exact.free_implies_transverse": n, "homotopy.kernel": len(arrows)}
+    whole = {"basis": [["1", "0"], ["0", "1"]], "ambient_dim": 2}
+    for r in fails:
+        if r.check_id == "exact.rann":
+            assert r.witness == {"image": {"basis": [], "ambient_dim": 2},
+                                 "annihilator": whole}
+        elif r.check_id == "exact.free_implies_transverse":
+            assert r.witness == whole
+        else:
+            assert r.witness["ker_L"] == {"basis": [], "ambient_dim": 8}
+            assert len(r.witness["im_rho"]["basis"]) == 4
+
+
+def test_the_homotopy_sequence_at_a_unit_reads_as_the_strong_one(pair_bundle):
+    # one exact-sequence checker: at (x, 1_x, x) the homotopy records repeat
+    # the strong records at (x, x), id suffix, status, detail and ranks
+    d = identity_datum(pair_bundle)
+    n = len(pair_bundle.objects)
+    si = strong_intersection(d, d, [(i, i) for i in range(n)], [])
+    seq = strong_exact_sequence(d, d, si)
+    units = [(a.src, k, a.tgt) for k, a in enumerate(pair_bundle.arrows) if a.unit]
+    assert len(units) == n
+    hi = homotopy_intersection(d, d, units)
+    shared = ("into_rann", "left", "middle", "rann", "dimension")
+
+    def sequence(records, prefix):
+        return [(r.check_id.removeprefix(prefix), r.status, r.detail, r.ranks)
+                for r in records if r.check_id.removeprefix(prefix) in shared]
+
+    strong = sequence(seq.records, "exact.")
+    assert len(strong) == len(shared) * n
+    assert sequence(hi.report.records, "homotopy.exact.") == strong
