@@ -200,7 +200,7 @@ def torus_suites(_p: dict, _seed: int) -> dict:
                 for _ in g.objects]
         m2 = gauge_twist_equivalence(datum, gam2, dg)
         c = datum.morphism
-        chain = [ChainSample(ar.dim, ar.src, ar.tgt, ar.s_star, ar.t_star,
+        chain = [ChainSample(ar.src, ar.tgt, ar.s_star, ar.t_star,
                              a, LinMap.identity(ar.dim),
                              c.arrow_map[a], c.c1[a])
                  for a, ar in enumerate(c.dom.arrows)]

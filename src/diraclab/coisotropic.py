@@ -46,7 +46,8 @@ from .linalg import (
     vstack,
 )
 from .records import record, replace
-from .report import CheckRecord, VerificationReport, witness_subspace, witness_vector
+from .report import (CheckRecord, VerificationReport, witness_difference, witness_subspace,
+                     witness_vector)
 
 
 @record
@@ -103,7 +104,12 @@ class CoisotropicDatum:
 
 class ImageEscapesL(ValueError):
     """im(rho_C, c*sigma c_*) is not contained in L: the compatibility
-    precondition of the non-degeneracy map fails upstream."""
+    precondition of the non-degeneracy map fails upstream.  column is a
+    column of (rho_C, c*sigma c_*) that leaves L."""
+
+    def __init__(self, message: str, column):
+        super().__init__(message)
+        self.column = column
 
 
 def nondeg_assembly(datum: CoisotropicDatum, obj_idx: int):
@@ -123,8 +129,10 @@ def nondeg_assembly(datum: CoisotropicDatum, obj_idx: int):
     # map: b -> (rho_C b, c* sigma c_* b, cA b)
     sig_pull = c0.transpose() @ ob_g.sigma @ cA
     mat = vstack(vstack(ob_c.rho, sig_pull), cA)
-    if l.space.coords(mat.row_block(0, 2 * n)) is None:
-        raise ImageEscapesL(f"object {obj_idx}: image of (rho_C, c*sigma c_*) leaves L")
+    first = mat.row_block(0, 2 * n)
+    if l.space.coords(first) is None:
+        raise ImageEscapesL(f"object {obj_idx}: image of (rho_C, c*sigma c_*) leaves L",
+                            next(v for v in first.col_vectors() if not l.space.contains(v)))
 
     # fiber product over (x, a), with (v, alpha) = (T x, C x) in L:
     # c0 v = rho_G a and alpha = c0^T sigma a
@@ -157,7 +165,8 @@ def is_coisotropic(datum: CoisotropicDatum) -> VerificationReport:
 
     for i, assembly in enumerate(datum.assemblies):
         if isinstance(assembly, ImageEscapesL):
-            rep.add("coiso.nondeg", False, detail=str(assembly))
+            rep.add("coiso.nondeg", False, detail=str(assembly),
+                    witness=witness_vector(assembly.column))
             continue
         mat, fp = assembly
         im = image(mat)
@@ -189,20 +198,6 @@ def is_strong(datum: CoisotropicDatum) -> VerificationReport:
     rep = is_coisotropic(datum)
     rep.merge(strong_injectivity(datum))
     return rep
-
-
-@record
-class ChainComplex3:
-    """Three spaces with two composable maps; composite must vanish."""
-
-    d1: LinMap
-    d2: LinMap
-
-    def __post_init__(self):
-        if self.d2.cols != self.d1.rows:
-            raise DimensionMismatch("chain maps not composable")
-        if not (self.d2 @ self.d1).is_zero():
-            raise ValueError("d2 . d1 != 0")
 
 
 def _quotient_iso(f: LinMap, v1: Subspace, w1: Subspace,
@@ -251,12 +246,12 @@ def chain_map_check(datum: CoisotropicDatum, obj_idx: int) -> VerificationReport
             detail=f"object {obj_idx}: image of (rho_C, c*sigma c_*) lies in L")
     d1 = vstack(l_coords, cA)
     d2 = hstack(c0 @ p_t, ob_g.rho.scale(-1))
-    ChainComplex3(d1, d2)               # raises unless d2 d1 = 0
+    if not (d2 @ d1).is_zero():
+        raise ValueError("d2 . d1 != 0")
 
-    # bottom row: 0 -> T*C0 -> A_C*
+    # bottom row: 0 -> T*C0 -> A_C*, a complex because b1 is zero
     b1 = LinMap.zero(n, 0)
     b2 = ob_c.rho.transpose()
-    ChainComplex3(b1, b2)
 
     # vertical maps; the right one sends w to the functional b -> <sigma(cA b), w>
     v_minus = LinMap.zero(0, r_c)
@@ -341,19 +336,20 @@ def zero_shifted_poisson_check(bundle: GroupoidFiberBundle,
     for k, ar in enumerate(bundle.arrows):
         lhs = pullback(ar.s_star, dirac[ar.src])
         rhs = pullback(ar.t_star, dirac[ar.tgt])
-        rep.add("zsp.invariance", lhs == rhs,
-                detail=f"arrow {k}: s*L = t*L")
+        rep.add("zsp.invariance", lhs == rhs, detail=f"arrow {k}: s*L = t*L",
+                witness=None if lhs == rhs else
+                {"arrow": k, **witness_difference(lhs.space, rhs.space)})
     for i, ob in enumerate(bundle.objects):
         im_rho = image(ob.rho)
         ker_l = kernel_of(dirac[i])
+        contained, equal = im_rho.issubset(ker_l), im_rho == ker_l
+        wit = None if equal else {"im_rho": witness_subspace(im_rho),
+                                  "ker_L": witness_subspace(ker_l)}
         # the invariance condition already forces im rho <= ker L; report
         # that half separately so a failure names the side that broke
-        rep.add("zsp.kernel.contains", im_rho.issubset(ker_l),
-                detail=f"object {i}: im rho <= ker L")
-        rep.add("zsp.kernel", im_rho == ker_l,
-                detail=f"object {i}: im rho = ker L",
-                witness=None if im_rho == ker_l else
-                {"im_rho": witness_subspace(im_rho), "ker_L": witness_subspace(ker_l)})
+        rep.add("zsp.kernel.contains", contained,
+                detail=f"object {i}: im rho <= ker L", witness=None if contained else wit)
+        rep.add("zsp.kernel", equal, detail=f"object {i}: im rho = ker L", witness=wit)
     return rep
 
 

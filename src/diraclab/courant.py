@@ -21,8 +21,8 @@ and pullback on a non-graph input, and pushforward on every input, are
 image(out, fiber_product(m1, m2)), taken in the basis coordinates of L:
 with (T, C) = L.parts() the tangent and cotangent components of L's basis,
 an element of L is (T x, C x) for x in Q^n, so matching conditions are
-linear equations in x.  kernel_of and cotangent_trace are images of
-kernels in the same coordinates.
+linear equations in x.  kernel_of is the image of a kernel in the same
+coordinates.
 
 Memo: graph_two_form, dirac_sum, pullback and pushforward (like
 linalg.fiber_product) are pure functions of frozen, hashable values, and a
@@ -49,7 +49,6 @@ from .linalg import (
     Vec,
     ZERO,
     block_diag,
-    dot,
     fiber_product,
     frac,
     hstack,
@@ -93,7 +92,7 @@ class TwoFormFiber:
         return TwoFormFiber(LinMap.zero(n, n))
 
     def __call__(self, u: Vec, v: Vec):
-        return dot(u, self.matrix.apply(v))
+        return sum(map(mul, u, self.matrix.apply(v)))
 
     def flat(self) -> LinMap:
         """v -> i_v w as a map Q^n -> (Q^n)*; the matrix is the transpose."""
@@ -337,12 +336,6 @@ def kernel_of(l: DiracFiber) -> Subspace:
     return image(t, kernel(c))
 
 
-def cotangent_trace(l: DiracFiber) -> Subspace:
-    """L cap V*, as a subspace of (Q^n)*."""
-    t, c = l.parts()
-    return image(c, kernel(t))
-
-
 def perp(s: Subspace) -> Subspace:
     """Orthogonal complement for the fixed symmetric pairing: ker S^T P for
     the basis matrix S and the pairing matrix P."""
@@ -357,18 +350,11 @@ def is_lagrangian(s: Subspace) -> bool:
     return perp(s) == s
 
 
-def is_nondegenerate(l: DiracFiber) -> bool:
-    """True iff L cap V* = 0, i.e. L is the graph of a 2-form."""
-    return cotangent_trace(l).dim == 0
-
-
 def two_form_of(l: DiracFiber) -> TwoFormFiber:
-    """Recover omega with L = graph(omega); requires non-degeneracy."""
-    if not is_nondegenerate(l):
-        raise ValueError("fiber is not the graph of a 2-form")
+    """Recover omega with L = graph(omega); a ValueError unless L cap V* = 0,
+    that is unless T is invertible: then C T^-1 is the flat matrix omega^T."""
     t, c = l.parts()
-    # the unique X with tangent part T X = I; C X is the flat matrix omega^T
     x = solve(t, LinMap.identity(l.n))
     if x is None:
-        raise ValueError("fiber is not a graph over V")
+        raise ValueError("fiber is not the graph of a 2-form")
     return TwoFormFiber((c @ x).transpose())

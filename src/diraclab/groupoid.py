@@ -27,8 +27,7 @@ from .courant import (
     DiracFiber,
     ThreeFormFiber,
     TwoFormFiber,
-    dirac_sum,
-    graph_two_form,
+    gauge,
     pullback,
 )
 from .linalg import (
@@ -44,7 +43,7 @@ from .linalg import (
     vstack,
 )
 from .records import record, replace
-from .report import VerificationReport, witness_subspace, witness_vector
+from .report import VerificationReport, witness_difference, witness_subspace, witness_vector
 
 
 @record
@@ -119,8 +118,6 @@ class GroupoidFiberBundle:
             g, h = self.arrows[p.g], self.arrows[p.h]
             if g.src != h.tgt:
                 raise DimensionMismatch("pair not composable")
-            if p.tangent != pair_tangent(g, h):
-                raise DimensionMismatch("pair tangent is not the canonical fiber product")
             if p.m_star.cols != p.tangent.dim or p.m_star.rows != self.arrows[p.gh].dim:
                 raise DimensionMismatch("m_star shape")
 
@@ -385,14 +382,10 @@ def compatibility_check(arrow: ArrowFiber, l_src: DiracFiber, l_tgt: DiracFiber,
     """t*L = s*L + graph(c*omega) at one sampled arrow, exactly."""
     rep = VerificationReport("coiso.compat")
     lhs = pullback(arrow.t_star, l_tgt)
-    rhs = dirac_sum(pullback(arrow.s_star, l_src), graph_two_form(pullback_form))
+    rhs = gauge(pullback(arrow.s_star, l_src), pullback_form)
     ok = lhs == rhs
-    wit = None
-    if not ok:
-        extra = [v for v in lhs.space.basis if not rhs.space.contains(v)]
-        wit = witness_vector(extra[0]) if extra else \
-            witness_vector(next(v for v in rhs.space.basis if not lhs.space.contains(v)))
-    rep.add("coiso.compat", ok, detail="t*L = s*L + graph(c*omega)", witness=wit)
+    rep.add("coiso.compat", ok, detail="t*L = s*L + graph(c*omega)",
+            witness=None if ok else witness_difference(lhs.space, rhs.space))
     return rep
 
 

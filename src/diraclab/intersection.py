@@ -48,7 +48,7 @@ from .linalg import (
     vstack,
 )
 from .records import field, record
-from .report import VerificationReport, witness_subspace
+from .report import VerificationReport, witness_failures, witness_subspace
 
 
 @record
@@ -62,7 +62,6 @@ class ProductFiber:
     rho: LinMap               # algebroid coords -> tangent coords
     p1: LinMap                # tangent coords -> T_{C1}
     p2: LinMap
-    p0: LinMap | None = None  # tangent coords -> T_g, homotopy only
 
 
 @record
@@ -145,10 +144,12 @@ def strong_intersection(d1: CoisotropicDatum, d2: CoisotropicDatum,
         datum = _product_datum(d1, d2, fibers, dirac, arrow_pairs)
         sub = is_coisotropic(datum)
         rep.add("strong.coisotropic", sub.passed,
-                detail="product datum is coisotropic toward the trivial target")
+                detail="product datum is coisotropic toward the trivial target",
+                witness=None if sub.passed else witness_failures(sub))
         zsp = zero_shifted_poisson_check(datum.c_bundle, list(dirac))
         rep.add("strong.zero_shifted_poisson", zsp.passed,
-                detail="product Dirac fibers satisfy the 0-shifted Poisson conditions")
+                detail="product Dirac fibers satisfy the 0-shifted Poisson conditions",
+                witness=None if zsp.passed else witness_failures(zsp))
         if not (sub.passed and zsp.passed):
             rep.merge(sub)
             rep.merge(zsp)
@@ -365,7 +366,7 @@ def homotopy_intersection(d1: CoisotropicDatum, d2: CoisotropicDatum,
         if rho is None:
             raise DimensionMismatch("translated anchor leaves the product tangent")
         fibers.append(ProductFiber((i1, ga, i2), tang, full_subspace(rho.cols),
-                                   rho, p1, p2, p0))
+                                   rho, p1, p2))
 
         # R = im((c1 pT, c2 pT) on L1 x L2) + im(s, t) in T_G0 x T_G0
         r_space = image(hstack(block_diag(_tangent_image(d1, i1), _tangent_image(d2, i2)),
@@ -423,7 +424,8 @@ def induced_poisson(datum: CoisotropicDatum) -> VerificationReport:
     if clean:
         zsp = zero_shifted_poisson_check(c.dom, out)
         rep.add("induced.zero_shifted_poisson", zsp.passed,
-                detail="L - c*L_G satisfies the 0-shifted Poisson conditions")
+                detail="L - c*L_G satisfies the 0-shifted Poisson conditions",
+                witness=None if zsp.passed else witness_failures(zsp))
         if not zsp.passed:
             rep.merge(zsp)
     return rep

@@ -19,8 +19,8 @@ those of the field tuple) are exact.
 Values a caller passes in (vector and matrix entries) may be ints,
 Fractions or, where frac accepts them, 'p/q' strings; every value it gets
 back is a Fraction or a LinMap.  LinMap.entries and Subspace.basis are
-Fraction views, built on first read and kept on the frozen object; apply and
-dot return Fractions, solve and coords take and return whole LinMaps.
+Fraction views, built on first read and kept on the frozen object; apply
+returns Fractions, solve and coords take and return whole LinMaps.
 Products, sums, stacking, image, kernel, fiber_product, solve and the
 membership tests run on ints throughout:
 - _product, behind both LinMap.__matmul__ and image, multiplies row by row
@@ -89,26 +89,6 @@ def vec(*entries) -> Vec:
 
 def vec_concat(u: Vec, v: Vec) -> Vec:
     return tuple(u) + tuple(v)
-
-
-def dot(u: Vec, v: Vec) -> Fraction:
-    """Exact u.v: integer products of numerators over a common denominator."""
-    if len(u) != len(v):
-        raise DimensionMismatch(f"dot: {len(u)} vs {len(v)}")
-    num, den = 0, 1
-    for a, b in zip(u, v):
-        if a and b:
-            p = a.numerator * b.numerator
-            q = a.denominator * b.denominator
-            if q == 1:
-                num += p * den
-                continue
-            if den % q:
-                m = q // gcd(den, q)
-                num *= m
-                den *= m
-            num += p * (den // q)
-    return Fraction(num, den) if num else ZERO
 
 
 def zero_vec(n: int) -> Vec:

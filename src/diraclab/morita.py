@@ -18,8 +18,7 @@ from .courant import (
     DiracFiber,
     ThreeFormFiber,
     TwoFormFiber,
-    dirac_sum,
-    graph_two_form,
+    gauge,
     pullback,
     pushforward,
 )
@@ -228,7 +227,6 @@ class NatTransFiber:
     """theta at one domain object: the codomain arrow theta(x) and the
     differential theta_star."""
 
-    obj: int
     arrow: int
     theta_star: LinMap
 
@@ -426,8 +424,7 @@ def transfer(m: MoritaEquivalenceDatum, l1: list[DiracFiber],
 
     l0 = []
     for x in range(len(m.psi1.dom.objects)):
-        pulled = pullback(m.psi1.c0[x], l1[m.psi1.obj_map[x]])
-        l0.append(dirac_sum(pulled, graph_two_form(m.delta[x])))
+        l0.append(gauge(pullback(m.psi1.c0[x], l1[m.psi1.obj_map[x]]), m.delta[x]))
 
     omega_pull = []
     for k in range(len(m.psi2.dom.arrows)):
@@ -503,8 +500,7 @@ def gauge_twist_equivalence(datum: CoisotropicDatum,
     for i in range(len(c.dom.objects)):
         gi = c.obj_map[i]
         unit_idx = _unit_arrow_at(c.cod, gi)
-        theta[i] = NatTransFiber(i, unit_idx,
-                                 c.cod.arrows[unit_idx].u_star @ c.c0[i])
+        theta[i] = NatTransFiber(unit_idx, c.cod.arrows[unit_idx].u_star @ c.c0[i])
     delta = tuple(
         TwoFormFiber(gamma[c.obj_map[i]].pullback(c.c0[i]).matrix.scale(-1))
         for i in range(len(c.dom.objects)))
@@ -518,7 +514,6 @@ class ChainSample:
     """One object sample of a composed equivalence: the homotopy fiber
     product object with its projections and connecting transformation."""
 
-    dim: int                  # dim of the composed object tangent
     k1_obj: int
     k2_obj: int
     pr_k1: LinMap             # T -> T_{K1 object}
@@ -602,8 +597,7 @@ def transfer_composition_check(m1: MoritaEquivalenceDatum,
         for k in members:
             s = samples[k]
             psi1_c0 = m1.psi1.c0[s.k1_obj] @ s.pr_k1
-            l0 = dirac_sum(pullback(psi1_c0, l1[m1.psi1.obj_map[s.k1_obj]]),
-                           graph_two_form(deltahat[k]))
+            l0 = gauge(pullback(psi1_c0, l1[m1.psi1.obj_map[s.k1_obj]]), deltahat[k])
             psi2_c0 = m2.psi2.c0[s.k2_obj] @ s.pr_k2
             fibers.append(pushforward(psi2_c0, l0))
         same = all(f == fibers[0] for f in fibers)

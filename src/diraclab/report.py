@@ -7,6 +7,8 @@ conditional and the condition does not hold, so no claim is made either way).
 
 from __future__ import annotations
 
+from collections import Counter
+
 from .records import field, record
 
 PASS = "pass"
@@ -78,3 +80,16 @@ def witness_vector(v) -> dict:
 def witness_subspace(s) -> dict:
     return {"basis": [[str(x) for x in row] for row in s.basis],
             "ambient_dim": s.ambient_dim}
+
+
+def witness_difference(a, b) -> dict:
+    """A basis vector of one of two unequal subspaces that the other does
+    not contain: the first one of a if there is one, else of b."""
+    extra = ([v for v in a.basis if not b.contains(v)]
+             or [v for v in b.basis if not a.contains(v)])
+    return witness_vector(extra[0])
+
+
+def witness_failures(rep: VerificationReport) -> dict:
+    """The id of each record of rep that did not pass, with its count."""
+    return {"failing": dict(Counter(r.check_id for r in rep.failures()))}

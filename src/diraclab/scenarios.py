@@ -32,7 +32,6 @@ from .linalg import (
     LinMap,
     Vec,
     block_diag,
-    canonicalize,
     frac,
     hstack,
     image,
@@ -65,7 +64,7 @@ def std_symplectic(n2: int) -> TwoFormFiber:
 # ---------------------------------------------------------------------------
 # pair groupoid of a constant symplectic vector space
 
-def build_pair_groupoid(n: int, num_objects: int = 3,
+def build_pair_groupoid(n: int, num_objects: int,
                         name: str = "pair") -> GroupoidFiberBundle:
     """Fibers of M x M over M for the standard symplectic form on Q^n, n even."""
     from .groupoid import ArrowFiber, GroupoidFiberBundle, ObjectFiber, make_pair
@@ -120,17 +119,8 @@ def corrupt_sigma(bundle: GroupoidFiberBundle) -> GroupoidFiberBundle:
     from .groupoid import GroupoidFiberBundle
     ob = bundle.objects[0]
     rows = [list(r) for r in ob.sigma.entries]
-    found = False
-    for i, row in enumerate(rows):
-        for j, x in enumerate(row):
-            if x != 0:
-                rows[i][j] = -x
-                found = True
-                break
-        if found:
-            break
-    if not found:
-        rows[0][0] = F(1)
+    i, j = next((i, j) for i, row in enumerate(rows) for j, x in enumerate(row) if x != 0)
+    rows[i][j] = -rows[i][j]
     bad = replace(ob, sigma=LinMap.from_rows(rows, cols=ob.sigma.cols))
     objects = (bad,) + bundle.objects[1:]
     return GroupoidFiberBundle(objects, bundle.arrows, bundle.pairs,
@@ -162,9 +152,10 @@ def composable(ts_list):
                 yield ts1, ts2, ts12
 
 
-def build_cotangent_torus(points, ts_tuples, name: str) -> GroupoidFiberBundle:
+def build_cotangent_torus(points, ts_tuples, name: str) -> tuple[GroupoidFiberBundle, dict]:
     """T*T^k over R^k, k = len(points[0]): objects are the moment levels xi,
-    arrows carry (rotation, xi), one per level and parameter tuple.
+    arrows carry (rotation, xi), one per level and parameter tuple.  Returns
+    the bundle and its arrow index, (level index, parameter tuple) -> arrow.
 
     In the basis (dtheta, dxi): rho = 0, sigma = -I, and the 2-form is
     omega = sum dxi_i ^ dtheta_i; s_* = t_* project onto dxi.
@@ -196,7 +187,7 @@ def build_cotangent_torus(points, ts_tuples, name: str) -> GroupoidFiberBundle:
     pairs = tuple(make_pair(arrows, index[(li, ts1)], index[(li, ts2)],
                             index[(li, ts12)], m)
                   for li in range(len(points)) for ts1, ts2, ts12 in triples)
-    return GroupoidFiberBundle(objects, arrows, pairs, name=name)
+    return GroupoidFiberBundle(objects, arrows, pairs, name=name), index
 
 
 # ---------------------------------------------------------------------------
@@ -311,15 +302,11 @@ def _build_rotation_hamiltonian(points: list[Vec], circles: list[list[int]],
     n2 = len(points[0])
     k = len(circles)
     ts_tuples = [tuple(frac(t) for t in ts) for ts in ts_tuples]
-    if tuple([F(0)] * k) not in ts_tuples:
-        ts_tuples = [tuple([F(0)] * k)] + ts_tuples
 
     g_points = sorted({_moment_of(p, circles) for p in points})
     g_index = {m: i for i, m in enumerate(g_points)}
-    g_bundle = build_cotangent_torus(g_points, ts_tuples, name=f"{name}.base")
-    g_arrow_index = {(li, ts): li * len(ts_tuples) + ti
-                     for li in range(len(g_points))
-                     for ti, ts in enumerate(ts_tuples)}
+    g_bundle, g_arrow_index = build_cotangent_torus(g_points, ts_tuples,
+                                                    name=f"{name}.base")
 
     rot = {}
     for ts in ts_tuples:
@@ -400,11 +387,8 @@ def _build_rotation_hamiltonian(points: list[Vec], circles: list[list[int]],
     pairs = []
     for p in points:
         for ts1, ts2, ts12 in triples:
-            g_i = arrow_at.get((rotated[(p, ts2)], ts1))
-            h_i = arrow_at.get((p, ts2))
-            gh_i = arrow_at.get((p, ts12))
-            if None not in (g_i, h_i, gh_i):
-                pairs.append(make_pair(arrows, g_i, h_i, gh_i, m))
+            pairs.append(make_pair(arrows, arrow_at[(rotated[(p, ts2)], ts1)],
+                                   arrow_at[(p, ts2)], arrow_at[(p, ts12)], m))
     c_bundle = GroupoidFiberBundle(objects, arrows, tuple(pairs), name=name)
     morph = MorphismFiber(c_bundle, g_bundle, tuple(obj_map), tuple(c0), cA,
                           tuple(arrow_map), tuple(c1_list))
@@ -507,11 +491,9 @@ def circle_orbit_datum(scn: RotationScenario, level) -> CoisotropicDatum:
 @record
 class ReductionScenario:
     scn: RotationScenario
-    level: Fraction
     orbit: CoisotropicDatum
     obj_pairs: tuple           # strong product object samples
     arrow_pairs: tuple         # strong product arrow samples
-    level_point_idx: tuple     # action-bundle object indices on the level
 
 
 def circle_reduction(n: int, level) -> ReductionScenario:
@@ -535,8 +517,7 @@ def circle_reduction(n: int, level) -> ReductionScenario:
     ts_pos = {ts: i for i, ts in enumerate(scn.ts_tuples)}
     arrow_pairs = tuple((ts_pos[ts], ai) for (p, ts), ai in scn.arrow_at.items()
                         if scn.obj_index[p] in level_idx)
-    return ReductionScenario(scn, level, orbit, tuple((0, oi) for oi in level_idx),
-                             arrow_pairs, level_idx)
+    return ReductionScenario(scn, orbit, tuple((0, oi) for oi in level_idx), arrow_pairs)
 
 
 class ReductionHypothesisViolated(ValueError):
@@ -566,36 +547,28 @@ def chart_jacobian(p: Vec) -> LinMap:
     return LinMap.from_rows([row1, row2])
 
 
-def reduced_form_oracle(p: Vec, level) -> TwoFormFiber:
+def reduced_form_oracle(p: Vec) -> TwoFormFiber:
     """Independent reduced symplectic form at chart(p), by direct linear
     algebra: restrict the standard form to ker(dmu), check the orbit
     direction is its radical against the chart, and push to chart basis
     vectors through arbitrary preimages."""
     n2 = len(p)
-    mu_row = LinMap.from_rows([list(p)], cols=n2)     # dmu at p
-    tz = kernel(mu_row)                                # T_p of the level
+    z = kernel(LinMap.from_rows([list(p)], cols=n2)).matrix()   # T_p of the level
     omega = std_symplectic(n2)
-    jac = chart_jacobian(p)
-    jac_on_z = LinMap.from_cols([jac.apply(b) for b in tz.basis], rows_dim=2)
-    orbit_dir = sum_blocks(p, range(n2 // 2))
+    jac_on_z = chart_jacobian(p) @ z
     # well-definedness: the orbit direction spans ker(dpi|_Z) and is in the
     # radical of the restricted form
-    ker_pi = kernel(jac_on_z)
-    orbit_coords = solve(tz.matrix(), LinMap.from_cols([orbit_dir], rows_dim=n2))
-    if orbit_coords is None:
+    orbit = solve(z, LinMap.from_cols([sum_blocks(p, range(n2 // 2))], rows_dim=n2))
+    if orbit is None:
         raise ReductionHypothesisViolated("orbit direction leaves the level tangent")
-    orbit_coords = orbit_coords.col_vectors()[0]
-    if canonicalize([orbit_coords], tz.dim) != ker_pi:
+    if image(orbit) != kernel(jac_on_z):
         raise ReductionHypothesisViolated("chart kernel is not the orbit direction")
-    for b in tz.basis:
-        if omega(tz.matrix().apply(orbit_coords), b) != 0:
-            raise ReductionHypothesisViolated("orbit direction not in the radical")
+    if not (omega.pullback(z).matrix @ orbit).is_zero():
+        raise ReductionHypothesisViolated("orbit direction not in the radical")
     x = solve(jac_on_z, LinMap.identity(2))
     if x is None:
         raise ReductionHypothesisViolated("chart differential not surjective")
-    w = [tz.matrix().apply(xi) for xi in x.col_vectors()]
-    rows = [[omega(w[i], w[j]) for j in range(2)] for i in range(2)]
-    return TwoFormFiber(LinMap.from_rows(rows))
+    return omega.pullback(z @ x)
 
 
 # ---------------------------------------------------------------------------
@@ -768,7 +741,7 @@ def run_reduction(red: ReductionScenario):
     ident_k = identity_morphism(prod)
     to_point = si.datum.morphism
     chart_to_point = morphism_to_point(chart_bundle, pt)
-    theta = {x: NatTransFiber(x, 0, LinMap.zero(0, prod.objects[x].dim))
+    theta = {x: NatTransFiber(0, LinMap.zero(0, prod.objects[x].dim))
              for x in range(len(prod.objects))}
     m = MoritaEquivalenceDatum(
         ident_k, quotient, to_point,
@@ -790,7 +763,7 @@ def run_reduction(red: ReductionScenario):
     if n == 4:
         for k, f in enumerate(si.fibers):
             p = inv_index[f.base[1]]
-            oracle = graph_two_form(reduced_form_oracle(p, red.level))
+            oracle = graph_two_form(reduced_form_oracle(p))
             rep.add("reduction.oracle", res.dirac[chart_of[k]] == oracle,
                     detail=f"chart point {chart_labels[chart_of[k]]}: pipeline fiber "
                            "equals the reduced-form oracle")
@@ -813,32 +786,28 @@ class NatTransFixture:
     inverse_pairs: dict        # object -> pair index of (theta(x), eta(x))
 
 
-def pair_nat_trans_fixture(n: int = 2, linear_part=None) -> NatTransFixture:
-    """On the pair groupoid, any linear map P induces a morphism, and
+def pair_nat_trans_fixture(n: int = 2) -> NatTransFixture:
+    """On the pair groupoid, a linear map P induces a morphism, and
     theta(x) = (P x, x) is a natural transformation from the identity to it."""
     from .groupoid import MorphismFiber, identity_morphism
     from .morita import NatTransFiber
 
     bundle = build_pair_groupoid(n, num_objects=1, name="pair.nat")
-    if linear_part is None:
-        linear_part = LinMap.from_rows(
-            [[1 if i == j else 0 for j in range(n)] for i in range(n)])
-        rows = [list(r) for r in linear_part.entries]
-        rows[0][n - 1] = rows[0][n - 1] + 2   # a shear, to keep P nontrivial
-        linear_part = LinMap.from_rows(rows)
-    p_mat = linear_part
+    rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    rows[0][n - 1] += 2   # a shear, to keep P nontrivial
+    p_mat = LinMap.from_rows(rows)
     f = identity_morphism(bundle)
     g = MorphismFiber(bundle, bundle, (0,), (p_mat,), (p_mat,), (0,),
                       (block_diag(p_mat, p_mat),))
     arrow = 0   # the sampled (0 -> 0) arrow fiber stands in for (P x, x)
-    theta = {0: NatTransFiber(0, arrow, vstack(p_mat, LinMap.identity(n)))}
-    eta = {0: NatTransFiber(0, arrow, vstack(LinMap.identity(n), p_mat))}
+    theta = {0: NatTransFiber(arrow, vstack(p_mat, LinMap.identity(n)))}
+    eta = {0: NatTransFiber(arrow, vstack(LinMap.identity(n), p_mat))}
     pair_idx = next(i for i, p in enumerate(bundle.pairs)
                     if p.g == arrow and p.h == arrow and p.gh == arrow)
     return NatTransFixture(f, g, theta, eta, {0: pair_idx})
 
 
-def circle_nat_trans_fixture(level=F(1, 2)) -> NatTransFixture:
+def circle_nat_trans_fixture(level) -> NatTransFixture:
     """On the circle action groupoid over a 90-degree-closed orbit, the
     rotation by the group element t = 1 is homotopic to the identity."""
     from .groupoid import MorphismFiber, identity_morphism
@@ -881,11 +850,9 @@ def circle_nat_trans_fixture(level=F(1, 2)) -> NatTransFixture:
     for i in range(len(bundle.objects)):
         p = inv[i]
         th_arrow = scn.arrow_at[(p, (F(1),))]
-        theta[i] = NatTransFiber(i, th_arrow,
-                                 vstack(LinMap.zero(1, n2), LinMap.identity(n2)))
+        theta[i] = NatTransFiber(th_arrow, vstack(LinMap.zero(1, n2), LinMap.identity(n2)))
         et_arrow = scn.arrow_at[(rot.apply(p), (F(-1),))]
-        eta[i] = NatTransFiber(i, et_arrow,
-                               vstack(LinMap.zero(1, n2), rot))
+        eta[i] = NatTransFiber(et_arrow, vstack(LinMap.zero(1, n2), rot))
         for k, pr in enumerate(bundle.pairs):
             if pr.g == th_arrow and pr.h == et_arrow:
                 inverse_pairs[i] = k

@@ -59,6 +59,13 @@ def _flag(x) -> bool:
     return x
 
 
+def _rows(x) -> list:
+    """Every matrix and basis field: lists of lists; Python reads an object as its keys."""
+    if type(x) is not list or any(type(row) is not list for row in x):
+        raise SchemaError("expected a list of rows, each a list")
+    return x
+
+
 def scalar_to_json(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
@@ -69,7 +76,7 @@ def matrix_to_json(m: LinMap) -> dict:
 
 
 def matrix_from_json(d: dict) -> LinMap:
-    m = LinMap.from_rows(d["entries"], cols=_count(d["cols"]))
+    m = LinMap.from_rows(_rows(d["entries"]), cols=_count(d["cols"]))
     if m.rows != _count(d["rows"]):
         raise DimensionMismatch("row count mismatch")
     return m
@@ -92,7 +99,7 @@ def dirac_to_json(l: DiracFiber) -> dict:
 
 
 def dirac_from_json(d: dict) -> DiracFiber:
-    return DiracFiber(canonicalize([[frac(x) for x in row] for row in d["basis"]],
+    return DiracFiber(canonicalize([[frac(x) for x in row] for row in _rows(d["basis"])],
                                    2 * _count(d["n"])))
 
 

@@ -9,7 +9,7 @@ F = Fraction
 
 @pytest.fixture(scope="session")
 def pair_bundle():
-    return sc.build_pair_groupoid(2)
+    return sc.build_pair_groupoid(2, num_objects=3)
 
 
 @pytest.fixture(scope="session")

@@ -10,11 +10,15 @@ with the scenario files written from SPECS below.  A change to the exact
 arithmetic must leave every byte of them unchanged.
 """
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diraclab import cli
 
@@ -365,7 +369,12 @@ def test_reduce_rejects_a_boolean_morphism_entry(tmp_path, capsys):
     # a negative index would wrap around to the last arrow
     (("c_bundle", "pairs", 0, "g"), -3, "expected a non-negative integer, got -3"),
     (("dirac", "fibers", 0, "n"), False, "expected a non-negative integer, got False"),
-], ids=["obj_map-float", "dim-float", "g-true", "unit-int", "g-negative", "n-false"])
+    # an object would be read as its keys: this row as (0, 1), not (1, 1)
+    (("c_bundle", "pairs", 0, "m_star", "entries", 0), {"0": "1/1", "1": "1/1"},
+     "expected a list of rows, each a list"),
+    (("dirac", "fibers", 0, "basis"), {}, "expected a list of rows, each a list"),
+], ids=["obj_map-float", "dim-float", "g-true", "unit-int", "g-negative", "n-false",
+        "row-object", "basis-object"])
 def test_reduce_rejects_an_integer_or_flag_field_of_the_wrong_kind(tmp_path, capsys,
                                                                    path, value, message):
     # both hashes are recomputed, so only the loader's field readers can object
@@ -429,6 +438,86 @@ def test_reduce_on_a_unit_arrow_without_u_star_is_hypothesis_violated(tmp_path, 
     assert json.loads(out) == {"status": "hypothesis-violated",
                                "detail": "custom coisotropic's unit arrows [0] "
                                          "carry no u_star"}
+
+
+def json_paths(doc, path=()):
+    """The path of every value below doc, in document order."""
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield path + (key,)
+        yield from json_paths(value, path + (key,))
+
+
+DELETE = object()
+
+
+def mutations(value) -> dict:
+    """The mutation operators that apply to a value, each a function from
+    the value to its replacement (DELETE removes it): delete, null, retype,
+    sign flip, list element dropped or repeated, list order, matrix shape."""
+    ops = {"delete": lambda v: DELETE, "null": lambda v: None,
+           "bool": lambda v: True, "string": lambda v: str(v)}
+    if type(value) is int:
+        ops.update(float=float, negate=lambda v: -v)
+    if isinstance(value, str):
+        ops["negate"] = lambda v: v[1:] if v.startswith("-") else "-" + v
+    if isinstance(value, dict):
+        ops["to_list"] = lambda v: list(v.values())
+    if isinstance(value, list):
+        ops.update(to_object=lambda v: {str(i): x for i, x in enumerate(v)},
+                   repeat=lambda v: v + v[-1:], drop=lambda v: v[:-1],
+                   rotate=lambda v: v[1:] + v[:1])
+        if value and all(isinstance(row, list) for row in value):
+            ops["narrow"] = lambda v: [row[:-1] for row in v]
+    return ops
+
+
+ORBIT_DOC = json.loads((GOLDEN / "dump-circle-n1-orbit.json").read_text())
+ORBIT_PATHS = list(json_paths(ORBIT_DOC))
+
+
+@st.composite
+def mutated_orbits(draw):
+    """The shipped circle n = 1 orbit with one value mutated, and both
+    content hashes recomputed so that the hash check lets it through."""
+    from diraclab.serialize import content_hash
+    doc = json.loads(json.dumps(ORBIT_DOC))
+    *head, key = draw(st.sampled_from(ORBIT_PATHS))
+    parent = doc
+    for k in head:
+        parent = parent[k]
+    ops = mutations(parent[key])
+    new = ops[draw(st.sampled_from(sorted(ops)))](parent[key])
+    if new is DELETE:
+        del parent[key]
+    else:
+        parent[key] = new
+    for part in ("c_bundle", "g_bundle"):
+        if part in doc and f"{part}_hash" in doc:
+            doc[f"{part}_hash"] = content_hash(doc[part])
+    return doc
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(doc=mutated_orbits())
+def test_a_mutated_coisotropic_file_never_escapes_main(tmp_path_factory, doc):
+    # any exception escaping main fails the test; so does any output that is
+    # not one error line (exit 2) or one JSON document (exit 0 or 1)
+    workdir = tmp_path_factory.mktemp("mutant")
+    spec = write_spec(workdir, SPECS["circle-n1"])
+    path = workdir / "orbit.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(["reduce", spec, "--coisotropic", str(path)])
+    assert code in (cli.EXIT_OK, cli.EXIT_CHECK_FAILED, cli.EXIT_BAD_INPUT)
+    if code == cli.EXIT_BAD_INPUT:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    else:
+        assert err.getvalue() == ""
+        json.loads(out.getvalue())
 
 
 @pytest.mark.parametrize("name", [[1], {"torus": 1}, 3, None])

@@ -5,7 +5,6 @@ import pytest
 
 from diraclab import scenarios as sc
 from diraclab.coisotropic import (
-    ChainComplex3,
     CoisotropicDatum,
     ImageEscapesL,
     chain_map_check,
@@ -133,9 +132,16 @@ def test_chain_map_two_characterizations(pair_bundle, circle1):
             assert rep.passed, rep.failures()
 
 
-def test_chain_complex_rejects_nonzero_composite():
-    with pytest.raises(ValueError):
-        ChainComplex3(LinMap.identity(2), LinMap.identity(2))
+def test_chain_map_check_rejects_a_top_row_that_is_not_a_complex():
+    # rho_C = sigma_C = 0 and c0 = cA = I into the pair groupoid, with the
+    # cotangent fiber: the top row's d2 d1 is -rho_G cA = -I
+    g = sc.build_pair_groupoid(2, num_objects=1)
+    zero, ident = LinMap.zero(2, 2), LinMap.identity(2)
+    c = GroupoidFiberBundle((ObjectFiber(2, 2, zero, zero, ThreeFormFiber.zero(2)),), (), ())
+    datum = CoisotropicDatum(MorphismFiber(c, g, (0,), (ident,), (ident,), (), ()),
+                             (cotangent_dirac(2),))
+    with pytest.raises(ValueError, match=r"d2 \. d1 != 0"):
+        chain_map_check(datum, 0)
 
 
 def test_orbit_lagrangian_pair_full_orbit(pair_bundle):

@@ -11,14 +11,12 @@ from diraclab.courant import (
     TwoFormFiber,
     ThreeFormFiber,
     cotangent_dirac,
-    cotangent_trace,
     dirac_negate,
     dirac_sum,
     gauge,
     graph_bivector,
     graph_two_form,
     is_lagrangian,
-    is_nondegenerate,
     kernel_of,
     pairing,
     perp,
@@ -195,8 +193,10 @@ def test_kernel_of_graph_is_form_kernel():
 
 
 def test_nondegeneracy_of_bivector_graphs():
-    assert not is_nondegenerate(graph_bivector(LinMap.zero(2, 2)))
-    assert is_nondegenerate(graph_two_form(std_symplectic(2)))
+    assert graph_bivector(LinMap.zero(2, 2)).form is None
+    assert graph_two_form(std_symplectic(2)).form is not None
+    with pytest.raises(ValueError, match="not the graph of a 2-form"):
+        two_form_of(graph_bivector(LinMap.zero(2, 2)))
 
 
 def test_two_form_roundtrip():
@@ -340,7 +340,7 @@ def test_three_form_neg():
 # Oracle: the 4n-ambient constructions that the relation primitive replaced.
 # They embed the inputs into one large ambient space, intersect there through
 # annihilators and project back.  They live here only, to cross-check
-# dirac_sum, pullback, pushforward, kernel_of and cotangent_trace.
+# dirac_sum, pullback, pushforward, kernel_of and DiracFiber.form.
 
 def _embed(s, offset, ambient):
     gens = [zero_vec(offset) + v + zero_vec(ambient - offset - s.ambient_dim)
@@ -446,9 +446,8 @@ def test_dirac_sum_matches_oracle(pair):
 
 @settings(max_examples=75, deadline=None)
 @given(dims.flatmap(dirac_fibers))
-def test_kernel_and_cotangent_trace_match_oracle(l):
+def test_kernel_of_matches_oracle(l):
     assert kernel_of(l) == oracle_kernel_of(l)
-    assert cotangent_trace(l) == oracle_cotangent_trace(l)
 
 
 @st.composite

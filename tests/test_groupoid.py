@@ -157,7 +157,7 @@ def test_nat_trans_form_identity_through_units():
     fx = nat_fixture()
     bundle = fx.f.cod
     unit = next(k for k, a in enumerate(bundle.arrows) if a.unit)
-    theta = {0: NatTransFiber(0, unit, bundle.arrows[unit].u_star)}
+    theta = {0: NatTransFiber(unit, bundle.arrows[unit].u_star)}
     rep = nat_trans_form_identity(fx.f, fx.f, theta)
     assert rep.passed
 
@@ -168,18 +168,18 @@ def test_star_composite_form_identity():
     bundle = fx.f.cod
     p = LinMap.from_rows([[1, 2], [0, 1]])
     q = LinMap.from_rows([[1, 0], [3, 1]])
-    theta = {0: NatTransFiber(0, 0, vstack(p, LinMap.identity(2)))}
-    eta = {0: NatTransFiber(0, 0, vstack(q @ p, p))}
-    comp = {0: NatTransFiber(0, 0, vstack(q @ p, LinMap.identity(2)))}
+    theta = {0: NatTransFiber(0, vstack(p, LinMap.identity(2)))}
+    eta = {0: NatTransFiber(0, vstack(q @ p, p))}
+    comp = {0: NatTransFiber(0, vstack(q @ p, LinMap.identity(2)))}
     rep = star_composite_form_identity(bundle, theta, eta, comp)
     assert rep.passed and rep.records
 
     # composite of theta with its inverse pulls the form back to zero
     qinv = LinMap.from_rows([[1, 0], [-3, 1]])
     assert (q @ qinv) == LinMap.identity(2)
-    eta_inv = {0: NatTransFiber(0, 0, vstack(LinMap.identity(2), q))}
-    comp_id = {0: NatTransFiber(0, 0, vstack(LinMap.identity(2), LinMap.identity(2)))}
-    theta_q = {0: NatTransFiber(0, 0, vstack(q, LinMap.identity(2)))}
+    eta_inv = {0: NatTransFiber(0, vstack(LinMap.identity(2), q))}
+    comp_id = {0: NatTransFiber(0, vstack(LinMap.identity(2), LinMap.identity(2)))}
+    theta_q = {0: NatTransFiber(0, vstack(q, LinMap.identity(2)))}
     rep2 = star_composite_form_identity(bundle, theta_q, eta_inv, comp_id)
     assert rep2.passed
     om = bundle.arrows[0].omega

@@ -1,12 +1,13 @@
 """Source hygiene: every module-level import in src/diraclab is used, every
-name a function stores is read somewhere in that function, only the CLI
-imports the scenario builders, importing the CLI does not load morita,
-groupoid, coisotropic, intersection or dataclasses, verifying each scenario
-loads only the diraclab modules it runs, no module uses dataclasses or the
-namedtuple constructors that skip validation, only the five relation
-operations are memoized, every public function is reached from src or
-allowlisted with a reason, and every function the benchmark's traced run
-wraps exists."""
+name a function stores is read somewhere in that function, every parameter
+is read, every record field is read somewhere in src or allowlisted with a
+reason, only the CLI imports the scenario builders, importing the CLI does
+not load morita, groupoid, coisotropic, intersection or dataclasses,
+verifying each scenario loads only the diraclab modules it runs, no module
+uses dataclasses or the namedtuple constructors that skip validation, only
+the five relation operations are memoized, every public function is reached
+from src or allowlisted with a reason, and every function the benchmark's
+traced run wraps exists."""
 
 import ast
 import importlib
@@ -99,6 +100,98 @@ def test_detects_an_unread_local():
         "    kept = 2\n"
         "    return g\n")
     assert unread_locals(tree) == ["f.dead (line 2)", "f.i (line 3)"]
+
+
+def unread_parameters(tree: ast.Module) -> list[str]:
+    """Parameters a function never reads, as "function.name (line)".
+
+    A parameter counts as read if the function, or a function or lambda
+    nested in it, loads it.  Dunder methods, whose signatures a protocol
+    fixes, and names starting with "_" are exempt.
+    """
+    out = []
+    for fn in ast.walk(tree):
+        if (not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                or fn.name.startswith("__") and fn.name.endswith("__")):
+            continue
+        a = fn.args
+        params = [p for p in (*a.posonlyargs, *a.args, a.vararg, *a.kwonlyargs, a.kwarg) if p]
+        loaded = {n.id for n in ast.walk(fn)
+                  if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        out += [f"{fn.name}.{p.arg} (line {p.lineno})" for p in params
+                if p.arg not in loaded and not p.arg.startswith("_")]
+    return out
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    assert unread_parameters(ast.parse(path.read_text())) == []
+
+
+def test_unread_parameters_sees_every_form():
+    tree = ast.parse(
+        "def f(a, b, /, c, *args, d, _e, **kw):\n"
+        "    return lambda: a + c\n"
+        "class C:\n"
+        "    def __call__(self, u): pass\n"
+        "    def m(self, v):\n"
+        "        def g(w):\n"
+        "            return v\n"
+        "        return g\n")
+    assert unread_parameters(tree) == [
+        "f.b (line 1)", "f.args (line 1)", "f.d (line 1)", "f.kw (line 1)",
+        "m.self (line 5)", "g.w (line 6)"]
+
+
+def record_fields(tree: ast.Module):
+    """(class, field) of every annotated field of a @record class."""
+    for cls in ast.walk(tree):
+        if (isinstance(cls, ast.ClassDef)
+                and any(isinstance(d, ast.Name) and d.id == "record"
+                        for d in cls.decorator_list)):
+            for stmt in cls.body:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    yield cls.name, stmt.target.id
+
+
+def unread_fields(trees: dict) -> list[str]:
+    """"module.Class.field" of every record field that no tree reads as an
+    attribute, sorted.  The rule goes by name, so a field that shares its
+    name with an attribute read elsewhere (a common one such as dim) passes."""
+    read = {n.attr for t in trees.values() for n in ast.walk(t)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    return sorted(f"{mod}.{cls}.{name}" for mod, tree in trees.items()
+                  for cls, name in record_fields(tree) if name not in read)
+
+
+# Record fields that nothing in src reads, each with the reason it stays.
+UNREAD_FIELDS = {
+    "intersection.Intersection.ledger": "the per-point ranks behind the cleanness "
+    "records; the tests read it to check those records against the ranks",
+}
+
+
+def test_every_record_field_is_read_or_allowlisted():
+    trees = {p.stem: ast.parse(p.read_text()) for p in SRC.glob("*.py")}
+    assert unread_fields(trees) == sorted(UNREAD_FIELDS)
+
+
+def test_unread_fields_sees_every_form():
+    tree = ast.parse("@record\n"
+                     "class R:\n"
+                     "    a: int\n"
+                     "    b: int = 0\n"
+                     "    c: int\n"
+                     "    def m(self):\n"
+                     "        return self.a\n"
+                     "class Plain:\n"
+                     "    d: int\n"
+                     "def f(r):\n"
+                     "    r.b = 1\n"
+                     "    return replace(r, c=2)\n")
+    other = ast.parse("def g(x):\n    return x.c\n")
+    assert unread_fields({"m": tree}) == ["m.R.b", "m.R.c"]
+    assert unread_fields({"m": tree, "n": other}) == ["m.R.b"]
 
 
 def package_imports(tree: ast.Module) -> set[str]:
@@ -273,12 +366,11 @@ UNREACHED = {
         "scenarios.pair_nat_trans_fixture"},
     "test oracle: an independent computation the tests compare a reached "
     "path against": {
-        "courant.ThreeFormFiber.coeff", "courant.is_lagrangian", "courant.two_form_of"},
+        "courant.ThreeFormFiber.coeff", "courant.is_lagrangian", "courant.two_form_of",
+        "dorfman.pairing"},
     "fixture builder: the tests build Dirac fibers and vectors with it": {
-        "courant.cotangent_dirac", "courant.gauge", "courant.tangent_dirac",
+        "courant.cotangent_dirac", "courant.tangent_dirac",
         "linalg.basis_vec", "linalg.random_antisymmetric", "linalg.zero_vec"},
-    "test diagnostics: the failing records an assertion message shows": {
-        "report.VerificationReport.failures"},
 }
 
 
@@ -289,24 +381,55 @@ def name_counts(node, kinds=(ast.Name, ast.Attribute)) -> Counter:
                    if isinstance(n, kinds))
 
 
+def import_bindings(tree: ast.Module) -> tuple[dict, dict]:
+    """What the module's relative imports bind, at any depth: (names,
+    modules).  names maps each local name to the (module, name) it imports
+    by `from .module import name [as local]`, and modules maps each local
+    name to the module it binds by `from . import module [as local]`."""
+    names, modules = {}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for a in node.names:
+                if node.module:
+                    names[a.asname or a.name] = (node.module, a.name)
+                else:
+                    modules[a.asname or a.name] = a.name
+    return names, modules
+
+
 def unreached(trees: dict) -> list[str]:
-    """"module.qualname" of every public function or method whose name
-    occurs in no tree outside its own definition, sorted.  A method, a def
-    directly in a class body, is reached only through an attribute of its
-    name: a function of the same name that is called does not reach it."""
+    """"module.qualname" of every public function or method that no tree
+    reaches outside its own definition, sorted.  A method, a def directly
+    in a class body, is reached only through an attribute of its name: a
+    function of the same name that is called does not reach it.  Any other
+    function is reached by its name in its own module, or, in another
+    module, by a name an import binds to it or an attribute of a module
+    alias bound to its module: a function of the same name in another
+    module does not reach it."""
     methods = {id(d) for t in trees.values() for c in ast.walk(t)
                if isinstance(c, ast.ClassDef) for d in c.body}
-    as_any = sum((name_counts(t) for t in trees.values()), Counter())
-    as_attribute = sum((name_counts(t, ast.Attribute) for t in trees.values()), Counter())
+    as_attribute = sum((name_counts(t, (ast.Attribute,)) for t in trees.values()), Counter())
+    as_name = {mod: name_counts(t, (ast.Name,)) for mod, t in trees.items()}
+    imported = Counter()   # (module, name) -> reads from other modules
+    for mod, tree in trees.items():
+        names, modules = import_bindings(tree)
+        for local, target in names.items():
+            imported[target] += as_name[mod][local]
+        imported.update((modules[n.value.id], n.attr) for n in ast.walk(tree)
+                        if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+                        and n.value.id in modules)
     out = []
     for mod, tree in trees.items():
         for qual, node in qualified_defs(tree):
             if (not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                     or node.name.startswith("_")):
                 continue
-            kinds, total = ((ast.Attribute, as_attribute) if id(node) in methods
-                            else ((ast.Name, ast.Attribute), as_any))
-            if total[node.name] == name_counts(node, kinds)[node.name]:
+            if id(node) in methods:
+                reached = as_attribute[node.name] > name_counts(node, (ast.Attribute,))[node.name]
+            else:
+                reached = (as_name[mod][node.name] > name_counts(node, (ast.Name,))[node.name]
+                           or imported[(mod, node.name)] > 0)
+            if not reached:
                 out.append(f"{mod}.{qual}")
     return sorted(out)
 
@@ -330,6 +453,25 @@ def test_unreached_sees_every_form():
                      "C().called()\n"
                      "shared()\n")
     assert unreached({"m": tree}) == ["m.C.method", "m.C.shared", "m.rec"]
+
+
+def test_unreached_resolves_functions_through_imports():
+    a = ast.parse("def f(): pass\n"
+                  "def g(): pass\n"
+                  "def h(): pass\n"
+                  "def k(): pass\n"
+                  "def m(): pass\n")
+    b = ast.parse("from .a import f as ff\n"
+                  "from . import a as mod\n"
+                  "ff()\n"
+                  "mod.g()\n"
+                  "def use():\n"
+                  "    from .a import h\n"
+                  "    return h()\n"
+                  "def k(): pass\n"
+                  "k()\n"
+                  "other.m()\n")
+    assert unreached({"a": a, "b": b}) == ["a.k", "a.m", "b.use"]
 
 
 def test_every_traced_function_exists():

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from diraclab import scenarios as sc
-from diraclab.coisotropic import identity_datum, is_strong
+from diraclab.coisotropic import (identity_datum, is_coisotropic, is_strong,
+                                  zero_shifted_poisson_check)
 from diraclab.courant import cotangent_dirac, kernel_of, pullback, tangent_dirac
 from diraclab.groupoid import point_bundle
 from diraclab.intersection import (
@@ -238,6 +239,44 @@ def test_exact_sequence_and_kernel_failures_carry_witnesses(pair_bundle):
         else:
             assert r.witness["ker_L"] == {"basis": [], "ambient_dim": 8}
             assert len(r.witness["im_rho"]["basis"]) == 4
+
+
+def test_failures_outside_the_exact_sequence_carry_witnesses(pair_bundle):
+    # cotangent fibers on the identity: (rho, sigma) leaves L, s*L != t*L at
+    # every arrow and ker L = 0 misses im rho, in the strong intersection's
+    # sub-reports, in induced_poisson and in is_coisotropic
+    d = replace(identity_datum(pair_bundle),
+                dirac=tuple(cotangent_dirac(2) for _ in pair_bundle.objects))
+    n, arrows = len(pair_bundle.objects), pair_bundle.arrows
+    si = strong_intersection(d, d, [(i, i) for i in range(n)],
+                             [(k, k) for k in range(len(arrows))])
+    reports = {"strong": si.report, "induced": induced_poisson(d), "coiso": is_coisotropic(d)}
+    fails = {name: [r for r in rep.records if r.status == "fail"]
+             for name, rep in reports.items()}
+    assert all(r.witness is not None for rs in fails.values() for r in rs)
+    zsp = {"zsp.invariance": len(arrows), "zsp.kernel.contains": n, "zsp.kernel": n}
+    assert Counter(r.check_id for r in fails["induced"]) == {
+        **zsp, "induced.zero_shifted_poisson": 1}
+    witness = {r.check_id: r.witness for rs in fails.values() for r in rs}
+    assert witness["strong.zero_shifted_poisson"] == {"failing": zsp}
+    assert witness["induced.zero_shifted_poisson"] == {"failing": zsp}
+    assert witness["strong.coisotropic"] == {
+        "failing": {"coiso.compat": len(arrows), "coiso.nondeg": n}}
+    # the column (rho e_0, sigma e_0) has a tangent part, so it leaves L
+    assert {r.check_id: r.witness for r in fails["coiso"]}["coiso.nondeg"] == {
+        "vector": ["1", "0", "0", "1"]}
+    assert witness["zsp.kernel.contains"] == {
+        "im_rho": {"basis": [["1", "0"], ["0", "1"]], "ambient_dim": 2},
+        "ker_L": {"basis": [], "ambient_dim": 2}}
+    # an invariance witness names its arrow and lies in one of s*L, t*L only
+    zsp_rep = zero_shifted_poisson_check(pair_bundle, list(d.dirac))
+    invariance = [r for r in zsp_rep.records if r.check_id == "zsp.invariance"]
+    assert len(invariance) == len(arrows)
+    for k, r in enumerate(invariance):
+        ar, v = arrows[k], tuple(F(x) for x in r.witness["vector"])
+        assert r.witness["arrow"] == k
+        assert (pullback(ar.s_star, d.dirac[ar.src]).space.contains(v)
+                != pullback(ar.t_star, d.dirac[ar.tgt]).space.contains(v))
 
 
 def test_the_homotopy_sequence_at_a_unit_reads_as_the_strong_one(pair_bundle):

@@ -12,7 +12,6 @@ from diraclab.linalg import (
     basis_vec,
     block_diag,
     canonicalize,
-    dot,
     fiber_product,
     full_subspace,
     hstack,
@@ -383,17 +382,6 @@ def test_map_forms_reject_a_row_count_mismatch(call):
         call()
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.integers(0, 16).flatmap(
-    lambda n: st.tuples(st.lists(entries, min_size=n, max_size=n),
-                        st.lists(entries, min_size=n, max_size=n))))
-def test_dot_matches_oracle(uv):
-    u, v = uv
-    d = dot(u, v)
-    assert d == sum((a * b for a, b in zip(u, v)), F(0))
-    assert type(d) is F
-
-
 def test_rref_negative_pivots():
     m = [[F(-3), F(6), F(-1, 7)], [F(-2), F(-5), F(0)], [F(-5), F(1), F(-1, 7)]]
     rows, piv_cols = rref(m, 3)
@@ -415,7 +403,7 @@ def test_solve_inconsistent_large_denominators():
 
 
 @pytest.mark.parametrize("call", [
-    lambda: dot(vec(1, 2), vec(1, 2, 3)),
+    lambda: hstack(LinMap.identity(2), LinMap.identity(3)),
     lambda: solve(LinMap.identity(2), col(1)),
     lambda: LinMap.identity(2).apply(vec(1, 2, 3)),
     lambda: LinMap.identity(2) @ LinMap.identity(3),

@@ -134,7 +134,7 @@ def torus_chain(torus1):
     m2 = gauge_twist_equivalence(datum, [TwoFormFiber(third) for _ in g.objects],
                                  [ThreeFormFiber.zero(2) for _ in g.objects])
     c = datum.morphism
-    chain = [ChainSample(ar.dim, ar.src, ar.tgt, ar.s_star, ar.t_star,
+    chain = [ChainSample(ar.src, ar.tgt, ar.s_star, ar.t_star,
                          a, LinMap.identity(ar.dim), c.arrow_map[a], c.c1[a])
              for a, ar in enumerate(c.dom.arrows)]
     return datum, m1, m2, chain
@@ -217,7 +217,7 @@ def homotopy_report(fx, theta):
 
 
 def test_homotopy_identities_hold_on_the_circle_fixture():
-    fx = sc.circle_nat_trans_fixture()
+    fx = sc.circle_nat_trans_fixture(F(1, 2))
     rep = homotopy_report(fx, fx.theta)
     assert rep.passed, rep.failures()
     ids = {r.check_id for r in rep.records}
@@ -231,7 +231,7 @@ def test_a_corrupted_theta_star_fails_the_structure_identity():
     # one entry of theta(0)_* shifted: s theta_* = f_* breaks, and with it
     # the two identities that read theta-dot against f_* and g_*; sigma_ad
     # does not involve theta_*, and the other objects are untouched
-    fx = sc.circle_nat_trans_fixture()
+    fx = sc.circle_nat_trans_fixture(F(1, 2))
     rows = [list(r) for r in fx.theta[0].theta_star.entries]
     rows[0][0] += 1
     theta = dict(fx.theta)

@@ -61,7 +61,9 @@ def test_cotangent_torus_is_the_closed_form(k):
     cf = {key: LinMap.from_rows(rows) for key, rows in CLOSED_FORMS[k].items()}
     levels = [(F(1, 2),) * k, (F(2),) * k]
     ts_list = [(F(t),) * k for t in TS]
-    bundle = sc.build_cotangent_torus(levels, ts_list, name="t")
+    bundle, arrow_index = sc.build_cotangent_torus(levels, ts_list, name="t")
+    assert arrow_index == {(li, ts): li * len(ts_list) + ti
+                           for li in range(len(levels)) for ti, ts in enumerate(ts_list)}
     for ob in bundle.objects:
         assert (ob.dim, ob.adim) == (k, k)
         assert ob.rho == LinMap.zero(k, k)
