@@ -8,7 +8,9 @@ bundle's quasi-symplectic verdict is decided once per bundle (see groupoid),
 the strongness check, run when the caller passes the input datum, adds only
 the injectivity half of strongness to the is_coisotropic report it already
 holds, and the composition check takes the first leg's TransferResult from
-its caller instead of transferring again.
+its caller instead of transferring again.  The round trip pushes the
+transferred fibers back along the reversed legs and compares them with the
+input; it does not rerun the reverse transfer's checks.
 """
 
 from __future__ import annotations
@@ -401,8 +403,8 @@ def transfer(m: MoritaEquivalenceDatum, l1: list[DiracFiber],
     Pipeline: pull back along psi1, gauge by the connecting form, descend
     along psi2 (invariance and round-trip checked), then verify the result
     is coisotropic; given the input as the datum (m.c1, l1) the caller
-    holds, and that datum strong, verify strongness; finally transfer back
-    and compare with the input.
+    holds, and that datum strong, verify strongness; finally push the
+    transferred fibers back and compare them with the input.
     """
     if input_datum is not None and (input_datum.morphism != m.c1
                                     or input_datum.dirac != tuple(l1)):
@@ -455,11 +457,20 @@ def transfer(m: MoritaEquivalenceDatum, l1: list[DiracFiber],
                 detail="strict equivalence preserves strongness")
 
     if roundtrip:
-        back = transfer(m.reversed(), l2, roundtrip=False)
-        same = all(back.dirac[i] == l1[i] for i in range(len(l1)))
+        same = all(l == l1[i] for i, l in zip(m.psi1.obj_map, _pushed_back(m, l2)))
         rep.add("transfer.roundtrip", same,
                 detail="backward transfer returns the original structure")
     return TransferResult({i: l for i, l in enumerate(l2)}, rep)
+
+
+def _pushed_back(m: MoritaEquivalenceDatum, l2: list[DiracFiber]) -> list[DiracFiber]:
+    """The transferred fibers pushed back to C1, one per K-object x, as the
+    reversed equivalence r transfers them: pulled back along r.psi1, gauged
+    by r.delta and pushed forward along r.psi2."""
+    r = m.reversed()
+    return [pushforward(r.psi2.c0[x],
+                        gauge(pullback(r.psi1.c0[x], l2[r.psi1.obj_map[x]]), r.delta[x]))
+            for x in range(len(r.psi1.dom.objects))]
 
 
 def sigma_ad_check(bundle: GroupoidFiberBundle,

@@ -5,9 +5,10 @@ reason, only the CLI imports the scenario builders, importing the CLI does
 not load morita, groupoid, coisotropic, intersection or dataclasses,
 verifying each scenario loads only the diraclab modules it runs, no module
 uses dataclasses or the namedtuple constructors that skip validation, only
-the five relation operations are memoized, every public function is reached
-from src or allowlisted with a reason, and every function the benchmark's
-traced run wraps exists."""
+the five relation operations and the matrix product are memoized, every
+memo returns an immutable record, every public function is reached from src
+or allowlisted with a reason, and every function the benchmark's traced run
+wraps exists."""
 
 import ast
 import importlib
@@ -306,10 +307,11 @@ def test_record_misuses_sees_every_form():
 
 MEMOS = {"cache", "lru_cache"}
 
-# the relation operations a run repeats on equal frozen inputs; a memo
-# anywhere else is a deliberate change to this table
+# the relation operations and the matrix product, which a run repeats on
+# equal frozen inputs; a memo anywhere else is a deliberate change to this
+# table
 MEMOIZED = {"courant": ["dirac_sum", "graph_two_form", "pullback", "pushforward"],
-            "linalg": ["fiber_product"]}
+            "linalg": ["_composite", "fiber_product"]}
 
 
 def qualified_defs(node, prefix=""):
@@ -352,6 +354,102 @@ def test_memo_sites_sees_every_form():
                      "    def p(self): pass\n"
                      "h = cache(len)\n")
     assert memo_sites(tree) == ["C.g", "f", "line 10"]
+
+
+MUTABLE = {"list", "dict", "set"}
+
+
+def annotation_names(node) -> set[str]:
+    """Every name an annotation mentions, inside string annotations too."""
+    names = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            names.add(n.id)
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            names |= annotation_names(ast.parse(n.value, mode="eval"))
+    return names
+
+
+def immutable_records(trees) -> set[str]:
+    """The @record classes of the trees whose fields hold no list, dict or
+    set, directly or through another record, and take no default factory."""
+    fields = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and any(
+                    isinstance(d, ast.Name) and d.id == "record" for d in node.decorator_list):
+                stmts = [s for s in node.body if isinstance(s, ast.AnnAssign)]
+                fields[node.name] = (set().union(*[annotation_names(s.annotation) for s in stmts]),
+                                     any(isinstance(s.value, ast.Call) for s in stmts))
+    mutable = {name for name, (names, fresh) in fields.items() if fresh or names & MUTABLE}
+    while more := {name for name, (names, _) in fields.items() if names & mutable} - mutable:
+        mutable |= more
+    return set(fields) - mutable
+
+
+def memos_not_returning_records(tree: ast.Module, records: set[str]) -> list[str]:
+    """"qualname -> annotation" of every function memoized with functools.cache
+    or lru_cache whose return annotation is not the name of one of records,
+    sorted.  A memo hands its one result to every caller, so that result
+    must be immutable."""
+    out = []
+    for qual, node in qualified_defs(tree):
+        decs = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+        if isinstance(node, ast.ClassDef) or not any(
+                (isinstance(d, ast.Name) and d.id in MEMOS)
+                or (isinstance(d, ast.Attribute) and d.attr in MEMOS) for d in decs):
+            continue
+        ann = node.returns
+        name = (ann.value if isinstance(ann, ast.Constant)
+                else ann.id if isinstance(ann, ast.Name) else None)
+        if name not in records:
+            out.append(f"{qual} -> {ann and ast.unparse(ann)}")
+    return sorted(out)
+
+
+SRC_RECORDS = immutable_records(ast.parse(p.read_text()) for p in SRC.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_memo_returns_an_immutable_record(path):
+    assert memos_not_returning_records(ast.parse(path.read_text()), SRC_RECORDS) == []
+
+
+def test_memo_returns_sees_every_form():
+    # a report gathers its records in a list, so it is no memo result, nor
+    # is a record that holds one
+    assert {"LinMap", "Subspace", "DiracFiber"} <= SRC_RECORDS
+    assert not {"VerificationReport", "Intersection", "TransferResult"} & SRC_RECORDS
+    assert immutable_records([ast.parse("@record\n"
+                                        "class Frozen:\n"
+                                        "    rows: tuple[int, ...]\n"
+                                        "    den: int = 1\n"
+                                        "@record\n"
+                                        "class Fresh:\n"
+                                        "    n: int = field(default_factory=int)\n"
+                                        "@record\n"
+                                        "class Holder:\n"
+                                        "    inner: 'tuple[Fresh, ...]'\n"
+                                        "class Plain:\n"
+                                        "    rows: tuple\n")]) == {"Frozen"}
+    tree = ast.parse("import functools\n"
+                     "from functools import cache, lru_cache\n"
+                     "@cache\n"
+                     "def f(x) -> LinMap: pass\n"
+                     "@cache\n"
+                     "def g(x) -> 'Subspace': pass\n"
+                     "@cache\n"
+                     "def h(x) -> VerificationReport: pass\n"
+                     "class C:\n"
+                     "    @functools.lru_cache(maxsize=2)\n"
+                     "    def m(self) -> list: pass\n"
+                     "@cache\n"
+                     "def k(x): pass\n"
+                     "@cache\n"
+                     "def o(x) -> 'LinMap | None': pass\n"
+                     "def plain(x) -> list: pass\n")
+    assert memos_not_returning_records(tree, SRC_RECORDS) == [
+        "C.m -> list", "h -> VerificationReport", "k -> None", "o -> 'LinMap | None'"]
 
 
 # Public functions and methods that no code in src reaches, grouped by the

@@ -9,13 +9,15 @@ from diraclab.coisotropic import (identity_datum, is_coisotropic, is_strong,
 from diraclab.courant import cotangent_dirac, kernel_of, pullback, tangent_dirac
 from diraclab.groupoid import point_bundle
 from diraclab.intersection import (
+    _exact_sequence,
     homotopy_intersection,
     induced_poisson,
     strong_exact_sequence,
     strong_intersection,
 )
-from diraclab.linalg import LinMap, image, solve, vec_concat
+from diraclab.linalg import LinMap, Subspace, image, kernel, solve, vec_concat
 from diraclab.records import replace
+from diraclab.report import FAIL, VerificationReport
 
 F = Fraction
 
@@ -81,6 +83,26 @@ def test_level_zero_middle_dimension():
     assert seq.passed
     dims = [r.ranks for r in seq.records if r.check_id == "exact.dimension"]
     assert dims and all(d == (1, 0, 1) for d in dims)
+
+
+@pytest.mark.parametrize("prefix", ["exact", "homotopy.exact"])
+def test_a_boundary_map_that_leaves_the_annihilator_fails_into_rann(prefix):
+    # no shipped fixture reaches this FAIL: at a fixed-point product point
+    # of circle n = 1 the middle term is a line, and a nonzero boundary map
+    # from it cannot land in a zero annihilator
+    scn = sc.circle_scenario(1, F(0))
+    orbit = sc.circle_orbit_datum(scn, F(0))
+    i2 = next(iter(scn.obj_index.values()))
+    f = strong_intersection(orbit, scn.datum, [(0, i2)], []).fibers[0]
+    middle = image(f.algebroid.matrix(), kernel(f.rho))
+    assert middle.dim == 1
+    rep = VerificationReport("exact")
+    _exact_sequence(rep, prefix, orbit, 0, scn.datum, i2, middle,
+                    LinMap.from_rows([[1]]), Subspace(1, ()), True)
+    into = [r for r in rep.records if r.check_id == f"{prefix}.into_rann"]
+    assert [r.status for r in into] == [FAIL]
+    assert into[0].witness == {"image": {"basis": [["1"]], "ambient_dim": 1},
+                               "annihilator": {"basis": [], "ambient_dim": 1}}
 
 
 def test_transversality_hypothesis_violation(circle1, pair_bundle):

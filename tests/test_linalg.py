@@ -9,6 +9,7 @@ from diraclab.linalg import (
     DimensionMismatch,
     LinMap,
     Subspace,
+    _composite,
     basis_vec,
     block_diag,
     canonicalize,
@@ -638,6 +639,29 @@ def test_fiber_product_raises_on_every_call():
             fiber_product(LinMap.identity(2), LinMap.identity(3))
     # nothing was stored, so each call ran the code again
     assert fiber_product.cache_info().misses == misses + 3
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_the_product_memo_matches_the_uncached_product(data):
+    r, k, c = (data.draw(st.integers(0, 5)) for _ in range(3))
+    draw_matrix = data.draw(st.sampled_from([dense, sparse]))
+    a, b = draw_matrix(data.draw, r, k), draw_matrix(data.draw, k, c)
+    A, B = LinMap.from_rows(a, cols=k), LinMap.from_rows(b, cols=c)
+    prod = A @ B
+    assert prod == _composite.__wrapped__(A, B)
+    assert as_rows(prod) == oracle_mul(a, b, k, c)
+    assert A @ B is prod
+    # an equal map built afresh is the same key
+    assert LinMap.from_rows(a, cols=k) @ B is prod
+    # a shape mismatch is caught before the memo: it raises every time and
+    # neither runs nor stores a product
+    wrong = LinMap.zero(k + 1, c)
+    misses = _composite.cache_info().misses
+    for _ in range(3):
+        with pytest.raises(DimensionMismatch):
+            A @ wrong
+    assert _composite.cache_info().misses == misses
 
 
 # ---------------------------------------------------------------------------

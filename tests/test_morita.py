@@ -2,17 +2,19 @@
 transfer and the composition of two transfers."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from diraclab import coisotropic, scenarios as sc
+from diraclab import coisotropic, morita, scenarios as sc
 from diraclab.coisotropic import CoisotropicDatum, identity_datum
 from diraclab.courant import ThreeFormFiber, TwoFormFiber, tangent_dirac
 from diraclab.groupoid import GroupoidFiberBundle, MorphismFiber, identity_morphism
 from diraclab.linalg import LinMap
 from diraclab.morita import (
     ChainSample,
+    _pushed_back,
     descend_dirac,
     gauge_twist_equivalence,
     homotopy_identities,
@@ -73,6 +75,54 @@ def test_transfer_reads_the_input_compatibility_from_the_datum(torus1, monkeypat
     assert with_datum == len(calls) > 0
     assert statuses(checked.report, "transfer.strong") == [PASS]
     assert statuses(plain.report, "transfer.strong") == []
+
+
+def test_transfer_runs_one_transfer_and_one_descent(torus1, monkeypatch):
+    # the round trip pushes the transferred fibers back itself, without a
+    # second, reverse transfer and its descent
+    datum, m = torus_twist(torus1)
+    calls = Counter()
+    for name in ("transfer", "descend_dirac"):
+        real = getattr(morita, name)
+        monkeypatch.setattr(morita, name, lambda *a, _name=name, _real=real, **k:
+                            calls.update([_name]) or _real(*a, **k))
+    result = morita.transfer(m, list(datum.dirac), datum)
+    assert statuses(result.report, "transfer.roundtrip") == [PASS]
+    assert calls == {"transfer": 1, "descend_dirac": 1}
+
+
+def reverse_transfer_oracle(m, l2):
+    """The round trip as a whole reverse run computes it: the transfer of l2
+    through the reversed equivalence, per C1-object."""
+    return transfer(m.reversed(), l2, roundtrip=False).dirac
+
+
+def reduction_equivalence(monkeypatch):
+    """The quotient weak Morita equivalence run_reduction transfers along on
+    circle n = 1, with the fibers it transfers."""
+    seen = []
+    real = morita.transfer
+    with monkeypatch.context() as mp:
+        mp.setattr(morita, "transfer", lambda m, l1, *a, **k:
+                   seen.append((m, l1)) or real(m, l1, *a, **k))
+        sc.run_reduction(sc.circle_reduction(1, F(1, 2)))
+    return seen[0]
+
+
+@pytest.mark.parametrize("case", ["torus", "reduction"])
+def test_the_round_trip_fibers_are_the_reverse_transfer(torus1, monkeypatch, case):
+    if case == "torus":
+        datum, m = torus_twist(torus1)
+        l1 = list(datum.dirac)
+    else:
+        m, l1 = reduction_equivalence(monkeypatch)
+    forward = transfer(m, l1, roundtrip=False)
+    l2 = [forward.dirac[i] for i in range(len(forward.dirac))]
+    oracle = reverse_transfer_oracle(m, l2)
+    back = _pushed_back(m, l2)
+    assert len(back) == len(m.psi1.dom.objects)
+    assert back == [oracle[i] for i in m.psi1.obj_map]
+    assert back == [l1[i] for i in m.psi1.obj_map]
 
 
 def test_transfer_rejects_a_datum_of_another_structure(torus1):
