@@ -16,12 +16,18 @@ cannot be written (prints ``error: ...``).  ``reduce`` and ``dump`` check
 their ``--out`` file before they build anything, so an unwritable path costs
 no work, and write it only when their document is done.
 
-Each command loads only the modules its scenario runs.  This module imports
-at its top only what every command needs: scenarios, serialize and the
-modules they load (linalg, courant, records, report).  Each suite runner
-imports its checkers from groupoid, coisotropic, intersection, morita or
-dorfman when it runs, and the scenario builders and the loaders in
-serialize do the same, so a command loads only the checkers its suites run.
+Each command loads only the modules it runs.  This module imports at its
+top only what every command needs: scenarios, serialize (the JSON emitter)
+and the modules they load (linalg, courant, records, report).  Then:
+- each suite runner imports its checkers from groupoid, coisotropic,
+  intersection, morita or dorfman when it runs, and the scenario builders
+  do the same, so a command loads only the checkers its suites run;
+- the circle and torus builders load rotation, the code of the rotation
+  family; the pair, Dorfman-frame and line commands never do;
+- dump and reduce load schema, the gfb-v1, df-v1 and cd-v1 documents:
+  ``dump_bundle``, ``dump_datum`` and ``cmd_reduce`` import it when they
+  run.  Its loaders import groupoid and coisotropic.  verify and list never
+  load it.
 """
 
 from __future__ import annotations
@@ -40,9 +46,9 @@ from . import scenarios as sc
 from .courant import ThreeFormFiber, TwoFormFiber
 from .linalg import LinMap, canonicalize, frac, vec
 from .records import field, record, replace
-from .report import HYPOTHESIS_VIOLATED, PASS, VerificationReport
-from .serialize import (bundle_to_json, datum_from_json, datum_to_json,
-                        dirac_family_to_json, dumps)
+from .report import (HYPOTHESIS_VIOLATED, PASS, ReductionHypothesisViolated,
+                     VerificationReport)
+from .serialize import dumps
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -253,6 +259,18 @@ def line_suite() -> VerificationReport:
     return rep
 
 
+def dump_bundle(bundle) -> dict:
+    """The gfb-v1 document of a bundle."""
+    from .schema import bundle_to_json
+    return bundle_to_json(bundle)
+
+
+def dump_datum(datum) -> dict:
+    """The cd-v1 document of a coisotropic datum."""
+    from .schema import datum_to_json
+    return datum_to_json(datum)
+
+
 @record
 class Scenario:
     about: str
@@ -265,7 +283,7 @@ SCENARIOS = {
     "pair": Scenario(
         "pair groupoid of a symplectic vector space (params: n)",
         pair_params, pair_suites,
-        {"base": lambda p: bundle_to_json(pair_bundle(p))}),
+        {"base": lambda p: dump_bundle(pair_bundle(p))}),
     "pair-corrupt-sigma": Scenario(
         "pair groupoid with a sign flipped in sigma (negative fixture)",
         pair_params, corrupt_sigma_suites),
@@ -273,14 +291,14 @@ SCENARIOS = {
         "circle acting on C^n with its cotangent groupoid (params: n, level;"
         " n >= 3 samples only C^2 x 0)",
         circle_params, circle_suites,
-        {"base": lambda p: bundle_to_json(sc.circle_scenario(**p).datum.g_bundle),
-         "datum": lambda p: datum_to_json(sc.circle_scenario(**p).datum),
+        {"base": lambda p: dump_bundle(sc.circle_scenario(**p).datum.g_bundle),
+         "datum": lambda p: dump_datum(sc.circle_scenario(**p).datum),
          # the datum `reduce --coisotropic` consumes, on the reduction's atlas
-         "orbit": lambda p: datum_to_json(sc.circle_reduction(**p).orbit)}),
+         "orbit": lambda p: dump_datum(sc.circle_reduction(**p).orbit)}),
     "torus": Scenario(
         "2-torus acting on C^2 with its cotangent groupoid",
         no_params, torus_suites,
-        {"base": lambda _p: bundle_to_json(torus().datum.g_bundle)}),
+        {"base": lambda _p: dump_bundle(torus().datum.g_bundle)}),
     "so3": Scenario(
         "linear Poisson frame on the dual of so(3)",
         no_params, dorfman_suites(lambda: sc.build_lie_poisson_so3())),
@@ -383,6 +401,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_reduce(args) -> int:
+    from .schema import bundle_to_json, datum_from_json, dirac_family_to_json
     name, params, _ = load_spec(args.scenario)
     if name != "circle":
         raise ScenarioError("reduction is shipped for the circle scenario")
@@ -408,8 +427,13 @@ def cmd_reduce(args) -> int:
         bare = [k for k, a in enumerate(custom.c_bundle.arrows)
                 if a.unit and a.u_star is None]
         if bare:
-            raise sc.ReductionHypothesisViolated(
+            raise ReductionHypothesisViolated(
                 f"custom coisotropic's unit arrows {bare} carry no u_star")
+        # the same goes for a morphism that does not respect units and products
+        from .groupoid import multiplicativity_defects
+        defect = next(multiplicativity_defects(custom.morphism), None)
+        if defect:
+            raise ReductionHypothesisViolated(f"custom coisotropic's {defect}")
         # rebind the loaded datum onto the freshly built, content-equal base
         red = replace(red, orbit=replace(
             custom, morphism=replace(custom.morphism, cod=base)))
@@ -470,7 +494,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except sc.ReductionHypothesisViolated as e:
+    except ReductionHypothesisViolated as e:
         print(dumps({"status": HYPOTHESIS_VIOLATED, "detail": str(e)}))
         return EXIT_CHECK_FAILED
     except ValueError as e:

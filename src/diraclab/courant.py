@@ -109,6 +109,15 @@ class TwoFormFiber:
         return TwoFormFiber(f.transpose() @ self.matrix @ f)
 
 
+def std_symplectic(n2: int) -> TwoFormFiber:
+    """The standard symplectic form on Q^n2, n2 even: dx ^ dy on each
+    consecutive coordinate pair (x, y)."""
+    rows = [[0] * n2 for _ in range(n2)]
+    for i in range(0, n2, 2):
+        rows[i][i + 1], rows[i + 1][i] = 1, -1
+    return TwoFormFiber(LinMap.from_rows(rows))
+
+
 @record
 class ThreeFormFiber:
     """An alternating 3-tensor on Q^n, stored on increasing index triples."""

@@ -194,6 +194,31 @@ class MorphismFiber:
         return img.omega.pullback(self.c1[arrow_idx])
 
 
+def multiplicativity_defects(m: MorphismFiber):
+    """Yield a description of each unit arrow and composable pair of m's
+    domain where m is not multiplicative: a unit arrow must go to a unit,
+    and a pair (g, h) to a sampled pair (c(g), c(h)) with product c(gh),
+    whose multiplication intertwines c1 on the pair tangent,
+    c1[gh] m_* = m'_* (c1[g] + c1[h])."""
+    for k, a in enumerate(m.dom.arrows):
+        if a.unit and not m.cod.arrows[m.arrow_map[k]].unit:
+            yield f"unit C-arrow {k} maps to G-arrow {m.arrow_map[k]}, which is not a unit"
+    cod_pairs = {}
+    for q in m.cod.pairs:
+        cod_pairs.setdefault((q.g, q.h), q)
+    for idx, p in enumerate(m.dom.pairs):
+        g, h, gh = (m.arrow_map[i] for i in (p.g, p.h, p.gh))
+        q = cod_pairs.get((g, h))
+        if q is None:
+            yield f"C-pair {idx} maps to G-arrows ({g}, {h}), which are no sampled pair"
+        elif q.gh != gh:
+            yield f"C-pair {idx} has product G-arrow {gh}, the G-pair's is {q.gh}"
+        else:
+            x = q.tangent.coords(block_diag(m.c1[p.g], m.c1[p.h]) @ p.tangent.matrix())
+            if x is None or m.c1[p.gh] @ p.m_star != q.m_star @ x:
+                yield f"C-pair {idx} does not intertwine c1 with the multiplication"
+
+
 def identity_morphism(bundle: GroupoidFiberBundle) -> MorphismFiber:
     nobj = len(bundle.objects)
     narr = len(bundle.arrows)

@@ -16,6 +16,11 @@ FAIL = "fail"
 HYPOTHESIS_VIOLATED = "hypothesis-violated"
 
 
+class ReductionHypothesisViolated(ValueError):
+    """A hypothesis of the reduction pipeline does not hold on its input, so
+    no record is made: the CLI prints a hypothesis-violated document."""
+
+
 @record
 class CheckRecord:
     check_id: str

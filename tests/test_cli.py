@@ -188,7 +188,8 @@ def test_dump_rejects_a_document_the_scenario_lacks(tmp_path, capsys, name, what
 
 def test_dump_pair_writes_the_bundle_verify_checks(tmp_path, capsys):
     from diraclab.scenarios import build_pair_groupoid
-    from diraclab.serialize import bundle_to_json, dumps
+    from diraclab.schema import bundle_to_json
+    from diraclab.serialize import dumps
     code, out, _ = run(capsys, ["dump", write_spec(tmp_path, SPECS["pair"])])
     assert code == cli.EXIT_OK
     assert out == dumps(bundle_to_json(build_pair_groupoid(2, num_objects=4))) + "\n"
@@ -315,7 +316,7 @@ def test_reduce_rejects_a_malformed_coisotropic_file(tmp_path, capsys, doc):
 @pytest.mark.parametrize("edit", ["object dim", "matrix entry"])
 def test_reduce_rejects_a_coisotropic_file_with_inconsistent_fibers(tmp_path, capsys, edit):
     # the content hash is recomputed, so only the fibers' own checks can object
-    from diraclab.serialize import content_hash
+    from diraclab.schema import content_hash
     spec = write_spec(tmp_path, SPECS["circle-n1"])
     orbit = tmp_path / "orbit.json"
     code, _, _ = run(capsys, ["dump", spec, "--what", "orbit", "--out", str(orbit)])
@@ -378,7 +379,7 @@ def test_reduce_rejects_a_boolean_morphism_entry(tmp_path, capsys):
 def test_reduce_rejects_an_integer_or_flag_field_of_the_wrong_kind(tmp_path, capsys,
                                                                    path, value, message):
     # both hashes are recomputed, so only the loader's field readers can object
-    from diraclab.serialize import content_hash
+    from diraclab.schema import content_hash
     spec = write_spec(tmp_path, SPECS["circle-n1"])
     orbit = tmp_path / "orbit.json"
     code, _, _ = run(capsys, ["dump", spec, "--what", "orbit", "--out", str(orbit)])
@@ -400,7 +401,7 @@ def test_reduce_rejects_a_coisotropic_file_indexed_unlike_the_orbit(tmp_path, ca
     # the last arrow dropped, with the pairs through it and its morphism
     # entries, and the hash recomputed: a consistent datum, but the
     # reduction's product samples name an arrow it no longer has
-    from diraclab.serialize import content_hash
+    from diraclab.schema import content_hash
     spec = write_spec(tmp_path, SPECS["circle-n1"])
     orbit = tmp_path / "orbit.json"
     code, _, _ = run(capsys, ["dump", spec, "--what", "orbit", "--out", str(orbit)])
@@ -422,7 +423,7 @@ def test_reduce_on_a_unit_arrow_without_u_star_is_hypothesis_violated(tmp_path, 
     # the unit arrow's u_star nulled and the hash recomputed: a well-formed
     # document whose unit lacks its section, which the strong intersection
     # needs, so the reduction's hypothesis fails (exit 1), not the input
-    from diraclab.serialize import content_hash
+    from diraclab.schema import content_hash
     spec = write_spec(tmp_path, SPECS["circle-n1"])
     orbit = tmp_path / "orbit.json"
     code, _, _ = run(capsys, ["dump", spec, "--what", "orbit", "--out", str(orbit)])
@@ -438,6 +439,45 @@ def test_reduce_on_a_unit_arrow_without_u_star_is_hypothesis_violated(tmp_path, 
     assert json.loads(out) == {"status": "hypothesis-violated",
                                "detail": "custom coisotropic's unit arrows [0] "
                                          "carry no u_star"}
+
+
+def negate_first_m_star_entry(doc):
+    row = doc["c_bundle"]["pairs"][0]["m_star"]["entries"][0]
+    row[0] = "-" + row[0]
+
+
+def rotate_arrows(doc):
+    # the unit arrow 0 becomes arrow 2, and arrow 1 takes its place
+    arrows = doc["c_bundle"]["arrows"]
+    doc["c_bundle"]["arrows"] = arrows[1:] + arrows[:1]
+
+
+@pytest.mark.parametrize("mutate, detail", [
+    (negate_first_m_star_entry, "C-pair 0 does not intertwine c1 with the multiplication"),
+    (rotate_arrows, "unit C-arrow 2 maps to G-arrow 2, which is not a unit"),
+    (None, None)])
+def test_reduce_checks_that_the_custom_morphism_is_multiplicative(tmp_path, capsys,
+                                                                  mutate, detail):
+    # the shipped circle n = 1 orbit, mutated and its hash recomputed: a
+    # well-formed datum whose morphism breaks units or products is a failed
+    # reduction hypothesis (exit 1); the unmutated file reduces as the
+    # built-in orbit does
+    from diraclab.schema import content_hash
+    spec = write_spec(tmp_path, SPECS["circle-n1"])
+    doc = json.loads((GOLDEN / "dump-circle-n1-orbit.json").read_text())
+    if mutate:
+        mutate(doc)
+        doc["c_bundle_hash"] = content_hash(doc["c_bundle"])
+    orbit = tmp_path / "orbit.json"
+    orbit.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["reduce", spec, "--coisotropic", str(orbit)])
+    if mutate:
+        assert (code, err) == (cli.EXIT_CHECK_FAILED, "")
+        assert json.loads(out) == {"status": "hypothesis-violated",
+                                   "detail": f"custom coisotropic's {detail}"}
+    else:
+        assert (code, err) == (cli.EXIT_OK, "")
+        assert (code, out, err) == run(capsys, ["reduce", spec])
 
 
 def json_paths(doc, path=()):
@@ -481,7 +521,7 @@ ORBIT_PATHS = list(json_paths(ORBIT_DOC))
 def mutated_orbits(draw):
     """The shipped circle n = 1 orbit with one value mutated, and both
     content hashes recomputed so that the hash check lets it through."""
-    from diraclab.serialize import content_hash
+    from diraclab.schema import content_hash
     doc = json.loads(json.dumps(ORBIT_DOC))
     *head, key = draw(st.sampled_from(ORBIT_PATHS))
     parent = doc

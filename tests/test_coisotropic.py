@@ -25,6 +25,7 @@ from diraclab.courant import (
     graph_two_form,
     perp,
     pullback,
+    std_symplectic,
     tangent_dirac,
 )
 from diraclab.groupoid import (
@@ -146,7 +147,7 @@ def test_chain_map_check_rejects_a_top_row_that_is_not_a_complex():
 
 def test_orbit_lagrangian_pair_full_orbit(pair_bundle):
     datum = orbit_lagrangian(identity_morphism(pair_bundle))
-    assert datum.dirac[0] == graph_two_form(sc.std_symplectic(2))
+    assert datum.dirac[0] == graph_two_form(std_symplectic(2))
     assert is_strong(datum).passed
 
 
@@ -203,7 +204,7 @@ def test_zero_shifted_poisson_needs_untwisted():
 
 
 def test_infinitesimal_identity_constant_rank():
-    l = graph_two_form(sc.std_symplectic(2))
+    l = graph_two_form(std_symplectic(2))
     rep = infinitesimal_coisotropic_check(
         [LinMap.identity(2)] * 3, [l] * 3, [l] * 3,
         [ThreeFormFiber.zero(2)] * 3, [ThreeFormFiber.zero(2)] * 3)
@@ -240,7 +241,7 @@ def test_infinitesimal_twist_mismatch_is_hypothesis_violation():
     bad_n = ThreeFormFiber.from_dict(1, {})
     l = graph_two_form(TwoFormFiber.zero(2))
     rep = infinitesimal_coisotropic_check(
-        [LinMap.identity(2)], [graph_two_form(sc.std_symplectic(2))], [l],
+        [LinMap.identity(2)], [graph_two_form(std_symplectic(2))], [l],
         [ThreeFormFiber.from_dict(2, {})],
         [ThreeFormFiber.from_dict(2, {})])
     assert rep.passed  # zero twists agree; now break them

@@ -12,12 +12,15 @@ from diraclab.courant import (
     cotangent_dirac,
     gauge,
     graph_two_form,
+    std_symplectic,
     tangent_dirac,
 )
 from diraclab.groupoid import (
     compatibility_check,
     gauge_qs,
+    identity_morphism,
     induced_dirac,
+    multiplicativity_defects,
     point_bundle,
     qs_check,
     unit_groupoid,
@@ -70,7 +73,7 @@ def test_corrupted_circle_sigma_fails(circle1):
 
 def test_induced_dirac_pair_is_base_graph(pair_bundle):
     assert induced_dirac(pair_bundle.objects[0]) == \
-        graph_two_form(sc.std_symplectic(2))
+        graph_two_form(std_symplectic(2))
 
 
 def test_induced_dirac_circle_is_cotangent(circle1):
@@ -106,14 +109,14 @@ def test_compatibility_detects_corrupted_target(pair_bundle):
     idd = identity_datum(pair_bundle)
     c = idd.morphism
     ar = pair_bundle.arrows[1]
-    bad = gauge(idd.dirac[ar.tgt], sc.std_symplectic(2))
+    bad = gauge(idd.dirac[ar.tgt], std_symplectic(2))
     rep = compatibility_check(ar, idd.dirac[ar.src], bad, c.pullback_two_form(1))
     assert not rep.passed
     assert rep.failures()[0].witness is not None
 
 
 def test_gauge_qs_roundtrip(pair_bundle):
-    gam = [sc.std_symplectic(2) for _ in pair_bundle.objects]
+    gam = [std_symplectic(2) for _ in pair_bundle.objects]
     dg = [ThreeFormFiber.zero(2) for _ in pair_bundle.objects]
     once, rep1 = gauge_qs(pair_bundle, gam, dg)
     assert rep1.passed
@@ -125,7 +128,7 @@ def test_gauge_qs_roundtrip(pair_bundle):
 
 def test_gauge_qs_keeps_multiplicativity(pair_bundle):
     # gauging by the full base form collapses omega yet stays quasi-symplectic
-    gam = [sc.std_symplectic(2) for _ in pair_bundle.objects]
+    gam = [std_symplectic(2) for _ in pair_bundle.objects]
     dg = [ThreeFormFiber.zero(2) for _ in pair_bundle.objects]
     gauged, rep = gauge_qs(pair_bundle, gam, dg)
     assert rep.passed
@@ -347,3 +350,35 @@ def test_translation_witness_names_the_first_failing_algebroid_index(pair_bundle
     assert witnesses(both) == [got_want] + [
         {"pair": i, "vector": ["0", "0", "0", "1", "0", "2", "0", "0"]}
         for i, q in enumerate(b.pairs) if q.h == p.h and i != u]
+
+
+def test_the_shipped_morphisms_are_multiplicative(pair_bundle, circle1, torus1,
+                                                  reduction1, reduction2):
+    circle2 = sc.circle_scenario(2, F(1, 2))
+    for m in (identity_morphism(pair_bundle), circle1.datum.morphism,
+              circle2.datum.morphism, torus1.datum.morphism,
+              reduction1.orbit.morphism, reduction2.orbit.morphism):
+        assert list(multiplicativity_defects(m)) == []
+
+
+def no_units(bundle):
+    return replace(bundle, arrows=tuple(replace(a, unit=False, u_star=None)
+                                        for a in bundle.arrows))
+
+
+def first_pair_to(bundle, gh):
+    return replace(bundle, pairs=(replace(bundle.pairs[0], gh=gh),) + bundle.pairs[1:])
+
+
+@pytest.mark.parametrize("edit, first", [
+    (lambda m: replace(m, cod=no_units(m.cod)),
+     "unit C-arrow 0 maps to G-arrow 0, which is not a unit"),
+    (lambda m: replace(m, cod=replace(m.cod, pairs=m.cod.pairs[1:])),
+     "C-pair 0 maps to G-arrows (0, 0), which are no sampled pair"),
+    (lambda m: replace(m, cod=first_pair_to(m.cod, 1)),
+     "C-pair 0 has product G-arrow 0, the G-pair's is 1"),
+    (lambda m: replace(m, dom=doubled_m_star(m.dom, 1)),
+     "C-pair 1 does not intertwine c1 with the multiplication")])
+def test_multiplicativity_defects_names_the_first_failure(pair_bundle, edit, first):
+    m = edit(identity_morphism(pair_bundle))
+    assert next(multiplicativity_defects(m)) == first

@@ -1,14 +1,16 @@
 """Source hygiene: every module-level import in src/diraclab is used, every
 name a function stores is read somewhere in that function, every parameter
 is read, every record field is read somewhere in src or allowlisted with a
-reason, only the CLI imports the scenario builders, importing the CLI does
-not load morita, groupoid, coisotropic, intersection or dataclasses,
-verifying each scenario loads only the diraclab modules it runs, no module
-uses dataclasses or the namedtuple constructors that skip validation, only
-the five relation operations and the matrix product are memoized, every
-memo returns an immutable record, every public function is reached from src
-or allowlisted with a reason, and every function the benchmark's traced run
-wraps exists."""
+reason, only the CLI imports the scenario builders, only scenarios imports
+the rotation family and only the CLI the document schemas, importing the CLI
+does not load morita, groupoid, coisotropic, intersection, rotation, schema
+or dataclasses, verifying each scenario (and dumping or reducing one) loads
+only the diraclab modules it runs, no module uses dataclasses or the
+namedtuple constructors that skip validation, only the five relation
+operations and the matrix product are memoized, every memo returns an
+immutable record, every public function is reached from src or allowlisted
+with a reason, and every function the benchmark's traced run wraps exists
+in the module that defines it."""
 
 import ast
 import importlib
@@ -211,6 +213,19 @@ def test_only_the_cli_imports_scenarios(path):
         assert "scenarios" not in package_imports(ast.parse(path.read_text()))
 
 
+# diraclab modules that only one other module may import, and that one: the
+# code of the rotation family loads only through its entry points in
+# scenarios, and the document schemas only through dump and reduce
+IMPORTED_ONLY_BY = {"rotation": "scenarios", "schema": "cli"}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_rotation_and_schema_have_one_importer(path):
+    imported = package_imports(ast.parse(path.read_text()))
+    assert sorted(mod for mod, importer in IMPORTED_ONLY_BY.items()
+                  if mod in imported and path.stem != importer) == []
+
+
 def test_package_imports_sees_every_form():
     tree = ast.parse("from . import scenarios as sc\n"
                      "from .linalg import kernel\n"
@@ -222,7 +237,8 @@ def test_package_imports_sees_every_form():
 
 def test_importing_the_cli_does_not_load_morita():
     # only three suites use morita and three use dorfman, the Dorfman frames
-    # use none of groupoid, coisotropic and intersection, and only
+    # use none of groupoid, coisotropic and intersection, only the circle and
+    # torus builders use rotation, only dump and reduce use schema, and only
     # content_hash uses hashlib (which loads OpenSSL), so each is imported
     # where it is used: at the top of cli its import time would be paid by
     # every command at start-up; records are namedtuples, because dataclasses
@@ -230,7 +246,8 @@ def test_importing_the_cli_does_not_load_morita():
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     probe = ("import sys; before = set(sys.modules); import diraclab.cli; "
              "print(sorted({'diraclab.morita', 'diraclab.dorfman', 'diraclab.groupoid',"
-             " 'diraclab.coisotropic', 'diraclab.intersection', 'hashlib',"
+             " 'diraclab.coisotropic', 'diraclab.intersection', 'diraclab.rotation',"
+             " 'diraclab.schema', 'hashlib',"
              " 'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
     done = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, timeout=60)
@@ -239,7 +256,7 @@ def test_importing_the_cli_does_not_load_morita():
 
 # The diraclab modules that `verify` on each shipped scenario, with its
 # default params and every suite, loads in a fresh interpreter: the modules
-# every command loads, plus those its suites run
+# every command loads, plus those its suites run.  No verify loads schema
 EVERY_COMMAND = {"cli", "records", "report", "linalg", "courant", "scenarios", "serialize"}
 CHECKERS = {"groupoid", "coisotropic", "intersection", "morita"}
 LOADED_BY_VERIFY = {
@@ -248,9 +265,16 @@ LOADED_BY_VERIFY = {
     "twist-mismatch": EVERY_COMMAND | {"dorfman"},
     "pair-corrupt-sigma": EVERY_COMMAND | {"groupoid"},
     "line-bivector": EVERY_COMMAND | {"groupoid", "coisotropic"},
-    "torus": EVERY_COMMAND | {"groupoid", "coisotropic", "morita"},
+    "torus": EVERY_COMMAND | {"groupoid", "coisotropic", "morita", "rotation"},
     "pair": EVERY_COMMAND | CHECKERS,
-    "circle": EVERY_COMMAND | CHECKERS,
+    "circle": EVERY_COMMAND | CHECKERS | {"rotation"},
+}
+
+# The same for the commands that write documents, on a scenario with its
+# default params: both load schema
+LOADED_BY_COMMAND = {
+    ("reduce", "circle"): EVERY_COMMAND | CHECKERS | {"rotation", "schema"},
+    ("dump", "pair"): EVERY_COMMAND | {"groupoid", "schema"},
 }
 
 
@@ -259,19 +283,31 @@ def test_the_load_table_names_every_scenario():
     assert sorted(LOADED_BY_VERIFY) == sorted(SCENARIOS)
 
 
-@pytest.mark.parametrize("name", sorted(LOADED_BY_VERIFY))
-def test_verify_loads_only_the_modules_its_scenario_runs(tmp_path, name):
+def loaded_modules(tmp_path, cmd: str, name: str) -> str:
+    """The diraclab modules `cmd` on the named scenario, with its default
+    params, loads in a fresh interpreter, printed as a sorted list."""
     spec = tmp_path / "scenario.json"
     spec.write_text(json.dumps({"name": name}))
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
-    probe = ("import sys; from diraclab import cli; code = cli.main(['verify', sys.argv[1]]); "
+    probe = ("import sys; from diraclab import cli; code = cli.main(sys.argv[1:]); "
              "print(sorted(m.removeprefix('diraclab.') for m in sys.modules"
              " if m.startswith('diraclab.')),"
              " file=sys.stderr); sys.exit(code)")
-    done = subprocess.run([sys.executable, "-c", probe, str(spec)], env=env,
+    done = subprocess.run([sys.executable, "-c", probe, cmd, str(spec)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode in (0, 1), done.stderr
-    assert done.stderr == f"{sorted(LOADED_BY_VERIFY[name])}\n"
+    return done.stderr
+
+
+@pytest.mark.parametrize("name", sorted(LOADED_BY_VERIFY))
+def test_verify_loads_only_the_modules_its_scenario_runs(tmp_path, name):
+    assert loaded_modules(tmp_path, "verify", name) == f"{sorted(LOADED_BY_VERIFY[name])}\n"
+
+
+@pytest.mark.parametrize("cmd, name", sorted(LOADED_BY_COMMAND))
+def test_dump_and_reduce_load_only_the_modules_they_run(tmp_path, cmd, name):
+    assert (loaded_modules(tmp_path, cmd, name)
+            == f"{sorted(LOADED_BY_COMMAND[(cmd, name)])}\n")
 
 
 def record_misuses(tree: ast.Module) -> list[str]:
@@ -574,7 +610,9 @@ def test_unreached_resolves_functions_through_imports():
 
 def test_every_traced_function_exists():
     # perfbench/layers.py names the functions traced_cli.py wraps, each in
-    # its defining module, as a function or as Class.method
+    # its defining module, as a function or as Class.method: a name that
+    # resolves there through a re-export or a module __getattr__ would trace
+    # a function defined elsewhere under its key
     path = SRC.parent.parent / "perfbench" / "layers.py"
     spec = importlib.util.spec_from_file_location("perfbench_layers", path)
     layers = importlib.util.module_from_spec(spec)
@@ -584,8 +622,10 @@ def test_every_traced_function_exists():
         module = importlib.import_module(f"diraclab.{mod_name}")
         for name in names:
             owner, _, attr = name.rpartition(".")
-            space = vars(getattr(module, owner)) if owner else vars(module)
-            if not callable(space.get(attr)):
+            home = vars(module).get(owner) if owner else module
+            obj = vars(home).get(attr) if home is not None else None
+            defined_in = getattr(home if owner else obj, "__module__", None)
+            if not callable(obj) or defined_in != f"diraclab.{mod_name}":
                 missing.append(f"{mod_name}.{name}")
     assert missing == []
     assert layers.DISTINCT <= set(layers.keys())

@@ -11,6 +11,8 @@ import pytest
 from diraclab import scenarios as sc
 from diraclab.groupoid import MorphismFiber, morphism_to_point, point_bundle
 from diraclab.linalg import LinMap
+from diraclab.rotation import (build_cotangent_torus, circle_point, composable, rational_sqrt,
+                               rotation_for_circle, sum_blocks)
 
 F = Fraction
 
@@ -42,14 +44,14 @@ TS_PAIRS = [(0, 0, 0), (0, F(1, 2), F(1, 2)), (0, F(-1, 2), F(-1, 2)), (0, 1, 1)
 
 
 def test_composable_keeps_sampled_composites_in_order():
-    got = list(sc.composable([(F(t),) for t in TS]))
+    got = list(composable([(F(t),) for t in TS]))
     assert got == [tuple((F(t),) for t in triple) for triple in TS_PAIRS]
 
 
 def test_composable_skips_the_chart_boundary_in_any_factor():
     a, b, c, d = [(F(0), F(0)), (F(1), F(0)), (F(1), F(-1)), (F(0), F(-1))]
     # b.b, b.c, c.b, c.c, c.d, d.c and d.d hit t1 * t2 = 1 in some factor
-    assert list(sc.composable([a, b, c, d])) == [
+    assert list(composable([a, b, c, d])) == [
         (a, a, a), (a, b, b), (a, c, c), (a, d, d),
         (b, a, b), (b, d, c),
         (c, a, c),
@@ -61,7 +63,7 @@ def test_cotangent_torus_is_the_closed_form(k):
     cf = {key: LinMap.from_rows(rows) for key, rows in CLOSED_FORMS[k].items()}
     levels = [(F(1, 2),) * k, (F(2),) * k]
     ts_list = [(F(t),) * k for t in TS]
-    bundle, arrow_index = sc.build_cotangent_torus(levels, ts_list, name="t")
+    bundle, arrow_index = build_cotangent_torus(levels, ts_list, name="t")
     assert arrow_index == {(li, ts): li * len(ts_list) + ti
                            for li in range(len(levels)) for ti, ts in enumerate(ts_list)}
     for ob in bundle.objects:
@@ -90,14 +92,14 @@ def test_cotangent_torus_is_the_closed_form(k):
 
 def test_sum_blocks_is_the_rotation_generator_on_its_blocks():
     p = tuple(F(x) for x in (1, 2, 3, 4, 5, 6))
-    assert sc.sum_blocks(p, [0, 2]) == (-2, 1, 0, 0, -6, 5)
-    assert sc.sum_blocks(p, range(3)) == (-2, 1, -4, 3, -6, 5)
+    assert sum_blocks(p, [0, 2]) == (-2, 1, 0, 0, -6, 5)
+    assert sum_blocks(p, range(3)) == (-2, 1, -4, 3, -6, 5)
     # the derivative at t = 0 of the rotation by circle_point(t) on block 1
     t = F(1, 10 ** 6)
-    rot = sc.rotation_for_circle(*sc.circle_point(t), [1], 6)
+    rot = rotation_for_circle(*circle_point(t), [1], 6)
     quotient = tuple((x - y) / (2 * t) for x, y in zip(rot.apply(p), p))
     assert all(abs(q - g) < F(1, 10 ** 5)
-               for q, g in zip(quotient, sc.sum_blocks(p, [1])))
+               for q, g in zip(quotient, sum_blocks(p, [1])))
 
 
 @pytest.mark.parametrize("build", [sc.circle_scenario, sc.circle_reduction])
@@ -128,12 +130,12 @@ def test_morphism_to_point_sends_everything_to_the_unit(circle1):
 @pytest.mark.parametrize("e", [0, 1, 15, 16, 26, 40, 59, 60, 100, 120])
 def test_rational_sqrt_is_exact_beyond_float_range(e):
     r = 10 ** e + 7
-    assert sc.rational_sqrt(r * r) == r
-    assert sc.rational_sqrt(r * r + 1) is None
-    assert sc.rational_sqrt(r * r - 1) is None
-    assert sc.rational_sqrt(-r * r) is None
+    assert rational_sqrt(r * r) == r
+    assert rational_sqrt(r * r + 1) is None
+    assert rational_sqrt(r * r - 1) is None
+    assert rational_sqrt(-r * r) is None
     # r is odd, so r and r + 2 are coprime
     q = F(r, r + 2)
-    assert sc.rational_sqrt(q * q) == q
-    assert sc.rational_sqrt(2 * q * q) is None
-    assert sc.rational_sqrt(q * q / 2) is None
+    assert rational_sqrt(q * q) == q
+    assert rational_sqrt(2 * q * q) is None
+    assert rational_sqrt(q * q / 2) is None

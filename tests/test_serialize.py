@@ -6,7 +6,7 @@ import json
 import pytest
 
 from diraclab.groupoid import point_bundle
-from diraclab.serialize import (
+from diraclab.schema import (
     SchemaError,
     bundle_from_json,
     bundle_to_json,
