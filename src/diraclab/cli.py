@@ -401,7 +401,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    from .schema import bundle_to_json, datum_from_json, dirac_family_to_json
+    from .schema import datum_from_json, dirac_family_to_json
     name, params, _ = load_spec(args.scenario)
     if name != "circle":
         raise ScenarioError("reduction is shipped for the circle scenario")
@@ -417,7 +417,9 @@ def cmd_reduce(args) -> int:
             # fibers of inconsistent shape fail their own checks: all ValueErrors
             raise ScenarioError(f"cannot load coisotropic file: {e}") from e
         base = red.scn.datum.g_bundle
-        if bundle_to_json(custom.g_bundle) != bundle_to_json(base):
+        # the bundle records hold the fields of their gfb-v1 documents, and
+        # pair tangents that pair_tangent derives from the arrows on both sides
+        if custom.g_bundle != base:
             raise ScenarioError("custom coisotropic targets a different base bundle")
         # the reduction's product samples name the orbit's objects and arrows
         if atlas_indexing(custom.c_bundle) != atlas_indexing(red.orbit.c_bundle):

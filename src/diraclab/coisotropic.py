@@ -9,7 +9,9 @@ qs_report property, the per-arrow compatibility records are the datum's
 compatibility property, shared by is_coisotropic, is_strong and the
 Hamiltonian check, and the per-object non-degeneracy maps are the datum's
 assemblies property, shared by is_coisotropic, chain_map_check and the
-Hamiltonian check.
+Hamiltonian check.  chain_map_check reads its image-in-L verdict there too:
+an assembly that raised ImageEscapesL is its failure, with the same column
+as witness.
 """
 
 from __future__ import annotations
@@ -86,7 +88,7 @@ class CoisotropicDatum:
         c = self.morphism
         return tuple(
             compatibility_check(ar, self.dirac[ar.src], self.dirac[ar.tgt],
-                                c.pullback_two_form(k)).records[0]
+                                c.pullback_two_form(k))
             for k, ar in enumerate(c.dom.arrows))
 
     @cached_property
@@ -232,19 +234,16 @@ def chain_map_check(datum: CoisotropicDatum, obj_idx: int) -> VerificationReport
 
     p_t, p_tstar = l.parts()            # L-coords -> T, L-coords -> T*
 
-    # top row
-    sig_pull = c0.transpose() @ ob_g.sigma @ cA
-    first = vstack(ob_c.rho, sig_pull)
-    l_coords = l.space.coords(first)
-    if l_coords is None:
-        col = next(v for v in first.col_vectors() if not l.space.contains(v))
-        rep.add("chain_map.image_in_L", False,
-                detail=f"object {obj_idx}: image of (rho_C, c*sigma c_*) leaves L",
-                witness=witness_vector(col))
+    # top row; the assembly decided whether (rho_C, c*sigma c_*) lands in L
+    assembly = datum.assemblies[obj_idx]
+    if isinstance(assembly, ImageEscapesL):
+        rep.add("chain_map.image_in_L", False, detail=str(assembly),
+                witness=witness_vector(assembly.column))
         return rep
     rep.add("chain_map.image_in_L", True,
             detail=f"object {obj_idx}: image of (rho_C, c*sigma c_*) lies in L")
-    d1 = vstack(l_coords, cA)
+    mat, fp = assembly
+    d1 = vstack(l.space.coords(mat.row_block(0, 2 * n)), cA)
     d2 = hstack(c0 @ p_t, ob_g.rho.scale(-1))
     if not (d2 @ d1).is_zero():
         raise ValueError("d2 . d1 != 0")
@@ -278,9 +277,7 @@ def chain_map_check(datum: CoisotropicDatum, obj_idx: int) -> VerificationReport
     quasi_iso = iso_minus and inj0 and surj0 and inj1 and surj1
     middle_iso = inj0 and surj0
 
-    # the other characterization, computed from the assembled map; it
-    # exists, because its image-in-L condition is the one checked above
-    mat, fp = datum.assemblies[obj_idx]
+    # the other characterization, computed from the assembled map
     surjective = image(mat) == fp
     bijective = surjective and kernel(mat).dim == 0
 

@@ -24,15 +24,17 @@ an element of L is (T x, C x) for x in Q^n, so matching conditions are
 linear equations in x.  kernel_of is the image of a kernel in the same
 coordinates.
 
-Memo: graph_two_form, dirac_sum, pullback and pushforward (like
-linalg.fiber_product) are pure functions of frozen, hashable values, and a
-run asks for the same ones many times (the compatibility at one arrow is
-checked by several suites, identity legs repeat their inputs).  Each keeps
-one functools.cache per process, unbounded and with no knob; a miss runs the
-same code, a hit returns the same frozen fiber, which passed its isotropy
-check when it was built, and an exception is raised again on every call,
-never cached.  The closed forms on graphs go through graph_two_form, so
-equal forms share one fiber.  DiracFiber.parts() and DiracFiber.form are
+Memo: graph_two_form, dirac_sum and pullback (like linalg.fiber_product)
+are pure functions of frozen, hashable values, and a run asks for the same
+ones many times (the compatibility at one arrow is checked by several
+suites, identity legs repeat their inputs).  Each keeps one functools.cache
+per process, unbounded and with no knob; a miss runs the same code, a hit
+returns the same frozen fiber, which passed its isotropy check when it was
+built, and an exception is raised again on every call, never cached.  The
+closed forms on graphs go through graph_two_form, so equal forms share one
+fiber.  pushforward has no memo: a run repeats few of its inputs (11 of 46
+calls on the torus verify, none on the circle reduction), so a memo there
+saves nothing measurable.  DiracFiber.parts() and DiracFiber.form are
 kept on the frozen fiber the same way.
 """
 
@@ -327,7 +329,6 @@ def pullback(f: LinMap, l: DiracFiber) -> DiracFiber:
     return DiracFiber(image(out, fiber_product(f, t)))
 
 
-@cache
 def pushforward(f: LinMap, l: DiracFiber) -> DiracFiber:
     """f_* L = {(f v, a) : (v, f^T a) in L} for surjective f : Q^n -> Q^m."""
     if f.cols != l.n:

@@ -43,7 +43,8 @@ from .linalg import (
     vstack,
 )
 from .records import record, replace
-from .report import VerificationReport, witness_difference, witness_subspace, witness_vector
+from .report import (FAIL, PASS, CheckRecord, VerificationReport, witness_difference,
+                     witness_subspace, witness_vector)
 
 
 @record
@@ -403,15 +404,14 @@ def induced_dirac(obj: ObjectFiber) -> DiracFiber:
 
 
 def compatibility_check(arrow: ArrowFiber, l_src: DiracFiber, l_tgt: DiracFiber,
-                        pullback_form: TwoFormFiber) -> VerificationReport:
-    """t*L = s*L + graph(c*omega) at one sampled arrow, exactly."""
-    rep = VerificationReport("coiso.compat")
+                        pullback_form: TwoFormFiber) -> CheckRecord:
+    """The record of t*L = s*L + graph(c*omega) at one sampled arrow, exactly."""
     lhs = pullback(arrow.t_star, l_tgt)
     rhs = gauge(pullback(arrow.s_star, l_src), pullback_form)
     ok = lhs == rhs
-    rep.add("coiso.compat", ok, detail="t*L = s*L + graph(c*omega)",
-            witness=None if ok else witness_difference(lhs.space, rhs.space))
-    return rep
+    return CheckRecord("coiso.compat", PASS if ok else FAIL,
+                       "t*L = s*L + graph(c*omega)",
+                       None if ok else witness_difference(lhs.space, rhs.space))
 
 
 def gauge_qs(bundle: GroupoidFiberBundle,

@@ -47,8 +47,8 @@ from .linalg import (
     kernel,
     vstack,
 )
-from .records import field, record
-from .report import VerificationReport, witness_failures, witness_subspace
+from .records import record
+from .report import VerificationReport, witness_subspace
 
 
 @record
@@ -64,29 +64,17 @@ class ProductFiber:
     p2: LinMap
 
 
-@record
-class RankLedger:
-    """Per-point dimensions of the auxiliary spaces; cleanness is constancy."""
-
-    entries: list[dict] = field(default_factory=list)
-
-    def add(self, point: tuple, r_space: Subspace, l_fiber: DiracFiber) -> None:
-        self.entries.append({"point": point, "R": r_space.dim,
-                             "R_ann": r_space.ambient_dim - r_space.dim,
-                             "L": l_fiber.space.dim, "kerL": kernel_of(l_fiber).dim})
-
-    def constant(self, key: str) -> bool:
-        return len(set(self.ranks(key))) <= 1
-
-    def ranks(self, key: str) -> list[int]:
-        return [e[key] for e in self.entries]
+def _ranks(point: tuple, r_space: Subspace, l_fiber: DiracFiber) -> dict:
+    """The dimensions of the auxiliary spaces at one product point."""
+    return {"point": point, "R": r_space.dim, "R_ann": r_space.ambient_dim - r_space.dim,
+            "L": l_fiber.space.dim, "kerL": kernel_of(l_fiber).dim}
 
 
 @record
 class Intersection:
     fibers: list[ProductFiber]
     dirac: list[DiracFiber]
-    ledger: RankLedger
+    ledger: list[dict]        # the _ranks of each product point, in point order
     report: VerificationReport
     datum: CoisotropicDatum | None = None   # strong product datum toward the point
 
@@ -104,7 +92,7 @@ def strong_intersection(d1: CoisotropicDatum, d2: CoisotropicDatum,
     if d1.morphism.cod is not d2.morphism.cod:
         raise DimensionMismatch("intersection needs a shared target bundle")
     rep = VerificationReport("strong_intersection")
-    ledger = RankLedger()
+    ledger: list[dict] = []
     fibers: list[ProductFiber] = []
     dirac: list[DiracFiber] = []
     c1m, c2m = d1.morphism, d2.morphism
@@ -135,24 +123,18 @@ def strong_intersection(d1: CoisotropicDatum, d2: CoisotropicDatum,
         fibers.append(ProductFiber((i1, i2), tang, alg, rho, p1, p2))
         dirac.append(l_fiber)
 
-        ledger.add((i1, i2), _shared_tangent_sum(d1, i1, d2, i2), l_fiber)
+        ledger.append(_ranks((i1, i2), _shared_tangent_sum(d1, i1, d2, i2), l_fiber))
 
     _add_cleanness(rep, "strong", ledger)
 
     datum = None
     if transverse and fibers:
         datum = _product_datum(d1, d2, fibers, dirac, arrow_pairs)
-        sub = is_coisotropic(datum)
-        rep.add("strong.coisotropic", sub.passed,
-                detail="product datum is coisotropic toward the trivial target",
-                witness=None if sub.passed else witness_failures(sub))
-        zsp = zero_shifted_poisson_check(datum.c_bundle, list(dirac))
-        rep.add("strong.zero_shifted_poisson", zsp.passed,
-                detail="product Dirac fibers satisfy the 0-shifted Poisson conditions",
-                witness=None if zsp.passed else witness_failures(zsp))
-        if not (sub.passed and zsp.passed):
-            rep.merge(sub)
-            rep.merge(zsp)
+        rep.summarize("strong.coisotropic", is_coisotropic(datum),
+                      detail="product datum is coisotropic toward the trivial target")
+        rep.summarize("strong.zero_shifted_poisson",
+                      zero_shifted_poisson_check(datum.c_bundle, list(dirac)),
+                      detail="product Dirac fibers satisfy the 0-shifted Poisson conditions")
     return Intersection(fibers, dirac, ledger, rep, datum)
 
 
@@ -164,13 +146,14 @@ def _algebroid_transverse(d1: CoisotropicDatum, i1: int,
             == c1m.cod.objects[c1m.obj_map[i1]].adim)
 
 
-def _add_cleanness(rep: VerificationReport, prefix: str, ledger: RankLedger) -> None:
-    rep.add(f"{prefix}.clean.R", ledger.constant("R"),
-            detail="rank of R constant across sampled product points",
-            ranks=ledger.ranks("R"))
-    rep.add(f"{prefix}.clean.L", ledger.constant("L") and ledger.constant("kerL"),
+def _add_cleanness(rep: VerificationReport, prefix: str, ledger: list[dict]) -> None:
+    """Cleanness is constancy of the ranks across the ledger's points."""
+    r, l, ker_l = ([e[key] for e in ledger] for key in ("R", "L", "kerL"))
+    rep.add(f"{prefix}.clean.R", len(set(r)) <= 1,
+            detail="rank of R constant across sampled product points", ranks=r)
+    rep.add(f"{prefix}.clean.L", len(set(l)) <= 1 and len(set(ker_l)) <= 1,
             detail="rank of L and ker L constant across sampled product points",
-            ranks=ledger.ranks("kerL"))
+            ranks=ker_l)
 
 
 def _shared_tangent_sum(d1: CoisotropicDatum, i1: int,
@@ -330,7 +313,7 @@ def homotopy_intersection(d1: CoisotropicDatum, d2: CoisotropicDatum,
     g = d1.morphism.cod
     c1m, c2m = d1.morphism, d2.morphism
     rep = VerificationReport("homotopy_intersection")
-    ledger = RankLedger()
+    ledger: list[dict] = []
     fibers, dirac = [], []
     for (i1, ga, i2) in triples:
         ar = g.arrows[ga]
@@ -371,7 +354,7 @@ def homotopy_intersection(d1: CoisotropicDatum, d2: CoisotropicDatum,
         # R = im((c1 pT, c2 pT) on L1 x L2) + im(s, t) in T_G0 x T_G0
         r_space = image(hstack(block_diag(_tangent_image(d1, i1), _tangent_image(d2, i2)),
                                vstack(ar.s_star, ar.t_star)))
-        ledger.add((i1, ga, i2), r_space, l_fiber)
+        ledger.append(_ranks((i1, ga, i2), r_space, l_fiber))
 
         _homotopy_sequence_checks(rep, d1, d2, fibers[-1], ar, r_space)
 
@@ -422,10 +405,6 @@ def induced_poisson(datum: CoisotropicDatum) -> VerificationReport:
             detail="rank of ker(L - c*L_G) constant across sampled objects",
             ranks=ker_ranks)
     if clean:
-        zsp = zero_shifted_poisson_check(c.dom, out)
-        rep.add("induced.zero_shifted_poisson", zsp.passed,
-                detail="L - c*L_G satisfies the 0-shifted Poisson conditions",
-                witness=None if zsp.passed else witness_failures(zsp))
-        if not zsp.passed:
-            rep.merge(zsp)
+        rep.summarize("induced.zero_shifted_poisson", zero_shifted_poisson_check(c.dom, out),
+                      detail="L - c*L_G satisfies the 0-shifted Poisson conditions")
     return rep

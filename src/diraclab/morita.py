@@ -10,7 +10,9 @@ the injectivity half of strongness to the is_coisotropic report it already
 holds, and the composition check takes the first leg's TransferResult from
 its caller instead of transferring again.  The round trip pushes the
 transferred fibers back along the reversed legs and compares them with the
-input; it does not rerun the reverse transfer's checks.
+input; it does not rerun the reverse transfer's checks.  A TransferResult
+holds the transferred fibers as a tuple in C2-object order, and transfer
+folds in each sub-check's report through VerificationReport.summarize.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ def descend_dirac(f: MorphismFiber, dirac: list[DiracFiber],
     """
     rep = VerificationReport("descend_dirac")
     for k, ar in enumerate(f.dom.arrows):
-        r = compatibility_check(ar, dirac[ar.src], dirac[ar.tgt], omega_pull[k]).records[0]
+        r = compatibility_check(ar, dirac[ar.src], dirac[ar.tgt], omega_pull[k])
         rep.records.append(replace(r, check_id="descend.hypothesis",
                                    detail=f"arrow {k}: {r.detail}"))
     groups: dict[int, list[int]] = {}
@@ -391,7 +393,7 @@ def _unit_arrow_at(bundle: GroupoidFiberBundle, obj_idx: int) -> int:
 
 @record
 class TransferResult:
-    dirac: dict[int, DiracFiber]      # per C2-object
+    dirac: tuple[DiracFiber, ...]     # in C2-object order; empty if a step failed
     report: VerificationReport
 
 
@@ -411,12 +413,11 @@ def transfer(m: MoritaEquivalenceDatum, l1: list[DiracFiber],
         raise ValueError("transfer: input_datum is not the datum (m.c1, l1)")
     rep = VerificationReport("transfer")
 
-    sm = symplectic_morita_check(m.phi1, m.phi2, list(m.gamma), list(m.dgamma))
-    rep.add("transfer.symplectic_morita", sm.passed,
-            detail="the middle leg is a symplectic equivalence")
-    if not sm.passed:
-        rep.merge(sm)
-        return TransferResult({}, rep)
+    if not rep.summarize("transfer.symplectic_morita",
+                         symplectic_morita_check(m.phi1, m.phi2, list(m.gamma),
+                                                 list(m.dgamma)),
+                         detail="the middle leg is a symplectic equivalence"):
+        return TransferResult((), rep)
 
     for x in range(len(m.psi1.dom.objects)):
         stored = m.delta[x].matrix
@@ -433,37 +434,33 @@ def transfer(m: MoritaEquivalenceDatum, l1: list[DiracFiber],
         c2_arrow = m.c2.pullback_two_form(m.psi2.arrow_map[k])
         omega_pull.append(c2_arrow.pullback(m.psi2.c1[k]))
     pushed, drep = descend_dirac(m.psi2, l0, omega_pull)
-    rep.add("transfer.descent", drep.passed,
-            detail="psi1*L1 + graph(delta) descends along psi2")
-    if not drep.passed:
-        rep.merge(drep)
-        return TransferResult({}, rep)
+    if not rep.summarize("transfer.descent", drep,
+                         detail="psi1*L1 + graph(delta) descends along psi2"):
+        return TransferResult((), rep)
 
     for x in range(len(m.psi1.dom.objects)):
         rt = pullback(m.psi2.c0[x], pushed[m.psi2.obj_map[x]])
         rep.add("transfer.step1", rt == l0[x],
                 detail=f"K-object {x}: psi2*L2 = psi1*L1 + graph(delta)")
 
-    l2 = [pushed[i] for i in range(len(m.c2.dom.objects))]
-    d2 = CoisotropicDatum(m.c2, tuple(l2), name="transferred")
-    sub = is_coisotropic(d2)
-    rep.add("transfer.coisotropic", sub.passed,
-            detail="the transferred structure is coisotropic")
-    if not sub.passed:
-        rep.merge(sub)
+    l2 = tuple(pushed[i] for i in range(len(m.c2.dom.objects)))
+    d2 = CoisotropicDatum(m.c2, l2, name="transferred")
+    coiso = rep.summarize("transfer.coisotropic", is_coisotropic(d2),
+                          detail="the transferred structure is coisotropic")
 
     if input_datum is not None and is_strong(input_datum).passed:
-        rep.add("transfer.strong", sub.passed and strong_injectivity(d2).passed,
+        rep.add("transfer.strong", coiso and strong_injectivity(d2).passed,
                 detail="strict equivalence preserves strongness")
 
     if roundtrip:
         same = all(l == l1[i] for i, l in zip(m.psi1.obj_map, _pushed_back(m, l2)))
         rep.add("transfer.roundtrip", same,
                 detail="backward transfer returns the original structure")
-    return TransferResult({i: l for i, l in enumerate(l2)}, rep)
+    return TransferResult(l2, rep)
 
 
-def _pushed_back(m: MoritaEquivalenceDatum, l2: list[DiracFiber]) -> list[DiracFiber]:
+def _pushed_back(m: MoritaEquivalenceDatum,
+                 l2: tuple[DiracFiber, ...]) -> list[DiracFiber]:
     """The transferred fibers pushed back to C1, one per K-object x, as the
     reversed equivalence r transfers them: pulled back along r.psi1, gauged
     by r.delta and pushed forward along r.psi2."""
@@ -507,6 +504,7 @@ def gauge_twist_equivalence(datum: CoisotropicDatum,
     (basic and closed for the self-pairing), which transfer re-checks."""
     c = datum.morphism
     ident_c = identity_morphism(c.dom)
+    ident_g = identity_morphism(c.cod)
     theta = {}
     for i in range(len(c.dom.objects)):
         gi = c.obj_map[i]
@@ -516,8 +514,8 @@ def gauge_twist_equivalence(datum: CoisotropicDatum,
         TwoFormFiber(gamma[c.obj_map[i]].pullback(c.c0[i]).matrix.scale(-1))
         for i in range(len(c.dom.objects)))
     return MoritaEquivalenceDatum(
-        ident_c, ident_c, c, identity_morphism(c.cod), identity_morphism(c.cod),
-        c, c, theta, theta, tuple(gamma), tuple(dgamma), delta)
+        ident_c, ident_c, c, ident_g, ident_g, c, c, theta, theta,
+        tuple(gamma), tuple(dgamma), delta)
 
 
 @record
@@ -589,13 +587,11 @@ def transfer_composition_check(m1: MoritaEquivalenceDatum,
         rep.add("composition.leg1", False, detail="first transfer failed")
         rep.merge(leg1.report)
         return rep
-    l2 = [leg1.dirac[i] for i in range(len(leg1.dirac))]
-    r2 = transfer(m2, l2, roundtrip=False)
+    r2 = transfer(m2, list(leg1.dirac), roundtrip=False)
     if not r2.report.passed:
         rep.add("composition.leg2", False, detail="second transfer failed")
         rep.merge(r2.report)
         return rep
-    l3 = {i: r2.dirac[i] for i in r2.dirac}
 
     # composed transfer: pull along psi-hat-1, gauge by delta-hat, descend
     # along psi-hat-2 (grouped by the K2-side object)
@@ -620,7 +616,7 @@ def transfer_composition_check(m1: MoritaEquivalenceDatum,
     zeta_zero = all(z.matrix.is_zero() for z in zetas)
     if zeta_zero:
         for i, l in sorted(composed.items()):
-            rep.add("composition.gauge", l == l3[i],
+            rep.add("composition.gauge", l == r2.dirac[i],
                     detail=f"object {i}: composed transfer equals the sequential one "
                            "(beta = 0)")
     else:

@@ -3,6 +3,11 @@
 Three-valued status: a check either passes, fails (the verified identity is
 violated, with a witness), or its hypotheses are violated (the identity is
 conditional and the condition does not hold, so no claim is made either way).
+
+A check that runs a whole sub-report folds it in one way, through
+VerificationReport.summarize: one record for the sub-report's verdict, whose
+FAIL carries witness_failures as its witness and is followed by the
+sub-report's own records; a passing sub-report adds that one record only.
 """
 
 from __future__ import annotations
@@ -58,6 +63,15 @@ class VerificationReport:
 
     def merge(self, other: "VerificationReport") -> None:
         self.records.extend(other.records)
+
+    def summarize(self, check_id: str, sub: "VerificationReport", detail: str) -> bool:
+        """Add one record for sub's verdict, and after a FAIL sub's records;
+        return whether sub passed."""
+        ok = sub.passed
+        self.add(check_id, ok, detail=detail, witness=None if ok else witness_failures(sub))
+        if not ok:
+            self.merge(sub)
+        return ok
 
     @property
     def passed(self) -> bool:

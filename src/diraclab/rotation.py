@@ -8,7 +8,8 @@ The composable pairs of both groupoids come from composable().  The entry
 points (circle_scenario, torus_scenario, circle_reduction, run_reduction
 and the others) live in scenarios and import from here when they run, so
 only the circle and torus commands compile this module.  It never imports
-scenarios, and its builders import groupoid and coisotropic when they run.
+scenarios.  It imports groupoid and coisotropic at its top: every command
+that loads it runs checkers from both, so they are loaded already.
 """
 
 from __future__ import annotations
@@ -16,7 +17,10 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 
+from .coisotropic import CoisotropicDatum
 from .courant import ThreeFormFiber, TwoFormFiber, graph_two_form, std_symplectic
+from .groupoid import (ArrowFiber, GroupoidFiberBundle, MorphismFiber, ObjectFiber,
+                       make_pair, unit_groupoid)
 from .linalg import (LinMap, Vec, block_diag, frac, hstack, image, kernel, solve, vec,
                      vstack)
 from .records import record, replace
@@ -65,7 +69,6 @@ def build_cotangent_torus(points, ts_tuples, name: str) -> tuple[GroupoidFiberBu
     In the basis (dtheta, dxi): rho = 0, sigma = -I, and the 2-form is
     omega = sum dxi_i ^ dtheta_i; s_* = t_* project onto dxi.
     """
-    from .groupoid import ArrowFiber, GroupoidFiberBundle, ObjectFiber, make_pair
     k = len(points[0])
     ident, zero = LinMap.identity(k), LinMap.zero(k, k)
     objects = tuple(ObjectFiber(k, k, zero, ident.scale(-1), ThreeFormFiber.zero(k))
@@ -99,7 +102,6 @@ def build_cotangent_torus(points, ts_tuples, name: str) -> tuple[GroupoidFiberBu
 # Hamiltonian circle / torus actions on C^n
 
 def _action_object(p: Vec, circles: list[int], n2: int) -> ObjectFiber:
-    from .groupoid import ObjectFiber
     rho = LinMap.from_cols([sum_blocks(p, blocks) for blocks in circles],
                            rows_dim=n2)
     return ObjectFiber(n2, len(circles), rho, LinMap.zero(n2, len(circles)),
@@ -194,8 +196,6 @@ def build_rotation_hamiltonian(points: list[Vec], circles: list[list[int]],
     differential and the translations once per point.  Maps are frozen
     values, so sharing one across arrows changes nothing downstream.
     """
-    from .coisotropic import CoisotropicDatum
-    from .groupoid import ArrowFiber, GroupoidFiberBundle, MorphismFiber, make_pair
     n2 = len(points[0])
     k = len(circles)
     ts_tuples = [tuple(frac(t) for t in ts) for ts in ts_tuples]
@@ -372,32 +372,30 @@ def reduced_form_oracle(p: Vec) -> TwoFormFiber:
 def build_quotient_morphism(red: ReductionScenario, si):
     """The weak Morita morphism from the strong-product groupoid onto the
     quotient chart (trivial groupoid); returns (morphism, chart label map,
-    chart index per product fiber)."""
-    from .groupoid import MorphismFiber, point_bundle, unit_groupoid
+    chart index per product fiber).  At n = 2 the quotient is the point, the
+    one-object chart "pt" with a 0-dimensional tangent."""
     n = 2 * len(red.scn.circles[0])
+    if n == 2:
+        chart, jacobian, dim = (lambda p: "pt"), (lambda p: LinMap.zero(0, 2)), 0
+    elif n == 4:
+        chart, jacobian, dim = chart_map, chart_jacobian, 2
+    else:
+        raise ReductionHypothesisViolated("charts shipped for n = 1, 2 only")
     inv_index = {i: p for p, i in red.scn.obj_index.items()}
     prod = si.datum.c_bundle
 
-    if n == 2:
-        chart_bundle = point_bundle(name="chart")
-        chart_of = {k: 0 for k in range(len(si.fibers))}
-        jacs = {k: LinMap.zero(0, 2) for k in range(len(si.fibers))}
-        chart_labels = {0: "pt"}
-    elif n == 4:
-        labels = []
-        jacs = {}
-        chart_of = {}
-        for k, f in enumerate(si.fibers):
-            p = inv_index[f.base[1]]
-            q = chart_map(p)
-            if q not in labels:
-                labels.append(q)
-            chart_of[k] = labels.index(q)
-            jacs[k] = chart_jacobian(p)
-        chart_bundle = unit_groupoid(2, num_objects=len(labels), name="chart")
-        chart_labels = {i: q for i, q in enumerate(labels)}
-    else:
-        raise ReductionHypothesisViolated("charts shipped for n = 1, 2 only")
+    labels = []
+    jacs = {}
+    chart_of = {}
+    for k, f in enumerate(si.fibers):
+        p = inv_index[f.base[1]]
+        q = chart(p)
+        if q not in labels:
+            labels.append(q)
+        chart_of[k] = labels.index(q)
+        jacs[k] = jacobian(p)
+    chart_bundle = unit_groupoid(dim, num_objects=len(labels), name="chart")
+    chart_labels = dict(enumerate(labels))
 
     # the product tangent embeds in T_pt + T_M and the chart differential
     # factors through the M part

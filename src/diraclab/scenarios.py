@@ -318,14 +318,13 @@ def run_reduction(red: ReductionScenario):
 
     si = strong_intersection(red.orbit, red.scn.datum,
                              list(red.obj_pairs), list(red.arrow_pairs))
-    rep.add("reduction.intersection", si.report.passed,
-            detail="strong intersection with the orbit coisotropic")
-    if not si.report.passed or si.datum is None:
-        rep.merge(si.report)
+    if (not rep.summarize("reduction.intersection", si.report,
+                          detail="strong intersection with the orbit coisotropic")
+            or si.datum is None):
         return {}, rep
-    seq = strong_exact_sequence(red.orbit, red.scn.datum, si)
-    rep.add("reduction.exact_sequence", seq.passed,
-            detail="the intersection exact sequence holds")
+    rep.summarize("reduction.exact_sequence",
+                  strong_exact_sequence(red.orbit, red.scn.datum, si),
+                  detail="the intersection exact sequence holds")
 
     quotient, chart_labels, chart_of = build_quotient_morphism(red, si)
     prod = si.datum.c_bundle
@@ -346,10 +345,8 @@ def run_reduction(red: ReductionScenario):
         (TwoFormFiber.zero(0),), (ThreeFormFiber.zero(0),),
         tuple(TwoFormFiber.zero(o.dim) for o in prod.objects))
     res = transfer(m, list(si.dirac))
-    rep.add("reduction.transfer", res.report.passed,
-            detail="transfer along the quotient weak Morita morphism")
-    if not res.report.passed:
-        rep.merge(res.report)
+    if not rep.summarize("reduction.transfer", res.report,
+                         detail="transfer along the quotient weak Morita morphism"):
         return {}, rep
 
     # oracle comparison, per sampled product point

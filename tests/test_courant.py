@@ -489,19 +489,17 @@ def test_pushforward_matches_oracle(fl):
 
 
 # ---------------------------------------------------------------------------
-# The memo: graph_two_form, dirac_sum, pullback and pushforward return the
-# identical frozen fiber for equal inputs, and the value their code computes.
+# The memo: graph_two_form, dirac_sum and pullback return the identical
+# frozen fiber for equal inputs, and the value their code computes.
 
 @settings(max_examples=40, deadline=None)
 @given(dims.flatmap(lambda n: st.tuples(
-    antisymmetric(n), dirac_fibers(n), dirac_fibers(n),
-    non_bijective_maps(n), surjective_maps(n))))
+    antisymmetric(n), dirac_fibers(n), dirac_fibers(n), non_bijective_maps(n))))
 def test_memoized_operations_match_their_uncached_code(args):
-    b, l1, l2, f, g = args
+    b, l1, l2, f = args
     for op, op_args in [(graph_two_form, (TwoFormFiber(b),)),
                         (dirac_sum, (l1, l2)),
-                        (pullback, (f, l1)),
-                        (pushforward, (g, l2))]:
+                        (pullback, (f, l1))]:
         first = op(*op_args)
         assert first == op.__wrapped__(*op_args)
         assert op(*op_args) is first
@@ -510,15 +508,14 @@ def test_memoized_operations_match_their_uncached_code(args):
 def test_failing_operations_raise_on_every_call():
     l = tangent_dirac(2)
     not_onto = LinMap.from_rows([[1, 0], [0, 0]])
-    before = (pushforward.cache_info().misses, pullback.cache_info().misses)
+    before = pullback.cache_info().misses
     for _ in range(3):
         with pytest.raises(ValueError, match="surjective"):
             pushforward(not_onto, l)
         with pytest.raises(DimensionMismatch):
             pullback(LinMap.identity(3), l)
     # nothing was stored, so each call ran the code again
-    assert (pushforward.cache_info().misses,
-            pullback.cache_info().misses) == (before[0] + 3, before[1] + 3)
+    assert pullback.cache_info().misses == before + 3
 
 
 @settings(max_examples=40, deadline=None)

@@ -28,7 +28,7 @@ from diraclab.groupoid import (
 from diraclab.linalg import LinMap, kernel, solve
 from diraclab.morita import NatTransFiber, nat_trans_form_identity, star_composite_form_identity
 from diraclab.records import replace
-from diraclab.report import HYPOTHESIS_VIOLATED, PASS
+from diraclab.report import FAIL, HYPOTHESIS_VIOLATED, PASS
 
 F = Fraction
 
@@ -92,17 +92,17 @@ def test_compatibility_identity_morphism(pair_bundle):
     idd = identity_datum(pair_bundle)
     c = idd.morphism
     for k, ar in enumerate(pair_bundle.arrows):
-        rep = compatibility_check(ar, idd.dirac[ar.src], idd.dirac[ar.tgt],
+        rec = compatibility_check(ar, idd.dirac[ar.src], idd.dirac[ar.tgt],
                                   c.pullback_two_form(k))
-        assert rep.passed
+        assert rec.status == PASS
 
 
 def test_compatibility_trivial_forms():
     bundle = unit_groupoid(2, 2, "unit")
     l = tangent_dirac(2)
     ar = bundle.arrows[0]
-    rep = compatibility_check(ar, l, l, TwoFormFiber.zero(2))
-    assert rep.passed
+    rec = compatibility_check(ar, l, l, TwoFormFiber.zero(2))
+    assert rec.status == PASS
 
 
 def test_compatibility_detects_corrupted_target(pair_bundle):
@@ -110,9 +110,9 @@ def test_compatibility_detects_corrupted_target(pair_bundle):
     c = idd.morphism
     ar = pair_bundle.arrows[1]
     bad = gauge(idd.dirac[ar.tgt], std_symplectic(2))
-    rep = compatibility_check(ar, idd.dirac[ar.src], bad, c.pullback_two_form(1))
-    assert not rep.passed
-    assert rep.failures()[0].witness is not None
+    rec = compatibility_check(ar, idd.dirac[ar.src], bad, c.pullback_two_form(1))
+    assert rec.status == FAIL
+    assert rec.witness is not None
 
 
 def test_gauge_qs_roundtrip(pair_bundle):

@@ -346,7 +346,7 @@ MEMOS = {"cache", "lru_cache"}
 # the relation operations and the matrix product, which a run repeats on
 # equal frozen inputs; a memo anywhere else is a deliberate change to this
 # table
-MEMOIZED = {"courant": ["dirac_sum", "graph_two_form", "pullback", "pushforward"],
+MEMOIZED = {"courant": ["dirac_sum", "graph_two_form", "pullback"],
             "linalg": ["_composite", "fiber_product"]}
 
 

@@ -29,7 +29,7 @@ def test_pair_identity_self_intersection(pair_bundle):
     arrow_pairs = [(k, k) for k in range(len(pair_bundle.arrows))]
     si = strong_intersection(idd, idd, obj_pairs, arrow_pairs)
     assert si.report.passed, si.report.failures()
-    for entry in si.ledger.entries:
+    for entry in si.ledger:
         assert entry["kerL"] == 2
     for f, l in zip(si.fibers, si.dirac):
         assert image(f.tangent.matrix() @ f.rho).dim == 2
@@ -52,8 +52,8 @@ def test_circle_intersection_free_level(reduction1):
                              list(red.obj_pairs), list(red.arrow_pairs))
     assert si.report.passed
     # locally free action: R-ann = 0 everywhere
-    assert all(e["R_ann"] == 0 for e in si.ledger.entries)
-    assert all(e["kerL"] == e["L"] for e in si.ledger.entries)
+    assert all(e["R_ann"] == 0 for e in si.ledger)
+    assert all(e["kerL"] == e["L"] for e in si.ledger)
     seq = strong_exact_sequence(red.orbit, red.scn.datum, si)
     assert seq.passed
     assert any(r.check_id == "exact.free_implies_transverse" for r in seq.records)
@@ -64,7 +64,7 @@ def test_circle_intersection_free_level(reduction1):
 def test_circle_intersection_n2(strong2, reduction2):
     si = strong2
     assert si.report.passed
-    assert all(e["L"] == 3 and e["kerL"] == 1 for e in si.ledger.entries)
+    assert all(e["L"] == 3 and e["kerL"] == 1 for e in si.ledger)
     seq = strong_exact_sequence(reduction2.orbit, reduction2.scn.datum, si)
     assert seq.passed
     dims = [r.ranks for r in seq.records if r.check_id == "exact.dimension"]
@@ -165,7 +165,7 @@ def test_homotopy_nontrivial_middle_arrow(reduction1):
                     break
     hi = homotopy_intersection(d1, d2, triples[:3])
     assert hi.report.passed, hi.report.failures()
-    assert all(e["R_ann"] == 0 for e in hi.ledger.entries)
+    assert all(e["R_ann"] == 0 for e in hi.ledger)
 
 
 def test_homotopy_over_point_bundle():
@@ -230,13 +230,13 @@ def test_rank_ledgers_read_the_tangent_parts_and_the_arrows(pair_bundle, make, s
                 dirac=tuple(make(2) for _ in pair_bundle.objects))
     n = len(pair_bundle.objects)
     si = strong_intersection(d, d, [(i, i) for i in range(n)], [])
-    assert si.ledger.ranks("R") == [strong_r] * n
-    assert [e["R_ann"] for e in si.ledger.entries] == [2 - strong_r] * n
+    assert [e["R"] for e in si.ledger] == [strong_r] * n
+    assert [e["R_ann"] for e in si.ledger] == [2 - strong_r] * n
     arrows = pair_bundle.arrows
     hi = homotopy_intersection(d, d, [(a.src, k, a.tgt) for k, a in enumerate(arrows)])
     # on the pair groupoid (s, t) is onto T + T at every arrow
-    assert hi.ledger.ranks("R") == [4] * len(arrows)
-    assert [e["R_ann"] for e in hi.ledger.entries] == [0] * len(arrows)
+    assert [e["R"] for e in hi.ledger] == [4] * len(arrows)
+    assert [e["R_ann"] for e in hi.ledger] == [0] * len(arrows)
 
 
 def test_exact_sequence_and_kernel_failures_carry_witnesses(pair_bundle):

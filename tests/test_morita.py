@@ -125,6 +125,25 @@ def test_the_round_trip_fibers_are_the_reverse_transfer(torus1, monkeypatch, cas
     assert back == [l1[i] for i in m.psi1.obj_map]
 
 
+def test_a_failing_symplectic_equivalence_names_its_failing_checks():
+    # the identity span of the pair groupoid is a symplectic equivalence only
+    # for gamma = 0; gamma nonzero at object 0 breaks the form identity at
+    # the 5 arrows that touch object 0, and bijectivity at object 0
+    bundle = sc.build_pair_groupoid(2, 3)
+    datum = identity_datum(bundle)
+    gamma = [TwoFormFiber.zero(2) for _ in bundle.objects]
+    gamma[0] = TwoFormFiber(LinMap.from_rows([[0, 1], [-1, 0]]))
+    m = gauge_twist_equivalence(datum, gamma,
+                                [ThreeFormFiber.zero(2) for _ in bundle.objects])
+    result = transfer(m, list(datum.dirac), datum)
+    summary, *rest = result.report.records
+    assert (summary.check_id, summary.status) == ("transfer.symplectic_morita", FAIL)
+    assert summary.witness == {"failing": {"morita.form": 5, "morita.bijective": 1}}
+    sm = symplectic_morita_check(m.phi1, m.phi2, list(m.gamma), list(m.dgamma))
+    assert rest == sm.records
+    assert result.dirac == ()
+
+
 def test_transfer_rejects_a_datum_of_another_structure(torus1):
     datum, m = torus_twist(torus1)
     other = list(datum.dirac)

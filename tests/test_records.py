@@ -6,7 +6,6 @@ import pytest
 
 from diraclab.cli import Scenario
 from diraclab.courant import DiracFiber, TwoFormFiber, tangent_dirac
-from diraclab.intersection import RankLedger
 from diraclab.linalg import LinMap, canonicalize, vec
 from diraclab.records import field, record, replace
 from diraclab.report import PASS, CheckRecord, VerificationReport
@@ -86,7 +85,6 @@ def test_each_instance_gets_its_own_default_from_a_factory():
     a, b = VerificationReport("x"), VerificationReport("x")
     a.add("c", True)
     assert a.records is not b.records and b.records == []
-    assert RankLedger().entries is not RankLedger().entries
     given = []
     assert VerificationReport("x", given).records is given
     assert Scenario("x", dict, dict).dumps is not Scenario("x", dict, dict).dumps
