@@ -11,7 +11,9 @@ Hamiltonian check, and the per-object non-degeneracy maps are the datum's
 assemblies property, shared by is_coisotropic, chain_map_check and the
 Hamiltonian check.  chain_map_check reads its image-in-L verdict there too:
 an assembly that raised ImageEscapesL is its failure, with the same column
-as witness.
+as witness.  Whether each assembled map is onto its fiber product is
+decided once too, in the datum's surjections property, which keeps the
+image that is_coisotropic's witness reads; all three readers share it.
 """
 
 from __future__ import annotations
@@ -103,6 +105,21 @@ class CoisotropicDatum:
                 out.append(e.with_traceback(None))   # keep no frames alive
         return tuple(out)
 
+    @cached_property
+    def surjections(self) -> tuple:
+        """Per C-object, in object order: (im, im == fp) for the image im of
+        the assembled map and its fiber product fp, or None where the
+        assembly raised ImageEscapesL; decided once for this datum."""
+        out = []
+        for assembly in self.assemblies:
+            if isinstance(assembly, ImageEscapesL):
+                out.append(None)
+                continue
+            mat, fp = assembly
+            im = image(mat)
+            out.append((im, im == fp))
+        return tuple(out)
+
 
 class ImageEscapesL(ValueError):
     """im(rho_C, c*sigma c_*) is not contained in L: the compatibility
@@ -170,9 +187,8 @@ def is_coisotropic(datum: CoisotropicDatum) -> VerificationReport:
             rep.add("coiso.nondeg", False, detail=str(assembly),
                     witness=witness_vector(assembly.column))
             continue
-        mat, fp = assembly
-        im = image(mat)
-        ok = im == fp
+        _, fp = assembly
+        im, ok = datum.surjections[i]
         wit = None
         if not ok:
             missing = [v for v in fp.basis if not im.contains(v)]
@@ -242,7 +258,7 @@ def chain_map_check(datum: CoisotropicDatum, obj_idx: int) -> VerificationReport
         return rep
     rep.add("chain_map.image_in_L", True,
             detail=f"object {obj_idx}: image of (rho_C, c*sigma c_*) lies in L")
-    mat, fp = assembly
+    mat = assembly[0]
     d1 = vstack(l.space.coords(mat.row_block(0, 2 * n)), cA)
     d2 = hstack(c0 @ p_t, ob_g.rho.scale(-1))
     if not (d2 @ d1).is_zero():
@@ -278,7 +294,7 @@ def chain_map_check(datum: CoisotropicDatum, obj_idx: int) -> VerificationReport
     middle_iso = inj0 and surj0
 
     # the other characterization, computed from the assembled map
-    surjective = image(mat) == fp
+    surjective = datum.surjections[obj_idx][1]
     bijective = surjective and kernel(mat).dim == 0
 
     rep.add("chain_map.quasi_iso_iff_bijective", quasi_iso == bijective,

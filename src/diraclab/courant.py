@@ -34,8 +34,9 @@ built, and an exception is raised again on every call, never cached.  The
 closed forms on graphs go through graph_two_form, so equal forms share one
 fiber.  pushforward has no memo: a run repeats few of its inputs (11 of 46
 calls on the torus verify, none on the circle reduction), so a memo there
-saves nothing measurable.  DiracFiber.parts() and DiracFiber.form are
-kept on the frozen fiber the same way.
+saves nothing measurable.  DiracFiber.parts(), DiracFiber.form and the
+kernel that kernel_of returns are views: each is built on first read and
+kept on the frozen fiber, the way a memo keeps its result.
 """
 
 from __future__ import annotations
@@ -226,6 +227,11 @@ class DiracFiber:
         return m.row_block(0, n), m.row_block(n, 2 * n)
 
     @cached_property
+    def _kernel(self) -> Subspace:
+        t, c = self.parts()
+        return image(t, kernel(c))
+
+    @cached_property
     def form(self) -> TwoFormFiber | None:
         """The 2-form omega with L = graph(omega), or None if L cap V* != 0.
 
@@ -341,9 +347,9 @@ def pushforward(f: LinMap, l: DiracFiber) -> DiracFiber:
 
 
 def kernel_of(l: DiracFiber) -> Subspace:
-    """ker L = L cap V, returned as a subspace of Q^n."""
-    t, c = l.parts()
-    return image(t, kernel(c))
+    """ker L = L cap V, returned as a subspace of Q^n: a view kept on the
+    frozen fiber."""
+    return l._kernel
 
 
 def perp(s: Subspace) -> Subspace:

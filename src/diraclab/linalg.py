@@ -19,8 +19,9 @@ those of the field tuple) are exact.
 Values a caller passes in (vector and matrix entries) may be ints,
 Fractions or, where frac accepts them, 'p/q' strings; every value it gets
 back is a Fraction or a LinMap.  LinMap.entries and Subspace.basis are
-Fraction views, built on first read and kept on the frozen object; apply
-returns Fractions, solve and coords take and return whole LinMaps.
+Fraction views, and Subspace.matrix() the basis as matrix columns; each
+is built on first read and kept on the frozen object.  apply returns
+Fractions, solve and coords take and return whole LinMaps.
 Products, sums, stacking, image, kernel, fiber_product, solve and the
 membership tests run on ints throughout:
 - _product, behind both LinMap.__matmul__ and image, multiplies row by row
@@ -103,7 +104,7 @@ def basis_vec(n: int, i: int) -> Vec:
     return tuple(ONE if j == i else ZERO for j in range(n))
 
 
-def _clear(v) -> tuple[list[int], int]:
+def clear_denominators(v) -> tuple[list[int], int]:
     """(w, d): ints w and d > 0 with v = w / d, for a vector of ints or Fractions."""
     d = lcm(*[x.denominator for x in v])
     if d == 1:
@@ -115,7 +116,7 @@ def _int_row(v) -> Sequence[int]:
     """A row of ints spanning the same line as v, an exact-scalar vector."""
     if set(map(type, v)) == {int}:
         return v
-    return _clear([frac(x) for x in v])[0]
+    return clear_denominators([frac(x) for x in v])[0]
 
 
 def _transpose(rows: Sequence[Sequence[int]], ncols: int) -> IntRows:
@@ -224,7 +225,7 @@ class LinMap:
     def apply(self, v: Vec) -> Vec:
         if len(v) != self.cols:
             raise DimensionMismatch(f"apply: map has {self.cols} cols, vector has {len(v)}")
-        w, d = _clear(v)
+        w, d = clear_denominators(v)
         d *= self.den
         sums = [sum(map(mul, r, w)) for r in self.nums]
         if d == 1:
@@ -397,7 +398,7 @@ class Subspace:
     def contains(self, v: Vec) -> bool:
         if len(v) != self.ambient_dim:
             raise DimensionMismatch("contains: ambient mismatch")
-        return self._spans(_clear(v)[0])
+        return self._spans(clear_denominators(v)[0])
 
     def coords(self, m: LinMap) -> LinMap | None:
         """The coordinates of M's columns in the basis, as a map
@@ -446,7 +447,12 @@ class Subspace:
         return kernel(LinMap(self.dim, self.ambient_dim, self.rows))
 
     def matrix(self) -> LinMap:
-        """Basis vectors as matrix columns (column-echelon representative)."""
+        """Basis vectors as matrix columns (column-echelon representative),
+        a view built on first read."""
+        return self._matrix
+
+    @cached_property
+    def _matrix(self) -> LinMap:
         # over the lcm of the pivot entries, each column keeps the gcd-1
         # entries of its primitive row, so the map is already normalised
         den = lcm(*[r[p] for r, p in zip(self.rows, self.pivots)])

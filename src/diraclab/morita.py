@@ -13,9 +13,18 @@ transferred fibers back along the reversed legs and compares them with the
 input; it does not rerun the reverse transfer's checks.  A TransferResult
 holds the transferred fibers as a tuple in C2-object order, and transfer
 folds in each sub-check's report through VerificationReport.summarize.
+
+The adjoint calculus computes each connection's adjoints once: Ad_T, Ad_A
+and the sigma-check map are views kept on the frozen ConnectionFiber, which
+holds the arrow fiber and source anchor they are solved from, so the sigma
+identity, the curvature defects and the homotopy identities share one solve
+per connection and map, and curvature_defect_check computes K(g, h) once
+per pair.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 from .coisotropic import CoisotropicDatum, is_coisotropic, is_strong, strong_injectivity
 from .courant import (
@@ -27,6 +36,7 @@ from .courant import (
     pushforward,
 )
 from .groupoid import (
+    ArrowFiber,
     GroupoidFiberBundle,
     MorphismFiber,
     compatibility_check,
@@ -45,7 +55,7 @@ from .linalg import (
     vstack,
 )
 from .records import record, replace
-from .report import VerificationReport
+from .report import VerificationReport, witness_failures
 
 
 def descend_dirac(f: MorphismFiber, dirac: list[DiracFiber],
@@ -129,20 +139,50 @@ def symplectic_morita_check(phi1: MorphismFiber, phi2: MorphismFiber,
 
 @record
 class ConnectionFiber:
-    """A splitting tau of the source sequence at one arrow, with the derived
-    left splitting computed through the stored right translation."""
+    """A splitting tau of the source sequence at one arrow, with the arrow's
+    fiber and the anchor of its source object, from which its adjoints are
+    derived.
+
+    ad_T, ad_A and sigma_check are views: each is solved for on first read
+    and kept on the frozen connection, so every identity that reads them
+    shares one solve per connection."""
 
     arrow: int
     tau: LinMap            # T_{s(g)} -> T_g, s_star . tau = id
+    fiber: ArrowFiber
+    src_rho: LinMap        # the anchor at s(g)
+
+    @cached_property
+    def ad_T(self) -> LinMap:
+        """Ad_g on tangents: v -> t_*(tau_g v)."""
+        return self.fiber.t_star @ self.tau
+
+    @cached_property
+    def ad_A(self) -> LinMap:
+        """Ad_g on the algebroid, characterized by (Ad_g a)^R = a^L + tau rho a."""
+        ar = self.fiber
+        x = solve(ar.right, ar.left + self.tau @ self.src_rho)
+        if x is None:
+            raise ValueError("adjoint image not reachable by right translation")
+        return x
+
+    @cached_property
+    def sigma_check(self) -> LinMap:
+        """The left splitting: v -> (right translation)^{-1}(v - tau s_* v)."""
+        ar = self.fiber
+        x = solve(ar.right, LinMap.identity(ar.dim) - self.tau @ ar.s_star)
+        if x is None:
+            raise ValueError("vector not reachable by right translation")
+        return x
 
 
 def make_connection(bundle: GroupoidFiberBundle, arrow_idx: int,
                     tau: LinMap) -> ConnectionFiber:
     ar = bundle.arrows[arrow_idx]
-    n = bundle.objects[ar.src].dim
-    if ar.s_star @ tau != LinMap.identity(n):
+    src = bundle.objects[ar.src]
+    if ar.s_star @ tau != LinMap.identity(src.dim):
         raise ValueError("tau is not a splitting of the source differential")
-    return ConnectionFiber(arrow_idx, tau)
+    return ConnectionFiber(arrow_idx, tau, ar, src.rho)
 
 
 def random_connection(bundle: GroupoidFiberBundle, arrow_idx: int,
@@ -173,54 +213,31 @@ def unit_connection(bundle: GroupoidFiberBundle, arrow_idx: int) -> ConnectionFi
     return make_connection(bundle, arrow_idx, ar.u_star)
 
 
-def sigma_check_map(bundle: GroupoidFiberBundle, conn: ConnectionFiber) -> LinMap:
-    """The left splitting: v -> (right translation)^{-1}(v - tau s_* v)."""
-    ar = bundle.arrows[conn.arrow]
-    x = solve(ar.right, LinMap.identity(ar.dim) - conn.tau @ ar.s_star)
-    if x is None:
-        raise ValueError("vector not reachable by right translation")
-    return x
-
-
-def ad_T(bundle: GroupoidFiberBundle, conn: ConnectionFiber) -> LinMap:
-    """Ad_g on tangents: v -> t_*(tau_g v)."""
-    ar = bundle.arrows[conn.arrow]
-    return ar.t_star @ conn.tau
-
-
-def ad_A(bundle: GroupoidFiberBundle, conn: ConnectionFiber) -> LinMap:
-    """Ad_g on the algebroid, characterized by (Ad_g a)^R = a^L + tau rho a."""
-    ar = bundle.arrows[conn.arrow]
-    x = solve(ar.right, ar.left + conn.tau @ bundle.objects[ar.src].rho)
-    if x is None:
-        raise ValueError("adjoint image not reachable by right translation")
-    return x
-
-
 def basic_curvature(bundle: GroupoidFiberBundle, pair_idx: int,
                     conn: dict[int, ConnectionFiber]) -> LinMap:
     """K(g, h) : T_{s(h)} -> A_{t(g)} from the pair's multiplication fiber."""
     p = bundle.pairs[pair_idx]
-    check_gh = sigma_check_map(bundle, conn[p.gh])
     # v -> (tau_g Ad_h v, tau_h v) in the pair tangent, multiplied, then sigma-checked
-    x = p.tangent.coords(vstack(conn[p.g].tau @ ad_T(bundle, conn[p.h]), conn[p.h].tau))
+    x = p.tangent.coords(vstack(conn[p.g].tau @ conn[p.h].ad_T, conn[p.h].tau))
     if x is None:
         raise ValueError("vector not in subspace")
-    return check_gh @ p.m_star @ x
+    return conn[p.gh].sigma_check @ p.m_star @ x
 
 
 def curvature_defect_check(bundle: GroupoidFiberBundle, pair_idx: int,
                            conn: dict[int, ConnectionFiber]) -> VerificationReport:
-    """Ad_g Ad_h - Ad_{gh} = K(g,h) rho on the algebroid, per sampled pair."""
+    """Ad_g Ad_h - Ad_{gh} = K(g,h) rho on the algebroid, per sampled pair,
+    and its tangent form Ad_g Ad_h - Ad_{gh} = rho K(g,h); K is computed
+    once for both."""
     rep = VerificationReport("adjoint.defect")
     p = bundle.pairs[pair_idx]
-    g, h = bundle.arrows[p.g], bundle.arrows[p.h]
-    lhs = ad_A(bundle, conn[p.g]) @ ad_A(bundle, conn[p.h]) - ad_A(bundle, conn[p.gh])
-    rhs = basic_curvature(bundle, pair_idx, conn) @ bundle.objects[h.src].rho
-    rep.add("adjoint.defect", lhs == rhs,
+    g, h, gh = conn[p.g], conn[p.h], conn[p.gh]
+    k = basic_curvature(bundle, pair_idx, conn)
+    lhs = g.ad_A @ h.ad_A - gh.ad_A
+    rep.add("adjoint.defect", lhs == k @ h.src_rho,
             detail=f"pair {pair_idx}: Ad_g Ad_h - Ad_gh = K(g,h) rho")
-    lhs_t = ad_T(bundle, conn[p.g]) @ ad_T(bundle, conn[p.h]) - ad_T(bundle, conn[p.gh])
-    rhs_t = bundle.objects[g.tgt].rho @ basic_curvature(bundle, pair_idx, conn)
+    lhs_t = g.ad_T @ h.ad_T - gh.ad_T
+    rhs_t = bundle.objects[g.fiber.tgt].rho @ k
     rep.add("adjoint.defect.tangent", lhs_t == rhs_t,
             detail=f"pair {pair_idx}: the tangent defect identity")
     return rep
@@ -235,10 +252,9 @@ class NatTransFiber:
     theta_star: LinMap
 
 
-def theta_dot(bundle: GroupoidFiberBundle, fib: NatTransFiber,
-              conn: dict[int, ConnectionFiber]) -> LinMap:
+def theta_dot(fib: NatTransFiber, conn: dict[int, ConnectionFiber]) -> LinMap:
     """The homotopy differential: sigma-check of theta_star."""
-    return sigma_check_map(bundle, conn[fib.arrow]) @ fib.theta_star
+    return conn[fib.arrow].sigma_check @ fib.theta_star
 
 
 def homotopy_identities(f: MorphismFiber, g: MorphismFiber,
@@ -263,9 +279,9 @@ def homotopy_identities(f: MorphismFiber, g: MorphismFiber,
               and ar.t_star @ fib.theta_star == g.c0[x])
         rep.add("homotopy.structure", ok,
                 detail=f"object {x}: s theta_* = f_*, t theta_* = g_*")
-        td = theta_dot(cod, fib, conn)
-        adt = ad_T(cod, conn[fib.arrow])
-        ada = ad_A(cod, conn[fib.arrow])
+        cf = conn[fib.arrow]
+        td = theta_dot(fib, conn)
+        adt, ada = cf.ad_T, cf.ad_A
         rho_cod = cod.objects[g.obj_map[x]].rho
         rep.add("homotopy.prop.tangent",
                 g.c0[x] - adt @ f.c0[x] == rho_cod @ td,
@@ -275,7 +291,7 @@ def homotopy_identities(f: MorphismFiber, g: MorphismFiber,
                 detail=f"object {x}: g_* b - Ad f_* b = theta-dot rho b")
 
         rep.add("homotopy.sigma_ad",
-                _sigma_ad_holds(cod, conn[fib.arrow], ada, adt),
+                _sigma_ad_holds(cod, cf),
                 detail=f"object {x}: <sigma Ad a, Ad v> = <sigma a, v> + "
                        "omega(tau rho a, tau v)")
 
@@ -284,15 +300,14 @@ def homotopy_identities(f: MorphismFiber, g: MorphismFiber,
         sig_t = tgt_g.sigma
         m1 = td.transpose() @ sig_t.transpose() @ adt @ f.c0[x]
         m3 = td.transpose() @ sig_t.transpose() @ tgt_g.rho @ td
-        m4 = (conn[fib.arrow].tau @ f.c0[x]).transpose() @ om @ \
-            (conn[fib.arrow].tau @ f.c0[x])
+        m4 = (cf.tau @ f.c0[x]).transpose() @ om @ (cf.tau @ f.c0[x])
         lhs4 = fib.theta_star.transpose() @ om @ fib.theta_star
         rep.add("homotopy.theta_form",
                 lhs4 == m1 - m1.transpose() + m3 + m4,
                 detail=f"object {x}: the theta*omega expansion")
 
         efib = eta[x]
-        ed = theta_dot(cod, efib, conn)
+        ed = theta_dot(efib, conn)
         k = basic_curvature(cod, inverse_pairs[x], conn)
         lhs5 = td + ada @ ed + k @ g.c0[x]
         rep.add("homotopy.inverse",
@@ -480,18 +495,17 @@ def sigma_ad_check(bundle: GroupoidFiberBundle,
         if ar.omega is None:
             continue
         rep.add("sigma_ad.arrow",
-                _sigma_ad_holds(bundle, cf, ad_A(bundle, cf), ad_T(bundle, cf)),
+                _sigma_ad_holds(bundle, cf),
                 detail=f"arrow {k}: the sigma-adjoint pairing identity")
     return rep
 
 
-def _sigma_ad_holds(bundle: GroupoidFiberBundle, cf: ConnectionFiber,
-                    ada: LinMap, adt: LinMap) -> bool:
+def _sigma_ad_holds(bundle: GroupoidFiberBundle, cf: ConnectionFiber) -> bool:
     """<sigma Ad a, Ad v> = <sigma a, v> + omega(tau rho a, tau v) at the
-    connection's arrow, given that arrow's Ad_A and Ad_T."""
-    ar = bundle.arrows[cf.arrow]
+    connection's arrow."""
+    ar = cf.fiber
     src, tgt = bundle.objects[ar.src], bundle.objects[ar.tgt]
-    return (ada.transpose() @ tgt.sigma.transpose() @ adt
+    return (cf.ad_A.transpose() @ tgt.sigma.transpose() @ cf.ad_T
             == src.sigma.transpose()
             + src.rho.transpose() @ cf.tau.transpose() @ ar.omega.matrix @ cf.tau)
 
@@ -582,14 +596,17 @@ def transfer_composition_check(m1: MoritaEquivalenceDatum,
         rep.add("composition.delta_hat", dhat == rhs,
                 detail="delta-hat = pr1*delta1 + pr2*delta2 + eta*c2*omega2 + zeta")
 
-    # sequential transfer
+    # sequential transfer; a leg's record exists only on failure, with the
+    # leg's failing checks as its witness, followed by the leg's records
     if not leg1.report.passed:
-        rep.add("composition.leg1", False, detail="first transfer failed")
+        rep.add("composition.leg1", False, detail="first transfer failed",
+                witness=witness_failures(leg1.report))
         rep.merge(leg1.report)
         return rep
     r2 = transfer(m2, list(leg1.dirac), roundtrip=False)
     if not r2.report.passed:
-        rep.add("composition.leg2", False, detail="second transfer failed")
+        rep.add("composition.leg2", False, detail="second transfer failed",
+                witness=witness_failures(r2.report))
         rep.merge(r2.report)
         return rep
 

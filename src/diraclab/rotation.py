@@ -4,12 +4,24 @@ quotient chart and reduced-form oracle.
 
 Rotations come from the rational parametrization (1 - t^2, 2t)/(1 + t^2) of
 the circle, so differentials, translations and chart maps all stay in Q.
-The composable pairs of both groupoids come from composable().  The entry
-points (circle_scenario, torus_scenario, circle_reduction, run_reduction
-and the others) live in scenarios and import from here when they run, so
-only the circle and torus commands compile this module.  It never imports
-scenarios.  It imports groupoid and coisotropic at its top: every command
-that loads it runs checkers from both, so they are loaded already.
+The composable pairs of both groupoids come from composable().
+
+Sample points are Fraction tuples, and hashing one hashes each entry again,
+a modular inverse per Fraction.  build_rotation_hamiltonian therefore hashes
+each distinct point once, gives it an int id, and builds on ids and
+parameter positions; it keys obj_index and arrow_at by points once, at the
+end.  The helpers compute on integers: moment_of, and chart_jacobian, which
+is homogeneous of degree -1, clear the point's denominators first
+(linalg.clear_denominators) and build one Fraction or one scale from the
+integer result, and sum_blocks and moment_row_sum assign their entries
+directly, because the blocks are disjoint.
+
+The entry points (circle_scenario, torus_scenario, circle_reduction,
+run_reduction and the others) live in scenarios and import from here when
+they run, so only the circle and torus commands compile this module.  It
+never imports scenarios.  It imports groupoid and coisotropic at its top:
+every command that loads it runs checkers from both, so they are loaded
+already.
 """
 
 from __future__ import annotations
@@ -21,8 +33,8 @@ from .coisotropic import CoisotropicDatum
 from .courant import ThreeFormFiber, TwoFormFiber, graph_two_form, std_symplectic
 from .groupoid import (ArrowFiber, GroupoidFiberBundle, MorphismFiber, ObjectFiber,
                        make_pair, unit_groupoid)
-from .linalg import (LinMap, Vec, block_diag, frac, hstack, image, kernel, solve, vec,
-                     vstack)
+from .linalg import (LinMap, Vec, block_diag, clear_denominators, frac, hstack, image,
+                     kernel, solve, vec, vstack)
 from .records import record, replace
 from .report import ReductionHypothesisViolated
 
@@ -110,11 +122,11 @@ def _action_object(p: Vec, circles: list[int], n2: int) -> ObjectFiber:
 
 def sum_blocks(p: Vec, blocks) -> Vec:
     """The generator of rotation on the given blocks at p: (x, y) -> (-y, x)
-    on each listed block, zero on the others."""
+    on each listed block, zero on the others.  The blocks are distinct, so
+    each entry is assigned once."""
     out = [F(0)] * len(p)
     for b in blocks:
-        out[2 * b] -= p[2 * b + 1]
-        out[2 * b + 1] += p[2 * b]
+        out[2 * b], out[2 * b + 1] = -p[2 * b + 1], p[2 * b]
     return tuple(out)
 
 
@@ -153,8 +165,10 @@ def rational_sqrt(x) -> Fraction | None:
 
 def moment_of(p: Vec, circles) -> tuple:
     """The moment of p, one level per circle factor: half the squared norm
-    on the factor's blocks."""
-    return tuple(sum((p[2 * b] ** 2 + p[2 * b + 1] ** 2 for b in blocks), F(0)) / 2
+    on the factor's blocks.  With p = w / d, w integer, that is
+    sum w^2 / 2 d^2, one Fraction per factor."""
+    w, d = clear_denominators(p)
+    return tuple(F(sum(w[2 * b] ** 2 + w[2 * b + 1] ** 2 for b in blocks), 2 * d * d)
                  for blocks in circles)
 
 
@@ -195,50 +209,69 @@ def build_rotation_hamiltonian(points: list[Vec], circles: list[list[int]],
     parameter, the blocks shared by every arrow once, and the moment
     differential and the translations once per point.  Maps are frozen
     values, so sharing one across arrows changes nothing downstream.
+
+    Each distinct point is hashed once, when it is first met, and gets an
+    int id in that order; the build then runs on ids and parameter
+    positions, and obj_index and arrow_at are keyed by points only at the
+    end.  The arrow at (id i, position ti) is arrow i * len(ts_tuples) + ti.
     """
     n2 = len(points[0])
     k = len(circles)
     ts_tuples = [tuple(frac(t) for t in ts) for ts in ts_tuples]
+    nts = len(ts_tuples)
 
     g_points = sorted({moment_of(p, circles) for p in points})
     g_index = {m: i for i, m in enumerate(g_points)}
     g_bundle, g_arrow_index = build_cotangent_torus(g_points, ts_tuples,
                                                     name=f"{name}.base")
+    g_arrows = [[g_arrow_index[(li, ts)] for ts in ts_tuples]
+                for li in range(len(g_points))]
 
-    rot = {}
+    rots = []
     for ts in ts_tuples:
         m = LinMap.identity(n2)
         for blocks, t in zip(circles, ts):
             m = rotation_for_circle(*circle_point(t), blocks, n2) @ m
-        rot[ts] = m
+        rots.append(m)
+    units = [all(t == 0 for t in ts) for ts in ts_tuples]
 
-    # per object: its fiber, its moment differential c0 and its base object
+    pts: list[Vec] = []       # id -> point
+    ids: dict[Vec, int] = {}  # point -> id
+
+    def intern(p: Vec) -> int:
+        i = ids.setdefault(p, len(pts))
+        if i == len(pts):
+            pts.append(p)
+        return i
+
+    def rotates(i: int) -> list[int]:
+        return [intern(r.apply(pts[i])) for r in rots]
+
+    # depth 0: the sampled points; depth 1: their rotates.  Arrows live at
+    # both, so the arrow bases are ids 0 .. n_base - 1; rotated[i][ti] is
+    # the id of point i rotated by ts_tuples[ti]
+    for p in points:
+        intern(vec(*p))
+    n0 = len(pts)
+    rotated = [rotates(i) for i in range(n0)]
+    n_base = len(pts)
+    rotated += [rotates(i) for i in range(n0, n_base)]
+
+    # objects in the order the arrows first reach them: each base, then
+    # its rotates; per object its fiber, moment differential c0 and base
+    # object
+    obj_of: dict[int, int] = {}
+    for i in range(n_base):
+        for j in (i, *rotated[i]):
+            obj_of.setdefault(j, len(obj_of))
     objects: list[ObjectFiber] = []
-    obj_index: dict[Vec, int] = {}
     obj_map, c0 = [], []
-
-    def add_object(p: Vec) -> int:
-        if p not in obj_index:
-            obj_index[p] = len(objects)
-            objects.append(_action_object(p, circles, n2))
-            c0.append(LinMap.from_rows([moment_row_sum(p, blocks) for blocks in circles],
-                                       cols=n2))
-            obj_map.append(g_index[moment_of(p, circles)])
-        return obj_index[p]
-
-    # depth 0: sampled points; depth 1: their rotates (arrows live at both)
-    arrow_base = []
-    for p in points:
-        p = vec(*p)
-        if p not in arrow_base:
-            arrow_base.append(p)
-    points = list(arrow_base)
-    rotated: dict[tuple, Vec] = {}  # (point, ts) -> the point rotated by ts
-    for p in points:
-        for ts in ts_tuples:
-            rp = rotated[(p, ts)] = rot[ts].apply(p)
-            if rp not in arrow_base:
-                arrow_base.append(rp)
+    for j in obj_of:
+        p = pts[j]
+        objects.append(_action_object(p, circles, n2))
+        c0.append(LinMap.from_rows([moment_row_sum(p, blocks) for blocks in circles],
+                                   cols=n2))
+        obj_map.append(g_index[moment_of(p, circles)])
 
     # the same at every arrow: s_* projects onto T_p, a^R = (a, 0), and the
     # unit section and the angle rows of c1 are the inclusion of T_p
@@ -248,26 +281,20 @@ def build_rotation_hamiltonian(points: list[Vec], circles: list[list[int]],
     u_star = vstack(zero_kn, LinMap.identity(n2))
     c1_top = hstack(ident_k, zero_kn)
     arrows = []
-    arrow_at: dict[tuple, int] = {}
     arrow_map = []
     c1_list = []
-    for p in arrow_base:
-        src = add_object(p)
+    for i in range(n_base):
+        src = obj_of[i]
         # a^L = (a, -rho_p a); c1 is the identity on angles and mu_* on T_p
         left = vstack(ident_k, objects[src].rho.scale(-1))
         c1_mat = vstack(c1_top, hstack(LinMap.zero(k, k), c0[src]))
-        for ts in ts_tuples:
-            r = rot[ts]
-            if (p, ts) not in rotated:
-                rotated[(p, ts)] = r.apply(p)
-            tgt = add_object(rotated[(p, ts)])
-            unit = all(t == 0 for t in ts)
-            g_ai = g_arrow_index[(obj_map[src], ts)]
+        for ti, r in enumerate(rots):
+            tgt = obj_of[rotated[i][ti]]
+            g_ai = g_arrows[obj_map[src]][ti]
             om = g_bundle.arrows[g_ai].omega.pullback(c1_mat) if pulled_omega else None
-            arrow_at[(p, ts)] = len(arrows)
             arrows.append(ArrowFiber(src, tgt, k + n2,
                                      s_star, hstack(objects[tgt].rho, r), om, left, right,
-                                     unit=unit, u_star=u_star if unit else None))
+                                     unit=units[ti], u_star=u_star if units[ti] else None))
             c1_list.append(c1_mat)
             arrow_map.append(g_ai)
     arrows = tuple(arrows)
@@ -280,16 +307,19 @@ def build_rotation_hamiltonian(points: list[Vec], circles: list[list[int]],
 
     # (angles_g, w_g, angles_h, w_h) -> (angles_g + angles_h, w_h)
     m = hstack(block_diag(ident_k, LinMap.zero(n2, n2)), LinMap.identity(k + n2))
-    triples = list(composable(ts_tuples))
-    pairs = []
-    for p in points:
-        for ts1, ts2, ts12 in triples:
-            pairs.append(make_pair(arrows, arrow_at[(rotated[(p, ts2)], ts1)],
-                                   arrow_at[(p, ts2)], arrow_at[(p, ts12)], m))
-    c_bundle = GroupoidFiberBundle(objects, arrows, tuple(pairs), name=name)
+    ts_pos = {ts: ti for ti, ts in enumerate(ts_tuples)}
+    triples = [(ts_pos[ts1], ts_pos[ts2], ts_pos[ts12])
+               for ts1, ts2, ts12 in composable(ts_tuples)]
+    pairs = tuple(make_pair(arrows, rotated[i][t2] * nts + t1, i * nts + t2,
+                            i * nts + t12, m)
+                  for i in range(n0) for t1, t2, t12 in triples)
+    c_bundle = GroupoidFiberBundle(objects, arrows, pairs, name=name)
     morph = MorphismFiber(c_bundle, g_bundle, tuple(obj_map), tuple(c0), cA,
                           tuple(arrow_map), tuple(c1_list))
     dirac = (graph_two_form(std_symplectic(n2)),) * len(objects)
+    obj_index = {pts[j]: oi for j, oi in obj_of.items()}
+    arrow_at = {(pts[i], ts): i * nts + ti
+                for i in range(n_base) for ti, ts in enumerate(ts_tuples)}
     return RotationScenario(CoisotropicDatum(morph, dirac, name=name),
                             tuple(tuple(b) for b in circles), tuple(ts_tuples),
                             obj_index, arrow_at, g_index, g_arrow_index)
@@ -304,10 +334,11 @@ def rotation_for_circle(c, s, blocks, n2: int) -> LinMap:
 
 
 def moment_row_sum(p: Vec, blocks) -> list:
+    """The moment differential of one circle factor at p: p on the
+    factor's blocks, zero on the others."""
     out = [F(0)] * len(p)
     for b in blocks:
-        out[2 * b] += p[2 * b]
-        out[2 * b + 1] += p[2 * b + 1]
+        out[2 * b], out[2 * b + 1] = p[2 * b], p[2 * b + 1]
     return out
 
 
@@ -332,17 +363,16 @@ def chart_map(p: Vec) -> Vec:
 
 
 def chart_jacobian(p: Vec) -> LinMap:
-    x1, y1, x2, y2 = p
+    """The differential of chart_map at p.  It is homogeneous of degree -1,
+    so at p = w / d, w integer, it is d times its value at w, which is an
+    integer matrix over r2^2, r2 = x2^2 + y2^2 at w: one scale."""
+    (x1, y1, x2, y2), d = clear_denominators(p)
     r2 = x2 * x2 + y2 * y2
     q1 = x1 * x2 + y1 * y2
     q2 = y1 * x2 - x1 * y2
-    row1 = [x2 / r2, y2 / r2,
-            (x1 * r2 - q1 * 2 * x2) / (r2 * r2),
-            (y1 * r2 - q1 * 2 * y2) / (r2 * r2)]
-    row2 = [-y2 / r2, x2 / r2,
-            (y1 * r2 - q2 * 2 * x2) / (r2 * r2),
-            (-x1 * r2 - q2 * 2 * y2) / (r2 * r2)]
-    return LinMap.from_rows([row1, row2])
+    rows = ((x2 * r2, y2 * r2, x1 * r2 - 2 * q1 * x2, y1 * r2 - 2 * q1 * y2),
+            (-y2 * r2, x2 * r2, y1 * r2 - 2 * q2 * x2, -x1 * r2 - 2 * q2 * y2))
+    return LinMap(2, 4, rows).scale(F(d, r2 * r2))
 
 
 def reduced_form_oracle(p: Vec) -> TwoFormFiber:

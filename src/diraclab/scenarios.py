@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .courant import (ThreeFormFiber, TwoFormFiber, graph_bivector, graph_two_form,
                       kernel_of, pullback, std_symplectic)
-from .linalg import LinMap, block_diag, frac, hstack, image, kernel, vec, vstack
+from .linalg import LinMap, block_diag, frac, hstack, kernel, vec, vstack
 from .records import record, replace
 from .report import ReductionHypothesisViolated, VerificationReport, witness_subspace
 
@@ -120,9 +120,9 @@ def hamiltonian_check(datum: CoisotropicDatum):
     """Compatibility (action form identity) and ker mu cap ker L = 0,
     cross-validated per object against the non-degeneracy map.  The moment
     differential mu_* at an object is the morphism's c0 there.  The
-    compatibility records and the assembled maps are the datum's, computed
-    once per datum; the records are relabelled ham.compat here."""
-    from .coisotropic import ImageEscapesL
+    compatibility records and the surjectivity verdicts of the assembled
+    maps are the datum's, computed once per datum; the records are
+    relabelled ham.compat here."""
     rep = VerificationReport(f"hamiltonian.{datum.name}")
     rep.records.extend(replace(r, check_id="ham.compat") for r in datum.compatibility)
     for i in range(len(datum.c_bundle.objects)):
@@ -134,12 +134,8 @@ def hamiltonian_check(datum: CoisotropicDatum):
                 witness=None if nondeg else witness_subspace(ker_mu.intersect(ker_l)))
         # the equivalence: surjectivity of the assembled map iff the kernel
         # condition, both computed independently
-        assembly = datum.assemblies[i]
-        if isinstance(assembly, ImageEscapesL):
-            surj = False
-        else:
-            mat, fp = assembly
-            surj = image(mat) == fp
+        surjection = datum.surjections[i]
+        surj = surjection is not None and surjection[1]
         rep.add("ham.equivalence", surj == nondeg,
                 detail=f"object {i}: coisotropic non-degeneracy <=> kernel condition")
     return rep
@@ -197,8 +193,7 @@ def circle_reduction(n: int, level) -> ReductionScenario:
     The sample atlas is kept at desk scale (>= 8 product points for n = 2,
     several per chart fiber for the invariance checks).
     """
-    from .rotation import (ReductionScenario, build_rotation_hamiltonian, level_points,
-                           moment_of)
+    from .rotation import ReductionScenario, build_rotation_hamiltonian, level_points
     level = frac(level)
     if level == 0 and n == 1:
         raise ReductionHypothesisViolated(
@@ -209,11 +204,14 @@ def circle_reduction(n: int, level) -> ReductionScenario:
                                      [(frac(t),) for t in ts], "circle")
     orbit = circle_orbit_datum(scn, level)
 
-    level_idx = tuple(oi for p, oi in scn.obj_index.items()
-                      if moment_of(p, scn.circles) == (level,))
+    # the objects over the level's base object, and the arrows from them,
+    # in object and arrow order
+    li = scn.g_index[(level,)]
+    level_idx = tuple(oi for oi, gi in enumerate(scn.datum.morphism.obj_map) if gi == li)
     ts_pos = {ts: i for i, ts in enumerate(scn.ts_tuples)}
-    arrow_pairs = tuple((ts_pos[ts], ai) for (p, ts), ai in scn.arrow_at.items()
-                        if scn.obj_index[p] in level_idx)
+    arrows = scn.datum.c_bundle.arrows
+    arrow_pairs = tuple((ts_pos[ts], ai) for (_, ts), ai in scn.arrow_at.items()
+                        if arrows[ai].src in level_idx)
     return ReductionScenario(scn, orbit, tuple((0, oi) for oi in level_idx), arrow_pairs)
 
 

@@ -126,6 +126,46 @@ def test_each_object_is_assembled_once_per_datum(circle1, monkeypatch, tangent):
     assert escaped == [tangent] * len(objects)
 
 
+@pytest.mark.parametrize("tangent", [False, True])
+def test_each_assembled_map_is_tested_for_surjectivity_once(circle1, torus1, monkeypatch,
+                                                            tangent):
+    # is_coisotropic (twice, as is_strong and transfer run it), chain_map_check
+    # and the Hamiltonian check read the datum's surjections, so image(mat)
+    # is computed once per assembled map, and not at all where the assembly
+    # raised ImageEscapesL
+    from diraclab import coisotropic
+    datum = (circle1 if tangent else torus1).datum
+    dirac = tuple(tangent_dirac(2) for _ in datum.dirac) if tangent else datum.dirac
+    fresh = CoisotropicDatum(datum.morphism, dirac, name=datum.name)
+    mats = {id(a[0]) for a in fresh.assemblies if not isinstance(a, ImageEscapesL)}
+    imaged = []
+    monkeypatch.setattr(coisotropic, "image",
+                        lambda f, *s: imaged.append(id(f)) or image(f, *s))
+    assert is_strong(fresh).passed != tangent
+    assert is_coisotropic(fresh).passed != tangent
+    assert sc.hamiltonian_check(fresh).passed != tangent
+    for i in range(len(fresh.c_bundle.objects)):
+        chain_map_check(fresh, i)
+    assert sorted(i for i in imaged if i in mats) == sorted(mats)
+    assert len(mats) == (0 if tangent else len(fresh.c_bundle.objects))
+
+
+@pytest.mark.parametrize("tangent", [False, True])
+def test_surjections_are_a_view_kept_on_the_datum(circle1, tangent):
+    datum = circle1.datum
+    dirac = tuple(tangent_dirac(2) for _ in datum.dirac) if tangent else datum.dirac
+    fresh = CoisotropicDatum(datum.morphism, dirac, name=datum.name)
+    surjections = fresh.surjections
+    assert fresh.surjections is surjections
+    for assembly, surjection in zip(fresh.assemblies, surjections):
+        if isinstance(assembly, ImageEscapesL):
+            assert surjection is None
+        else:
+            mat, fp = assembly
+            assert surjection == (image(mat), image(mat) == fp)
+    assert (None in surjections) == tangent
+
+
 def test_chain_map_two_characterizations(pair_bundle, circle1):
     for datum in (identity_datum(pair_bundle), circle1.datum):
         for i in range(min(2, len(datum.c_bundle.objects))):

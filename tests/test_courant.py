@@ -450,6 +450,15 @@ def test_kernel_of_matches_oracle(l):
     assert kernel_of(l) == oracle_kernel_of(l)
 
 
+@settings(max_examples=40, deadline=None)
+@given(dims.flatmap(dirac_fibers))
+def test_kernel_of_is_a_view_kept_on_the_fiber(l):
+    ker = kernel_of(l)
+    assert kernel_of(l) is ker
+    t, c = l.parts()
+    assert ker == image(t, kernel(c))
+
+
 @st.composite
 def non_bijective_maps(draw, n):
     """f = A B : Q^m -> Q^n of rank at most r < max(m, n), so f is not

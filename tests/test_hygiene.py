@@ -8,9 +8,10 @@ or dataclasses, verifying each scenario (and dumping or reducing one) loads
 only the diraclab modules it runs, no module uses dataclasses or the
 namedtuple constructors that skip validation, only the five relation
 operations and the matrix product are memoized, every memo returns an
-immutable record, every public function is reached from src or allowlisted
-with a reason, and every function the benchmark's traced run wraps exists
-in the module that defines it."""
+immutable record, every cached view is kept on a record, every public
+function is reached from src or allowlisted with a reason, and every
+function the benchmark's traced run wraps exists in the module that
+defines it."""
 
 import ast
 import importlib
@@ -390,6 +391,58 @@ def test_memo_sites_sees_every_form():
                      "    def p(self): pass\n"
                      "h = cache(len)\n")
     assert memo_sites(tree) == ["C.g", "f", "line 10"]
+
+
+def cached_views_off_records(tree: ast.Module) -> list[str]:
+    """Every use of functools.cached_property that does not decorate a
+    method of a @record class, sorted: the qualified name of the function it
+    decorates, or "line N" for any other use.  A view computed once and kept
+    on the instance is sound only on a frozen value."""
+    on_records, decorates = set(), {}
+    for qual, node in qualified_defs(tree):
+        for dec in node.decorator_list:
+            decorates[id(dec)] = qual
+        if isinstance(node, ast.ClassDef) and any(
+                isinstance(d, ast.Name) and d.id == "record" for d in node.decorator_list):
+            on_records |= {id(dec) for fn in node.body
+                           if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                           for dec in fn.decorator_list}
+    uses = [n for n in ast.walk(tree)
+            if (isinstance(n, ast.Name) and n.id == "cached_property")
+            or (isinstance(n, ast.Attribute) and n.attr == "cached_property")]
+    return sorted(decorates.get(id(n), f"line {n.lineno}") for n in uses
+                  if id(n) not in on_records)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_cached_view_is_on_a_record(path):
+    assert cached_views_off_records(ast.parse(path.read_text())) == []
+
+
+def test_cached_views_off_records_sees_every_form():
+    tree = ast.parse("import functools\n"
+                     "from functools import cached_property\n"
+                     "@record\n"
+                     "class Frozen:\n"
+                     "    x: int\n"
+                     "    @cached_property\n"
+                     "    def view(self): pass\n"
+                     "    @functools.cached_property\n"
+                     "    def other(self): pass\n"
+                     "    def method(self):\n"
+                     "        class Inner:\n"
+                     "            @cached_property\n"
+                     "            def v(self): pass\n"
+                     "class Plain:\n"
+                     "    @functools.cached_property\n"
+                     "    def view(self): pass\n"
+                     "@other\n"
+                     "class Decorated:\n"
+                     "    @cached_property\n"
+                     "    def view(self): pass\n"
+                     "view = cached_property(len)\n")
+    assert cached_views_off_records(tree) == [
+        "Decorated.view", "Frozen.method.Inner.v", "Plain.view", "line 21"]
 
 
 MUTABLE = {"list", "dict", "set"}

@@ -128,6 +128,14 @@ def test_double_annihilator(s):
 
 @settings(max_examples=60, deadline=None)
 @given(subspaces())
+def test_matrix_is_a_view_kept_on_the_subspace(s):
+    m = s.matrix()
+    assert s.matrix() is m
+    assert m == LinMap.from_cols(s.basis, rows_dim=s.ambient_dim)
+
+
+@settings(max_examples=60, deadline=None)
+@given(subspaces())
 def test_canonicalize_idempotent(s):
     assert canonicalize(list(s.basis), s.ambient_dim) == s
 

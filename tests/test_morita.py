@@ -11,14 +11,16 @@ from diraclab import coisotropic, morita, scenarios as sc
 from diraclab.coisotropic import CoisotropicDatum, identity_datum
 from diraclab.courant import ThreeFormFiber, TwoFormFiber, tangent_dirac
 from diraclab.groupoid import GroupoidFiberBundle, MorphismFiber, identity_morphism
-from diraclab.linalg import LinMap
+from diraclab.linalg import LinMap, solve
 from diraclab.morita import (
     ChainSample,
     _pushed_back,
+    curvature_defect_check,
     descend_dirac,
     gauge_twist_equivalence,
     homotopy_identities,
     random_connection,
+    sigma_ad_check,
     symplectic_morita_check,
     transfer,
     transfer_composition_check,
@@ -232,6 +234,35 @@ def test_composition_stops_at_a_failing_first_leg(torus1):
     assert statuses(rep, "composition.leg2") == []
     assert statuses(rep, "composition.gauge") == []
     assert rep.records[-len(leg1.report.records):] == leg1.report.records
+    # the FAIL names the first leg's failing checks, with their counts
+    leg = next(r for r in rep.records if r.check_id == "composition.leg1")
+    assert leg.witness == {"failing": dict(Counter(r.check_id
+                                                   for r in leg1.report.failures()))}
+    assert leg.witness["failing"]
+
+
+def test_composition_stops_at_a_failing_second_leg(torus1):
+    # the second equivalence's stored connecting form is shifted at K-object
+    # 0, so its transfer.delta check fails there while the first leg passes
+    datum, m1, m2, chain = torus_chain(torus1)
+    n = m2.delta[0].dim
+    shift = [[0] * n for _ in range(n)]
+    shift[0][1], shift[1][0] = 1, -1
+    bad_delta = m2.delta[0].add(TwoFormFiber(LinMap.from_rows(shift)))
+    m2 = replace(m2, delta=(bad_delta,) + m2.delta[1:])
+    l1 = list(datum.dirac)
+    leg1 = transfer(m1, l1, roundtrip=False)
+    assert leg1.report.passed
+    leg2 = transfer(m2, list(leg1.dirac), roundtrip=False)
+    assert "transfer.delta" in {r.check_id for r in leg2.report.failures()}
+    rep = transfer_composition_check(m1, m2, chain, l1, leg1)
+    assert statuses(rep, "composition.leg1") == []
+    assert statuses(rep, "composition.leg2") == [FAIL]
+    assert statuses(rep, "composition.gauge") == []
+    assert rep.records[-len(leg2.report.records):] == leg2.report.records
+    leg = next(r for r in rep.records if r.check_id == "composition.leg2")
+    assert leg.witness == {"failing": dict(Counter(r.check_id
+                                                   for r in leg2.report.failures()))}
 
 
 def descent_data(torus1):
@@ -311,3 +342,45 @@ def test_a_corrupted_theta_star_fails_the_structure_identity():
     assert failed == {("homotopy.structure", "object 0"),
                       ("homotopy.prop.tangent", "object 0"),
                       ("homotopy.inverse", "object 0")}
+
+
+# ---------------------------------------------------------------------------
+# the adjoints are views kept on each connection
+
+def pair_connections(bundle, seed=0):
+    rng = random.Random(seed)
+    return {k: random_connection(bundle, k, rng) for k in range(len(bundle.arrows))}
+
+
+def test_the_adjoints_are_views_kept_on_the_connection(pair_bundle):
+    for k, cf in pair_connections(pair_bundle).items():
+        ar = pair_bundle.arrows[k]
+        rho = pair_bundle.objects[ar.src].rho
+        assert (cf.arrow, cf.fiber, cf.src_rho) == (k, ar, rho)
+        views = (cf.ad_T, cf.ad_A, cf.sigma_check)
+        # a second read returns the same objects, each equal to a fresh
+        # computation from the arrow fiber
+        assert all(a is b for a, b in zip((cf.ad_T, cf.ad_A, cf.sigma_check), views))
+        assert views == (ar.t_star @ cf.tau,
+                         solve(ar.right, ar.left + cf.tau @ rho),
+                         solve(ar.right, LinMap.identity(ar.dim) - cf.tau @ ar.s_star))
+
+
+def test_the_adjoint_suite_solves_once_per_connection_and_map(monkeypatch):
+    # the pair n = 2 bundle of the shipped adjoint suite, run as the CLI runs
+    # it: each connection's Ad_A and sigma-check map are solved for at most
+    # once, and K(g, h) is computed once per pair
+    bundle = sc.build_pair_groupoid(2, num_objects=4)
+    conn = pair_connections(bundle)
+    solves, curvatures = [], []
+    monkeypatch.setattr(morita, "solve", lambda f, b: solves.append(1) or solve(f, b))
+    curvature = morita.basic_curvature
+    monkeypatch.setattr(morita, "basic_curvature",
+                        lambda bd, i, c: curvatures.append(i) or curvature(bd, i, c))
+    rep = sigma_ad_check(bundle, conn)
+    for i in range(len(bundle.pairs)):
+        rep.merge(curvature_defect_check(bundle, i, conn))
+    assert rep.passed, rep.failures()
+    assert 0 < len(solves) <= 2 * len(conn)
+    assert curvatures == list(range(len(bundle.pairs)))
+
