@@ -28,6 +28,20 @@ and the modules they load (linalg, courant, records, report).  Then:
   ``dump_bundle``, ``dump_datum`` and ``cmd_reduce`` import it when they
   run.  Its loaders import groupoid and coisotropic.  verify and list never
   load it.
+
+Process entry: ``run`` is the one entry of a process, for both
+``python -m diraclab.cli`` and the installed ``diraclab`` script.  It runs
+``main`` with the cyclic collector off, then freezes the heap, so that the
+collection the interpreter forces at exit skips it, and exits with main's
+code.  That is safe because a command makes almost no cyclic garbage.  In a
+fresh interpreter each shipped ``verify``, and ``reduce`` on circle n = 2,
+leaves 159-164 objects in cycles, most of them the argument parser's, as
+``list`` does, while its tracked objects grow by 438 (so3) to 8,864
+(circle n = 2).  With the collector on, such a command ran up to 42 young
+and 3 middle collections and a full scan of the heap at exit, for those
+few objects.  tests/test_cli.py bounds that garbage.  ``main`` itself
+leaves the collector alone, so in-process callers (the tests, a traced
+run) keep it.  Only ``run`` touches gc.
 """
 
 from __future__ import annotations
@@ -504,5 +518,16 @@ def main(argv=None) -> int:
         return EXIT_BAD_INPUT
 
 
+def run() -> None:
+    """The process entry: main() with the cyclic collector off, then exit
+    with its code, the collector's heap frozen so that the collection at
+    interpreter exit skips it."""
+    import gc
+    gc.disable()
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -4,7 +4,9 @@ quotient chart and reduced-form oracle.
 
 Rotations come from the rational parametrization (1 - t^2, 2t)/(1 + t^2) of
 the circle, so differentials, translations and chart maps all stay in Q.
-The composable pairs of both groupoids come from composable().
+The composable pairs of both groupoids, and of the orbit restriction, come
+from composable(), run once per scenario: build_rotation_hamiltonian keeps
+its parameter positions as RotationScenario.triples.
 
 Sample points are Fraction tuples, and hashing one hashes each entry again,
 a modular inverse per Fraction.  build_rotation_hamiltonian therefore hashes
@@ -59,24 +61,31 @@ def compose_half_tangents(t1, t2):
     return (t1 + t2) / (1 - t1 * t2)
 
 
-def composable(ts_list):
-    """Yield (ts1, ts2, ts12) for the sampled rotation parameters, in ts_list
-    order, whose composite ts12 is off the angle-pi chart boundary and is
-    itself sampled."""
-    for ts1 in ts_list:
-        for ts2 in ts_list:
+def composable(ts_list) -> tuple:
+    """The positions (t1, t2, t12) in ts_list of the sampled rotation
+    parameters ts1, ts2, in ts_list order, whose composite ts12 is off the
+    angle-pi chart boundary and is itself sampled, at position t12."""
+    pos = {ts: i for i, ts in enumerate(ts_list)}
+    out = []
+    for t1, ts1 in enumerate(ts_list):
+        for t2, ts2 in enumerate(ts_list):
             try:
                 ts12 = tuple(compose_half_tangents(a, b) for a, b in zip(ts1, ts2))
             except ValueError:
                 continue
-            if ts12 in ts_list:
-                yield ts1, ts2, ts12
+            t12 = pos.get(ts12)
+            if t12 is not None:
+                out.append((t1, t2, t12))
+    return tuple(out)
 
 
-def build_cotangent_torus(points, ts_tuples, name: str) -> tuple[GroupoidFiberBundle, dict]:
+def build_cotangent_torus(points, ts_tuples, triples,
+                          name: str) -> tuple[GroupoidFiberBundle, dict]:
     """T*T^k over R^k, k = len(points[0]): objects are the moment levels xi,
-    arrows carry (rotation, xi), one per level and parameter tuple.  Returns
-    the bundle and its arrow index, (level index, parameter tuple) -> arrow.
+    arrows carry (rotation, xi), one per level and parameter tuple, and the
+    pairs are the triples, composable(ts_tuples), at each level.  Returns
+    the bundle and its arrow index, (level index, parameter tuple) -> arrow;
+    the arrow at (li, ts_tuples[ti]) is arrow li * len(ts_tuples) + ti.
 
     In the basis (dtheta, dxi): rho = 0, sigma = -I, and the 2-form is
     omega = sum dxi_i ^ dtheta_i; s_* = t_* project onto dxi.
@@ -103,10 +112,9 @@ def build_cotangent_torus(points, ts_tuples, name: str) -> tuple[GroupoidFiberBu
 
     # (angles_g, xi_g, angles_h, xi_h) -> (angles_g + angles_h, xi_g)
     m = hstack(hstack(LinMap.identity(2 * k), trans), LinMap.zero(2 * k, k))
-    triples = list(composable(ts_list))
-    pairs = tuple(make_pair(arrows, index[(li, ts1)], index[(li, ts2)],
-                            index[(li, ts12)], m)
-                  for li in range(len(points)) for ts1, ts2, ts12 in triples)
+    nts = len(ts_list)
+    pairs = tuple(make_pair(arrows, li * nts + t1, li * nts + t2, li * nts + t12, m)
+                  for li in range(len(points)) for t1, t2, t12 in triples)
     return GroupoidFiberBundle(objects, arrows, pairs, name=name), index
 
 
@@ -185,6 +193,7 @@ class RotationScenario:
     datum: CoisotropicDatum
     circles: tuple             # rotated blocks, one entry per circle factor
     ts_tuples: tuple
+    triples: tuple             # composable(ts_tuples), positions in ts_tuples
     obj_index: dict            # point -> action-bundle object index
     arrow_at: dict             # (point, ts) -> action-bundle arrow index
     g_index: dict              # moment tuple -> base object index
@@ -219,10 +228,11 @@ def build_rotation_hamiltonian(points: list[Vec], circles: list[list[int]],
     k = len(circles)
     ts_tuples = [tuple(frac(t) for t in ts) for ts in ts_tuples]
     nts = len(ts_tuples)
+    triples = composable(ts_tuples)
 
     g_points = sorted({moment_of(p, circles) for p in points})
     g_index = {m: i for i, m in enumerate(g_points)}
-    g_bundle, g_arrow_index = build_cotangent_torus(g_points, ts_tuples,
+    g_bundle, g_arrow_index = build_cotangent_torus(g_points, ts_tuples, triples,
                                                     name=f"{name}.base")
     g_arrows = [[g_arrow_index[(li, ts)] for ts in ts_tuples]
                 for li in range(len(g_points))]
@@ -307,9 +317,6 @@ def build_rotation_hamiltonian(points: list[Vec], circles: list[list[int]],
 
     # (angles_g, w_g, angles_h, w_h) -> (angles_g + angles_h, w_h)
     m = hstack(block_diag(ident_k, LinMap.zero(n2, n2)), LinMap.identity(k + n2))
-    ts_pos = {ts: ti for ti, ts in enumerate(ts_tuples)}
-    triples = [(ts_pos[ts1], ts_pos[ts2], ts_pos[ts12])
-               for ts1, ts2, ts12 in composable(ts_tuples)]
     pairs = tuple(make_pair(arrows, rotated[i][t2] * nts + t1, i * nts + t2,
                             i * nts + t12, m)
                   for i in range(n0) for t1, t2, t12 in triples)
@@ -321,7 +328,7 @@ def build_rotation_hamiltonian(points: list[Vec], circles: list[list[int]],
     arrow_at = {(pts[i], ts): i * nts + ti
                 for i in range(n_base) for ti, ts in enumerate(ts_tuples)}
     return RotationScenario(CoisotropicDatum(morph, dirac, name=name),
-                            tuple(tuple(b) for b in circles), tuple(ts_tuples),
+                            tuple(tuple(b) for b in circles), tuple(ts_tuples), triples,
                             obj_index, arrow_at, g_index, g_arrow_index)
 
 

@@ -155,7 +155,6 @@ def circle_orbit_datum(scn: RotationScenario, level) -> CoisotropicDatum:
     from .coisotropic import orbit_lagrangian
     from .groupoid import (ArrowFiber, GroupoidFiberBundle, MorphismFiber, ObjectFiber,
                            make_pair)
-    from .rotation import composable
     k = len(scn.circles)
     level = (frac(level),) if k == 1 else tuple(frac(x) for x in level)
     g_bundle = scn.datum.g_bundle
@@ -173,10 +172,7 @@ def circle_orbit_datum(scn: RotationScenario, level) -> CoisotropicDatum:
     c1 = (vstack(ident, LinMap.zero(ob_g.dim, k)),) * len(arrows)
 
     m = hstack(LinMap.identity(k), LinMap.identity(k))   # (v_g, v_h) -> v_g + v_h
-    ts_list = list(scn.ts_tuples)
-    pairs = tuple(make_pair(arrows, ts_list.index(ts1), ts_list.index(ts2),
-                            ts_list.index(ts12), m)
-                  for ts1, ts2, ts12 in composable(ts_list))
+    pairs = tuple(make_pair(arrows, t1, t2, t12, m) for t1, t2, t12 in scn.triples)
     c_bundle = GroupoidFiberBundle((obj,), arrows, pairs,
                                    name=f"{scn.datum.name}.orbit")
     morph = MorphismFiber(c_bundle, g_bundle, (li,), (LinMap.zero(ob_g.dim, 0),),
@@ -400,7 +396,10 @@ def pair_nat_trans_fixture(n: int = 2) -> NatTransFixture:
 
 def circle_nat_trans_fixture(level) -> NatTransFixture:
     """On the circle action groupoid over a 90-degree-closed orbit, the
-    rotation by the group element t = 1 is homotopic to the identity."""
+    rotation by the group element t = 1 is homotopic to the identity.
+
+    Every rotated point is read from the arrows the builder made: the arrow
+    by t = 1 from an object ends at the object of its rotated point."""
     from .groupoid import MorphismFiber, identity_morphism
     from .morita import NatTransFiber
     from .rotation import (build_rotation_hamiltonian, circle_point, rational_sqrt,
@@ -410,41 +409,33 @@ def circle_nat_trans_fixture(level) -> NatTransFixture:
     r = rational_sqrt(2 * level)
     base = (r, F(0))
     orbit = [base, (F(0), r), (-r, F(0)), (F(0), -r)]
-    scn = build_rotation_hamiltonian([vec(*p) for p in orbit], [[0]],
-                                     [(F(0),), (F(1),), (F(-1),)],
+    ts_tuples = [(F(0),), (F(1),), (F(-1),)]
+    by_one, by_minus_one = 1, 2     # positions in ts_tuples
+    scn = build_rotation_hamiltonian([vec(*p) for p in orbit], [[0]], ts_tuples,
                                      name="circle.nat", pulled_omega=True)
     bundle = scn.datum.c_bundle
     rot = rotation_for_circle(*circle_point(1), [0], 2)
 
-    obj_map = []
-    c0 = []
-    cA = []
-    inv = {i: p for p, i in scn.obj_index.items()}
-    for i in range(len(bundle.objects)):
-        q = rot.apply(inv[i])
-        obj_map.append(scn.obj_index[q])
-        c0.append(rot)
-        cA.append(LinMap.identity(1))
-    arrow_map = []
-    c1 = []
-    arrow_inv = {ix: key for key, ix in scn.arrow_at.items()}
-    for a in range(len(bundle.arrows)):
-        p, ts = arrow_inv[a]
-        arrow_map.append(scn.arrow_at[(rot.apply(p), ts)])
-        c1.append(block_diag(LinMap.identity(1), rot))
-    g = MorphismFiber(bundle, bundle, tuple(obj_map), tuple(c0), tuple(cA),
-                      tuple(arrow_map), tuple(c1))
+    # the orbit is closed under the rotations, so every object is an arrow
+    # base; arrow i * len(ts_tuples) + ti is at parameter position ti
+    nts = len(ts_tuples)
+    at = {(ar.src, a % nts): a for a, ar in enumerate(bundle.arrows)}
+    objects = range(len(bundle.objects))
+    obj_map = tuple(bundle.arrows[at[i, by_one]].tgt for i in objects)
+    arrow_map = tuple(at[obj_map[ar.src], a % nts] for a, ar in enumerate(bundle.arrows))
+    g = MorphismFiber(bundle, bundle, obj_map, (rot,) * len(objects),
+                      (LinMap.identity(1),) * len(objects), arrow_map,
+                      (block_diag(LinMap.identity(1), rot),) * len(arrow_map))
     f = identity_morphism(bundle)
 
     theta = {}
     eta = {}
     inverse_pairs = {}
     n2 = 2
-    for i in range(len(bundle.objects)):
-        p = inv[i]
-        th_arrow = scn.arrow_at[(p, (F(1),))]
+    for i in objects:
+        th_arrow = at[i, by_one]
         theta[i] = NatTransFiber(th_arrow, vstack(LinMap.zero(1, n2), LinMap.identity(n2)))
-        et_arrow = scn.arrow_at[(rot.apply(p), (F(-1),))]
+        et_arrow = at[obj_map[i], by_minus_one]
         eta[i] = NatTransFiber(et_arrow, vstack(LinMap.zero(1, n2), rot))
         for k, pr in enumerate(bundle.pairs):
             if pr.g == th_arrow and pr.h == et_arrow:

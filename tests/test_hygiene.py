@@ -8,10 +8,10 @@ or dataclasses, verifying each scenario (and dumping or reducing one) loads
 only the diraclab modules it runs, no module uses dataclasses or the
 namedtuple constructors that skip validation, only the five relation
 operations and the matrix product are memoized, every memo returns an
-immutable record, every cached view is kept on a record, every public
-function is reached from src or allowlisted with a reason, and every
-function the benchmark's traced run wraps exists in the module that
-defines it."""
+immutable record, every cached view is kept on a record, only the process
+entry cli.run touches the cyclic collector, every public function is
+reached from src or allowlisted with a reason, and every function the
+benchmark's traced run wraps exists in the module that defines it."""
 
 import ast
 import importlib
@@ -443,6 +443,46 @@ def test_cached_views_off_records_sees_every_form():
                      "view = cached_property(len)\n")
     assert cached_views_off_records(tree) == [
         "Decorated.view", "Frozen.method.Inner.v", "Plain.view", "line 21"]
+
+
+def gc_sites(tree: ast.Module) -> list[str]:
+    """Every import of gc and every use of the name gc or the string "gc",
+    sorted: the qualified name of the innermost function or class it is in,
+    or "line N" at module level."""
+    owner = {}
+    for qual, node in qualified_defs(tree):
+        owner.update((id(n), qual) for n in ast.walk(node))
+    uses = [n for n in ast.walk(tree)
+            if (isinstance(n, ast.Import) and any(a.name == "gc" for a in n.names))
+            or (isinstance(n, ast.ImportFrom) and n.module == "gc")
+            or (isinstance(n, ast.Name) and n.id == "gc")
+            or (isinstance(n, ast.Constant) and n.value == "gc")]
+    return sorted(owner.get(id(n), f"line {n.lineno}") for n in uses)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_the_process_entry_touches_the_collector(path):
+    # cli.run keeps the collector off for a whole process; anywhere else a
+    # gc call would be a second policy, or a knob, and in-process callers
+    # of main() keep the collector on
+    allowed = {"run"} if path.stem == "cli" else set()
+    assert set(gc_sites(ast.parse(path.read_text()))) <= allowed
+
+
+def test_gc_sites_sees_every_form():
+    tree = ast.parse("import gc\n"
+                     "def f():\n"
+                     "    import gc as g\n"
+                     "    g.collect()\n"
+                     "class C:\n"
+                     "    def m(self):\n"
+                     "        from gc import freeze\n"
+                     "def run():\n"
+                     "    gc.disable()\n"
+                     "    def inner():\n"
+                     "        return gc.isenabled()\n"
+                     "x = __import__('gc')\n")
+    assert gc_sites(tree) == ["C.m", "f", "line 1", "line 12", "run", "run.inner"]
 
 
 MUTABLE = {"list", "dict", "set"}

@@ -153,9 +153,9 @@ def point_keyed_order(points, circles, ts_tuples):
         for ts in ts_tuples:
             arrows.append((p, ts))
             ends.append((objects.index(p), objects.index(rot[ts].apply(p))))
-    pairs = [(arrows.index((rot[ts2].apply(p), ts1)), arrows.index((p, ts2)),
-              arrows.index((p, ts12)))
-             for p in sampled for ts1, ts2, ts12 in composable(list(ts_tuples))]
+    pairs = [(arrows.index((rot[ts_tuples[t2]].apply(p), ts_tuples[t1])),
+              arrows.index((p, ts_tuples[t2])), arrows.index((p, ts_tuples[t12])))
+             for p in sampled for t1, t2, t12 in composable(ts_tuples)]
     return objects, arrows, ends, pairs
 
 

@@ -1,7 +1,9 @@
 """Scenario builders: the cotangent-torus builder against the closed forms of
-T*S^1 and T*T^2, the composable-pair enumerator, the rotation generator, the
-rotation builder's one application of each rotation to each point, the
-terminal morphism to the point, and the exact rational square root."""
+T*S^1 and T*T^2, the composable-pair enumerator and its one run per
+scenario, the rotation generator, the rotation builder's one application of
+each rotation to each point, the circle natural-transformation fixture
+against a lookup by value, the terminal morphism to the point, and the
+exact rational square root."""
 
 from collections import Counter
 from fractions import Fraction
@@ -10,9 +12,9 @@ import pytest
 
 from diraclab import scenarios as sc
 from diraclab.groupoid import MorphismFiber, morphism_to_point, point_bundle
-from diraclab.linalg import LinMap
-from diraclab.rotation import (build_cotangent_torus, circle_point, composable, rational_sqrt,
-                               rotation_for_circle, sum_blocks)
+from diraclab.linalg import LinMap, block_diag, vec
+from diraclab.rotation import (build_cotangent_torus, build_rotation_hamiltonian, circle_point,
+                               composable, rational_sqrt, rotation_for_circle, sum_blocks)
 
 F = Fraction
 
@@ -44,18 +46,19 @@ TS_PAIRS = [(0, 0, 0), (0, F(1, 2), F(1, 2)), (0, F(-1, 2), F(-1, 2)), (0, 1, 1)
 
 
 def test_composable_keeps_sampled_composites_in_order():
-    got = list(composable([(F(t),) for t in TS]))
-    assert got == [tuple((F(t),) for t in triple) for triple in TS_PAIRS]
+    assert composable([(F(t),) for t in TS]) == tuple(
+        tuple(TS.index(t) for t in triple) for triple in TS_PAIRS)
 
 
 def test_composable_skips_the_chart_boundary_in_any_factor():
-    a, b, c, d = [(F(0), F(0)), (F(1), F(0)), (F(1), F(-1)), (F(0), F(-1))]
+    a, b, c, d = range(4)
+    ts_list = [(F(0), F(0)), (F(1), F(0)), (F(1), F(-1)), (F(0), F(-1))]
     # b.b, b.c, c.b, c.c, c.d, d.c and d.d hit t1 * t2 = 1 in some factor
-    assert list(composable([a, b, c, d])) == [
+    assert composable(ts_list) == (
         (a, a, a), (a, b, b), (a, c, c), (a, d, d),
         (b, a, b), (b, d, c),
         (c, a, c),
-        (d, a, d), (d, b, c)]
+        (d, a, d), (d, b, c))
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -63,7 +66,8 @@ def test_cotangent_torus_is_the_closed_form(k):
     cf = {key: LinMap.from_rows(rows) for key, rows in CLOSED_FORMS[k].items()}
     levels = [(F(1, 2),) * k, (F(2),) * k]
     ts_list = [(F(t),) * k for t in TS]
-    bundle, arrow_index = build_cotangent_torus(levels, ts_list, name="t")
+    bundle, arrow_index = build_cotangent_torus(levels, ts_list, composable(ts_list),
+                                                name="t")
     assert arrow_index == {(li, ts): li * len(ts_list) + ti
                            for li in range(len(levels)) for ti, ts in enumerate(ts_list)}
     for ob in bundle.objects:
@@ -102,7 +106,12 @@ def test_sum_blocks_is_the_rotation_generator_on_its_blocks():
                for q, g in zip(quotient, sum_blocks(p, [1])))
 
 
-@pytest.mark.parametrize("build", [sc.circle_scenario, sc.circle_reduction])
+def circle_nat_trans_fixture(_n, level):
+    return sc.circle_nat_trans_fixture(level)
+
+
+@pytest.mark.parametrize("build", [sc.circle_scenario, sc.circle_reduction,
+                                   circle_nat_trans_fixture])
 def test_each_rotation_is_applied_to_each_point_once(monkeypatch, build):
     applied, apply = Counter(), LinMap.apply
 
@@ -113,6 +122,50 @@ def test_each_rotation_is_applied_to_each_point_once(monkeypatch, build):
     build(2, F(1, 2))
     assert applied
     assert [key for key, count in applied.items() if count > 1] == []
+
+
+@pytest.mark.parametrize("build", [
+    lambda: sc.circle_orbit_datum(sc.circle_scenario(2, F(1, 2)), F(1, 2)),
+    lambda: sc.circle_reduction(2, F(1, 2)),
+    lambda: sc.circle_nat_trans_fixture(F(1, 2)),
+    lambda: sc.torus_scenario([(F(3, 5), F(4, 5), 1, 0)])],
+    ids=["circle-and-orbit", "reduction", "nat-trans", "torus"])
+def test_each_scenario_finds_its_composable_triples_once(monkeypatch, build):
+    # the cotangent torus, the action groupoid and the orbit restriction
+    # share one parameter list, so they share its triples
+    from diraclab import rotation
+    calls, find = [], rotation.composable
+
+    def counted(ts_list):
+        calls.append(ts_list)
+        return find(ts_list)
+    monkeypatch.setattr(rotation, "composable", counted)
+    build()
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("level", [F(1, 2), F(2), F(9, 8)])
+def test_the_nat_trans_fixture_rotates_each_point_as_a_lookup_by_value_does(level):
+    # the oracle rotates each point again and looks the rotate up by value
+    fx = sc.circle_nat_trans_fixture(level)
+    r = rational_sqrt(2 * level)
+    orbit = [vec(r, 0), vec(0, r), vec(-r, 0), vec(0, -r)]
+    scn = build_rotation_hamiltonian(orbit, [[0]], [(F(0),), (F(1),), (F(-1),)],
+                                     name="circle.nat", pulled_omega=True)
+    rot = rotation_for_circle(*circle_point(1), [0], 2)
+    point = {i: p for p, i in scn.obj_index.items()}
+    arrow_key = {a: key for key, a in scn.arrow_at.items()}
+    assert fx.g.dom == fx.g.cod == scn.datum.c_bundle
+    assert fx.g.obj_map == tuple(scn.obj_index[rot.apply(point[i])]
+                                 for i in range(len(point)))
+    assert fx.g.arrow_map == tuple(scn.arrow_at[(rot.apply(arrow_key[a][0]), arrow_key[a][1])]
+                                   for a in range(len(arrow_key)))
+    assert fx.g.c0 == (rot,) * len(point)
+    assert fx.g.c1 == (block_diag(LinMap.identity(1), rot),) * len(arrow_key)
+    assert {i: th.arrow for i, th in fx.theta.items()} == {
+        i: scn.arrow_at[(p, (F(1),))] for i, p in point.items()}
+    assert {i: et.arrow for i, et in fx.eta.items()} == {
+        i: scn.arrow_at[(rot.apply(p), (F(-1),))] for i, p in point.items()}
 
 
 def test_morphism_to_point_sends_everything_to_the_unit(circle1):
