@@ -9,11 +9,13 @@ qs_report property, the per-arrow compatibility records are the datum's
 compatibility property, shared by is_coisotropic, is_strong and the
 Hamiltonian check, and the per-object non-degeneracy maps are the datum's
 assemblies property, shared by is_coisotropic, chain_map_check and the
-Hamiltonian check.  chain_map_check reads its image-in-L verdict there too:
-an assembly that raised ImageEscapesL is its failure, with the same column
-as witness.  Whether each assembled map is onto its fiber product is
-decided once too, in the datum's surjections property, which keeps the
-image that is_coisotropic's witness reads; all three readers share it.
+Hamiltonian check.  Each is one Assembly record: the assembled map, a
+column of (rho_C, c*sigma c_*) that leaves L or None, and, where none
+leaves, its codomain L x_c A_G, its image and whether it is onto.  All three
+readers take the verdicts from it: a column that escapes is the failure of
+coisotropic non-degeneracy and of chain_map_check's image-in-L record, with
+that column as witness, and an escape is no surjection for the Hamiltonian
+equivalence.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .courant import (
     ThreeFormFiber,
     TwoFormFiber,
     graph_two_form,
-    kernel_of,
     pullback,
 )
 from .groupoid import (
@@ -39,6 +40,7 @@ from .linalg import (
     DimensionMismatch,
     LinMap,
     Subspace,
+    Vec,
     block_diag,
     fiber_product,
     full_subspace,
@@ -94,51 +96,37 @@ class CoisotropicDatum:
             for k, ar in enumerate(c.dom.arrows))
 
     @cached_property
-    def assemblies(self) -> tuple:
-        """The nondeg_assembly of each C-object, in object order, or the
-        ImageEscapesL it raised there, computed once for this datum."""
-        out = []
-        for i in range(len(self.c_bundle.objects)):
-            try:
-                out.append(nondeg_assembly(self, i))
-            except ImageEscapesL as e:
-                out.append(e.with_traceback(None))   # keep no frames alive
-        return tuple(out)
-
-    @cached_property
-    def surjections(self) -> tuple:
-        """Per C-object, in object order: (im, im == fp) for the image im of
-        the assembled map and its fiber product fp, or None where the
-        assembly raised ImageEscapesL; decided once for this datum."""
-        out = []
-        for assembly in self.assemblies:
-            if isinstance(assembly, ImageEscapesL):
-                out.append(None)
-                continue
-            mat, fp = assembly
-            im = image(mat)
-            out.append((im, im == fp))
-        return tuple(out)
+    def assemblies(self) -> tuple[Assembly, ...]:
+        """The nondeg_assembly of each C-object, in object order, computed
+        once for this datum."""
+        return tuple(nondeg_assembly(self, i) for i in range(len(self.c_bundle.objects)))
 
 
-class ImageEscapesL(ValueError):
-    """im(rho_C, c*sigma c_*) is not contained in L: the compatibility
-    precondition of the non-degeneracy map fails upstream.  column is a
-    column of (rho_C, c*sigma c_*) that leaves L."""
+@record
+class Assembly:
+    """The non-degeneracy map A_C -> L x_c A_G at the C-object obj, and
+    whether it is onto.
 
-    def __init__(self, message: str, column):
-        super().__init__(message)
-        self.column = column
-
-
-def nondeg_assembly(datum: CoisotropicDatum, obj_idx: int):
-    """The map A_C -> L x_c A_G at one object, with its codomain.
-
-    Returns (matrix, fiber_product) where the matrix sends A_C into
-    Q^{2 n_C + r_G} coordinates (v, alpha, a) and the fiber product is the
-    subspace of the same ambient cut by the two linear conditions and
-    membership of (v, alpha) in L.
+    mat sends A_C into Q^{2 n_C + r_G} coordinates (v, alpha, a).  escape is
+    a column of its (rho_C, c*sigma c_*) rows that leaves L, or None.  Where
+    a column escapes the map has no codomain: fp and im are None and onto is
+    False.  Otherwise fp is the fiber product L x_c A_G, the subspace of the
+    same ambient cut by the two linear conditions and membership of
+    (v, alpha) in L, im is the image of mat and onto is im == fp.
     """
+
+    obj: int
+    mat: LinMap
+    escape: Vec | None
+    fp: Subspace | None
+    im: Subspace | None
+    onto: bool
+
+
+def nondeg_assembly(datum: CoisotropicDatum, obj_idx: int) -> Assembly:
+    """The non-degeneracy map at one object, its codomain and whether it is
+    onto, as an Assembly record; an image that leaves L is recorded there,
+    not raised."""
     c = datum.morphism
     ob_c = c.dom.objects[obj_idx]
     ob_g = c.cod.objects[c.obj_map[obj_idx]]
@@ -150,15 +138,24 @@ def nondeg_assembly(datum: CoisotropicDatum, obj_idx: int):
     mat = vstack(vstack(ob_c.rho, sig_pull), cA)
     first = mat.row_block(0, 2 * n)
     if l.space.coords(first) is None:
-        raise ImageEscapesL(f"object {obj_idx}: image of (rho_C, c*sigma c_*) leaves L",
-                            next(v for v in first.col_vectors() if not l.space.contains(v)))
+        escape = next(v for v in first.col_vectors() if not l.space.contains(v))
+        return Assembly(obj_idx, mat, escape, None, None, False)
 
     # fiber product over (x, a), with (v, alpha) = (T x, C x) in L:
     # c0 v = rho_G a and alpha = c0^T sigma a
-    t, cot = l.parts()
-    fp = fiber_product(vstack(c0 @ t, cot),
-                       vstack(ob_g.rho, c0.transpose() @ ob_g.sigma))
-    return mat, image(block_diag(l.space.matrix(), LinMap.identity(r_g)), fp)
+    t, cot = l.parts
+    fp = image(block_diag(l.space.matrix, LinMap.identity(r_g)),
+               fiber_product(vstack(c0 @ t, cot),
+                             vstack(ob_g.rho, c0.transpose() @ ob_g.sigma)))
+    im = image(mat)
+    return Assembly(obj_idx, mat, None, fp, im, im == fp)
+
+
+def _add_escape(rep: VerificationReport, check_id: str, a: Assembly) -> None:
+    """Record under check_id that a column of (rho_C, c*sigma c_*) leaves L
+    at a's object, with that column as witness."""
+    rep.add(check_id, False, detail=f"object {a.obj}: image of (rho_C, c*sigma c_*) leaves L",
+            witness=witness_vector(a.escape))
 
 
 def is_coisotropic(datum: CoisotropicDatum) -> VerificationReport:
@@ -182,19 +179,16 @@ def is_coisotropic(datum: CoisotropicDatum) -> VerificationReport:
     for k, r in enumerate(datum.compatibility):
         rep.records.append(replace(r, detail=f"arrow {k}: " + r.detail))
 
-    for i, assembly in enumerate(datum.assemblies):
-        if isinstance(assembly, ImageEscapesL):
-            rep.add("coiso.nondeg", False, detail=str(assembly),
-                    witness=witness_vector(assembly.column))
+    for a in datum.assemblies:
+        if a.escape is not None:
+            _add_escape(rep, "coiso.nondeg", a)
             continue
-        _, fp = assembly
-        im, ok = datum.surjections[i]
         wit = None
-        if not ok:
-            missing = [v for v in fp.basis if not im.contains(v)]
-            wit = witness_vector(missing[0]) if missing else witness_subspace(im)
-        rep.add("coiso.nondeg", ok,
-                detail=f"object {i}: (rho_C, c*sigma c_*, c_*) onto L x_c A_G",
+        if not a.onto:
+            missing = [v for v in a.fp.basis if not a.im.contains(v)]
+            wit = witness_vector(missing[0]) if missing else witness_subspace(a.im)
+        rep.add("coiso.nondeg", a.onto,
+                detail=f"object {a.obj}: (rho_C, c*sigma c_*, c_*) onto L x_c A_G",
                 witness=wit)
     return rep
 
@@ -248,18 +242,16 @@ def chain_map_check(datum: CoisotropicDatum, obj_idx: int) -> VerificationReport
     n, r_c = ob_c.dim, ob_c.adim
     c0, cA = c.c0[obj_idx], c.cA[obj_idx]
 
-    p_t, p_tstar = l.parts()            # L-coords -> T, L-coords -> T*
+    p_t, p_tstar = l.parts            # L-coords -> T, L-coords -> T*
 
     # top row; the assembly decided whether (rho_C, c*sigma c_*) lands in L
-    assembly = datum.assemblies[obj_idx]
-    if isinstance(assembly, ImageEscapesL):
-        rep.add("chain_map.image_in_L", False, detail=str(assembly),
-                witness=witness_vector(assembly.column))
+    a = datum.assemblies[obj_idx]
+    if a.escape is not None:
+        _add_escape(rep, "chain_map.image_in_L", a)
         return rep
     rep.add("chain_map.image_in_L", True,
             detail=f"object {obj_idx}: image of (rho_C, c*sigma c_*) lies in L")
-    mat = assembly[0]
-    d1 = vstack(l.space.coords(mat.row_block(0, 2 * n)), cA)
+    d1 = vstack(l.space.coords(a.mat.row_block(0, 2 * n)), cA)
     d2 = hstack(c0 @ p_t, ob_g.rho.scale(-1))
     if not (d2 @ d1).is_zero():
         raise ValueError("d2 . d1 != 0")
@@ -294,8 +286,8 @@ def chain_map_check(datum: CoisotropicDatum, obj_idx: int) -> VerificationReport
     middle_iso = inj0 and surj0
 
     # the other characterization, computed from the assembled map
-    surjective = datum.surjections[obj_idx][1]
-    bijective = surjective and kernel(mat).dim == 0
+    surjective = a.onto
+    bijective = surjective and kernel(a.mat).dim == 0
 
     rep.add("chain_map.quasi_iso_iff_bijective", quasi_iso == bijective,
             detail=f"object {obj_idx}: quasi-isomorphism <=> bijection "
@@ -323,7 +315,7 @@ def orbit_lagrangian(c: MorphismFiber) -> CoisotropicDatum:
             raise ValueError("orbit sample: anchor image differs from orbit tangent")
         pairing = ob_g.sigma @ cA        # columns sigma(a_j) in T_G*
         # <sigma z, rho b> = 0 for z in ker rho_C and every b
-        if not (rho_g_on_c.transpose() @ pairing @ kernel(ob_c.rho).matrix()).is_zero():
+        if not (rho_g_on_c.transpose() @ pairing @ kernel(ob_c.rho).matrix).is_zero():
             raise ValueError("orbit sample: gamma is not well-defined on rho(A)")
         # gamma in the abstract orbit coordinates: for basis u_k = c0(e_k),
         # pick a_k with rho_C a_k = e_k (the columns of a) and set
@@ -354,7 +346,7 @@ def zero_shifted_poisson_check(bundle: GroupoidFiberBundle,
                 {"arrow": k, **witness_difference(lhs.space, rhs.space)})
     for i, ob in enumerate(bundle.objects):
         im_rho = image(ob.rho)
-        ker_l = kernel_of(dirac[i])
+        ker_l = dirac[i].kernel
         contained, equal = im_rho.issubset(ker_l), im_rho == ker_l
         wit = None if equal else {"im_rho": witness_subspace(im_rho),
                                   "ker_L": witness_subspace(ker_l)}
@@ -384,8 +376,8 @@ def infinitesimal_coisotropic_check(cmaps: list[LinMap],
             rep.add_hypothesis_violation("infinitesimal.twist",
                                          "c*phi_M != phi_N at a sample")
             return rep
-        t_n, c_n = ln.parts()
-        t_m, c_m = lm.parts()
+        t_n, c_n = ln.parts
+        t_m, c_m = lm.parts
         fp = fiber_product(vstack(c @ t_n, c_n), vstack(t_m, c.transpose() @ c_m))
         ranks.append(fp.dim)
     rep.add("infinitesimal.constant_rank", len(set(ranks)) <= 1,

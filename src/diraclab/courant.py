@@ -19,10 +19,10 @@ Weinstein and Zhu, arXiv:math/0303180).
 Non-graphs take the relation-image path: sum, gauge (a sum with a graph)
 and pullback on a non-graph input, and pushforward on every input, are
 image(out, fiber_product(m1, m2)), taken in the basis coordinates of L:
-with (T, C) = L.parts() the tangent and cotangent components of L's basis,
+with (T, C) = L.parts the tangent and cotangent components of L's basis,
 an element of L is (T x, C x) for x in Q^n, so matching conditions are
-linear equations in x.  kernel_of is the image of a kernel in the same
-coordinates.
+linear equations in x.  L.kernel, ker L = L cap V, is the image of a kernel
+in the same coordinates.
 
 Memo: graph_two_form, dirac_sum and pullback (like linalg.fiber_product)
 are pure functions of frozen, hashable values, and a run asks for the same
@@ -34,9 +34,9 @@ built, and an exception is raised again on every call, never cached.  The
 closed forms on graphs go through graph_two_form, so equal forms share one
 fiber.  pushforward has no memo: a run repeats few of its inputs (11 of 46
 calls on the torus verify, none on the circle reduction), so a memo there
-saves nothing measurable.  DiracFiber.parts(), DiracFiber.form and the
-kernel that kernel_of returns are views: each is built on first read and
-kept on the frozen fiber, the way a memo keeps its result.
+saves nothing measurable.  DiracFiber.parts, DiracFiber.kernel and
+DiracFiber.form are views, read as attributes: each is built on first read
+and kept on the frozen fiber, the way a memo keeps its result.
 """
 
 from __future__ import annotations
@@ -215,20 +215,19 @@ class DiracFiber:
     def n(self) -> int:
         return self.space.ambient_dim // 2
 
-    def parts(self) -> tuple[LinMap, LinMap]:
-        """(T, C): the V and V* rows of space.matrix(), each an n x n map
-        from basis coordinates, so that L = {(T x, C x) : x in Q^n}."""
-        return self._parts
-
     @cached_property
-    def _parts(self) -> tuple[LinMap, LinMap]:
+    def parts(self) -> tuple[LinMap, LinMap]:
+        """(T, C): the V and V* rows of space.matrix, each an n x n map
+        from basis coordinates, so that L = {(T x, C x) : x in Q^n}."""
         n = self.n
-        m = self.space.matrix()
+        m = self.space.matrix
         return m.row_block(0, n), m.row_block(n, 2 * n)
 
     @cached_property
-    def _kernel(self) -> Subspace:
-        t, c = self.parts()
+    def kernel(self) -> Subspace:
+        """ker L = L cap V, as a subspace of Q^n: the image of the kernel
+        of C under T."""
+        t, c = self.parts
         return image(t, kernel(c))
 
     @cached_property
@@ -300,8 +299,8 @@ def dirac_sum(l1: DiracFiber, l2: DiracFiber) -> DiracFiber:
         raise DimensionMismatch("dirac_sum: base dim mismatch")
     if l1.form is not None and l2.form is not None:
         return graph_two_form(l1.form.add(l2.form))
-    t1, c1 = l1.parts()
-    t2, c2 = l2.parts()
+    t1, c1 = l1.parts
+    t2, c2 = l2.parts
     out = vstack(hstack(t1, LinMap.zero(l1.n, l1.n)), hstack(c1, c2))
     return DiracFiber(image(out, fiber_product(t1, t2)))
 
@@ -330,7 +329,7 @@ def pullback(f: LinMap, l: DiracFiber) -> DiracFiber:
         raise DimensionMismatch("pullback: map target must match fiber")
     if l.form is not None:
         return graph_two_form(l.form.pullback(f))
-    t, c = l.parts()
+    t, c = l.parts
     out = block_diag(LinMap.identity(f.cols), f.transpose() @ c)
     return DiracFiber(image(out, fiber_product(f, t)))
 
@@ -341,15 +340,9 @@ def pushforward(f: LinMap, l: DiracFiber) -> DiracFiber:
         raise DimensionMismatch("pushforward: map source must match fiber")
     if image(f).dim != f.rows:
         raise ValueError("pushforward requires a surjective map")
-    t, c = l.parts()
+    t, c = l.parts
     out = block_diag(f @ t, LinMap.identity(f.rows))
     return DiracFiber(image(out, fiber_product(c, f.transpose())))
-
-
-def kernel_of(l: DiracFiber) -> Subspace:
-    """ker L = L cap V, returned as a subspace of Q^n: a view kept on the
-    frozen fiber."""
-    return l._kernel
 
 
 def perp(s: Subspace) -> Subspace:
@@ -359,7 +352,7 @@ def perp(s: Subspace) -> Subspace:
         raise DimensionMismatch("perp needs an even ambient")
     n = s.ambient_dim // 2
     z, i = LinMap.zero(n, n), LinMap.identity(n)
-    return kernel(s.matrix().transpose() @ vstack(hstack(z, i), hstack(i, z)))
+    return kernel(s.matrix.transpose() @ vstack(hstack(z, i), hstack(i, z)))
 
 
 def is_lagrangian(s: Subspace) -> bool:
@@ -369,7 +362,7 @@ def is_lagrangian(s: Subspace) -> bool:
 def two_form_of(l: DiracFiber) -> TwoFormFiber:
     """Recover omega with L = graph(omega); a ValueError unless L cap V* = 0,
     that is unless T is invertible: then C T^-1 is the flat matrix omega^T."""
-    t, c = l.parts()
+    t, c = l.parts
     x = solve(t, LinMap.identity(l.n))
     if x is None:
         raise ValueError("fiber is not the graph of a 2-form")

@@ -145,11 +145,11 @@ def make_pair(bundle_arrows, g_idx: int, h_idx: int, gh_idx: int,
     """Build a pair fiber from a closed-form multiplication differential.
 
     m : T_g + T_h -> T_gh acts on concatenated (v, w) coordinates; the pair
-    stores it on the tangent basis, m_star = m @ tangent.matrix().
+    stores it on the tangent basis, m_star = m @ tangent.matrix.
     """
     g, h = bundle_arrows[g_idx], bundle_arrows[h_idx]
     tang = pair_tangent(g, h)
-    return ComposablePairFiber(g_idx, h_idx, gh_idx, tang, m @ tang.matrix())
+    return ComposablePairFiber(g_idx, h_idx, gh_idx, tang, m @ tang.matrix)
 
 
 @record
@@ -215,7 +215,7 @@ def multiplicativity_defects(m: MorphismFiber):
         elif q.gh != gh:
             yield f"C-pair {idx} has product G-arrow {gh}, the G-pair's is {q.gh}"
         else:
-            x = q.tangent.coords(block_diag(m.c1[p.g], m.c1[p.h]) @ p.tangent.matrix())
+            x = q.tangent.coords(block_diag(m.c1[p.g], m.c1[p.h]) @ p.tangent.matrix)
             if x is None or m.c1[p.gh] @ p.m_star != q.m_star @ x:
                 yield f"C-pair {idx} does not intertwine c1 with the multiplication"
 
@@ -356,7 +356,7 @@ def qs_check(bundle: GroupoidFiberBundle) -> VerificationReport:
             continue
         # on the tangent basis B (columns), whose coordinates are unit vectors:
         # m_star^T omega_gh m_star = B^T diag(omega_g, omega_h) B
-        b = p.tangent.matrix()
+        b = p.tangent.matrix
         ok = (p.m_star.transpose() @ gh.omega.matrix @ p.m_star
               == b.transpose() @ block_diag(g.omega.matrix, h.omega.matrix) @ b)
         rep.add("qs.multiplicative", ok,

@@ -24,7 +24,6 @@ from .courant import (
     dirac_negate,
     dirac_sum,
     graph_two_form,
-    kernel_of,
     pullback,
 )
 from .groupoid import (
@@ -67,7 +66,7 @@ class ProductFiber:
 def _ranks(point: tuple, r_space: Subspace, l_fiber: DiracFiber) -> dict:
     """The dimensions of the auxiliary spaces at one product point."""
     return {"point": point, "R": r_space.dim, "R_ann": r_space.ambient_dim - r_space.dim,
-            "L": l_fiber.space.dim, "kerL": kernel_of(l_fiber).dim}
+            "L": l_fiber.space.dim, "kerL": l_fiber.kernel.dim}
 
 
 @record
@@ -112,7 +111,7 @@ def strong_intersection(d1: CoisotropicDatum, d2: CoisotropicDatum,
 
         tang = fiber_product(c1m.c0[i1], c2m.c0[i2])
         alg = fiber_product(c1m.cA[i1], c2m.cA[i2])
-        inc = tang.matrix()
+        inc = tang.matrix
         p1 = inc.row_block(0, ob1.dim)
         p2 = inc.row_block(ob1.dim, inc.rows)
         # componentwise anchor, expressed on the fiber-product bases
@@ -164,7 +163,7 @@ def _shared_tangent_sum(d1: CoisotropicDatum, i1: int,
 
 def _tangent_image(d: CoisotropicDatum, i: int) -> LinMap:
     """c_*(p_T L) at object i, as a map from the basis coordinates of L."""
-    return d.morphism.c0[i] @ d.dirac[i].parts()[0]
+    return d.morphism.c0[i] @ d.dirac[i].parts[0]
 
 
 def _product_datum(d1: CoisotropicDatum, d2: CoisotropicDatum,
@@ -218,7 +217,7 @@ def _restrict_pairmap(dom_space: Subspace, cod_space: Subspace,
                       m: LinMap) -> LinMap:
     """Express a componentwise map m = diag(top, bottom) between
     fiber-product subspaces in their echelon-basis coordinates."""
-    x = cod_space.coords(m @ dom_space.matrix())
+    x = cod_space.coords(m @ dom_space.matrix)
     if x is None:
         raise DimensionMismatch("componentwise map leaves the fiber product")
     return x
@@ -235,10 +234,10 @@ def strong_exact_sequence(d1: CoisotropicDatum, d2: CoisotropicDatum,
         sigma = c1m.cod.objects[c1m.obj_map[i1]].sigma
         r1 = c1m.dom.objects[i1].adim
         # the outer legs are trivial, so ker c_* is everything
-        middle = image(f.algebroid.matrix(), kernel(f.rho))
+        middle = image(f.algebroid.matrix, kernel(f.rho))
 
         # on the middle basis B = (B1, B2): sigma c1 B1 = sigma c2 B2
-        b = middle.matrix()
+        b = middle.matrix
         to_rann = sigma @ c1m.cA[i1] @ b.row_block(0, r1)
         well_defined = to_rann == sigma @ c2m.cA[i2] @ b.row_block(r1, b.rows)
         rep.add("exact.well_defined", well_defined,
@@ -269,7 +268,7 @@ def _exact_sequence(rep: VerificationReport, prefix: str, d1: CoisotropicDatum, 
     point = (i1, i2)
     k1 = kernel(vstack(d1.morphism.dom.objects[i1].rho, d1.morphism.cA[i1]))
     k2 = kernel(vstack(d2.morphism.dom.objects[i2].rho, d2.morphism.cA[i2]))
-    left = image(block_diag(k1.matrix(), k2.matrix()))
+    left = image(block_diag(k1.matrix, k2.matrix))
     img = image(to_rann)
     into, onto = img.issubset(r_ann), img == r_ann
     wit = None if onto else {"image": witness_subspace(img),
@@ -278,7 +277,7 @@ def _exact_sequence(rep: VerificationReport, prefix: str, d1: CoisotropicDatum, 
             detail=f"point {point}: the boundary map lands in the annihilator of R")
     rep.add(f"{prefix}.left", left.issubset(middle),
             detail=f"point {point}: K1 + K2 includes into the middle term")
-    ker_in_amb = image(middle.matrix(), kernel(to_rann))
+    ker_in_amb = image(middle.matrix, kernel(to_rann))
     rep.add(f"{prefix}.middle", ker_in_amb == left,
             detail=f"point {point}: exactness at the middle term",
             witness=None if ker_in_amb == left else
@@ -328,7 +327,7 @@ def homotopy_intersection(d1: CoisotropicDatum, d2: CoisotropicDatum,
         cond2 = hstack(hstack(LinMap.zero(ob_g_t.dim, n1), ar.t_star.scale(-1)), c2m.c0[i2])
         tang = kernel(vstack(cond1, cond2))
 
-        inc = tang.matrix()
+        inc = tang.matrix
         p1 = inc.row_block(0, n1)
         p0 = inc.row_block(n1, n1 + ng)
         p2 = inc.row_block(n1 + ng, inc.rows)
@@ -359,7 +358,7 @@ def homotopy_intersection(d1: CoisotropicDatum, d2: CoisotropicDatum,
         _homotopy_sequence_checks(rep, d1, d2, fibers[-1], ar, r_space)
 
         im_rho = image(inc @ rho)
-        ker_l = image(inc, kernel_of(l_fiber))
+        ker_l = image(inc, l_fiber.kernel)
         rep.add("homotopy.kernel", im_rho == ker_l,
                 detail=f"point {(i1, ga, i2)}: im rho_C = ker L (object level)",
                 witness=None if im_rho == ker_l else
@@ -375,10 +374,10 @@ def _homotopy_sequence_checks(rep: VerificationReport, d1: CoisotropicDatum,
     i1, _, i2 = f.base
     c1m, c2m = d1.morphism, d2.morphism
     g = c1m.cod
-    middle = image(f.algebroid.matrix(), kernel(f.rho))
+    middle = image(f.algebroid.matrix, kernel(f.rho))
     # (b1, b2) -> (sigma c1 b1, -sigma c2 b2) on the middle basis
     to_rann = block_diag(g.objects[ar.src].sigma @ c1m.cA[i1],
-                         (g.objects[ar.tgt].sigma @ c2m.cA[i2]).scale(-1)) @ middle.matrix()
+                         (g.objects[ar.tgt].sigma @ c2m.cA[i2]).scale(-1)) @ middle.matrix
     # the algebroid transversality lives over the two base objects of the
     # middle arrow; the sampled fibers are comparable only when those agree
     alg_transverse = ar.src == ar.tgt and _algebroid_transverse(d1, i1, d2, i2)
@@ -399,7 +398,7 @@ def induced_poisson(datum: CoisotropicDatum) -> VerificationReport:
     for i in range(len(c.dom.objects)):
         lg = induced_dirac(c.cod.objects[c.obj_map[i]])
         out.append(dirac_sum(datum.dirac[i], dirac_negate(pullback(c.c0[i], lg))))
-    ker_ranks = [kernel_of(l).dim for l in out]
+    ker_ranks = [l.kernel.dim for l in out]
     clean = len(set(ker_ranks)) <= 1
     rep.add("induced.clean", clean,
             detail="rank of ker(L - c*L_G) constant across sampled objects",

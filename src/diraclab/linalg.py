@@ -19,9 +19,9 @@ those of the field tuple) are exact.
 Values a caller passes in (vector and matrix entries) may be ints,
 Fractions or, where frac accepts them, 'p/q' strings; every value it gets
 back is a Fraction or a LinMap.  LinMap.entries and Subspace.basis are
-Fraction views, and Subspace.matrix() the basis as matrix columns; each
-is built on first read and kept on the frozen object.  apply returns
-Fractions, solve and coords take and return whole LinMaps.
+Fraction views, and Subspace.matrix the basis as matrix columns; each
+is an attribute, built on first read and kept on the frozen object.
+apply returns Fractions, solve and coords take and return whole LinMaps.
 Products, sums, stacking, image, kernel, fiber_product, solve and the
 membership tests run on ints throughout:
 - _product, behind both LinMap.__matmul__ and image, multiplies row by row
@@ -446,13 +446,10 @@ class Subspace:
         """Covectors vanishing on the subspace, as a subspace of the dual."""
         return kernel(LinMap(self.dim, self.ambient_dim, self.rows))
 
+    @cached_property
     def matrix(self) -> LinMap:
         """Basis vectors as matrix columns (column-echelon representative),
         a view built on first read."""
-        return self._matrix
-
-    @cached_property
-    def _matrix(self) -> LinMap:
         # over the lcm of the pivot entries, each column keeps the gcd-1
         # entries of its primitive row, so the map is already normalised
         den = lcm(*[r[p] for r, p in zip(self.rows, self.pivots)])

@@ -202,7 +202,7 @@ def random_connection(bundle: GroupoidFiberBundle, arrow_idx: int,
     ker = kernel(ar.s_star)
     if ker.dim:
         b = random_matrix(rng, ker.dim, n, bound=4)
-        tau0 = tau0 + ker.matrix() @ b
+        tau0 = tau0 + ker.matrix @ b
     return make_connection(bundle, arrow_idx, tau0)
 
 

@@ -388,7 +388,7 @@ def reduced_form_oracle(p: Vec) -> TwoFormFiber:
     direction is its radical against the chart, and push to chart basis
     vectors through arbitrary preimages."""
     n2 = len(p)
-    z = kernel(LinMap.from_rows([list(p)], cols=n2)).matrix()   # T_p of the level
+    z = kernel(LinMap.from_rows([list(p)], cols=n2)).matrix   # T_p of the level
     omega = std_symplectic(n2)
     jac_on_z = chart_jacobian(p) @ z
     # well-definedness: the orbit direction spans ker(dpi|_Z) and is in the
@@ -439,7 +439,7 @@ def build_quotient_morphism(red: ReductionScenario, si):
     obj_map, c0, cA = [], [], []
     for k, f in enumerate(si.fibers):
         obj_map.append(chart_of[k])
-        inc = f.tangent.matrix()
+        inc = f.tangent.matrix
         c0.append(jacs[k] @ inc.row_block(inc.rows - n, inc.rows))
         cA.append(LinMap.zero(0, f.algebroid.dim))
     unit_of_chart = {}

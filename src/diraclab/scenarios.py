@@ -27,7 +27,7 @@ import random
 from fractions import Fraction
 
 from .courant import (ThreeFormFiber, TwoFormFiber, graph_bivector, graph_two_form,
-                      kernel_of, pullback, std_symplectic)
+                      pullback, std_symplectic)
 from .linalg import LinMap, block_diag, frac, hstack, kernel, vec, vstack
 from .records import record, replace
 from .report import ReductionHypothesisViolated, VerificationReport, witness_subspace
@@ -127,16 +127,14 @@ def hamiltonian_check(datum: CoisotropicDatum):
     rep.records.extend(replace(r, check_id="ham.compat") for r in datum.compatibility)
     for i in range(len(datum.c_bundle.objects)):
         ker_mu = kernel(datum.morphism.c0[i])
-        ker_l = kernel_of(datum.dirac[i])
+        ker_l = datum.dirac[i].kernel
         nondeg = ker_mu.intersect(ker_l).dim == 0
         rep.add("ham.nondeg", nondeg,
                 detail=f"object {i}: ker mu_* cap ker L = 0",
                 witness=None if nondeg else witness_subspace(ker_mu.intersect(ker_l)))
         # the equivalence: surjectivity of the assembled map iff the kernel
         # condition, both computed independently
-        surjection = datum.surjections[i]
-        surj = surjection is not None and surjection[1]
-        rep.add("ham.equivalence", surj == nondeg,
+        rep.add("ham.equivalence", datum.assemblies[i].onto == nondeg,
                 detail=f"object {i}: coisotropic non-degeneracy <=> kernel condition")
     return rep
 

@@ -17,7 +17,6 @@ from diraclab.courant import (
     graph_bivector,
     graph_two_form,
     is_lagrangian,
-    kernel_of,
     pairing,
     perp,
     pullback,
@@ -139,7 +138,7 @@ def test_cotangent_absorbs_poisson_graphs():
     # (0 + V*) + L = 0 + V* whenever ker L = 0; enumerate via a bivector graph
     pi = LinMap.from_rows([[0, 1], [-1, 0]])
     l = graph_bivector(pi)
-    assert kernel_of(l).dim == 0
+    assert l.kernel.dim == 0
     assert dirac_sum(cotangent_dirac(2), l) == cotangent_dirac(2)
 
 
@@ -189,7 +188,7 @@ def test_pushforward_requires_surjectivity():
 
 def test_kernel_of_graph_is_form_kernel():
     w = antisym([[0, 1, 0], [-1, 0, 0], [0, 0, 0]])
-    assert kernel_of(graph_two_form(w)) == kernel(w.matrix)
+    assert graph_two_form(w).kernel == kernel(w.matrix)
 
 
 def test_nondegeneracy_of_bivector_graphs():
@@ -322,7 +321,7 @@ def test_dirac_negate():
 def test_parts_are_the_basis_components():
     l = gauge(graph_bivector(LinMap.from_rows([[0, 1], [-1, 0]])),
               TwoFormFiber(LinMap.from_rows([[0, 2], [-2, 0]])))
-    t, c = l.parts()
+    t, c = l.parts
     assert (t.rows, t.cols, c.rows, c.cols) == (2, 2, 2, 2)
     cols = [vec_concat(t.apply(basis_vec(2, j)), c.apply(basis_vec(2, j)))
             for j in range(2)]
@@ -340,7 +339,7 @@ def test_three_form_neg():
 # Oracle: the 4n-ambient constructions that the relation primitive replaced.
 # They embed the inputs into one large ambient space, intersect there through
 # annihilators and project back.  They live here only, to cross-check
-# dirac_sum, pullback, pushforward, kernel_of and DiracFiber.form.
+# dirac_sum, pullback, pushforward, DiracFiber.kernel and DiracFiber.form.
 
 def _embed(s, offset, ambient):
     gens = [zero_vec(offset) + v + zero_vec(ambient - offset - s.ambient_dim)
@@ -447,15 +446,15 @@ def test_dirac_sum_matches_oracle(pair):
 @settings(max_examples=75, deadline=None)
 @given(dims.flatmap(dirac_fibers))
 def test_kernel_of_matches_oracle(l):
-    assert kernel_of(l) == oracle_kernel_of(l)
+    assert l.kernel == oracle_kernel_of(l)
 
 
 @settings(max_examples=40, deadline=None)
 @given(dims.flatmap(dirac_fibers))
 def test_kernel_of_is_a_view_kept_on_the_fiber(l):
-    ker = kernel_of(l)
-    assert kernel_of(l) is ker
-    t, c = l.parts()
+    ker = l.kernel
+    assert l.kernel is ker
+    t, c = l.parts
     assert ker == image(t, kernel(c))
 
 
@@ -533,10 +532,10 @@ def test_cached_parts_are_the_row_blocks_and_leave_equality_alone(l):
     fresh = DiracFiber(l.space)
     key = hash(fresh)
     n = l.n
-    m = l.space.matrix()
-    parts = fresh.parts()
+    m = l.space.matrix
+    parts = fresh.parts
     assert parts == (m.row_block(0, n), m.row_block(n, 2 * n))
-    assert fresh.parts() is parts
+    assert fresh.parts is parts
     assert hash(fresh) == key == hash(l) and fresh == l
 
 

@@ -224,7 +224,7 @@ def multiplicative_oracle(bundle):
         basis = p.tangent.basis
 
         def m(x):
-            x = solve(p.tangent.matrix(), LinMap.from_cols([x]))
+            x = solve(p.tangent.matrix, LinMap.from_cols([x]))
             return (p.m_star @ x).col_vectors()[0]
 
         verdicts.append(all(

@@ -8,8 +8,9 @@ or dataclasses, verifying each scenario (and dumping or reducing one) loads
 only the diraclab modules it runs, no module uses dataclasses or the
 namedtuple constructors that skip validation, only the five relation
 operations and the matrix product are memoized, every memo returns an
-immutable record, every cached view is kept on a record, only the process
-entry cli.run touches the cyclic collector, every public function is
+immutable record, every cached view is kept on a record and read as an
+attribute, with no function that only returns it, only the process entry
+cli.run touches the cyclic collector, every public function is
 reached from src or allowlisted with a reason, and every function the
 benchmark's traced run wraps exists in the module that defines it."""
 
@@ -443,6 +444,77 @@ def test_cached_views_off_records_sees_every_form():
                      "view = cached_property(len)\n")
     assert cached_views_off_records(tree) == [
         "Decorated.view", "Frozen.method.Inner.v", "Plain.view", "line 21"]
+
+
+def is_cached_view(fn) -> bool:
+    """Is the function decorated with functools.cached_property?"""
+    return any((isinstance(d, ast.Name) and d.id == "cached_property")
+               or (isinstance(d, ast.Attribute) and d.attr == "cached_property")
+               for d in fn.decorator_list)
+
+
+def cached_view_names(tree: ast.Module) -> set[str]:
+    """The names of the cached_property views the tree defines."""
+    return {node.name for _, node in qualified_defs(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and is_cached_view(node)}
+
+
+def view_forwarders(tree: ast.Module, views: set[str]) -> list[str]:
+    """The qualified name of every function or method whose body, after its
+    docstring, is only `return <x>.<name>` for a name in views, sorted.  A
+    view is read as the attribute it is; a wrapper that only returns it is a
+    second name for one idea."""
+    out = []
+    for qual, node in qualified_defs(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        body = node.body[1:] if ast.get_docstring(node) is not None else node.body
+        if (len(body) == 1 and isinstance(body[0], ast.Return)
+                and isinstance(body[0].value, ast.Attribute)
+                and body[0].value.attr in views):
+            out.append(qual)
+    return sorted(out)
+
+
+SRC_VIEWS = set().union(*(cached_view_names(ast.parse(p.read_text())) for p in SRC.glob("*.py")))
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_function_only_forwards_to_a_cached_view(path):
+    assert view_forwarders(ast.parse(path.read_text()), SRC_VIEWS) == []
+
+
+def test_view_forwarders_sees_every_form():
+    tree = ast.parse("import functools\n"
+                     "from functools import cached_property\n"
+                     "class C:\n"
+                     "    def m(self):\n"
+                     "        \"\"\"Docstring.\"\"\"\n"
+                     "        return self._m\n"
+                     "    @cached_property\n"
+                     "    def _m(self): return 1\n"
+                     "    @functools.cached_property\n"
+                     "    def v(self): return self.w\n"
+                     "    @property\n"
+                     "    def p(self):\n"
+                     "        return self.v\n"
+                     "    def two(self):\n"
+                     "        x = self.v\n"
+                     "        return self._m\n"
+                     "    def plain(self):\n"
+                     "        return self.other\n"
+                     "def f(c):\n"
+                     "    return c.v\n"
+                     "def g(c):\n"
+                     "    return c.v.dim\n"
+                     "async def h(c):\n"
+                     "    return c.box._m\n"
+                     "def k(c):\n"
+                     "    return c.v()\n")
+    views = cached_view_names(tree)
+    assert views == {"_m", "v"}
+    assert view_forwarders(tree, views) == ["C.m", "C.p", "f", "h"]
 
 
 def gc_sites(tree: ast.Module) -> list[str]:

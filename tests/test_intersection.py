@@ -6,7 +6,7 @@ import pytest
 from diraclab import scenarios as sc
 from diraclab.coisotropic import (identity_datum, is_coisotropic, is_strong,
                                   zero_shifted_poisson_check)
-from diraclab.courant import cotangent_dirac, kernel_of, pullback, tangent_dirac
+from diraclab.courant import cotangent_dirac, pullback, tangent_dirac
 from diraclab.groupoid import point_bundle
 from diraclab.intersection import (
     _exact_sequence,
@@ -32,7 +32,7 @@ def test_pair_identity_self_intersection(pair_bundle):
     for entry in si.ledger:
         assert entry["kerL"] == 2
     for f, l in zip(si.fibers, si.dirac):
-        assert image(f.tangent.matrix() @ f.rho).dim == 2
+        assert image(f.tangent.matrix @ f.rho).dim == 2
     seq = strong_exact_sequence(idd, idd, si)
     assert seq.passed
 
@@ -94,7 +94,7 @@ def test_a_boundary_map_that_leaves_the_annihilator_fails_into_rann(prefix):
     orbit = sc.circle_orbit_datum(scn, F(0))
     i2 = next(iter(scn.obj_index.values()))
     f = strong_intersection(orbit, scn.datum, [(0, i2)], []).fibers[0]
-    middle = image(f.algebroid.matrix(), kernel(f.rho))
+    middle = image(f.algebroid.matrix, kernel(f.rho))
     assert middle.dim == 1
     rep = VerificationReport("exact")
     _exact_sequence(rep, prefix, orbit, 0, scn.datum, i2, middle,
@@ -145,7 +145,7 @@ def test_homotopy_matches_strong_at_units(reduction1):
             u1 = b[:n1]
             w = vec_concat(vec_concat(
                 u1, ar.u_star.apply(d1.morphism.c0[i1].apply(u1))), b[n1:])
-            x = solve(f.tangent.matrix(), LinMap.from_cols([w]))
+            x = solve(f.tangent.matrix, LinMap.from_cols([w]))
             assert x is not None
             cols.append(x.col_vectors()[0])
         inc = LinMap.from_cols(cols, rows_dim=f.tangent.dim)

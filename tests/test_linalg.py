@@ -129,8 +129,8 @@ def test_double_annihilator(s):
 @settings(max_examples=60, deadline=None)
 @given(subspaces())
 def test_matrix_is_a_view_kept_on_the_subspace(s):
-    m = s.matrix()
-    assert s.matrix() is m
+    m = s.matrix
+    assert s.matrix is m
     assert m == LinMap.from_cols(s.basis, rows_dim=s.ambient_dim)
 
 
@@ -315,8 +315,8 @@ def test_coords_match_solve_in_the_span(mc, data):
     m, cols = mc
     space = canonicalize(m, cols)
     c = tuple(data.draw(st.lists(entries, min_size=space.dim, max_size=space.dim)))
-    v = space.matrix() @ col(*c)
-    assert space.coords(v) == solve(space.matrix(), v) == col(*c)
+    v = space.matrix @ col(*c)
+    assert space.coords(v) == solve(space.matrix, v) == col(*c)
     assert all_fractions(space.coords(v).entries)
 
 
@@ -326,7 +326,7 @@ def test_coords_are_none_off_the_span(mc, data):
     m, cols = mc
     space = canonicalize(m, cols)
     v = col(*data.draw(st.lists(entries, min_size=cols, max_size=cols)))
-    assert space.coords(v) == solve(space.matrix(), v)
+    assert space.coords(v) == solve(space.matrix, v)
     # a unit vector at a non-pivot column is never in the span
     _, piv_cols = oracle_rref(m)
     for j in range(cols):
@@ -371,8 +371,8 @@ def test_solve_of_a_map_is_the_oracle_column_by_column(mc, data):
 def test_coords_of_a_map_are_the_coords_of_each_column(mc, data):
     m, cols = mc
     space = canonicalize(m, cols)
-    basis_rows = [list(r) for r in space.matrix().entries]
-    vs = data.draw(columns_for(space.matrix(), cols))
+    basis_rows = [list(r) for r in space.matrix.entries]
+    vs = data.draw(columns_for(space.matrix, cols))
     x = space.coords(LinMap.from_cols(vs, rows_dim=cols))
     wants = [oracle_solve(basis_rows, v, space.dim) for v in vs]
     # None exactly when some column leaves the span
@@ -569,7 +569,7 @@ def test_subspace_rows_are_primitive_with_the_oracle_basis(mc):
     basis = oracle_rref(m)[0]
     assert [list(v) for v in space.basis] == basis
     assert all_fractions(space.basis)
-    mat = space.matrix()
+    mat = space.matrix
     assert as_rows(mat) == oracle_transpose(basis, cols) if basis else mat.cols == 0
     assert_normalised(mat)
     for s in (kernel(LinMap.from_rows(m, cols=cols)), space.annihilator(),

@@ -90,7 +90,7 @@ def test_cotangent_torus_is_the_closed_form(k):
          li * len(ts_list) + index[(F(gh),) * k])
         for li in range(len(levels)) for g, h, gh in TS_PAIRS]
     for p in bundle.pairs:
-        assert p.m_star == cf["m_of"] @ p.tangent.matrix()
+        assert p.m_star == cf["m_of"] @ p.tangent.matrix
     assert bundle.qs_report.passed
 
 
