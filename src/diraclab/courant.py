@@ -11,32 +11,49 @@ Graphs of 2-forms: a Lagrangian L is graph(omega) for a 2-form omega iff
 L cap V* = 0, iff the pivots of its reduced echelon basis are the V
 coordinates 0..n-1.  DiracFiber.form reads omega off those rows, and
 graph_two_form writes them down, neither with an elimination.  On graphs
-pullback and sum have closed forms, f*graph(omega) = graph(f^T omega f)
-and graph(w1) + graph(w2) = graph(w1 + w2) (Bursztyn, "A brief
+every operation here is a formula on the form (Bursztyn, "A brief
 introduction to Dirac manifolds", arXiv:1112.5037; Bursztyn, Crainic,
-Weinstein and Zhu, arXiv:math/0303180).
+Weinstein and Zhu, arXiv:math/0303180):
+- pullback: f*graph(omega) = graph(f^T omega f);
+- dirac_sum: graph(w1) + graph(w2) = graph(w1 + w2), and gauge, the sum
+  with graph(b): graph(omega) + graph(b) = graph(omega + b);
+- pushforward: f_* graph(omega) = graph(s^T omega s) for a section s of
+  the surjective f (f s = I), when omega is basic, omega = f^T (s^T omega
+  s) f; then omega = f*w for w = s*omega, and f_* f^* = id on onto maps.
+  A square f is invertible, s = f^-1, and omega is always basic;
+- dirac_negate: -graph(omega) = graph(-omega);
+- kernel: ker graph(omega) = ker omega;
+- the Lagrangian test: the span of the rows (e_j, w_j) is isotropic iff
+  the matrix of the w_j is antisymmetric, so DiracFiber.__post_init__ reads
+  the form and tests it in place of every pairing of basis vectors.
 
-Non-graphs take the relation-image path: sum, gauge (a sum with a graph)
-and pullback on a non-graph input, and pushforward on every input, are
-image(out, fiber_product(m1, m2)), taken in the basis coordinates of L:
-with (T, C) = L.parts the tangent and cotangent components of L's basis,
-an element of L is (T x, C x) for x in Q^n, so matching conditions are
-linear equations in x.  L.kernel, ker L = L cap V, is the image of a kernel
-in the same coordinates.
+The relation-image path is the general case, and the reference the closed
+forms are tested against: sum, gauge and pullback with a non-graph input,
+dirac_negate and the kernel of a non-graph, and pushforward of a non-graph
+or of a graph whose form is not basic, are image(out, fiber_product(m1, m2))
+or image(out, L), taken in the basis coordinates of L: with (T, C) =
+L.parts the tangent and cotangent components of L's basis, an element of L
+is (T x, C x) for x in Q^n, so matching conditions are linear equations in
+x.  L.kernel, ker L = L cap V, is then the image of a kernel in the same
+coordinates, and a fiber that is not a graph is tested for isotropy on each
+pair of its basis vectors.
 
-Memo: graph_two_form, dirac_sum and pullback (like linalg.fiber_product)
-are pure functions of frozen, hashable values, and a run asks for the same
-ones many times (the compatibility at one arrow is checked by several
-suites, identity legs repeat their inputs).  Each keeps one functools.cache
-per process, unbounded and with no knob; a miss runs the same code, a hit
-returns the same frozen fiber, which passed its isotropy check when it was
-built, and an exception is raised again on every call, never cached.  The
-closed forms on graphs go through graph_two_form, so equal forms share one
-fiber.  pushforward has no memo: a run repeats few of its inputs (11 of 46
-calls on the torus verify, none on the circle reduction), so a memo there
-saves nothing measurable.  DiracFiber.parts, DiracFiber.kernel and
-DiracFiber.form are views, read as attributes: each is built on first read
-and kept on the frozen fiber, the way a memo keeps its result.
+Memo: graph_two_form, dirac_sum, pullback and TwoFormFiber.pullback (like
+linalg.fiber_product) are pure functions of frozen, hashable values, and a
+run asks for the same ones many times (the compatibility at one arrow is
+checked by several suites, identity legs repeat their inputs; the torus
+verify pulls a 2-form back 547 times on 134 distinct pairs, as the
+morphisms' pulled-back forms and the compatibility's source side repeat).
+Each keeps one functools.cache per process, unbounded and with no knob; a
+miss runs the same code, a hit returns the same frozen fiber or form,
+which passed its check when it was built, and an exception is raised again
+on every call, never cached.  The closed forms on graphs go through
+graph_two_form, so equal forms share one fiber.  pushforward has no memo:
+a run repeats few of its inputs (11 of 46 calls on the torus verify, none
+on the circle reduction), so a memo there saves nothing measurable.
+DiracFiber.parts, DiracFiber.kernel and DiracFiber.form are views, read as
+attributes: each is built on first read and kept on the frozen fiber, the
+way a memo keeps its result.
 """
 
 from __future__ import annotations
@@ -107,6 +124,7 @@ class TwoFormFiber:
     def neg(self) -> "TwoFormFiber":
         return TwoFormFiber(self.matrix.scale(-1))
 
+    @cache
     def pullback(self, f: LinMap) -> "TwoFormFiber":
         """f*w for f : Q^m -> Q^n."""
         return TwoFormFiber(f.transpose() @ self.matrix @ f)
@@ -208,7 +226,13 @@ class DiracFiber:
         n = self.n
         if self.space.dim != n:
             raise NotLagrangian(f"dim {self.space.dim} != {n}")
-        if not self.space.is_isotropic(pairing):
+        # a graph is isotropic iff the matrix read off its rows is
+        # antisymmetric, which TwoFormFiber checks as form is built
+        try:
+            form = self.form
+        except ValueError:
+            raise NotLagrangian("basis not isotropic") from None
+        if form is None and not self.space.is_isotropic(pairing):
             raise NotLagrangian("basis not isotropic")
 
     @property
@@ -225,8 +249,10 @@ class DiracFiber:
 
     @cached_property
     def kernel(self) -> Subspace:
-        """ker L = L cap V, as a subspace of Q^n: the image of the kernel
-        of C under T."""
+        """ker L = L cap V, as a subspace of Q^n: ker omega for a graph,
+        else the image of the kernel of C under T."""
+        if self.form is not None:
+            return kernel(self.form.matrix)
         t, c = self.parts
         return image(t, kernel(c))
 
@@ -237,15 +263,18 @@ class DiracFiber:
         L cap V* = 0 iff L projects onto V, iff the pivots of the echelon
         basis are 0..n-1.  Then row j is (p_j e_j, w_j) with p_j > 0, and
         row j of omega is w_j / p_j; over the lcm of the p_j the map is
-        normalised, because each row is primitive.
+        normalised, because each row is primitive.  A ValueError if those
+        rows are graph-shaped but their matrix is not antisymmetric: they
+        span no Lagrangian, so __post_init__ rejects them as one.
         """
         n = self.n
         if self.space.pivots != tuple(range(n)):
             return None
         rows = self.space.rows
         den = lcm(*[r[j] for j, r in enumerate(rows)])
-        return TwoFormFiber(LinMap(n, n, tuple(tuple((den // r[j]) * x for x in r[n:])
-                                               for j, r in enumerate(rows)), den))
+        return TwoFormFiber(LinMap(n, n, tuple(
+            r[n:] if r[j] == den else tuple((den // r[j]) * x for x in r[n:])
+            for j, r in enumerate(rows)), den))
 
 
 @cache
@@ -259,11 +288,12 @@ def graph_two_form(omega: TwoFormFiber) -> DiracFiber:
     """
     n = omega.dim
     m = omega.matrix
+    zero = (0,) * n
     rows = []
     for j, w in enumerate(m.nums):
         g = gcd(m.den, *w)
-        rows.append(tuple(m.den // g if k == j else 0 for k in range(n))
-                    + tuple(x // g for x in w))
+        rows.append(zero[:j] + (m.den // g,) + zero[j + 1:]
+                    + (w if g == 1 else tuple(x // g for x in w)))
     return DiracFiber(Subspace(2 * n, tuple(rows), tuple(range(n))))
 
 
@@ -306,15 +336,21 @@ def dirac_sum(l1: DiracFiber, l2: DiracFiber) -> DiracFiber:
 
 
 def dirac_negate(l: DiracFiber) -> DiracFiber:
-    """{(v, -a) : (v, a) in L}."""
+    """{(v, -a) : (v, a) in L}: graph(-omega) for L = graph(omega), else
+    the image of L under diag(I, -I)."""
+    if l.form is not None:
+        return graph_two_form(l.form.neg())
     n = l.n
     m = block_diag(LinMap.identity(n), LinMap.identity(n).scale(-1))
     return DiracFiber(image(m, l.space))
 
 
 def gauge(l: DiracFiber, b: TwoFormFiber) -> DiracFiber:
+    """L + graph(b): graph(omega + b) for L = graph(omega), else the sum."""
     if l.n != b.dim:
         raise DimensionMismatch("gauge: dim mismatch")
+    if l.form is not None:
+        return graph_two_form(l.form.add(b))
     return dirac_sum(l, graph_two_form(b))
 
 
@@ -335,11 +371,22 @@ def pullback(f: LinMap, l: DiracFiber) -> DiracFiber:
 
 
 def pushforward(f: LinMap, l: DiracFiber) -> DiracFiber:
-    """f_* L = {(f v, a) : (v, f^T a) in L} for surjective f : Q^n -> Q^m."""
+    """f_* L = {(f v, a) : (v, f^T a) in L} for surjective f : Q^n -> Q^m.
+
+    One solve of f s = I decides that f is onto and gives a section s.  On
+    L = graph(omega) with omega basic, omega = f*(s*omega), the result is
+    graph(s*omega); a square f is invertible, so there omega is basic
+    without a test.  Any other L is the relation image below.
+    """
     if f.cols != l.n:
         raise DimensionMismatch("pushforward: map source must match fiber")
-    if image(f).dim != f.rows:
+    s = solve(f, LinMap.identity(f.rows))
+    if s is None:
         raise ValueError("pushforward requires a surjective map")
+    if l.form is not None:
+        down = l.form.pullback(s)
+        if f.rows == f.cols or down.pullback(f) == l.form:
+            return graph_two_form(down)
     t, c = l.parts
     out = block_diag(f @ t, LinMap.identity(f.rows))
     return DiracFiber(image(out, fiber_product(c, f.transpose())))

@@ -64,7 +64,9 @@ def run(capsys, argv):
 # test_the_golden_inputs_replay_against_the_oracles checks every one
 
 RECORDED = {"linalg": ("_rref_int", "fiber_product", "_composite"),
-            "courant": ("graph_two_form", "dirac_sum", "pullback")}
+            "courant": ("graph_two_form", "dirac_sum", "pullback", "pushforward",
+                        "dirac_negate"),
+            "groupoid": ("compatibility_check",)}
 
 
 @pytest.fixture(scope="session")
@@ -205,25 +207,19 @@ def sparse_oracle_mul(a, b, cols):
             for r in a]
 
 
-def without_form(l):
-    """A copy of the Dirac fiber l whose form reads None, so that the
-    operations take their relation path on it."""
-    from diraclab.courant import DiracFiber
-    copy = DiracFiber(l.space)
-    vars(copy)["form"] = None
-    return copy
-
-
 def test_the_golden_inputs_replay_against_the_oracles(tmp_path, capsys, corpus):
     # every distinct input the golden runs gave the exact core and the
-    # memoized Dirac operations, against the Fraction oracles of test_linalg
-    # and test_courant and against each memo's uncached body; on graphs of
-    # 2-forms, the closed forms of pullback and dirac_sum against their
-    # relation path, which reads DiracFiber.parts.  A golden run that has
-    # not been made in this session is made here
+    # Dirac operations, against the Fraction oracles of test_linalg and
+    # test_courant and against each memo's uncached body; on graphs of
+    # 2-forms, the closed forms of pullback, dirac_sum, pushforward,
+    # dirac_negate and the compatibility check against their relation path,
+    # which reads DiracFiber.parts.  A golden run that has not been made in
+    # this session is made here
     from diraclab import linalg
-    from diraclab.courant import dirac_sum, graph_two_form, pullback
-    from test_courant import oracle_dirac_sum, oracle_kernel_of, oracle_pullback
+    from diraclab.courant import dirac_negate, dirac_sum, graph_two_form, pullback, pushforward
+    from diraclab.groupoid import compatibility_check
+    from test_courant import (oracle_dirac_sum, oracle_kernel_of, oracle_negate,
+                              oracle_pullback, oracle_pushforward, without_form)
     from test_linalg import as_rows, oracle_kernel, oracle_rref
     for stem in sorted(set(GOLDEN_RUNS) - set(corpus)):
         run_golden(capsys, tmp_path, corpus, stem)
@@ -268,6 +264,25 @@ def test_the_golden_inputs_replay_against_the_oracles(tmp_path, capsys, corpus):
         if l.form is not None:
             ok = ok and got == pullback.__wrapped__(f, without_form(l))
         check("pullback", ok, (f, l))
+    for f, l in inputs["pushforward"]:
+        got = pushforward(f, l)
+        fibers |= {l, got}
+        ok = got.space == oracle_pushforward(f, l)
+        if l.form is not None:
+            ok = ok and got == pushforward(f, without_form(l))
+        check("pushforward", ok, (f, l))
+    for (l,) in inputs["dirac_negate"]:
+        got = dirac_negate(l)
+        fibers |= {l, got}
+        ok = got.space == oracle_negate(l)
+        if l.form is not None:
+            ok = ok and got == dirac_negate(without_form(l))
+        check("dirac_negate", ok, (l,))
+    for arrow, l_src, l_tgt, form in inputs["compatibility_check"]:
+        got = compatibility_check(arrow, l_src, l_tgt, form)
+        check("compatibility_check",
+              got == compatibility_check(arrow, without_form(l_src), without_form(l_tgt), form),
+              (arrow, l_src, l_tgt, form))
     for l in fibers:
         check("DiracFiber.kernel", l.kernel == oracle_kernel_of(l), (l,))
     assert all(inputs.values())

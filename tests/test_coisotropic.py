@@ -443,6 +443,16 @@ def test_compatibility_failure_reaches_both_reports(circle1):
                            (tangent_dirac(2),) + datum.dirac[1:], name="bad")
     failing = [k for k, r in enumerate(bad.compatibility) if r.status == FAIL]
     assert failing
+    # every fiber is a graph, so each record was decided on the forms; it
+    # equals, witness included, the record the relation path gives
+    from test_courant import without_form
+    c = bad.morphism
+    assert all(l.form is not None for l in bad.dirac)
+    assert bad.compatibility == tuple(
+        compatibility_check(ar, without_form(bad.dirac[ar.src]),
+                            without_form(bad.dirac[ar.tgt]), c.pullback_two_form(k))
+        for k, ar in enumerate(c.dom.arrows))
+    assert all(bad.compatibility[k].witness for k in failing)
     rep = is_coisotropic(bad)
     assert [r.detail.split(":")[0] for r in rep.failures()
             if r.check_id == "coiso.compat"] == [f"arrow {k}" for k in failing]

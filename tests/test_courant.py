@@ -181,9 +181,15 @@ def test_pushforward_projection_of_tangent():
 
 
 def test_pushforward_requires_surjectivity():
-    f = LinMap.zero(1, 2)
-    with pytest.raises(ValueError):
-        pushforward(f, tangent_dirac(2))
+    # on graphs and on non-graphs alike, square f included, whose section
+    # would otherwise be taken as its inverse
+    for f in [LinMap.zero(1, 2), LinMap.from_rows([[1, 1], [1, 1]]),
+              LinMap.from_rows([[1, 2, 0], [2, 4, 0]])]:
+        n = f.cols
+        w = TwoFormFiber(random_antisymmetric(random.Random(n), n))
+        for l in [tangent_dirac(n), cotangent_dirac(n), graph_two_form(w)]:
+            with pytest.raises(ValueError, match="^pushforward requires a surjective map$"):
+                pushforward(f, l)
 
 
 def test_kernel_of_graph_is_form_kernel():
@@ -208,6 +214,13 @@ def test_not_lagrangian_rejected():
         DiracFiber(canonicalize([vec(1, 1)], 2))
     with pytest.raises(NotLagrangian):
         DiracFiber(canonicalize([], 2))
+    # graph-shaped rows (pivots 0..n-1) whose matrix is not antisymmetric:
+    # omega = [[0, 1], [1, 0]], and omega = [[1/2, 0], [0, 0]], with a pivot 2
+    for rows in [[vec(1, 0, 0, 1), vec(0, 1, 1, 0)], [vec(2, 0, 1, 0), vec(0, 1, 0, 0)]]:
+        space = canonicalize(rows, 4)
+        assert space.pivots == (0, 1)
+        with pytest.raises(NotLagrangian, match="^basis not isotropic$"):
+            DiracFiber(space)
 
 
 def test_a_dirac_fiber_needs_an_even_ambient():
@@ -316,6 +329,7 @@ def test_dirac_negate():
     w = std_symplectic(2)
     assert dirac_negate(graph_two_form(w)) == graph_two_form(w.neg())
     assert dirac_negate(tangent_dirac(2)) == tangent_dirac(2)
+    assert dirac_negate(cotangent_dirac(2)) == cotangent_dirac(2)
 
 
 def test_parts_are_the_basis_components():
@@ -377,6 +391,19 @@ def oracle_pullback(f, l):
 def oracle_pushforward(f, l):
     rel = preimage(_block(LinMap.identity(l.n), f.transpose()), l.space)
     return image(_block(f, LinMap.identity(f.rows)), rel)
+
+
+def oracle_negate(l):
+    n = l.n
+    return canonicalize([v[:n] + tuple(-x for x in v[n:]) for v in l.space.basis], 2 * n)
+
+
+def without_form(l):
+    """A copy of the Dirac fiber l whose form reads None, so that the
+    operations take their relation path on it."""
+    copy = DiracFiber(l.space)
+    vars(copy)["form"] = None
+    return copy
 
 
 def oracle_kernel_of(l):
@@ -491,14 +518,97 @@ def surjective_maps(draw, n):
 @settings(max_examples=75, deadline=None)
 @given(dims.flatmap(lambda n: st.tuples(surjective_maps(n), dirac_fibers(n))))
 def test_pushforward_matches_oracle(fl):
+    # a random graph is almost never basic for f, so on graphs this is the
+    # fallback to the relation path
     f, l = fl
     assert image(f).dim == f.rows
-    assert pushforward(f, l).space == oracle_pushforward(f, l)
+    got = pushforward(f, l)
+    assert got.space == oracle_pushforward(f, l)
+    assert got == pushforward(f, without_form(l))
+
+
+@st.composite
+def basic_graphs(draw, n):
+    """(f, w, graph(f*w)) for a surjective f : Q^n -> Q^m and a 2-form w on
+    Q^m: a graph whose form is basic for f."""
+    f = draw(surjective_maps(n))
+    w = TwoFormFiber(draw(antisymmetric(f.rows)))
+    return f, w, graph_two_form(w.pullback(f))
+
+
+@settings(max_examples=75, deadline=None)
+@given(dims.flatmap(basic_graphs))
+def test_pushforward_of_a_basic_graph_is_the_graph_below(fwl):
+    f, w, l = fwl
+    got = pushforward(f, l)
+    assert got == graph_two_form(w)
+    assert got.space == oracle_pushforward(f, l)
+    assert got == pushforward(f, without_form(l))
+
+
+@settings(max_examples=75, deadline=None)
+@given(dims.flatmap(dirac_fibers))
+def test_dirac_negate_matches_oracle_and_relation_path(l):
+    got = dirac_negate(l)
+    assert got.space == oracle_negate(l)
+    assert got == dirac_negate(without_form(l))
+    assert dirac_negate(got) == l
+
+
+@settings(max_examples=75, deadline=None)
+@given(dims.flatmap(lambda n: st.tuples(dirac_fibers(n), antisymmetric(n))))
+def test_gauge_matches_oracle_and_relation_path(args):
+    l, m = args
+    b = TwoFormFiber(m)
+    got = gauge(l, b)
+    assert got.space == oracle_dirac_sum(l, graph_two_form(b))
+    assert got == dirac_sum.__wrapped__(without_form(l), graph_two_form(b))
+
+
+def test_a_basic_graph_pushforward_runs_no_image_and_no_fiber_product(monkeypatch):
+    # the section from solve gives the form below; image and fiber_product
+    # run only on the relation path
+    from diraclab import courant
+    cot = cotangent_dirac(2)
+    called = []
+    for name in ("image", "fiber_product"):
+        fn = getattr(courant, name)
+        monkeypatch.setattr(courant, name,
+                            lambda *a, name=name, fn=fn: called.append(name) or fn(*a))
+    w = std_symplectic(2)
+    onto = LinMap.from_rows([[1, 0, 2, 0], [0, 1, F(1, 3), -1]])
+    square = LinMap.from_rows([[2, 1], [1, 1]])
+    assert pushforward(onto, graph_two_form(w.pullback(onto))) == graph_two_form(w)
+    assert pushforward(square, graph_two_form(w.pullback(square))) == graph_two_form(w)
+    assert called == []
+    # a graph whose form is not basic, and a non-graph, take the relation path
+    pushforward(onto, graph_two_form(std_symplectic(4)))
+    assert called == ["fiber_product", "image"]
+    pushforward(square, cot)
+    assert called == ["fiber_product", "image"] * 2
+
+
+def test_building_a_graph_fiber_tests_no_pair_of_basis_vectors(monkeypatch):
+    # a graph is Lagrangian iff the form read off its rows is antisymmetric;
+    # only a fiber that is not a graph is tested pair by pair
+    from diraclab.linalg import Subspace
+    tested = []
+    is_isotropic = Subspace.is_isotropic
+    monkeypatch.setattr(Subspace, "is_isotropic",
+                        lambda self, form: tested.append(self) or is_isotropic(self, form))
+    w = antisym([[0, F(1, 2), 3], [F(-1, 2), 0, F(2, 3)], [-3, F(-2, 3), 0]])
+    l = graph_two_form.__wrapped__(w)
+    assert DiracFiber(l.space).form == w
+    assert dirac_negate(l) == graph_two_form.__wrapped__(w.neg())
+    assert tested == []
+    cot = cotangent_dirac(3)
+    assert tested == [cot.space]
 
 
 # ---------------------------------------------------------------------------
-# The memo: graph_two_form, dirac_sum and pullback return the identical
-# frozen fiber for equal inputs, and the value their code computes.
+# The memo: graph_two_form, dirac_sum, pullback and TwoFormFiber.pullback
+# return the identical frozen value for equal inputs, and the value their
+# code computes.
 
 @settings(max_examples=40, deadline=None)
 @given(dims.flatmap(lambda n: st.tuples(
@@ -507,7 +617,8 @@ def test_memoized_operations_match_their_uncached_code(args):
     b, l1, l2, f = args
     for op, op_args in [(graph_two_form, (TwoFormFiber(b),)),
                         (dirac_sum, (l1, l2)),
-                        (pullback, (f, l1))]:
+                        (pullback, (f, l1)),
+                        (TwoFormFiber.pullback, (TwoFormFiber(b), f))]:
         first = op(*op_args)
         assert first == op.__wrapped__(*op_args)
         assert op(*op_args) is first
@@ -541,7 +652,9 @@ def test_cached_parts_are_the_row_blocks_and_leave_equality_alone(l):
 
 # ---------------------------------------------------------------------------
 # Graphs of 2-forms: DiracFiber.form reads omega off the echelon rows, and
-# graph_two_form, pullback and dirac_sum use the closed forms on graphs.
+# graph_two_form, pullback and dirac_sum use the closed forms on graphs
+# (the oracle tests above check gauge, dirac_negate, pushforward and the
+# kernel on graphs against their relation paths).
 
 @settings(max_examples=75, deadline=None)
 @given(dims.flatmap(lambda n: st.tuples(dirac_fibers(n), antisymmetric(n))))
