@@ -15,8 +15,7 @@ every operation here is a formula on the form (Bursztyn, "A brief
 introduction to Dirac manifolds", arXiv:1112.5037; Bursztyn, Crainic,
 Weinstein and Zhu, arXiv:math/0303180):
 - pullback: f*graph(omega) = graph(f^T omega f);
-- dirac_sum: graph(w1) + graph(w2) = graph(w1 + w2), and gauge, the sum
-  with graph(b): graph(omega) + graph(b) = graph(omega + b);
+- dirac_sum: graph(w1) + graph(w2) = graph(w1 + w2);
 - pushforward: f_* graph(omega) = graph(s^T omega s) for a section s of
   the surjective f (f s = I), when omega is basic, omega = f^T (s^T omega
   s) f; then omega = f*w for w = s*omega, and f_* f^* = id on onto maps.
@@ -38,22 +37,19 @@ x.  L.kernel, ker L = L cap V, is then the image of a kernel in the same
 coordinates, and a fiber that is not a graph is tested for isotropy on each
 pair of its basis vectors.
 
-Memo: graph_two_form, dirac_sum, pullback and TwoFormFiber.pullback (like
-linalg.fiber_product) are pure functions of frozen, hashable values, and a
-run asks for the same ones many times (the compatibility at one arrow is
-checked by several suites, identity legs repeat their inputs; the torus
-verify pulls a 2-form back 547 times on 134 distinct pairs, as the
-morphisms' pulled-back forms and the compatibility's source side repeat).
-Each keeps one functools.cache per process, unbounded and with no knob; a
-miss runs the same code, a hit returns the same frozen fiber or form,
-which passed its check when it was built, and an exception is raised again
-on every call, never cached.  The closed forms on graphs go through
-graph_two_form, so equal forms share one fiber.  pushforward has no memo:
-a run repeats few of its inputs (11 of 46 calls on the torus verify, none
-on the circle reduction), so a memo there saves nothing measurable.
-DiracFiber.parts, DiracFiber.kernel and DiracFiber.form are views, read as
-attributes: each is built on first read and kept on the frozen fiber, the
-way a memo keeps its result.
+Memo: graph_two_form, dirac_sum and pullback (like linalg.fiber_product)
+are pure functions of frozen, hashable values, and a run asks for the same
+ones many times (the compatibility at one arrow is checked by several
+suites, identity legs repeat their inputs).  Each keeps one functools.cache
+per process, unbounded and with no knob; a miss runs the same code, a hit
+returns the same frozen fiber, which passed its isotropy check when it was
+built, and an exception is raised again on every call, never cached.  The
+closed forms on graphs go through graph_two_form, so equal forms share one
+fiber.  pushforward has no memo: a run repeats few of its inputs (11 of 46
+calls on the torus verify, none on the circle reduction), so a memo there
+saves nothing measurable.  DiracFiber.parts, DiracFiber.kernel and
+DiracFiber.form are views, read as attributes: each is built on first read
+and kept on the frozen fiber, the way a memo keeps its result.
 """
 
 from __future__ import annotations
@@ -124,7 +120,6 @@ class TwoFormFiber:
     def neg(self) -> "TwoFormFiber":
         return TwoFormFiber(self.matrix.scale(-1))
 
-    @cache
     def pullback(self, f: LinMap) -> "TwoFormFiber":
         """f*w for f : Q^m -> Q^n."""
         return TwoFormFiber(f.transpose() @ self.matrix @ f)
@@ -272,9 +267,8 @@ class DiracFiber:
             return None
         rows = self.space.rows
         den = lcm(*[r[j] for j, r in enumerate(rows)])
-        return TwoFormFiber(LinMap(n, n, tuple(
-            r[n:] if r[j] == den else tuple((den // r[j]) * x for x in r[n:])
-            for j, r in enumerate(rows)), den))
+        return TwoFormFiber(LinMap(n, n, tuple(tuple((den // r[j]) * x for x in r[n:])
+                                               for j, r in enumerate(rows)), den))
 
 
 @cache
@@ -288,12 +282,11 @@ def graph_two_form(omega: TwoFormFiber) -> DiracFiber:
     """
     n = omega.dim
     m = omega.matrix
-    zero = (0,) * n
     rows = []
     for j, w in enumerate(m.nums):
         g = gcd(m.den, *w)
-        rows.append(zero[:j] + (m.den // g,) + zero[j + 1:]
-                    + (w if g == 1 else tuple(x // g for x in w)))
+        rows.append(tuple(m.den // g if k == j else 0 for k in range(n))
+                    + tuple(x // g for x in w))
     return DiracFiber(Subspace(2 * n, tuple(rows), tuple(range(n))))
 
 
@@ -346,11 +339,8 @@ def dirac_negate(l: DiracFiber) -> DiracFiber:
 
 
 def gauge(l: DiracFiber, b: TwoFormFiber) -> DiracFiber:
-    """L + graph(b): graph(omega + b) for L = graph(omega), else the sum."""
     if l.n != b.dim:
         raise DimensionMismatch("gauge: dim mismatch")
-    if l.form is not None:
-        return graph_two_form(l.form.add(b))
     return dirac_sum(l, graph_two_form(b))
 
 

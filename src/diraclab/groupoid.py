@@ -407,24 +407,15 @@ def compatibility_check(arrow: ArrowFiber, l_src: DiracFiber, l_tgt: DiracFiber,
                         pullback_form: TwoFormFiber) -> CheckRecord:
     """The record of t*L = s*L + graph(c*omega) at one sampled arrow, exactly.
 
-    When both fibers are graphs, L = graph(w), the two sides are
-    graph(t^T w_tgt t) and graph(s^T w_src s + c*omega), and graph is
-    one-to-one, so the identity is decided on the forms; the sides are
-    built as Dirac fibers only for a FAIL's witness.  Otherwise it is
-    decided on the fibers pullback and gauge build.
+    Decided on the two fibers that pullback and gauge build; when L is a
+    graph of a 2-form, both take their closed forms on the form (courant).
     """
-    def sides():
-        return pullback(arrow.t_star, l_tgt), gauge(pullback(arrow.s_star, l_src), pullback_form)
-
-    if l_src.form is not None and l_tgt.form is not None:
-        ok = (l_tgt.form.pullback(arrow.t_star).matrix
-              == l_src.form.pullback(arrow.s_star).matrix + pullback_form.matrix)
-    else:
-        lhs, rhs = sides()
-        ok = lhs == rhs
+    lhs = pullback(arrow.t_star, l_tgt)
+    rhs = gauge(pullback(arrow.s_star, l_src), pullback_form)
+    ok = lhs == rhs
     return CheckRecord("coiso.compat", PASS if ok else FAIL,
                        "t*L = s*L + graph(c*omega)",
-                       None if ok else witness_difference(*(l.space for l in sides())))
+                       None if ok else witness_difference(lhs.space, rhs.space))
 
 
 def gauge_qs(bundle: GroupoidFiberBundle,

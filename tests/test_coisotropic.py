@@ -24,6 +24,7 @@ from diraclab.courant import (
     ThreeFormFiber,
     TwoFormFiber,
     cotangent_dirac,
+    dirac_sum,
     graph_two_form,
     perp,
     pullback,
@@ -52,7 +53,7 @@ from diraclab.linalg import (
 )
 
 from diraclab.records import replace
-from diraclab.report import FAIL, HYPOTHESIS_VIOLATED
+from diraclab.report import FAIL, HYPOTHESIS_VIOLATED, PASS, CheckRecord, witness_difference
 
 F = Fraction
 
@@ -437,20 +438,34 @@ def test_compatibility_records_are_computed_once_per_datum(circle1):
     assert ham == [replace(r, check_id="ham.compat") for r in datum.compatibility]
 
 
+def relation_compatibility(arrow, l_src, l_tgt, pullback_form):
+    """compatibility_check's record with both sides built on the relation
+    path: the uncached pullback and sum, each on fibers whose form reads
+    None, so no closed form on graphs and no memo entry takes part."""
+    from test_courant import without_form
+    lhs = pullback.__wrapped__(arrow.t_star, without_form(l_tgt))
+    src = pullback.__wrapped__(arrow.s_star, without_form(l_src))
+    rhs = dirac_sum.__wrapped__(without_form(src),
+                                without_form(graph_two_form(pullback_form)))
+    ok = lhs == rhs
+    return CheckRecord("coiso.compat", PASS if ok else FAIL,
+                       "t*L = s*L + graph(c*omega)",
+                       None if ok else witness_difference(lhs.space, rhs.space))
+
+
 def test_compatibility_failure_reaches_both_reports(circle1):
     datum = circle1.datum
     bad = CoisotropicDatum(datum.morphism,
                            (tangent_dirac(2),) + datum.dirac[1:], name="bad")
     failing = [k for k, r in enumerate(bad.compatibility) if r.status == FAIL]
     assert failing
-    # every fiber is a graph, so each record was decided on the forms; it
+    # every fiber is a graph, so each record took the closed forms; it
     # equals, witness included, the record the relation path gives
-    from test_courant import without_form
     c = bad.morphism
     assert all(l.form is not None for l in bad.dirac)
     assert bad.compatibility == tuple(
-        compatibility_check(ar, without_form(bad.dirac[ar.src]),
-                            without_form(bad.dirac[ar.tgt]), c.pullback_two_form(k))
+        relation_compatibility(ar, bad.dirac[ar.src], bad.dirac[ar.tgt],
+                               c.pullback_two_form(k))
         for k, ar in enumerate(c.dom.arrows))
     assert all(bad.compatibility[k].witness for k in failing)
     rep = is_coisotropic(bad)

@@ -345,10 +345,10 @@ def test_record_misuses_sees_every_form():
 
 MEMOS = {"cache", "lru_cache"}
 
-# the relation operations, the 2-form pullback and the matrix product, which
-# a run repeats on equal frozen inputs; a memo anywhere else is a deliberate
-# change to this table
-MEMOIZED = {"courant": ["TwoFormFiber.pullback", "dirac_sum", "graph_two_form", "pullback"],
+# the relation operations and the matrix product, which a run repeats on
+# equal frozen inputs; a memo anywhere else is a deliberate change to this
+# table
+MEMOIZED = {"courant": ["dirac_sum", "graph_two_form", "pullback"],
             "linalg": ["_composite", "fiber_product"]}
 
 
