@@ -1,61 +1,47 @@
 """Pointwise Dirac calculus in V + V* over Q.
 
-A DiracFiber is a Lagrangian subspace of Q^{2n} for the fixed symmetric
+A DiracFiber is a Lagrangian subspace L of Q^{2n} for the fixed symmetric
 pairing <(v,a),(w,b)> = a(w) + b(v), with V in coordinates 0..n-1 and V*
-in coordinates n..2n-1.  The four constructions (graph, sum, pullback,
-pushforward) are total at the fiber level: each always returns a Lagrangian
-subspace.  Smoothness questions ("if L1 + L2 is smooth") are handled at the
-bundle level by cross-point rank comparison, not here.
+in coordinates n..2n-1.  Every such L is
 
-Graphs of 2-forms: a Lagrangian L is graph(omega) for a 2-form omega iff
-L cap V* = 0, iff the pivots of its reduced echelon basis are the V
-coordinates 0..n-1.  DiracFiber.form reads omega off those rows, and
-graph_two_form writes them down, neither with an elimination.  On graphs
-every operation here is a formula on the form (Bursztyn, "A brief
-introduction to Dirac manifolds", arXiv:1112.5037; Bursztyn, Crainic,
-Weinstein and Zhu, arXiv:math/0303180):
-- pullback: f*graph(omega) = graph(f^T omega f);
-- dirac_sum: graph(w1) + graph(w2) = graph(w1 + w2);
-- pushforward: f_* graph(omega) = graph(s^T omega s) for a section s of
-  the surjective f (f s = I), when omega is basic, omega = f^T (s^T omega
-  s) f; then omega = f*w for w = s*omega, and f_* f^* = id on onto maps.
-  A square f is invertible, s = f^-1, and omega is always basic;
-- dirac_negate: -graph(omega) = graph(-omega);
-- kernel: ker graph(omega) = ker omega;
-- the Lagrangian test: the span of the rows (e_j, w_j) is isotropic iff
-  the matrix of the w_j is antisymmetric, so DiracFiber.__post_init__ reads
-  the form and tests it in place of every pairing of basis vectors.
+    L(E, omega) = {(X, xi) : X in E, xi|_E = i_X omega|_E}
 
-The relation-image path is the general case, and the reference the closed
-forms are tested against: sum, gauge and pullback with a non-graph input,
-dirac_negate and the kernel of a non-graph, and pushforward of a non-graph
-or of a graph whose form is not basic, are image(out, fiber_product(m1, m2))
-or image(out, L), taken in the basis coordinates of L: with (T, C) =
-L.parts the tangent and cotangent components of L's basis, an element of L
-is (T x, C x) for x in Q^n, so matching conditions are linear equations in
-x.  L.kernel, ker L = L cap V, is then the image of a kernel in the same
-coordinates, and a fiber that is not a graph is tested for isotropy on each
-pair of its basis vectors.
+for E = pr_V(L) and a 2-form omega on E, and L cap V* = Ann(E) (Courant,
+"Dirac manifolds", Trans. AMS 319, 1990; Gualtieri, "Generalized complex
+geometry", arXiv:math/0401221).  A DiracFiber is that pair: tangent is E,
+a canonical Subspace, and omega is the 2-form on E's echelon basis, so
+record equality is equality of L.  The graph of a 2-form is E = V, and the
+cotangent structure E = 0.  Each operation is one formula on the pair:
+- graph_two_form: L(V, omega);
+- dirac_sum: L(E1, w1) + L(E2, w2) = L(E1 cap E2, w1|_E + w2|_E);
+- pullback along f : Q^m -> Q^n: f*L(E, w) = L(f^-1 E, f*w);
+- pushforward along an onto f: f_*L(E, w) = L(f W, w'), with
+  W = {X in E : i_X w vanishes on E cap ker f} and w'(f X, f Y) = w(X, Y);
+- dirac_negate: L(E, -w);
+- DiracFiber.kernel: ker L = L cap V = ker(w|_E).
+Every antisymmetric omega gives a Lagrangian, so a DiracFiber needs no
+isotropy test; lagrangian(space), the one constructor from a basis, reads
+(E, omega) off the echelon rows and tests the span there.  space, the
+canonical echelon basis, and parts are views built from the pair, and for
+E = V with no elimination.  linalg skips the elimination on a full
+subspace in preimage, intersect and coords, so on graphs sum, gauge,
+pullback and negation eliminate nothing either.
 
-Memo: graph_two_form, dirac_sum and pullback (like linalg.fiber_product)
-are pure functions of frozen, hashable values, and a run asks for the same
-ones many times (the compatibility at one arrow is checked by several
-suites, identity legs repeat their inputs).  Each keeps one functools.cache
-per process, unbounded and with no knob; a miss runs the same code, a hit
-returns the same frozen fiber, which passed its isotropy check when it was
-built, and an exception is raised again on every call, never cached.  The
-closed forms on graphs go through graph_two_form, so equal forms share one
-fiber.  pushforward has no memo: a run repeats few of its inputs (11 of 46
-calls on the torus verify, none on the circle reduction), so a memo there
-saves nothing measurable.  DiracFiber.parts, DiracFiber.kernel and
-DiracFiber.form are views, read as attributes: each is built on first read
-and kept on the frozen fiber, the way a memo keeps its result.
+Memo: dirac_sum and pullback are pure functions of frozen, hashable values,
+and a run asks for the same ones many times (the compatibility at one arrow
+is checked by several suites, identity legs repeat their inputs).  Each
+keeps one functools.cache per process, unbounded and with no knob; a miss
+runs the same code, a hit returns the same frozen fiber, and an exception
+is raised again on every call, never cached.  pushforward repeats few of
+its inputs (11 of 46 calls on the torus verify); its work on f alone is
+linalg.image_lifts', memoized there.  DiracFiber.space, parts and kernel
+are views, read as attributes, built on first read and kept on the fiber.
 """
 
 from __future__ import annotations
 
 from functools import cache, cached_property
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 
 from .linalg import (
@@ -64,13 +50,12 @@ from .linalg import (
     Subspace,
     Vec,
     ZERO,
-    block_diag,
-    fiber_product,
     frac,
-    hstack,
+    full_subspace,
     image,
+    image_lifts,
     kernel,
-    solve,
+    preimage,
     vstack,
 )
 from .records import record
@@ -207,32 +192,48 @@ class ThreeFormFiber:
 
 @record
 class DiracFiber:
-    """A Lagrangian subspace of Q^n + (Q^n)*, for the pairing above.
+    """L(E, omega): tangent is E = pr_V(L), omega the 2-form on E's echelon
+    basis.  Build one from a basis with lagrangian."""
 
-    form is the 2-form omega with L = graph(omega), read off the echelon
-    basis, or None when L is not a graph (L cap V* != 0).
-    """
-
-    space: Subspace
+    tangent: Subspace
+    omega: TwoFormFiber
 
     def __post_init__(self):
-        if self.space.ambient_dim % 2:
-            raise DimensionMismatch("Dirac fiber must live in an even ambient Q^{2n}")
-        n = self.n
-        if self.space.dim != n:
-            raise NotLagrangian(f"dim {self.space.dim} != {n}")
-        # a graph is isotropic iff the matrix read off its rows is
-        # antisymmetric, which TwoFormFiber checks as form is built
-        try:
-            form = self.form
-        except ValueError:
-            raise NotLagrangian("basis not isotropic") from None
-        if form is None and not self.space.is_isotropic(pairing):
-            raise NotLagrangian("basis not isotropic")
+        if self.omega.dim != self.tangent.dim:
+            raise DimensionMismatch("omega must be a 2-form on the tangent's basis")
 
     @property
     def n(self) -> int:
-        return self.space.ambient_dim // 2
+        return self.tangent.ambient_dim
+
+    @cached_property
+    def space(self) -> Subspace:
+        """L's reduced echelon basis, written down from (E, omega).
+
+        Over E's basis b_j = r_j / r_j[p_j], row j is (b_j, xi_j), with
+        xi_j omega's row j at E's pivot columns, so that xi_j(b_i) =
+        omega(b_j, b_i), then eliminated at the pivots of Ann(E).  The rows
+        (0, a) of L cap V* = Ann(E) follow.  Each row is zero at every other
+        row's pivot, so made primitive they are the echelon rows; for E = V
+        they are (e_j, i_{e_j} omega), and no elimination runs.
+        """
+        n, e, w = self.n, self.tangent, self.omega.matrix
+        ann = e.annihilator()
+        rows = []
+        for r, p, x in zip(e.rows, e.pivots, w.nums):
+            row = [w.den * y for y in r] + [0] * n
+            for q, y in zip(e.pivots, x):
+                row[n + q] = r[p] * y
+            for a, q in zip(ann.rows, ann.pivots):
+                c = row[n + q]
+                if c:
+                    g = gcd(a[q], c)
+                    row = ([a[q] // g * y for y in row[:n]]
+                           + [a[q] // g * y - c // g * z for y, z in zip(row[n:], a)])
+            g = gcd(*row)
+            rows.append(tuple(y // g for y in row))
+        return Subspace(2 * n, tuple(rows) + tuple((0,) * n + a for a in ann.rows),
+                        e.pivots + tuple(n + q for q in ann.pivots))
 
     @cached_property
     def parts(self) -> tuple[LinMap, LinMap]:
@@ -244,50 +245,42 @@ class DiracFiber:
 
     @cached_property
     def kernel(self) -> Subspace:
-        """ker L = L cap V, as a subspace of Q^n: ker omega for a graph,
-        else the image of the kernel of C under T."""
-        if self.form is not None:
-            return kernel(self.form.matrix)
-        t, c = self.parts
-        return image(t, kernel(c))
-
-    @cached_property
-    def form(self) -> TwoFormFiber | None:
-        """The 2-form omega with L = graph(omega), or None if L cap V* != 0.
-
-        L cap V* = 0 iff L projects onto V, iff the pivots of the echelon
-        basis are 0..n-1.  Then row j is (p_j e_j, w_j) with p_j > 0, and
-        row j of omega is w_j / p_j; over the lcm of the p_j the map is
-        normalised, because each row is primitive.  A ValueError if those
-        rows are graph-shaped but their matrix is not antisymmetric: they
-        span no Lagrangian, so __post_init__ rejects them as one.
-        """
-        n = self.n
-        if self.space.pivots != tuple(range(n)):
-            return None
-        rows = self.space.rows
-        den = lcm(*[r[j] for j, r in enumerate(rows)])
-        return TwoFormFiber(LinMap(n, n, tuple(tuple((den // r[j]) * x for x in r[n:])
-                                               for j, r in enumerate(rows)), den))
+        """ker L = L cap V = {X in E : i_X omega = 0}.  L is its own
+        orthogonal, so (X, 0) is in L iff the V* part of every basis vector
+        vanishes on X: ker C^T, which for E = V is ker omega."""
+        return kernel(self.parts[1].transpose())
 
 
-@cache
-def graph_two_form(omega: TwoFormFiber) -> DiracFiber:
-    """Span of (e_j, i_{e_j} omega), the image of (I, omega-flat);
-    non-degenerate by construction.
+def lagrangian(space: Subspace) -> DiracFiber:
+    """The Dirac fiber with basis space, read off its echelon rows; a
+    NotLagrangian if the span is not Lagrangian.
 
-    Written down in echelon form, with no elimination: with omega =
-    nums / den, the row (den e_j | nums[j]) made primitive has its pivot at
-    j and is zero at every other pivot column 0..n-1.
+    With (T, C) the V and V* rows of space.matrix, G = C^T T has
+    G[i][j] = c_i(t_j), and the pairing of basis vectors i and j is
+    G[i][j] + G[j][i]: the span is isotropic, so Lagrangian at dim n, iff G
+    is antisymmetric.  The d rows that lead in V have V parts E's echelon
+    rows, and G's first d rows and columns are omega; the other rows are
+    (0, a), and G = 0 on them says that a annihilates E.
     """
-    n = omega.dim
-    m = omega.matrix
-    rows = []
-    for j, w in enumerate(m.nums):
-        g = gcd(m.den, *w)
-        rows.append(tuple(m.den // g if k == j else 0 for k in range(n))
-                    + tuple(x // g for x in w))
-    return DiracFiber(Subspace(2 * n, tuple(rows), tuple(range(n))))
+    if space.ambient_dim % 2:
+        raise DimensionMismatch("Dirac fiber must live in an even ambient Q^{2n}")
+    n = space.ambient_dim // 2
+    if space.dim != n:
+        raise NotLagrangian(f"dim {space.dim} != {n}")
+    m = space.matrix
+    g = m.row_block(n, 2 * n).transpose() @ m.row_block(0, n)
+    if not g.is_antisymmetric():
+        raise NotLagrangian("basis not isotropic")
+    d = sum(p < n for p in space.pivots)
+    rows = tuple(tuple(x // h for x in r[:n]) for r in space.rows[:d] for h in [gcd(*r[:n])])
+    return DiracFiber(Subspace(n, rows, space.pivots[:d]),
+                      TwoFormFiber(LinMap.from_rows([r[:d] for r in g.entries[:d]], cols=d)))
+
+
+def graph_two_form(omega: TwoFormFiber) -> DiracFiber:
+    """L(V, omega), the span of (e_j, i_{e_j} omega); non-degenerate by
+    construction."""
+    return DiracFiber(full_subspace(omega.dim), omega)
 
 
 def graph_bivector(pi: LinMap) -> DiracFiber:
@@ -300,7 +293,7 @@ def graph_bivector(pi: LinMap) -> DiracFiber:
     if not pi.is_antisymmetric():
         raise ValueError("bivector matrix must be antisymmetric")
     n = pi.rows
-    return DiracFiber(image(vstack(pi.transpose(), LinMap.identity(n))))
+    return lagrangian(image(vstack(pi.transpose(), LinMap.identity(n))))
 
 
 def tangent_dirac(n: int) -> DiracFiber:
@@ -313,29 +306,18 @@ def cotangent_dirac(n: int) -> DiracFiber:
 
 @cache
 def dirac_sum(l1: DiracFiber, l2: DiracFiber) -> DiracFiber:
-    """{(v, a1 + a2) : (v, ai) in Li}; Lagrangian for every input pair.
-
-    Two graphs sum to graph(omega1 + omega2); any other pair is the
-    relation image below.
-    """
+    """{(v, a1 + a2) : (v, ai) in Li} = L(E1 cap E2, w1|_E + w2|_E); each
+    form is restricted through the coordinates of E's basis in Ei's."""
     if l1.n != l2.n:
         raise DimensionMismatch("dirac_sum: base dim mismatch")
-    if l1.form is not None and l2.form is not None:
-        return graph_two_form(l1.form.add(l2.form))
-    t1, c1 = l1.parts
-    t2, c2 = l2.parts
-    out = vstack(hstack(t1, LinMap.zero(l1.n, l1.n)), hstack(c1, c2))
-    return DiracFiber(image(out, fiber_product(t1, t2)))
+    e = l1.tangent.intersect(l2.tangent)
+    return DiracFiber(e, l1.omega.pullback(l1.tangent.coords(e.matrix))
+                      .add(l2.omega.pullback(l2.tangent.coords(e.matrix))))
 
 
 def dirac_negate(l: DiracFiber) -> DiracFiber:
-    """{(v, -a) : (v, a) in L}: graph(-omega) for L = graph(omega), else
-    the image of L under diag(I, -I)."""
-    if l.form is not None:
-        return graph_two_form(l.form.neg())
-    n = l.n
-    m = block_diag(LinMap.identity(n), LinMap.identity(n).scale(-1))
-    return DiracFiber(image(m, l.space))
+    """{(v, -a) : (v, a) in L} = L(E, -omega)."""
+    return DiracFiber(l.tangent, l.omega.neg())
 
 
 def gauge(l: DiracFiber, b: TwoFormFiber) -> DiracFiber:
@@ -346,61 +328,31 @@ def gauge(l: DiracFiber, b: TwoFormFiber) -> DiracFiber:
 
 @cache
 def pullback(f: LinMap, l: DiracFiber) -> DiracFiber:
-    """f*L = {(w, f^T a) : (f w, a) in L} for f : Q^m -> Q^n.
-
-    On a graph, f*graph(omega) = graph(f^T omega f); any other L is the
-    relation image below.
-    """
+    """f*L = {(w, f^T a) : (f w, a) in L} for f : Q^m -> Q^n, which is
+    L(f^-1 E, f*omega): omega pulled back along f from f^-1 E's basis to
+    E's coordinates."""
     if f.rows != l.n:
         raise DimensionMismatch("pullback: map target must match fiber")
-    if l.form is not None:
-        return graph_two_form(l.form.pullback(f))
-    t, c = l.parts
-    out = block_diag(LinMap.identity(f.cols), f.transpose() @ c)
-    return DiracFiber(image(out, fiber_product(f, t)))
+    e = preimage(f, l.tangent)
+    return DiracFiber(e, l.omega.pullback(l.tangent.coords(f @ e.matrix)))
 
 
 def pushforward(f: LinMap, l: DiracFiber) -> DiracFiber:
     """f_* L = {(f v, a) : (v, f^T a) in L} for surjective f : Q^n -> Q^m.
 
-    One solve of f s = I decides that f is onto and gives a section s.  On
-    L = graph(omega) with omega basic, omega = f*(s*omega), the result is
-    graph(s*omega); a square f is invertible, so there omega is basic
-    without a test.  Any other L is the relation image below.
+    That is L(f W, omega'), W = {X in E : i_X omega vanishes on E cap
+    ker f} and omega'(f X, f Y) = omega(X, Y) on W, whatever the lifts.  In
+    E's coordinates, image_lifts of F = f on E's basis gives E cap ker f,
+    and of F on W's basis, f W and lifts in W; for E = V, F = f, and the
+    onto test's memo entry serves all three.
     """
     if f.cols != l.n:
         raise DimensionMismatch("pushforward: map source must match fiber")
-    s = solve(f, LinMap.identity(f.rows))
-    if s is None:
+    if image_lifts(f).image.dim != f.rows:
         raise ValueError("pushforward requires a surjective map")
-    if l.form is not None:
-        down = l.form.pullback(s)
-        if f.rows == f.cols or down.pullback(f) == l.form:
-            return graph_two_form(down)
-    t, c = l.parts
-    out = block_diag(f @ t, LinMap.identity(f.rows))
-    return DiracFiber(image(out, fiber_product(c, f.transpose())))
-
-
-def perp(s: Subspace) -> Subspace:
-    """Orthogonal complement for the fixed symmetric pairing: ker S^T P for
-    the basis matrix S and the pairing matrix P."""
-    if s.ambient_dim % 2 != 0:
-        raise DimensionMismatch("perp needs an even ambient")
-    n = s.ambient_dim // 2
-    z, i = LinMap.zero(n, n), LinMap.identity(n)
-    return kernel(s.matrix.transpose() @ vstack(hstack(z, i), hstack(i, z)))
-
-
-def is_lagrangian(s: Subspace) -> bool:
-    return perp(s) == s
-
-
-def two_form_of(l: DiracFiber) -> TwoFormFiber:
-    """Recover omega with L = graph(omega); a ValueError unless L cap V* = 0,
-    that is unless T is invertible: then C T^-1 is the flat matrix omega^T."""
-    t, c = l.parts
-    x = solve(t, LinMap.identity(l.n))
-    if x is None:
-        raise ValueError("fiber is not the graph of a 2-form")
-    return TwoFormFiber((c @ x).transpose())
+    e, w = l.tangent, l.omega
+    fe = f @ e.matrix
+    k = image_lifts(fe).kernel.matrix
+    wk = kernel((w.matrix @ k).transpose()).matrix
+    down = image_lifts(fe @ wk)
+    return DiracFiber(down.image, w.pullback(wk @ down.lifts))

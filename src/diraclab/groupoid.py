@@ -28,6 +28,7 @@ from .courant import (
     ThreeFormFiber,
     TwoFormFiber,
     gauge,
+    lagrangian,
     pullback,
 )
 from .linalg import (
@@ -394,22 +395,19 @@ def _translation_witness(p: ComposablePairFiber, w: LinMap, want: LinMap) -> dic
 
 def induced_dirac(obj: ObjectFiber) -> DiracFiber:
     """im(rho, sigma) as a Dirac fiber; a ValueError if it is not Lagrangian
-    (DiracFiber checks isotropy, which with dim n gives L = ker(rho* + sigma*))."""
+    (lagrangian checks isotropy, which with dim n gives L = ker(rho* + sigma*))."""
     n = obj.dim
     space = image(vstack(obj.rho, obj.sigma))
     if space.dim != n:
         raise ValueError(
             f"im(rho, sigma) has dim {space.dim} != {n}: fiber is not quasi-symplectic")
-    return DiracFiber(space)
+    return lagrangian(space)
 
 
 def compatibility_check(arrow: ArrowFiber, l_src: DiracFiber, l_tgt: DiracFiber,
                         pullback_form: TwoFormFiber) -> CheckRecord:
-    """The record of t*L = s*L + graph(c*omega) at one sampled arrow, exactly.
-
-    Decided on the two fibers that pullback and gauge build; when L is a
-    graph of a 2-form, both take their closed forms on the form (courant).
-    """
+    """The record of t*L = s*L + graph(c*omega) at one sampled arrow, exactly,
+    decided on the two fibers that pullback and gauge build."""
     lhs = pullback(arrow.t_star, l_tgt)
     rhs = gauge(pullback(arrow.s_star, l_src), pullback_form)
     ok = lhs == rhs

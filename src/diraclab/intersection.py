@@ -66,7 +66,7 @@ class ProductFiber:
 def _ranks(point: tuple, r_space: Subspace, l_fiber: DiracFiber) -> dict:
     """The dimensions of the auxiliary spaces at one product point."""
     return {"point": point, "R": r_space.dim, "R_ann": r_space.ambient_dim - r_space.dim,
-            "L": l_fiber.space.dim, "kerL": l_fiber.kernel.dim}
+            "L": l_fiber.n, "kerL": l_fiber.kernel.dim}
 
 
 @record

@@ -29,30 +29,29 @@ membership tests run on ints throughout:
   scenarios build are mostly zeros and identity blocks.
 - _rref_int eliminates fraction-free (Bareiss, "Sylvester's identity and
   multistep integer-preserving Gaussian elimination", Math. Comp. 22, 1968)
-  and keeps every row primitive.  Each of image, kernel, solve and
-  canonicalize eliminates once: kernel eliminates F with its columns
-  reversed, which yields the kernel's reduced echelon rows directly.
+  and keeps every row primitive.  Each of image, kernel, solve,
+  image_lifts and canonicalize eliminates once: kernel eliminates F with
+  its columns reversed, which yields the kernel's reduced echelon rows.
 Coordinates in a Subspace basis are read, not solved: Subspace.coords
-returns M's rows at the pivot columns.
+returns M's rows at the pivot columns.  On the whole space nothing is
+eliminated: coords returns M, intersect the other subspace, and the
+annihilator, the preimage and the kernel of a zero map are written down.
 
 Relations: fiber_product(m1, m2) is the subspace {(x, y) : m1 x = m2 y},
-the one primitive from which the Dirac operations and the checkers build
-their fiber products; block_diag(a, d) is the map (x, y) -> (a x, d y).
-Combined with image, they compose linear relations in the basis
-coordinates of their inputs.
+from which the checkers build their fiber products; block_diag(a, d) is the
+map (x, y) -> (a x, d y).  With image, they compose linear relations.
 
-Memo: fiber_product and _composite, the product behind LinMap.__matmul__,
-are pure functions of two frozen LinMaps, and a run asks for the same pair
-many times: the Dirac operations build their fiber products from a few maps,
-and 62-82% of the products a verify or reduce command forms repeat an
-operand pair it formed before.  Each keeps one functools.cache per process,
-unbounded and with no knob.  A miss runs the same code, a hit returns the
-same frozen Subspace or LinMap, and an exception is raised again on every
-call, never cached; __matmul__ checks the shapes before it asks the memo,
-so a mismatch never reaches it.  Nothing else here is memoized: a kernel
-memo in place of fiber_product's ran no faster on circle n = 2 and held
-more memory, canonicalize takes lists, and image and kernel cost one
-elimination each.
+Memo: fiber_product, image_lifts and _composite, the product behind
+LinMap.__matmul__, are pure functions of frozen LinMaps, and a run asks for
+the same ones many times: a pushforward asks image_lifts about its map up
+to three times, and 62-82% of the products a verify or reduce command forms
+repeat an operand pair (an identity factor returns the other).
+LinMap.identity and full_subspace are shared the same way.  Each keeps one
+functools.cache per process, unbounded and with no knob.  A miss runs the
+same code, a hit returns the same frozen value, and an exception is raised
+again on every call, never cached; __matmul__ checks the shapes before it
+asks the memo.  A kernel memo in place of fiber_product's ran no faster on
+circle n = 2 and held more memory.
 """
 
 from __future__ import annotations
@@ -61,7 +60,7 @@ from collections.abc import Callable, Sequence
 from fractions import Fraction
 from functools import cache, cached_property
 from math import gcd, lcm
-from operator import mul
+from operator import mul, neg
 
 from .records import record
 
@@ -160,6 +159,10 @@ def _rescaled(m: "LinMap", den: int) -> IntRows:
 @cache
 def _composite(a: "LinMap", b: "LinMap") -> "LinMap":
     """a . b for maps of matching shapes, normalised: LinMap.__matmul__'s product."""
+    if b.den == 1 and b.nums == LinMap.identity(b.cols).nums:
+        return a
+    if a.den == 1 and a.nums == LinMap.identity(a.cols).nums:
+        return b
     return _normalised(a.rows, b.cols, _product(a.nums, b.nums, b.cols), a.den * b.den)
 
 
@@ -215,6 +218,7 @@ class LinMap:
         return LinMap.from_rows(cols, rows_dim).transpose()
 
     @staticmethod
+    @cache
     def identity(n: int) -> "LinMap":
         return LinMap(n, n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
@@ -280,10 +284,8 @@ class LinMap:
         return not any(map(any, self.nums))
 
     def is_antisymmetric(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        return all(x == -y for r, c in zip(self.nums, _transpose(self.nums, self.cols))
-                   for x, y in zip(r, c))
+        return self.rows == self.cols and all(
+            r == tuple(map(neg, c)) for r, c in zip(self.nums, _transpose(self.nums, self.cols)))
 
 
 def hstack(a: LinMap, b: LinMap) -> LinMap:
@@ -410,6 +412,8 @@ class Subspace:
         """
         if m.rows != self.ambient_dim:
             raise DimensionMismatch("coords: ambient mismatch")
+        if self.dim == self.ambient_dim:
+            return m
         if not all(map(self._spans, _transpose(m.nums, m.cols))):
             return None
         return _normalised(self.dim, m.cols, tuple(m.nums[p] for p in self.pivots), m.den)
@@ -439,11 +443,17 @@ class Subspace:
         # kernel of the stacked annihilator constraints of both subspaces
         if self.ambient_dim != other.ambient_dim:
             raise DimensionMismatch("intersect: ambient mismatch")
+        if self.dim == self.ambient_dim:
+            return other
+        if other.dim == other.ambient_dim:
+            return self
         constraints = self.annihilator().rows + other.annihilator().rows
         return kernel(LinMap(len(constraints), self.ambient_dim, constraints))
 
     def annihilator(self) -> "Subspace":
         """Covectors vanishing on the subspace, as a subspace of the dual."""
+        if self.dim == self.ambient_dim:
+            return Subspace(self.ambient_dim, ())
         return kernel(LinMap(self.dim, self.ambient_dim, self.rows))
 
     @cached_property
@@ -475,6 +485,7 @@ def canonicalize(vectors, ambient_dim: int | None = None) -> Subspace:
     return _span(rows, ambient_dim)
 
 
+@cache
 def full_subspace(ambient_dim: int) -> Subspace:
     # the identity rows are already primitive and in reduced echelon form
     return Subspace(ambient_dim, LinMap.identity(ambient_dim).nums,
@@ -499,9 +510,9 @@ def preimage(f: LinMap, s: Subspace) -> Subspace:
     """{x : F x in S}, computed as the kernel of ann(S) . F."""
     if s.ambient_dim != f.rows:
         raise DimensionMismatch("preimage: ambient mismatch")
-    ann = s.annihilator()
-    if ann.dim == 0:
+    if s.dim == s.ambient_dim:
         return full_subspace(f.cols)
+    ann = s.annihilator()
     return kernel(LinMap(ann.dim, f.rows, ann.rows) @ f)
 
 
@@ -516,6 +527,8 @@ def kernel(f: LinMap) -> Subspace:
     pivot c, and the rows come out in pivot order.
     """
     n = f.cols
+    if f.is_zero():
+        return full_subspace(n)
     last = n - 1
     rows, piv_cols = _rref_int([r[::-1] for r in f.nums])
     pivs = set(piv_cols)
@@ -539,6 +552,38 @@ def kernel(f: LinMap) -> Subspace:
 def fiber_product(m1: LinMap, m2: LinMap) -> Subspace:
     """{(x, y) : m1 x = m2 y} as a subspace of the direct sum of the sources."""
     return kernel(hstack(m1, m2.scale(-1)))
+
+
+@record
+class ImageLifts:
+    """im F and ker F, with lifts X of im F's echelon basis: F X = image.matrix."""
+
+    image: Subspace
+    kernel: Subspace
+    lifts: LinMap
+
+
+@cache
+def image_lifts(f: LinMap) -> ImageLifts:
+    """im F, ker F and lifts of im F's basis, from one elimination of [F^T | I].
+
+    With F = nums / den, row j of [nums^T | den I] is den (F e_j, e_j), so
+    every row (y, x) of its echelon form has F x = y.  The rows that lead in
+    y are in reduced echelon form there: made primitive, they are im F's
+    rows, and x over y's pivot entry lifts the matching basis vector.  The
+    others are (0, x), the reduced echelon rows of ker F.
+    """
+    m, n = f.rows, f.cols
+    rows, piv_cols = _rref_int([r + tuple(f.den * (i == j) for i in range(n))
+                                for j, r in enumerate(_transpose(f.nums, n))])
+    rank = sum(p < m for p in piv_cols)
+    im = [r[:m] for r in rows[:rank]]
+    den = lcm(*[y[p] for y, p in zip(im, piv_cols)])
+    lifts = [[(den // y[p]) * x for x in r[m:]] for y, r, p in zip(im, rows, piv_cols)]
+    return ImageLifts(Subspace(m, tuple(map(tuple, map(_primitive, im))), tuple(piv_cols[:rank])),
+                      Subspace(n, tuple(tuple(r[m:]) for r in rows[rank:]),
+                               tuple(p - m for p in piv_cols[rank:])),
+                      _normalised(n, rank, _transpose(lifts, n), den))
 
 
 def solve(f: LinMap, b: LinMap) -> LinMap | None:

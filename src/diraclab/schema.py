@@ -19,7 +19,7 @@ import json
 from contextlib import contextmanager
 from fractions import Fraction
 
-from .courant import DiracFiber, ThreeFormFiber, TwoFormFiber
+from .courant import DiracFiber, ThreeFormFiber, TwoFormFiber, lagrangian
 from .linalg import DimensionMismatch, LinMap, canonicalize, frac
 
 
@@ -101,7 +101,7 @@ def dirac_to_json(l: DiracFiber) -> dict:
 
 
 def dirac_from_json(d: dict) -> DiracFiber:
-    return DiracFiber(canonicalize([[frac(x) for x in row] for row in _rows(d["basis"])],
+    return lagrangian(canonicalize([[frac(x) for x in row] for row in _rows(d["basis"])],
                                    2 * _count(d["n"])))
 
 

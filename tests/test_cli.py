@@ -63,7 +63,7 @@ def run(capsys, argv):
 # Dirac calculus: each records the distinct inputs of these functions, and
 # test_the_golden_inputs_replay_against_the_oracles checks every one
 
-RECORDED = {"linalg": ("_rref_int", "fiber_product", "_composite"),
+RECORDED = {"linalg": ("_rref_int", "fiber_product", "_composite", "image_lifts"),
             "courant": ("graph_two_form", "dirac_sum", "pullback", "pushforward",
                         "dirac_negate"),
             "groupoid": ("compatibility_check",)}
@@ -210,17 +210,15 @@ def sparse_oracle_mul(a, b, cols):
 def test_the_golden_inputs_replay_against_the_oracles(tmp_path, capsys, corpus):
     # every distinct input the golden runs gave the exact core and the
     # Dirac operations, against the Fraction oracles of test_linalg and
-    # test_courant and against each memo's uncached body; on graphs of
-    # 2-forms, the closed forms of pullback, dirac_sum, pushforward,
-    # dirac_negate and the compatibility check against their relation path,
-    # which reads DiracFiber.parts.  A golden run that has not been made in
-    # this session is made here
+    # test_courant, which work on bases of L and never on (E, omega), and
+    # the linalg memos against their uncached bodies.  A golden run that has
+    # not been made in this session is made here
     from diraclab import linalg
     from diraclab.courant import dirac_negate, dirac_sum, graph_two_form, pullback, pushforward
     from diraclab.groupoid import compatibility_check
-    from test_coisotropic import relation_compatibility
+    from test_coisotropic import oracle_compatibility
     from test_courant import (oracle_dirac_sum, oracle_kernel_of, oracle_negate,
-                              oracle_pullback, oracle_pushforward, without_form)
+                              oracle_pullback, oracle_pushforward, two_form_of)
     from test_linalg import as_rows, oracle_kernel, oracle_rref
     for stem in sorted(set(GOLDEN_RUNS) - set(corpus)):
         run_golden(capsys, tmp_path, corpus, stem)
@@ -245,44 +243,37 @@ def test_the_golden_inputs_replay_against_the_oracles(tmp_path, capsys, corpus):
         got = linalg._composite(a, b)
         check("_composite", as_rows(got) == sparse_oracle_mul(a.entries, b.entries, b.cols)
               and got == linalg._composite.__wrapped__(a, b), (a, b))
+    for (f,) in inputs["image_lifts"]:
+        got = linalg.image_lifts(f)
+        cols = [list(c) for c in zip(*f.entries)]
+        check("image_lifts", [list(v) for v in got.image.basis] == oracle_rref(cols)[0]
+              and got.kernel.basis == oracle_kernel(f.entries, f.cols)
+              and f @ got.lifts == got.image.matrix, (f,))
     for (w,) in inputs["graph_two_form"]:
         got = graph_two_form(w)
         oracle = linalg.image(linalg.vstack(linalg.LinMap.identity(w.dim), w.matrix.transpose()))
-        check("graph_two_form", got.space == oracle and got.form == w
-              and got == graph_two_form.__wrapped__(w), (w,))
+        check("graph_two_form", got.space == oracle and two_form_of(got) == w, (w,))
     fibers = set()
     for l1, l2 in inputs["dirac_sum"]:
         got = dirac_sum(l1, l2)
         fibers |= {l1, l2, got}
-        ok = got.space == oracle_dirac_sum(l1, l2) and got == dirac_sum.__wrapped__(l1, l2)
-        if l1.form is not None and l2.form is not None:
-            ok = ok and got == dirac_sum.__wrapped__(without_form(l1), without_form(l2))
-        check("dirac_sum", ok, (l1, l2))
+        check("dirac_sum", got.space == oracle_dirac_sum(l1, l2), (l1, l2))
     for f, l in inputs["pullback"]:
         got = pullback(f, l)
         fibers |= {l, got}
-        ok = got.space == oracle_pullback(f, l) and got == pullback.__wrapped__(f, l)
-        if l.form is not None:
-            ok = ok and got == pullback.__wrapped__(f, without_form(l))
-        check("pullback", ok, (f, l))
+        check("pullback", got.space == oracle_pullback(f, l), (f, l))
     for f, l in inputs["pushforward"]:
         got = pushforward(f, l)
         fibers |= {l, got}
-        ok = got.space == oracle_pushforward(f, l)
-        if l.form is not None:
-            ok = ok and got == pushforward(f, without_form(l))
-        check("pushforward", ok, (f, l))
+        check("pushforward", got.space == oracle_pushforward(f, l), (f, l))
     for (l,) in inputs["dirac_negate"]:
         got = dirac_negate(l)
         fibers |= {l, got}
-        ok = got.space == oracle_negate(l)
-        if l.form is not None:
-            ok = ok and got == dirac_negate(without_form(l))
-        check("dirac_negate", ok, (l,))
+        check("dirac_negate", got.space == oracle_negate(l), (l,))
     for arrow, l_src, l_tgt, form in inputs["compatibility_check"]:
         got = compatibility_check(arrow, l_src, l_tgt, form)
         check("compatibility_check",
-              got == relation_compatibility(arrow, l_src, l_tgt, form),
+              got == oracle_compatibility(arrow, l_src, l_tgt, form),
               (arrow, l_src, l_tgt, form))
     for l in fibers:
         check("DiracFiber.kernel", l.kernel == oracle_kernel_of(l), (l,))

@@ -20,13 +20,11 @@ from diraclab.coisotropic import (
     zero_shifted_poisson_check,
 )
 from diraclab.courant import (
-    DiracFiber,
     ThreeFormFiber,
     TwoFormFiber,
     cotangent_dirac,
-    dirac_sum,
     graph_two_form,
-    perp,
+    lagrangian,
     pullback,
     std_symplectic,
     tangent_dirac,
@@ -389,10 +387,11 @@ def random_chain_datum(seed: int) -> CoisotropicDatum:
     # is Lagrangian for any Lagrangian Lambda, so randomize through Lambda
     from diraclab.courant import gauge, graph_bivector
     from diraclab.linalg import random_antisymmetric
+    from test_courant import perp
     lam = gauge(graph_bivector(random_antisymmetric(rng, m, bound=3)),
                 TwoFormFiber(random_antisymmetric(rng, m, bound=3)))
     space = iso.sum(perp(iso).intersect(lam.space))
-    l = DiracFiber(space)
+    l = lagrangian(space)
 
     c_bundle = GroupoidFiberBundle((ob_c,), (), (), name="random-c")
     g_bundle = GroupoidFiberBundle((ob_g,), (), (), name="random-g")
@@ -438,19 +437,18 @@ def test_compatibility_records_are_computed_once_per_datum(circle1):
     assert ham == [replace(r, check_id="ham.compat") for r in datum.compatibility]
 
 
-def relation_compatibility(arrow, l_src, l_tgt, pullback_form):
-    """compatibility_check's record with both sides built on the relation
-    path: the uncached pullback and sum, each on fibers whose form reads
-    None, so no closed form on graphs and no memo entry takes part."""
-    from test_courant import without_form
-    lhs = pullback.__wrapped__(arrow.t_star, without_form(l_tgt))
-    src = pullback.__wrapped__(arrow.s_star, without_form(l_src))
-    rhs = dirac_sum.__wrapped__(without_form(src),
-                                without_form(graph_two_form(pullback_form)))
+def oracle_compatibility(arrow, l_src, l_tgt, pullback_form):
+    """compatibility_check's record with both sides built by the Fraction
+    oracles of test_courant on bases of L, so no formula on (E, omega) and
+    no memo entry takes part."""
+    from test_courant import oracle_dirac_sum, oracle_pullback
+    lhs = oracle_pullback(arrow.t_star, l_tgt)
+    src = lagrangian(oracle_pullback(arrow.s_star, l_src))
+    rhs = oracle_dirac_sum(src, graph_two_form(pullback_form))
     ok = lhs == rhs
     return CheckRecord("coiso.compat", PASS if ok else FAIL,
                        "t*L = s*L + graph(c*omega)",
-                       None if ok else witness_difference(lhs.space, rhs.space))
+                       None if ok else witness_difference(lhs, rhs))
 
 
 def test_compatibility_failure_reaches_both_reports(circle1):
@@ -459,12 +457,10 @@ def test_compatibility_failure_reaches_both_reports(circle1):
                            (tangent_dirac(2),) + datum.dirac[1:], name="bad")
     failing = [k for k, r in enumerate(bad.compatibility) if r.status == FAIL]
     assert failing
-    # every fiber is a graph, so each record took the closed forms; it
-    # equals, witness included, the record the relation path gives
+    # each record equals, witness included, the one the oracles give
     c = bad.morphism
-    assert all(l.form is not None for l in bad.dirac)
     assert bad.compatibility == tuple(
-        relation_compatibility(ar, bad.dirac[ar.src], bad.dirac[ar.tgt],
+        oracle_compatibility(ar, bad.dirac[ar.src], bad.dirac[ar.tgt],
                                c.pullback_two_form(k))
         for k, ar in enumerate(c.dom.arrows))
     assert all(bad.compatibility[k].witness for k in failing)

@@ -16,25 +16,26 @@ from diraclab.courant import (
     gauge,
     graph_bivector,
     graph_two_form,
-    is_lagrangian,
+    lagrangian,
     pairing,
-    perp,
     pullback,
     pushforward,
     tangent_dirac,
-    two_form_of,
 )
 from diraclab.linalg import (
     DimensionMismatch,
     LinMap,
     basis_vec,
+    block_diag,
     canonicalize,
+    fiber_product,
     full_subspace,
     hstack,
     image,
     kernel,
     preimage,
     random_antisymmetric,
+    solve,
     vec,
     vec_concat,
     vstack,
@@ -198,8 +199,6 @@ def test_kernel_of_graph_is_form_kernel():
 
 
 def test_nondegeneracy_of_bivector_graphs():
-    assert graph_bivector(LinMap.zero(2, 2)).form is None
-    assert graph_two_form(std_symplectic(2)).form is not None
     with pytest.raises(ValueError, match="not the graph of a 2-form"):
         two_form_of(graph_bivector(LinMap.zero(2, 2)))
 
@@ -211,21 +210,21 @@ def test_two_form_roundtrip():
 
 def test_not_lagrangian_rejected():
     with pytest.raises(NotLagrangian):
-        DiracFiber(canonicalize([vec(1, 1)], 2))
+        lagrangian(canonicalize([vec(1, 1)], 2))
     with pytest.raises(NotLagrangian):
-        DiracFiber(canonicalize([], 2))
+        lagrangian(canonicalize([], 2))
     # graph-shaped rows (pivots 0..n-1) whose matrix is not antisymmetric:
     # omega = [[0, 1], [1, 0]], and omega = [[1/2, 0], [0, 0]], with a pivot 2
     for rows in [[vec(1, 0, 0, 1), vec(0, 1, 1, 0)], [vec(2, 0, 1, 0), vec(0, 1, 0, 0)]]:
         space = canonicalize(rows, 4)
         assert space.pivots == (0, 1)
         with pytest.raises(NotLagrangian, match="^basis not isotropic$"):
-            DiracFiber(space)
+            lagrangian(space)
 
 
 def test_a_dirac_fiber_needs_an_even_ambient():
     with pytest.raises(DimensionMismatch):
-        DiracFiber(canonicalize([vec(1, 0, 0)], 3))
+        lagrangian(canonicalize([vec(1, 0, 0)], 3))
     assert pairing(vec(1, 2, 3, 4), vec(5, 6, 7, 8)) == 3 * 5 + 4 * 6 + 7 * 1 + 8 * 2
     with pytest.raises(DimensionMismatch):
         pairing(vec(1, 2), vec(1, 2, 3, 4))
@@ -233,11 +232,13 @@ def test_a_dirac_fiber_needs_an_even_ambient():
 
 def test_off_diagonal_pairing_is_not_lagrangian():
     # (e_1, 0) and (0, e_1*) each pair to 0 with themselves but to 1 with
-    # each other, so only the check of distinct basis pairs rejects the span
+    # each other: the row (0, e_1*) does not annihilate E = span(e_1)
     space = canonicalize([vec(1, 0, 0, 0), vec(0, 0, 1, 0)], 4)
     assert space.dim == 2
-    with pytest.raises(NotLagrangian):
-        DiracFiber(space)
+    with pytest.raises(NotLagrangian, match="^basis not isotropic$"):
+        lagrangian(space)
+    with pytest.raises(DimensionMismatch):
+        DiracFiber(full_subspace(2), TwoFormFiber.zero(1))
 
 
 def test_three_form_antisymmetry():
@@ -353,7 +354,8 @@ def test_three_form_neg():
 # Oracle: the 4n-ambient constructions that the relation primitive replaced.
 # They embed the inputs into one large ambient space, intersect there through
 # annihilators and project back.  They live here only, to cross-check
-# dirac_sum, pullback, pushforward, DiracFiber.kernel and DiracFiber.form.
+# dirac_sum, pullback, pushforward, dirac_negate and DiracFiber.kernel, all
+# of which compute on (E, omega) and never on a basis of L.
 
 def _embed(s, offset, ambient):
     gens = [zero_vec(offset) + v + zero_vec(ambient - offset - s.ambient_dim)
@@ -398,12 +400,45 @@ def oracle_negate(l):
     return canonicalize([v[:n] + tuple(-x for x in v[n:]) for v in l.space.basis], 2 * n)
 
 
-def without_form(l):
-    """A copy of the Dirac fiber l whose form reads None, so that the
-    operations take their relation path on it."""
-    copy = DiracFiber(l.space)
-    vars(copy)["form"] = None
-    return copy
+def perp(s):
+    """Orthogonal complement for the fixed symmetric pairing: ker S^T P for
+    the basis matrix S and the pairing matrix P."""
+    if s.ambient_dim % 2 != 0:
+        raise DimensionMismatch("perp needs an even ambient")
+    n = s.ambient_dim // 2
+    z, i = LinMap.zero(n, n), LinMap.identity(n)
+    return kernel(s.matrix.transpose() @ vstack(hstack(z, i), hstack(i, z)))
+
+
+def is_lagrangian(s):
+    return perp(s) == s
+
+
+def two_form_of(l):
+    """omega with L = graph(omega), solved from the basis of L; a ValueError
+    unless L cap V* = 0, that is unless T is invertible: then C T^-1 is the
+    flat matrix omega^T."""
+    t, c = l.parts
+    x = solve(t, LinMap.identity(l.n))
+    if x is None:
+        raise ValueError("fiber is not the graph of a 2-form")
+    return TwoFormFiber((c @ x).transpose())
+
+
+def relation_sum(l1, l2):
+    """The sum as the image of a relation in the basis coordinates of L1 and
+    L2: with (Ti, Ci) = Li.parts, the pairs (x1, x2) with T1 x1 = T2 x2 go
+    to (T1 x1, C1 x1 + C2 x2)."""
+    n = l1.n
+    t1, c1 = l1.parts
+    t2, c2 = l2.parts
+    out = vstack(hstack(t1, LinMap.zero(n, n)), hstack(c1, c2))
+    return image(out, fiber_product(t1, t2))
+
+
+def relation_negate(l):
+    """L under diag(I, -I)."""
+    return image(block_diag(LinMap.identity(l.n), LinMap.identity(l.n).scale(-1)), l.space)
 
 
 def oracle_kernel_of(l):
@@ -442,7 +477,7 @@ def split_lagrangian(w_gens, b):
     flat = b.transpose()
     gens = [vec_concat(v, flat.apply(v)) for v in w.basis]
     gens += [zero_vec(n) + a for a in w.annihilator().basis]
-    return DiracFiber(canonicalize(gens, 2 * n))
+    return lagrangian(canonicalize(gens, 2 * n))
 
 
 def dirac_fibers(n):
@@ -467,7 +502,7 @@ dims = st.integers(min_value=1, max_value=4)
 @given(dims.flatmap(lambda n: st.tuples(dirac_fibers(n), dirac_fibers(n))))
 def test_dirac_sum_matches_oracle(pair):
     l1, l2 = pair
-    assert dirac_sum(l1, l2).space == oracle_dirac_sum(l1, l2)
+    assert dirac_sum(l1, l2).space == oracle_dirac_sum(l1, l2) == relation_sum(l1, l2)
 
 
 @settings(max_examples=75, deadline=None)
@@ -518,13 +553,10 @@ def surjective_maps(draw, n):
 @settings(max_examples=75, deadline=None)
 @given(dims.flatmap(lambda n: st.tuples(surjective_maps(n), dirac_fibers(n))))
 def test_pushforward_matches_oracle(fl):
-    # a random graph is almost never basic for f, so on graphs this is the
-    # fallback to the relation path
+    # a random graph is almost never basic for f, so W is seldom all of E
     f, l = fl
     assert image(f).dim == f.rows
-    got = pushforward(f, l)
-    assert got.space == oracle_pushforward(f, l)
-    assert got == pushforward(f, without_form(l))
+    assert pushforward(f, l).space == oracle_pushforward(f, l)
 
 
 @st.composite
@@ -543,15 +575,13 @@ def test_pushforward_of_a_basic_graph_is_the_graph_below(fwl):
     got = pushforward(f, l)
     assert got == graph_two_form(w)
     assert got.space == oracle_pushforward(f, l)
-    assert got == pushforward(f, without_form(l))
 
 
 @settings(max_examples=75, deadline=None)
 @given(dims.flatmap(dirac_fibers))
 def test_dirac_negate_matches_oracle_and_relation_path(l):
     got = dirac_negate(l)
-    assert got.space == oracle_negate(l)
-    assert got == dirac_negate(without_form(l))
+    assert got.space == oracle_negate(l) == relation_negate(l)
     assert dirac_negate(got) == l
 
 
@@ -562,60 +592,19 @@ def test_gauge_matches_oracle_and_relation_path(args):
     b = TwoFormFiber(m)
     got = gauge(l, b)
     assert got.space == oracle_dirac_sum(l, graph_two_form(b))
-    assert got == dirac_sum.__wrapped__(without_form(l), graph_two_form(b))
-
-
-def test_a_basic_graph_pushforward_runs_no_image_and_no_fiber_product(monkeypatch):
-    # the section from solve gives the form below; image and fiber_product
-    # run only on the relation path
-    from diraclab import courant
-    cot = cotangent_dirac(2)
-    called = []
-    for name in ("image", "fiber_product"):
-        fn = getattr(courant, name)
-        monkeypatch.setattr(courant, name,
-                            lambda *a, name=name, fn=fn: called.append(name) or fn(*a))
-    w = std_symplectic(2)
-    onto = LinMap.from_rows([[1, 0, 2, 0], [0, 1, F(1, 3), -1]])
-    square = LinMap.from_rows([[2, 1], [1, 1]])
-    assert pushforward(onto, graph_two_form(w.pullback(onto))) == graph_two_form(w)
-    assert pushforward(square, graph_two_form(w.pullback(square))) == graph_two_form(w)
-    assert called == []
-    # a graph whose form is not basic, and a non-graph, take the relation path
-    pushforward(onto, graph_two_form(std_symplectic(4)))
-    assert called == ["fiber_product", "image"]
-    pushforward(square, cot)
-    assert called == ["fiber_product", "image"] * 2
-
-
-def test_building_a_graph_fiber_tests_no_pair_of_basis_vectors(monkeypatch):
-    # a graph is Lagrangian iff the form read off its rows is antisymmetric;
-    # only a fiber that is not a graph is tested pair by pair
-    from diraclab.linalg import Subspace
-    tested = []
-    is_isotropic = Subspace.is_isotropic
-    monkeypatch.setattr(Subspace, "is_isotropic",
-                        lambda self, form: tested.append(self) or is_isotropic(self, form))
-    w = antisym([[0, F(1, 2), 3], [F(-1, 2), 0, F(2, 3)], [-3, F(-2, 3), 0]])
-    l = graph_two_form.__wrapped__(w)
-    assert DiracFiber(l.space).form == w
-    assert dirac_negate(l) == graph_two_form.__wrapped__(w.neg())
-    assert tested == []
-    cot = cotangent_dirac(3)
-    assert tested == [cot.space]
+    assert got.space == relation_sum(l, graph_two_form(b))
 
 
 # ---------------------------------------------------------------------------
-# The memo: graph_two_form, dirac_sum and pullback return the identical
-# frozen fiber for equal inputs, and the value their code computes.
+# The memo: dirac_sum and pullback return the identical frozen fiber for
+# equal inputs, and the value their code computes.
 
 @settings(max_examples=40, deadline=None)
 @given(dims.flatmap(lambda n: st.tuples(
     antisymmetric(n), dirac_fibers(n), dirac_fibers(n), non_bijective_maps(n))))
 def test_memoized_operations_match_their_uncached_code(args):
     b, l1, l2, f = args
-    for op, op_args in [(graph_two_form, (TwoFormFiber(b),)),
-                        (dirac_sum, (l1, l2)),
+    for op, op_args in [(dirac_sum, (l1, l2)),
                         (pullback, (f, l1))]:
         first = op(*op_args)
         assert first == op.__wrapped__(*op_args)
@@ -638,7 +627,7 @@ def test_failing_operations_raise_on_every_call():
 @settings(max_examples=40, deadline=None)
 @given(dims.flatmap(dirac_fibers))
 def test_cached_parts_are_the_row_blocks_and_leave_equality_alone(l):
-    fresh = DiracFiber(l.space)
+    fresh = lagrangian(l.space)
     key = hash(fresh)
     n = l.n
     m = l.space.matrix
@@ -649,26 +638,27 @@ def test_cached_parts_are_the_row_blocks_and_leave_equality_alone(l):
 
 
 # ---------------------------------------------------------------------------
-# Graphs of 2-forms: DiracFiber.form reads omega off the echelon rows, and
-# graph_two_form, pullback and dirac_sum use the closed forms on graphs
-# (the oracle tests above check gauge, dirac_negate, pushforward and the
-# kernel on graphs against their relation paths).
+# The pair (E, omega): lagrangian reads it back off any fiber's basis, and on
+# graphs of 2-forms (E = V) the formulas eliminate nothing.
 
 @settings(max_examples=75, deadline=None)
 @given(dims.flatmap(lambda n: st.tuples(dirac_fibers(n), antisymmetric(n))))
-def test_form_is_the_solved_two_form_and_graphs_need_no_elimination(args):
+def test_the_pair_is_read_back_from_the_basis(args):
     l, m = args
     n = l.n
-    if oracle_cotangent_trace(l).dim > 0:
-        assert l.form is None
-    else:
-        assert l.form == two_form_of(l)
-        assert graph_two_form.__wrapped__(l.form) == l
+    assert lagrangian(l.space) == l
+    assert is_lagrangian(l.space)
+    assert l.tangent == canonicalize([v[:n] for v in l.space.basis], n)
+    if oracle_cotangent_trace(l).dim == 0:
+        assert l.tangent == full_subspace(n)
+        assert l.omega == two_form_of(l) and graph_two_form(l.omega) == l
     assert (graph_two_form(TwoFormFiber(m)).space
             == image(vstack(LinMap.identity(n), m.transpose())))
 
 
 def test_closed_forms_on_graphs_run_no_elimination(monkeypatch):
+    # on E = V, preimage, intersect and coords skip their eliminations, so
+    # each formula is a closed form on the 2-form
     from diraclab import linalg
     calls, rref_int = [], linalg._rref_int
 
@@ -676,17 +666,22 @@ def test_closed_forms_on_graphs_run_no_elimination(monkeypatch):
         calls.append(len(mat))
         return rref_int(mat)
     cot = cotangent_dirac(3)
-    monkeypatch.setattr(linalg, "_rref_int", counted)
     w1 = antisym([[0, F(1, 2), 3], [F(-1, 2), 0, F(2, 3)], [-3, F(-2, 3), 0]])
     w2 = antisym([[0, -1, 0], [1, 0, F(5, 7)], [0, F(-5, 7), 0]])
     f = LinMap.from_rows([[1, 2], [0, F(1, 3)], [4, -1]])
-    l1 = graph_two_form.__wrapped__(w1)
-    l2 = graph_two_form.__wrapped__(w2)
+    space = image(vstack(LinMap.identity(3), w1.matrix.transpose()))
+    monkeypatch.setattr(linalg, "_rref_int", counted)
+    l1, l2 = graph_two_form(w1), graph_two_form(w2)
+    assert l1.space == space
     assert pullback.__wrapped__(f, l1) == graph_two_form(w1.pullback(f))
     assert dirac_sum.__wrapped__(l1, l2) == graph_two_form(w1.add(w2))
+    b = TwoFormFiber(w1.matrix.scale(F(3, 11)))
+    misses = dirac_sum.cache_info().misses
+    assert gauge(l2, b) == graph_two_form(w2.add(b))
+    assert dirac_sum.cache_info().misses == misses + 1
+    assert dirac_negate(l1) == graph_two_form(w1.neg())
     assert calls == []
-    # a fiber that is not a graph keeps the relation-image path
-    assert cot.form is None
+    # a fiber that is not a graph eliminates
     assert pullback.__wrapped__(f, cot).space == canonicalize(
         [vec(0, 0, 1, 0), vec(0, 0, 0, 1)], 4)
     assert calls

@@ -345,11 +345,12 @@ def test_record_misuses_sees_every_form():
 
 MEMOS = {"cache", "lru_cache"}
 
-# the relation operations and the matrix product, which a run repeats on
-# equal frozen inputs; a memo anywhere else is a deliberate change to this
-# table
-MEMOIZED = {"courant": ["dirac_sum", "graph_two_form", "pullback"],
-            "linalg": ["_composite", "fiber_product"]}
+# the Dirac sum and pullback, the relation and matrix products, the image
+# with its lifts and the full subspace, which a run repeats on equal frozen
+# inputs; a memo anywhere else is a deliberate change to this table
+MEMOIZED = {"courant": ["dirac_sum", "pullback"],
+            "linalg": ["LinMap.identity", "_composite", "fiber_product", "full_subspace",
+                       "image_lifts"]}
 
 
 def qualified_defs(node, prefix=""):
@@ -665,8 +666,7 @@ UNREACHED = {
         "scenarios.pair_nat_trans_fixture"},
     "test oracle: an independent computation the tests compare a reached "
     "path against": {
-        "courant.ThreeFormFiber.coeff", "courant.is_lagrangian", "courant.two_form_of",
-        "dorfman.pairing"},
+        "courant.ThreeFormFiber.coeff", "dorfman.pairing"},
     "fixture builder: the tests build Dirac fibers and vectors with it": {
         "courant.cotangent_dirac", "courant.tangent_dirac",
         "linalg.basis_vec", "linalg.random_antisymmetric", "linalg.zero_vec"},

@@ -17,6 +17,7 @@ from diraclab.linalg import (
     full_subspace,
     hstack,
     image,
+    image_lifts,
     kernel,
     preimage,
     solve,
@@ -294,6 +295,32 @@ def test_kernel_matches_oracle(mc):
     k = kernel(LinMap.from_rows(m, cols=cols))
     assert k.basis == oracle_kernel(m, cols)
     assert all_fractions(k.basis)
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices())
+def test_image_lifts_match_the_oracles(mc):
+    m, cols = mc
+    f = LinMap.from_rows(m, cols=cols)
+    got = image_lifts(f)
+    assert [list(v) for v in got.image.basis] == oracle_rref([list(c) for c in zip(*m)])[0]
+    assert got.kernel.basis == oracle_kernel(m, cols)
+    assert got.image == image(f) and got.kernel == kernel(f)
+    assert f @ got.lifts == got.image.matrix
+    assert_normalised(got.lifts)
+
+
+def test_a_full_subspace_needs_no_elimination(monkeypatch):
+    from diraclab import linalg
+    full, s = full_subspace(3), canonicalize([vec(1, 2, 0)], 3)
+    f = LinMap.from_rows([[1, 2], [0, 1], [3, 0]])
+    monkeypatch.setattr(linalg, "_rref_int", lambda mat: pytest.fail("eliminated"))
+    assert full_subspace(3) is full
+    assert preimage(f, full) is full_subspace(2)
+    assert full.intersect(full) is full
+    assert full.coords(f) == f and full.coords(s.matrix) == s.matrix
+    assert full.annihilator() == Subspace(3, ())
+    assert kernel(LinMap(0, 3, ())) is full
 
 
 @settings(max_examples=60, deadline=None)

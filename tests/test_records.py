@@ -69,7 +69,7 @@ def test_post_init_is_looked_up_on_the_class_at_each_construction(monkeypatch):
     calls, post_init = [], DiracFiber.__dict__["__post_init__"]
     monkeypatch.setattr(DiracFiber, "__post_init__",
                         lambda self: calls.append(post_init(self)))
-    DiracFiber(l.space)
+    DiracFiber(l.tangent, l.omega)
     replace(l)
     assert len(calls) == 2
 
