@@ -34,12 +34,14 @@ Process entry: ``run`` is the one entry of a process, for both
 ``main`` with the cyclic collector off, then freezes the heap, so that the
 collection the interpreter forces at exit skips it, and exits with main's
 code.  That is safe because a command makes almost no cyclic garbage.  In a
-fresh interpreter each shipped ``verify``, and ``reduce`` on circle n = 2,
-leaves 159-164 objects in cycles, most of them the argument parser's, as
-``list`` does, while its tracked objects grow by 438 (so3) to 8,864
-(circle n = 2).  With the collector on, such a command ran up to 42 young
-and 3 middle collections and a full scan of the heap at exit, for those
-few objects.  tests/test_cli.py bounds that garbage.  ``main`` itself
+fresh interpreter (collect after import, then ``main`` with the collector
+off) each shipped ``verify`` at seed 0, and ``reduce`` on circle n = 2,
+leaves 238-310 objects in cycles, most of them the argument parser's
+(``list`` leaves 181), while its tracked objects grow by 1,165
+(graph-twist) to 21,673 (circle n = 2 ``verify``).  With the collector on,
+such a command ran up to 42 young and 3 middle collections and a full scan
+of the heap at exit, for those few objects.  tests/test_cli.py bounds that
+garbage at ``list``'s count plus 100.  ``main`` itself
 leaves the collector alone, so in-process callers (the tests, a traced
 run) keep it.  Only ``run`` touches gc.
 """
@@ -205,21 +207,23 @@ def torus_suites(_p: dict, _seed: int) -> dict:
         return is_strong(scn.datum)
 
     def transfer_suite():
-        from .morita import (ChainSample, gauge_twist_equivalence, transfer,
+        from .groupoid import identity_morphism
+        from .morita import (ChainSample, identity_leg_equivalence, transfer,
                              transfer_composition_check)
         datum = scn.datum
+        c = datum.morphism
+        ident = identity_morphism(c.dom)
         g = datum.g_bundle
         gam = [TwoFormFiber(LinMap.from_rows([[0, 1], [-1, 0]]))
                for _ in g.objects]
         dg = [ThreeFormFiber.zero(2) for _ in g.objects]
-        m1 = gauge_twist_equivalence(datum, gam, dg)
+        m1 = identity_leg_equivalence(c, ident, c, gam, dg)
         leg1 = transfer(m1, list(datum.dirac), datum)
         rep = leg1.report
         gam2 = [TwoFormFiber(LinMap.from_rows([[0, Fraction(1, 3)],
                                                [Fraction(-1, 3), 0]]))
                 for _ in g.objects]
-        m2 = gauge_twist_equivalence(datum, gam2, dg)
-        c = datum.morphism
+        m2 = identity_leg_equivalence(c, ident, c, gam2, dg)
         chain = [ChainSample(ar.src, ar.tgt, ar.s_star, ar.t_star,
                              a, LinMap.identity(ar.dim),
                              c.arrow_map[a], c.c1[a])

@@ -21,11 +21,12 @@ cotangent structure E = 0.  Each operation is one formula on the pair:
 - DiracFiber.kernel: ker L = L cap V = ker(w|_E).
 Every antisymmetric omega gives a Lagrangian, so a DiracFiber needs no
 isotropy test; lagrangian(space), the one constructor from a basis, reads
-(E, omega) off the echelon rows and tests the span there.  space, the
-canonical echelon basis, and parts are views built from the pair, and for
-E = V with no elimination.  linalg skips the elimination on a full
-subspace in preimage, intersect and coords, so on graphs sum, gauge,
-pullback and negation eliminate nothing either.
+(E, omega) off the echelon rows and tests the span there.  It is the one
+Lagrangian test, for the bases here and for dorfman's frame spans at its
+sample points.  space, the canonical echelon basis, and parts are views
+built from the pair, and for E = V with no elimination.  linalg skips the
+elimination on a full subspace in preimage, intersect and coords, so on
+graphs sum, gauge, pullback and negation eliminate nothing either.
 
 Memo: dirac_sum and pullback are pure functions of frozen, hashable values,
 and a run asks for the same ones many times (the compatibility at one arrow
@@ -63,15 +64,6 @@ from .records import record
 
 class NotLagrangian(ValueError):
     pass
-
-
-def pairing(x, y):
-    """<(v, a), (w, b)> = a(w) + b(v) on Q^n + (Q^n)*, for vectors of ints
-    or Fractions."""
-    if len(x) != len(y) or len(x) % 2:
-        raise DimensionMismatch("pairing: ambient mismatch")
-    n = len(x) // 2
-    return sum(map(mul, x[n:], y[:n])) + sum(map(mul, y[n:], x[:n]))
 
 
 @record

@@ -290,9 +290,10 @@ def involutivity_check(frame: PolyDiracFrame, sample_points) -> VerificationRepo
         span = canonicalize(vals, 2 * n)
         if span.dim != n:
             raise FrameNotLagrangian(f"frame span has dim {span.dim} at {p}")
-        # the pairing vanishes on the frame iff it vanishes on its span
-        if not span.is_isotropic(courant.pairing):
-            raise FrameNotLagrangian(f"frame not isotropic at {p}")
+        try:
+            courant.lagrangian(span)
+        except courant.NotLagrangian:
+            raise FrameNotLagrangian(f"frame not isotropic at {p}") from None
         spans.append(span)
 
     for i, j in itertools.combinations(range(len(frame.sections)), 2):

@@ -14,6 +14,14 @@ input; it does not rerun the reverse transfer's checks.  A TransferResult
 holds the transferred fibers as a tuple in C2-object order, and transfer
 folds in each sub-check's report through VerificationReport.summarize.
 
+One constructor builds every equivalence datum the program transfers along:
+identity_leg_equivalence(c1, psi2, c2, gamma, dgamma), whose legs into the
+middle L = G are identities (psi1 = id, phi1 = phi2 = id, g = c1), so that
+theta sits on G's unit arrows and delta = -c1*gamma.  The torus suite
+passes (c, id, c, gamma, dgamma), a self-equivalence twisted by gamma, and
+the reduction passes (c, q, c', 0, 0), the quotient weak Morita morphism q
+over the point.
+
 The adjoint calculus computes each connection's adjoints once: Ad_T, Ad_A
 and the sigma-check map are views kept on the frozen ConnectionFiber, which
 holds the arrow fiber and source anchor they are solved from, so the sigma
@@ -194,7 +202,7 @@ def random_connection(bundle: GroupoidFiberBundle, arrow_idx: int,
     """
     ar = bundle.arrows[arrow_idx]
     if ar.unit:
-        return unit_connection(bundle, arrow_idx)
+        return make_connection(bundle, arrow_idx, ar.u_star)
     n = bundle.objects[ar.src].dim
     tau0 = solve(ar.s_star, LinMap.identity(n))
     if tau0 is None:
@@ -204,13 +212,6 @@ def random_connection(bundle: GroupoidFiberBundle, arrow_idx: int,
         b = random_matrix(rng, ker.dim, n, bound=4)
         tau0 = tau0 + ker.matrix @ b
     return make_connection(bundle, arrow_idx, tau0)
-
-
-def unit_connection(bundle: GroupoidFiberBundle, arrow_idx: int) -> ConnectionFiber:
-    ar = bundle.arrows[arrow_idx]
-    if not ar.unit:
-        raise ValueError("unit connection only exists at unit arrows")
-    return make_connection(bundle, arrow_idx, ar.u_star)
 
 
 def basic_curvature(bundle: GroupoidFiberBundle, pair_idx: int,
@@ -510,25 +511,29 @@ def _sigma_ad_holds(bundle: GroupoidFiberBundle, cf: ConnectionFiber) -> bool:
             + src.rho.transpose() @ cf.tau.transpose() @ ar.omega.matrix @ cf.tau)
 
 
-def gauge_twist_equivalence(datum: CoisotropicDatum,
-                            gamma: list[TwoFormFiber],
-                            dgamma: list[ThreeFormFiber]) -> MoritaEquivalenceDatum:
-    """The self-equivalence of c : C -> G twisted by a 2-form on the target
-    objects; gamma must make the identity span a symplectic equivalence
-    (basic and closed for the self-pairing), which transfer re-checks."""
-    c = datum.morphism
-    ident_c = identity_morphism(c.dom)
-    ident_g = identity_morphism(c.cod)
+def identity_leg_equivalence(c1: MorphismFiber, psi2: MorphismFiber,
+                             c2: MorphismFiber, gamma: list[TwoFormFiber],
+                             dgamma: list[ThreeFormFiber]) -> MoritaEquivalenceDatum:
+    """The equivalence datum whose legs into L = G are identities.
+
+    K is c1's domain, psi1 = id_K, the middle map g is c1 and phi1 = phi2 =
+    id_G, so both natural transformations sit on G's unit arrows over c1,
+    theta(x) = u_* c1_*, and the connecting form is delta = -c1*gamma.  gamma
+    must make the identity span a symplectic equivalence (basic and closed
+    for the self-pairing), which transfer re-checks.  (c, id, c) is the
+    self-equivalence of c twisted by gamma; (c, q, c') with gamma = 0 the
+    weak Morita morphism q from c's domain to the domain of c'.
+    """
+    ident_g = identity_morphism(c1.cod)
     theta = {}
-    for i in range(len(c.dom.objects)):
-        gi = c.obj_map[i]
-        unit_idx = _unit_arrow_at(c.cod, gi)
-        theta[i] = NatTransFiber(unit_idx, c.cod.arrows[unit_idx].u_star @ c.c0[i])
+    for i in range(len(c1.dom.objects)):
+        unit_idx = _unit_arrow_at(c1.cod, c1.obj_map[i])
+        theta[i] = NatTransFiber(unit_idx, c1.cod.arrows[unit_idx].u_star @ c1.c0[i])
     delta = tuple(
-        TwoFormFiber(gamma[c.obj_map[i]].pullback(c.c0[i]).matrix.scale(-1))
-        for i in range(len(c.dom.objects)))
+        TwoFormFiber(gamma[c1.obj_map[i]].pullback(c1.c0[i]).matrix.scale(-1))
+        for i in range(len(c1.dom.objects)))
     return MoritaEquivalenceDatum(
-        ident_c, ident_c, c, ident_g, ident_g, c, c, theta, theta,
+        identity_morphism(c1.dom), psi2, c1, ident_g, ident_g, c1, c2, theta, theta,
         tuple(gamma), tuple(dgamma), delta)
 
 
@@ -570,8 +575,8 @@ def transfer_composition_check(m1: MoritaEquivalenceDatum,
         g_ar = g2bundle.arrows[s.ghat_arrow]
         # gamma-hat on the L-hat object presented by the shared arrow:
         # pr_L1*gamma1 + pr_L2*gamma2 - xi*omega2
-        gam1 = m1.gamma[_lobj_of(m1.phi2, g_ar.src)]
-        gam2 = m2.gamma[_lobj_of(m2.phi1, g_ar.tgt)]
+        gam1 = m1.gamma[m1.phi2.obj_map.index(g_ar.src)]
+        gam2 = m2.gamma[m2.phi1.obj_map.index(g_ar.tgt)]
         gamma_hat = (g_ar.s_star.transpose() @ gam1.matrix @ g_ar.s_star
                      + g_ar.t_star.transpose() @ gam2.matrix @ g_ar.t_star
                      - g_ar.omega.matrix)
@@ -641,10 +646,3 @@ def transfer_composition_check(m1: MoritaEquivalenceDatum,
             "composition.gauge",
             "nonzero zeta: explicit beta construction needs the descent data")
     return rep
-
-
-def _lobj_of(phi: MorphismFiber, g_obj: int) -> int:
-    for i, gi in enumerate(phi.obj_map):
-        if gi == g_obj:
-            return i
-    raise ValueError("no middle object sample over the shared object")

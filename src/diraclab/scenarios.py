@@ -300,9 +300,9 @@ def run_reduction(red: ReductionScenario):
 
     Returns (reduced fibers per chart label, report).
     """
-    from .groupoid import identity_morphism, morphism_to_point
+    from .groupoid import morphism_to_point
     from .intersection import strong_exact_sequence, strong_intersection
-    from .morita import MoritaEquivalenceDatum, NatTransFiber, transfer
+    from .morita import identity_leg_equivalence, transfer
     from .rotation import build_quotient_morphism, reduced_form_oracle
 
     rep = VerificationReport(f"reduction.{red.scn.datum.name}")
@@ -319,23 +319,12 @@ def run_reduction(red: ReductionScenario):
                   detail="the intersection exact sequence holds")
 
     quotient, chart_labels, chart_of = build_quotient_morphism(red, si)
-    prod = si.datum.c_bundle
-    chart_bundle = quotient.cod
     inv_index = {i: p for p, i in red.scn.obj_index.items()}
 
     # wrap as a weak Morita equivalence over the point and transfer
-    pt = si.datum.g_bundle
-    ident_k = identity_morphism(prod)
-    to_point = si.datum.morphism
-    chart_to_point = morphism_to_point(chart_bundle, pt)
-    theta = {x: NatTransFiber(0, LinMap.zero(0, prod.objects[x].dim))
-             for x in range(len(prod.objects))}
-    m = MoritaEquivalenceDatum(
-        ident_k, quotient, to_point,
-        identity_morphism(pt), identity_morphism(pt),
-        to_point, chart_to_point, theta, theta,
-        (TwoFormFiber.zero(0),), (ThreeFormFiber.zero(0),),
-        tuple(TwoFormFiber.zero(o.dim) for o in prod.objects))
+    m = identity_leg_equivalence(si.datum.morphism, quotient,
+                                 morphism_to_point(quotient.cod, si.datum.g_bundle),
+                                 [TwoFormFiber.zero(0)], [ThreeFormFiber.zero(0)])
     res = transfer(m, list(si.dirac))
     if not rep.summarize("reduction.transfer", res.report,
                          detail="transfer along the quotient weak Morita morphism"):

@@ -17,7 +17,6 @@ from diraclab.courant import (
     graph_bivector,
     graph_two_form,
     lagrangian,
-    pairing,
     pullback,
     pushforward,
     tangent_dirac,
@@ -225,9 +224,6 @@ def test_not_lagrangian_rejected():
 def test_a_dirac_fiber_needs_an_even_ambient():
     with pytest.raises(DimensionMismatch):
         lagrangian(canonicalize([vec(1, 0, 0)], 3))
-    assert pairing(vec(1, 2, 3, 4), vec(5, 6, 7, 8)) == 3 * 5 + 4 * 6 + 7 * 1 + 8 * 2
-    with pytest.raises(DimensionMismatch):
-        pairing(vec(1, 2), vec(1, 2, 3, 4))
 
 
 def test_off_diagonal_pairing_is_not_lagrangian():

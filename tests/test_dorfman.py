@@ -211,7 +211,17 @@ def test_non_lagrangian_frame_is_distinct_failure():
     s1 = section(const_field(n, 1, 0), const_field(n, 1, 0))  # <s1,s1> = 2 != 0
     s2 = section(const_field(n, 0, 1), const_field(n, 0, 0))
     frame = PolyDiracFrame((s1, s2), PolyForm.zero(n, 3))
-    with pytest.raises(FrameNotLagrangian):
+    with pytest.raises(FrameNotLagrangian, match="not isotropic"):
+        involutivity_check(frame, [vec(i, 1) for i in range(10)])
+
+
+def test_rank_deficient_frame_is_not_lagrangian():
+    # s2 = x0 s1 spans a line wherever the sections are evaluated
+    n = 2
+    s1 = section(const_field(n, 1, 0), const_field(n, 0, 0))
+    s2 = section([Poly.var(n, 0), zero_poly(n)], [zero_poly(n)] * n)
+    frame = PolyDiracFrame((s1, s2), PolyForm.zero(n, 3))
+    with pytest.raises(FrameNotLagrangian, match="^frame span has dim 1 at "):
         involutivity_check(frame, [vec(i, 1) for i in range(10)])
 
 

@@ -624,21 +624,6 @@ def test_equal_spans_from_other_generators_are_equal_values(mc, data):
     assert image(LinMap.from_cols(gens, rows_dim=cols)) == s1
 
 
-@settings(max_examples=60, deadline=None)
-@given(matrices(max_rows=6, max_cols=6), st.data())
-def test_isotropy_matches_the_pairwise_oracle(mc, data):
-    m, cols = mc
-    space = canonicalize(m, cols)
-    form = dense(data.draw, cols, cols)
-
-    def bilinear(x, y):
-        return sum((a * b for a, b in zip(x, plain_apply(form, y))), F(0))
-
-    pairs = [(x, y) for i, y in enumerate(space.basis) for x in space.basis[:i + 1]]
-    assert space.is_isotropic(bilinear) == all(bilinear(x, y) == 0 for x, y in pairs)
-    assert space.is_isotropic(lambda x, y: 0)
-
-
 def test_views_are_built_once():
     m = LinMap.from_rows([[F(1, 2), 0], [3, F(-5, 4)]])
     assert (m.den, m.nums) == (4, ((2, 0), (12, -5)))

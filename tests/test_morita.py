@@ -14,11 +14,12 @@ from diraclab.groupoid import GroupoidFiberBundle, MorphismFiber, identity_morph
 from diraclab.linalg import LinMap, solve
 from diraclab.morita import (
     ChainSample,
+    NatTransFiber,
     _pushed_back,
     curvature_defect_check,
     descend_dirac,
-    gauge_twist_equivalence,
     homotopy_identities,
+    identity_leg_equivalence,
     random_connection,
     sigma_ad_check,
     symplectic_morita_check,
@@ -40,7 +41,8 @@ def torus_twist(torus1):
     g = datum.g_bundle
     gamma = [TwoFormFiber(LinMap.from_rows([[0, 1], [-1, 0]])) for _ in g.objects]
     dgamma = [ThreeFormFiber.zero(2) for _ in g.objects]
-    return datum, gauge_twist_equivalence(datum, gamma, dgamma)
+    c = datum.morphism
+    return datum, identity_leg_equivalence(c, identity_morphism(c.dom), c, gamma, dgamma)
 
 
 def test_torus_twist_is_a_symplectic_equivalence(torus1):
@@ -112,6 +114,31 @@ def reduction_equivalence(monkeypatch):
 
 
 @pytest.mark.parametrize("case", ["torus", "reduction"])
+def test_identity_leg_equivalences_sit_on_unit_arrows(torus1, monkeypatch, case):
+    # psi1 = id_K, g = c1, phi1 = phi2 = id_G, theta on G's unit arrows over
+    # c1 and delta = -c1*gamma; the reduction's gamma = 0 over the point gives
+    # theta(x) = 0 into the point's one unit arrow and delta = 0
+    if case == "torus":
+        _, m = torus_twist(torus1)
+        assert m.psi2 == m.psi1 and m.c2 == m.c1
+    else:
+        m, _ = reduction_equivalence(monkeypatch)
+        assert m.c2.cod is m.c1.cod and len(m.c1.cod.objects) == 1
+        assert m.theta1 == {x: NatTransFiber(0, LinMap.zero(0, o.dim))
+                            for x, o in enumerate(m.c1.dom.objects)}
+        assert m.delta == tuple(TwoFormFiber.zero(o.dim) for o in m.c1.dom.objects)
+    c1, g_bundle = m.c1, m.c1.cod
+    assert m.psi1 == identity_morphism(c1.dom) and m.g is c1
+    assert m.phi1 is m.phi2 and m.phi1 == identity_morphism(g_bundle)
+    assert m.theta1 is m.theta2
+    for x, fib in m.theta1.items():
+        ar = g_bundle.arrows[fib.arrow]
+        assert ar.unit and ar.src == c1.obj_map[x]
+        assert fib.theta_star == ar.u_star @ c1.c0[x]
+        assert m.delta[x] == m.gamma[c1.obj_map[x]].pullback(c1.c0[x]).neg()
+
+
+@pytest.mark.parametrize("case", ["torus", "reduction"])
 def test_the_round_trip_fibers_are_the_reverse_transfer(torus1, monkeypatch, case):
     if case == "torus":
         datum, m = torus_twist(torus1)
@@ -135,8 +162,9 @@ def test_a_failing_symplectic_equivalence_names_its_failing_checks():
     datum = identity_datum(bundle)
     gamma = [TwoFormFiber.zero(2) for _ in bundle.objects]
     gamma[0] = TwoFormFiber(LinMap.from_rows([[0, 1], [-1, 0]]))
-    m = gauge_twist_equivalence(datum, gamma,
-                                [ThreeFormFiber.zero(2) for _ in bundle.objects])
+    c = datum.morphism
+    m = identity_leg_equivalence(c, identity_morphism(c.dom), c, gamma,
+                                 [ThreeFormFiber.zero(2) for _ in bundle.objects])
     result = transfer(m, list(datum.dirac), datum)
     summary, *rest = result.report.records
     assert (summary.check_id, summary.status) == ("transfer.symplectic_morita", FAIL)
@@ -167,7 +195,8 @@ def test_corrupted_gamma_fails_the_form_identity(pair_bundle):
     n = pair_bundle.objects[0].dim
     dgamma = [ThreeFormFiber.zero(n) for _ in pair_bundle.objects]
     gamma = [TwoFormFiber.zero(n) for _ in pair_bundle.objects]
-    m = gauge_twist_equivalence(identity_datum(pair_bundle), gamma, dgamma)
+    c = identity_datum(pair_bundle).morphism
+    m = identity_leg_equivalence(c, identity_morphism(c.dom), c, gamma, dgamma)
     assert symplectic_morita_check(m.phi1, m.phi2, gamma, dgamma).passed
 
     bad = list(gamma)
@@ -202,9 +231,10 @@ def torus_chain(torus1):
     datum, m1 = torus_twist(torus1)
     g = datum.g_bundle
     third = LinMap.from_rows([[0, F(1, 3)], [F(-1, 3), 0]])
-    m2 = gauge_twist_equivalence(datum, [TwoFormFiber(third) for _ in g.objects],
-                                 [ThreeFormFiber.zero(2) for _ in g.objects])
     c = datum.morphism
+    m2 = identity_leg_equivalence(c, identity_morphism(c.dom), c,
+                                  [TwoFormFiber(third) for _ in g.objects],
+                                  [ThreeFormFiber.zero(2) for _ in g.objects])
     chain = [ChainSample(ar.src, ar.tgt, ar.s_star, ar.t_star,
                          a, LinMap.identity(ar.dim), c.arrow_map[a], c.c1[a])
              for a, ar in enumerate(c.dom.arrows)]
