@@ -23,10 +23,11 @@ Every antisymmetric omega gives a Lagrangian, so a DiracFiber needs no
 isotropy test; lagrangian(space), the one constructor from a basis, reads
 (E, omega) off the echelon rows and tests the span there.  It is the one
 Lagrangian test, for the bases here and for dorfman's frame spans at its
-sample points.  space, the canonical echelon basis, and parts are views
-built from the pair, and for E = V with no elimination.  linalg skips the
-elimination on a full subspace in preimage, intersect and coords, so on
-graphs sum, gauge, pullback and negation eliminate nothing either.
+sample points.  space, the canonical echelon basis, is one linalg
+canonicalize of the pair's generator rows, and parts is a view on it;
+linalg builds every echelon basis.  It skips the elimination on a full
+subspace in preimage, intersect and coords, so on graphs sum, gauge,
+pullback and negation eliminate nothing.
 
 Memo: dirac_sum and pullback are pure functions of frozen, hashable values,
 and a run asks for the same ones many times (the compatibility at one arrow
@@ -42,7 +43,6 @@ are views, read as attributes, built on first read and kept on the fiber.
 from __future__ import annotations
 
 from functools import cache, cached_property
-from math import gcd
 from operator import mul
 
 from .linalg import (
@@ -51,6 +51,7 @@ from .linalg import (
     Subspace,
     Vec,
     ZERO,
+    canonicalize,
     frac,
     full_subspace,
     image,
@@ -200,32 +201,18 @@ class DiracFiber:
 
     @cached_property
     def space(self) -> Subspace:
-        """L's reduced echelon basis, written down from (E, omega).
-
-        Over E's basis b_j = r_j / r_j[p_j], row j is (b_j, xi_j), with
-        xi_j omega's row j at E's pivot columns, so that xi_j(b_i) =
-        omega(b_j, b_i), then eliminated at the pivots of Ann(E).  The rows
-        (0, a) of L cap V* = Ann(E) follow.  Each row is zero at every other
-        row's pivot, so made primitive they are the echelon rows; for E = V
-        they are (e_j, i_{e_j} omega), and no elimination runs.
-        """
+        """L's reduced echelon basis: canonicalize of the rows (b_j, xi_j)
+        over E's basis b_j = r_j / r_j[p_j], with xi_j omega's row j at E's
+        pivot columns, so that xi_j(b_i) = omega(b_j, b_i), and the rows
+        (0, a) of L cap V* = Ann(E)."""
         n, e, w = self.n, self.tangent, self.omega.matrix
-        ann = e.annihilator()
         rows = []
         for r, p, x in zip(e.rows, e.pivots, w.nums):
             row = [w.den * y for y in r] + [0] * n
             for q, y in zip(e.pivots, x):
                 row[n + q] = r[p] * y
-            for a, q in zip(ann.rows, ann.pivots):
-                c = row[n + q]
-                if c:
-                    g = gcd(a[q], c)
-                    row = ([a[q] // g * y for y in row[:n]]
-                           + [a[q] // g * y - c // g * z for y, z in zip(row[n:], a)])
-            g = gcd(*row)
-            rows.append(tuple(y // g for y in row))
-        return Subspace(2 * n, tuple(rows) + tuple((0,) * n + a for a in ann.rows),
-                        e.pivots + tuple(n + q for q in ann.pivots))
+            rows.append(row)
+        return canonicalize(rows + [(0,) * n + a for a in e.annihilator().rows], 2 * n)
 
     @cached_property
     def parts(self) -> tuple[LinMap, LinMap]:
@@ -250,9 +237,10 @@ def lagrangian(space: Subspace) -> DiracFiber:
     With (T, C) the V and V* rows of space.matrix, G = C^T T has
     G[i][j] = c_i(t_j), and the pairing of basis vectors i and j is
     G[i][j] + G[j][i]: the span is isotropic, so Lagrangian at dim n, iff G
-    is antisymmetric.  The d rows that lead in V have V parts E's echelon
-    rows, and G's first d rows and columns are omega; the other rows are
-    (0, a), and G = 0 on them says that a annihilates E.
+    is antisymmetric.  E is canonicalize of the V parts of the d rows that
+    lead in V, which are E's echelon basis up to scale, and G's first d rows
+    and columns are omega; the other rows are (0, a), and G = 0 on them says
+    that a annihilates E.
     """
     if space.ambient_dim % 2:
         raise DimensionMismatch("Dirac fiber must live in an even ambient Q^{2n}")
@@ -264,8 +252,7 @@ def lagrangian(space: Subspace) -> DiracFiber:
     if not g.is_antisymmetric():
         raise NotLagrangian("basis not isotropic")
     d = sum(p < n for p in space.pivots)
-    rows = tuple(tuple(x // h for x in r[:n]) for r in space.rows[:d] for h in [gcd(*r[:n])])
-    return DiracFiber(Subspace(n, rows, space.pivots[:d]),
+    return DiracFiber(canonicalize([r[:n] for r in space.rows[:d]], n),
                       TwoFormFiber(LinMap.from_rows([r[:d] for r in g.entries[:d]], cols=d)))
 
 

@@ -43,15 +43,11 @@ class Poly:
 
     @staticmethod
     def const(arity: int, c) -> "Poly":
-        c = frac(c)
-        if c == 0:
-            return Poly(arity, ())
-        return Poly(arity, (((0,) * arity, c),))
+        return Poly.from_dict(arity, {(0,) * arity: c})
 
     @staticmethod
     def var(arity: int, i: int) -> "Poly":
-        exps = tuple(1 if j == i else 0 for j in range(arity))
-        return Poly(arity, ((exps, Fraction(1)),))
+        return Poly.from_dict(arity, {tuple(int(j == i) for j in range(arity)): 1})
 
     def __add__(self, other: "Poly") -> "Poly":
         if self.arity != other.arity:

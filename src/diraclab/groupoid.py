@@ -234,6 +234,14 @@ def identity_morphism(bundle: GroupoidFiberBundle) -> MorphismFiber:
     )
 
 
+def unit_arrow_at(bundle: GroupoidFiberBundle, obj_idx: int) -> int:
+    """The index of the first sampled unit arrow at object obj_idx."""
+    for k, ar in enumerate(bundle.arrows):
+        if ar.unit and ar.src == obj_idx:
+            return k
+    raise ValueError(f"no unit arrow sampled at object {obj_idx}")
+
+
 def unit_groupoid(n: int, num_objects: int, name: str) -> GroupoidFiberBundle:
     """The trivial groupoid M over M: only unit arrows, A = 0."""
     objects = tuple(ObjectFiber(n, 0, LinMap.zero(n, 0), LinMap.zero(n, 0),

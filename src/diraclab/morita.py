@@ -49,6 +49,7 @@ from .groupoid import (
     MorphismFiber,
     compatibility_check,
     identity_morphism,
+    unit_arrow_at,
 )
 from .linalg import (
     DimensionMismatch,
@@ -400,13 +401,6 @@ def star_composite_form_identity(cod: GroupoidFiberBundle,
     return rep
 
 
-def _unit_arrow_at(bundle: GroupoidFiberBundle, obj_idx: int) -> int:
-    for k, ar in enumerate(bundle.arrows):
-        if ar.unit and ar.src == obj_idx:
-            return k
-    raise ValueError(f"no unit arrow sampled at object {obj_idx}")
-
-
 @record
 class TransferResult:
     dirac: tuple[DiracFiber, ...]     # in C2-object order; empty if a step failed
@@ -527,7 +521,7 @@ def identity_leg_equivalence(c1: MorphismFiber, psi2: MorphismFiber,
     ident_g = identity_morphism(c1.cod)
     theta = {}
     for i in range(len(c1.dom.objects)):
-        unit_idx = _unit_arrow_at(c1.cod, c1.obj_map[i])
+        unit_idx = unit_arrow_at(c1.cod, c1.obj_map[i])
         theta[i] = NatTransFiber(unit_idx, c1.cod.arrows[unit_idx].u_star @ c1.c0[i])
     delta = tuple(
         TwoFormFiber(gamma[c1.obj_map[i]].pullback(c1.c0[i]).matrix.scale(-1))

@@ -34,7 +34,7 @@ from math import isqrt
 from .coisotropic import CoisotropicDatum
 from .courant import ThreeFormFiber, TwoFormFiber, graph_two_form, std_symplectic
 from .groupoid import (ArrowFiber, GroupoidFiberBundle, MorphismFiber, ObjectFiber,
-                       make_pair, unit_groupoid)
+                       make_pair, unit_arrow_at, unit_groupoid)
 from .linalg import (LinMap, Vec, block_diag, clear_denominators, frac, hstack, image,
                      kernel, solve, vec, vstack)
 from .records import record, replace
@@ -442,12 +442,9 @@ def build_quotient_morphism(red: ReductionScenario, si):
         inc = f.tangent.matrix
         c0.append(jacs[k] @ inc.row_block(inc.rows - n, inc.rows))
         cA.append(LinMap.zero(0, f.algebroid.dim))
-    unit_of_chart = {}
-    for k, ar in enumerate(chart_bundle.arrows):
-        unit_of_chart[ar.src] = k
     arrow_map, c1 = [], []
     for ar in prod.arrows:
-        arrow_map.append(unit_of_chart[chart_of[ar.src]])
+        arrow_map.append(unit_arrow_at(chart_bundle, chart_of[ar.src]))
         # chart differential through either end; intertwining is validated
         c1.append(c0[ar.tgt] @ ar.t_star)
     quotient = MorphismFiber(prod, chart_bundle, tuple(obj_map), tuple(c0),

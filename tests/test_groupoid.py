@@ -23,6 +23,7 @@ from diraclab.groupoid import (
     multiplicativity_defects,
     point_bundle,
     qs_check,
+    unit_arrow_at,
     unit_groupoid,
 )
 from diraclab.linalg import LinMap, kernel, solve
@@ -86,6 +87,20 @@ def test_induced_dirac_rejects_trivial_groupoid():
     ob = unit_groupoid(2, 2, "unit").objects[0]
     with pytest.raises(ValueError):
         induced_dirac(ob)
+
+
+def test_unit_arrow_at_finds_the_unit_or_raises(pair_bundle):
+    for i in range(len(pair_bundle.objects)):
+        k = unit_arrow_at(pair_bundle, i)
+        ar = pair_bundle.arrows[k]
+        assert ar.unit and ar.src == i
+        assert not any(a.unit and a.src == i for a in pair_bundle.arrows[:k])
+    bundle = unit_groupoid(1, 3, "unit")
+    swapped = replace(bundle, arrows=bundle.arrows[1::-1] + bundle.arrows[2:], pairs=())
+    assert [unit_arrow_at(swapped, i) for i in range(3)] == [1, 0, 2]
+    missing = replace(bundle, arrows=bundle.arrows[:2], pairs=bundle.pairs[:2])
+    with pytest.raises(ValueError, match="^no unit arrow sampled at object 2$"):
+        unit_arrow_at(missing, 2)
 
 
 def test_compatibility_identity_morphism(pair_bundle):

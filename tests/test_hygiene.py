@@ -10,9 +10,10 @@ namedtuple constructors that skip validation, only the five relation
 operations and the matrix product are memoized, every memo returns an
 immutable record, every cached view is kept on a record and read as an
 attribute, with no function that only returns it, only the process entry
-cli.run touches the cyclic collector, every public function is
-reached from src or allowlisted with a reason, and every function the
-benchmark's traced run wraps exists in the module that defines it."""
+cli.run touches the cyclic collector, only linalg calls Subspace( or
+_rref_int or imports gcd, every public function is reached from src or
+allowlisted with a reason, and every function the benchmark's traced run
+wraps exists in the module that defines it."""
 
 import ast
 import importlib
@@ -556,6 +557,52 @@ def test_gc_sites_sees_every_form():
                      "        return gc.isenabled()\n"
                      "x = __import__('gc')\n")
     assert gc_sites(tree) == ["C.m", "f", "line 1", "line 12", "run", "run.inner"]
+
+
+ECHELON_PRIMITIVES = {"_rref_int", "gcd"}
+
+
+def echelon_builders(tree: ast.Module) -> list[str]:
+    """Every place the module builds an echelon basis by hand, as "name
+    (line N)" in line order: a call of Subspace, and any import, name or
+    attribute of _rref_int or gcd, whatever module it comes from."""
+    out = []
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Call):
+            f = n.func
+            if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == "Subspace":
+                out.append((n.lineno, "Subspace("))
+        elif isinstance(n, (ast.Import, ast.ImportFrom)):
+            out += [(n.lineno, a.name) for a in n.names
+                    if a.name.rpartition(".")[2] in ECHELON_PRIMITIVES]
+        elif isinstance(n, ast.Name) and n.id in ECHELON_PRIMITIVES:
+            out.append((n.lineno, n.id))
+        elif isinstance(n, ast.Attribute) and n.attr in ECHELON_PRIMITIVES:
+            out.append((n.lineno, n.attr))
+    return [f"{name} (line {line})" for line, name in sorted(out)]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_linalg_builds_echelon_bases(path):
+    # linalg._rref_int is the one elimination, and canonicalize, image and
+    # kernel the ways to a Subspace; a second owner of the echelon format
+    # would have to stay bit-identical to it by hand
+    if path.stem != "linalg":
+        assert echelon_builders(ast.parse(path.read_text())) == []
+
+
+def test_echelon_builders_sees_every_form():
+    tree = ast.parse("from math import gcd as g, lcm\n"
+                     "import math\n"
+                     "from .linalg import Subspace, _rref_int\n"
+                     "def f(rows):\n"
+                     "    s: Subspace = linalg.Subspace(2, rows)\n"
+                     "    return Subspace(2, (), ()), math.gcd(*rows[0]), g\n"
+                     "x = linalg._rref_int\n"
+                     "y = isinstance(x, Subspace)\n")
+    assert echelon_builders(tree) == [
+        "gcd (line 1)", "_rref_int (line 3)", "Subspace( (line 5)",
+        "Subspace( (line 6)", "gcd (line 6)", "_rref_int (line 7)"]
 
 
 MUTABLE = {"list", "dict", "set"}
