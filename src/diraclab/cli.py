@@ -11,10 +11,10 @@ Each shipped scenario is one row of SCENARIOS, keyed by its name:
 
 Exit codes, mapped once in ``main``: 0 all checks pass; 1 a check failed, or
 a reduction hypothesis was violated (prints a hypothesis-violated document);
-2 malformed input, i.e. any other ValueError, or an ``--out`` file that
-cannot be written (prints ``error: ...``).  ``reduce`` and ``dump`` check
-their ``--out`` file before they build anything, so an unwritable path costs
-no work, and write it only when their document is done.
+2 malformed input, i.e. any other ValueError, or an ``--out`` file or a
+standard output that cannot be written (prints ``error: ...``).  ``reduce``
+and ``dump`` check their ``--out`` file before they build anything, so an
+unwritable path costs no work, and write it only when their document is done.
 
 Each command loads only the modules it runs.  This module imports at its
 top only what every command needs: scenarios, serialize (the JSON emitter)
@@ -370,26 +370,28 @@ def writable(out: str | None) -> None:
             os.remove(out)
 
 
-def unwritable(out: str, e: OSError) -> ScenarioError:
-    return ScenarioError(f"cannot write {out!r}: {e.strerror or e}")
+def unwritable(out: str | None, e: OSError) -> ScenarioError:
+    where = repr(out) if out else "standard output"
+    return ScenarioError(f"cannot write {where}: {e.strerror or e}")
 
 
-def emit(doc: dict, out: str | None) -> None:
-    """Write the document to the --out file, or else to stdout."""
-    text = dumps(doc)
-    if out:
-        try:
+def emit(text: str, out: str | None = None) -> None:
+    """Write text and a newline to the --out file, or else print it to stdout
+    and flush it: a full device or a closed pipe is an error here, not a
+    traceback at exit."""
+    try:
+        if out:
             with open(out, "w") as fh:
                 fh.write(text + "\n")
-        except OSError as e:
-            raise unwritable(out, e) from e
-    else:
-        print(text)
+        else:
+            print(text, flush=True)
+    except OSError as e:
+        raise unwritable(out, e) from e
 
 
 def cmd_list(_args) -> int:
     for name, row in sorted(SCENARIOS.items()):
-        print(f"{name:20s} {row.about}")
+        emit(f"{name:20s} {row.about}")
     return EXIT_OK
 
 
@@ -407,14 +409,14 @@ def cmd_verify(args) -> int:
     if args.report == "json":
         doc = {"scenario": name, "seed": seed,
                "suites": {w: r.to_json() for w, r in reports}}
-        print(dumps(doc))
+        emit(dumps(doc))
     else:
         for w, r in reports:
             counts = dict(Counter(rec.status for rec in r.records))
-            print(f"suite {w}: {'PASS' if r.passed else 'FAIL'} {counts}")
+            emit(f"suite {w}: {'PASS' if r.passed else 'FAIL'} {counts}")
             for rec in r.records:
                 if rec.status != PASS:
-                    print(f"  {rec.status:>20s} {rec.check_id}: {rec.detail}")
+                    emit(f"  {rec.status:>20s} {rec.check_id}: {rec.detail}")
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
@@ -458,12 +460,12 @@ def cmd_reduce(args) -> int:
         red = replace(red, orbit=replace(
             custom, morphism=replace(custom.morphism, cod=base)))
     fibers, rep = sc.run_reduction(red)
-    emit({
+    emit(dumps({
         "status": "pass" if rep.passed else "fail",
         "report": rep.to_json(),
         "reduced": {str(k): dirac_family_to_json([v])["fibers"][0]
                     for k, v in sorted(fibers.items(), key=lambda kv: str(kv[0]))},
-    }, args.out)
+    }), args.out)
     return EXIT_OK if rep.passed and rep.hypothesis_ok else EXIT_CHECK_FAILED
 
 
@@ -478,7 +480,7 @@ def cmd_dump(args) -> int:
     if document is None:
         raise ScenarioError(f"scenario {name!r} cannot dump --what {args.what}")
     writable(args.out)
-    emit(document(params), args.out)
+    emit(dumps(document(params)), args.out)
     return EXIT_OK
 
 
@@ -513,10 +515,11 @@ def main(argv=None) -> int:
 
     args = ap.parse_args(argv)
     try:
-        return args.fn(args)
-    except ReductionHypothesisViolated as e:
-        print(dumps({"status": HYPOTHESIS_VIOLATED, "detail": str(e)}))
-        return EXIT_CHECK_FAILED
+        try:
+            return args.fn(args)
+        except ReductionHypothesisViolated as e:
+            emit(dumps({"status": HYPOTHESIS_VIOLATED, "detail": str(e)}))
+            return EXIT_CHECK_FAILED
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BAD_INPUT
@@ -530,6 +533,11 @@ def run() -> None:
     gc.disable()
     code = main()
     gc.freeze()
+    try:
+        if sys.stdout:  # None when the process started with standard output closed
+            sys.stdout.flush()
+    except OSError:  # main reported it; drop the rest, or the exit flush fails again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     sys.exit(code)
 
 

@@ -15,7 +15,8 @@ leaves, its codomain L x_c A_G, its image and whether it is onto.  All three
 readers take the verdicts from it: a column that escapes is the failure of
 coisotropic non-degeneracy and of chain_map_check's image-in-L record, with
 that column as witness, and an escape is no surjection for the Hamiltonian
-equivalence.
+equivalence.  strong_kernel is ker rho_C cap ker c_*, for strongness here
+and the exact sequences of intersection; c*sigma is MorphismFiber's.
 """
 
 from __future__ import annotations
@@ -134,8 +135,7 @@ def nondeg_assembly(datum: CoisotropicDatum, obj_idx: int) -> Assembly:
     n, r_g = ob_c.dim, ob_g.adim
     c0, cA = c.c0[obj_idx], c.cA[obj_idx]
     # map: b -> (rho_C b, c* sigma c_* b, cA b)
-    sig_pull = c0.transpose() @ ob_g.sigma @ cA
-    mat = vstack(vstack(ob_c.rho, sig_pull), cA)
+    mat = vstack(vstack(ob_c.rho, c.pullback_sigma(obj_idx) @ cA), cA)
     first = mat.row_block(0, 2 * n)
     if l.space.coords(first) is None:
         escape = next(v for v in first.col_vectors() if not l.space.contains(v))
@@ -146,7 +146,7 @@ def nondeg_assembly(datum: CoisotropicDatum, obj_idx: int) -> Assembly:
     t, cot = l.parts
     fp = image(block_diag(l.space.matrix, LinMap.identity(r_g)),
                fiber_product(vstack(c0 @ t, cot),
-                             vstack(ob_g.rho, c0.transpose() @ ob_g.sigma)))
+                             vstack(ob_g.rho, c.pullback_sigma(obj_idx))))
     im = image(mat)
     return Assembly(obj_idx, mat, None, fp, im, im == fp)
 
@@ -193,12 +193,17 @@ def is_coisotropic(datum: CoisotropicDatum) -> VerificationReport:
     return rep
 
 
+def strong_kernel(c: MorphismFiber, obj_idx: int) -> Subspace:
+    """ker rho_C cap ker c_* at the C-object: zero where c is strong."""
+    return kernel(vstack(c.dom.objects[obj_idx].rho, c.cA[obj_idx]))
+
+
 def strong_injectivity(datum: CoisotropicDatum) -> VerificationReport:
     """The injectivity half of strongness: ker rho_C cap ker c_* = 0."""
     rep = VerificationReport(f"coiso.{datum.name or 'datum'}")
     c = datum.morphism
-    for i, ob_c in enumerate(c.dom.objects):
-        ker = kernel(vstack(ob_c.rho, c.cA[i]))
+    for i in range(len(c.dom.objects)):
+        ker = strong_kernel(c, i)
         rep.add("coiso.strong", ker.dim == 0,
                 detail=f"object {i}: ker rho_C cap ker c_* = 0",
                 witness=None if ker.dim == 0 else witness_subspace(ker))
@@ -262,7 +267,7 @@ def chain_map_check(datum: CoisotropicDatum, obj_idx: int) -> VerificationReport
 
     # vertical maps; the right one sends w to the functional b -> <sigma(cA b), w>
     v_minus = LinMap.zero(0, r_c)
-    v_mid = hstack(p_tstar.scale(-1), c0.transpose() @ ob_g.sigma)
+    v_mid = hstack(p_tstar.scale(-1), c.pullback_sigma(obj_idx))
     v_plus = (ob_g.sigma @ cA).transpose()
 
     sq1 = v_mid @ d1 == b1 @ v_minus

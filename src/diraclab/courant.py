@@ -21,8 +21,8 @@ cotangent structure E = 0.  Each operation is one formula on the pair:
 - DiracFiber.kernel: ker L = L cap V = ker(w|_E).
 Every antisymmetric omega gives a Lagrangian, so a DiracFiber needs no
 isotropy test; lagrangian(space), the one constructor from a basis, reads
-(E, omega) off the echelon rows and tests the span there.  It is the one
-Lagrangian test, for the bases here and for dorfman's frame spans at its
+(E, omega) off the echelon rows once check_lagrangian, the one Lagrangian
+test, passes; dorfman runs that test alone on its frame spans at its
 sample points.  space, the canonical echelon basis, is one linalg
 canonicalize of the pair's generator rows, and parts is a view on it;
 linalg builds every echelon basis.  It skips the elimination on a full
@@ -52,6 +52,7 @@ from .linalg import (
     Vec,
     ZERO,
     canonicalize,
+    congruence,
     frac,
     full_subspace,
     image,
@@ -100,7 +101,7 @@ class TwoFormFiber:
 
     def pullback(self, f: LinMap) -> "TwoFormFiber":
         """f*w for f : Q^m -> Q^n."""
-        return TwoFormFiber(f.transpose() @ self.matrix @ f)
+        return TwoFormFiber(congruence(f, self.matrix))
 
 
 def std_symplectic(n2: int) -> TwoFormFiber:
@@ -230,18 +231,11 @@ class DiracFiber:
         return kernel(self.parts[1].transpose())
 
 
-def lagrangian(space: Subspace) -> DiracFiber:
-    """The Dirac fiber with basis space, read off its echelon rows; a
-    NotLagrangian if the span is not Lagrangian.
-
-    With (T, C) the V and V* rows of space.matrix, G = C^T T has
-    G[i][j] = c_i(t_j), and the pairing of basis vectors i and j is
-    G[i][j] + G[j][i]: the span is isotropic, so Lagrangian at dim n, iff G
-    is antisymmetric.  E is canonicalize of the V parts of the d rows that
-    lead in V, which are E's echelon basis up to scale, and G's first d rows
-    and columns are omega; the other rows are (0, a), and G = 0 on them says
-    that a annihilates E.
-    """
+def check_lagrangian(space: Subspace) -> LinMap:
+    """G = C^T T, for (T, C) the V and V* rows of space.matrix, or a
+    NotLagrangian if the span is not Lagrangian.  G[i][j] = c_i(t_j), so
+    the pairing of basis vectors i and j is G[i][j] + G[j][i]: the span is
+    isotropic, so Lagrangian at dim n, iff G is antisymmetric."""
     if space.ambient_dim % 2:
         raise DimensionMismatch("Dirac fiber must live in an even ambient Q^{2n}")
     n = space.ambient_dim // 2
@@ -251,6 +245,16 @@ def lagrangian(space: Subspace) -> DiracFiber:
     g = m.row_block(n, 2 * n).transpose() @ m.row_block(0, n)
     if not g.is_antisymmetric():
         raise NotLagrangian("basis not isotropic")
+    return g
+
+
+def lagrangian(space: Subspace) -> DiracFiber:
+    """The Dirac fiber with basis space: check_lagrangian's G, and E the
+    canonicalize of the V parts of the d rows that lead in V, which are E's
+    echelon basis up to scale.  G's first d rows and columns are omega; the
+    other rows are (0, a), and G = 0 on them says that a annihilates E."""
+    g = check_lagrangian(space)
+    n = space.ambient_dim // 2
     d = sum(p < n for p in space.pivots)
     return DiracFiber(canonicalize([r[:n] for r in space.rows[:d]], n),
                       TwoFormFiber(LinMap.from_rows([r[:d] for r in g.entries[:d]], cols=d)))

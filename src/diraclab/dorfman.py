@@ -287,7 +287,7 @@ def involutivity_check(frame: PolyDiracFrame, sample_points) -> VerificationRepo
         if span.dim != n:
             raise FrameNotLagrangian(f"frame span has dim {span.dim} at {p}")
         try:
-            courant.lagrangian(span)
+            courant.check_lagrangian(span)
         except courant.NotLagrangian:
             raise FrameNotLagrangian(f"frame not isotropic at {p}") from None
         spans.append(span)

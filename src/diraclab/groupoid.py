@@ -17,6 +17,9 @@ The CLI's qs suites return it, and every checker that needs a
 quasi-symplectic target (is_coisotropic, gauge_qs, and through them transfer)
 reads its verdict; none of them may mutate it.  A bundle built with
 records.replace is a new object and is decided afresh.
+
+Form operations owned here: coboundary, the arrow coboundary t*gamma -
+s*gamma, and MorphismFiber.pullback_sigma, c*sigma = c0^T sigma_G.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from .linalg import (
     LinMap,
     Subspace,
     block_diag,
+    congruence,
     fiber_product,
     hstack,
     image,
@@ -194,6 +198,10 @@ class MorphismFiber:
         if img.omega is None:
             raise ValueError("codomain arrow carries no 2-form")
         return img.omega.pullback(self.c1[arrow_idx])
+
+    def pullback_sigma(self, obj_idx: int) -> LinMap:
+        """c*sigma = c0^T sigma_G at the domain object: A_G -> T*."""
+        return self.c0[obj_idx].transpose() @ self.cod.objects[self.obj_map[obj_idx]].sigma
 
 
 def multiplicativity_defects(m: MorphismFiber):
@@ -366,8 +374,8 @@ def qs_check(bundle: GroupoidFiberBundle) -> VerificationReport:
         # on the tangent basis B (columns), whose coordinates are unit vectors:
         # m_star^T omega_gh m_star = B^T diag(omega_g, omega_h) B
         b = p.tangent.matrix
-        ok = (p.m_star.transpose() @ gh.omega.matrix @ p.m_star
-              == b.transpose() @ block_diag(g.omega.matrix, h.omega.matrix) @ b)
+        ok = (congruence(p.m_star, gh.omega.matrix)
+              == congruence(b, block_diag(g.omega.matrix, h.omega.matrix)))
         rep.add("qs.multiplicative", ok,
                 detail=f"pair {idx}: m*omega = pr1*omega + pr2*omega")
 
@@ -439,14 +447,13 @@ def gauge_qs(bundle: GroupoidFiberBundle,
     for i, ob in enumerate(bundle.objects):
         new_objects.append(replace(ob, phi=ob.phi.add(dgamma[i]),
                                    sigma=gauged_sigma(ob, gamma[i])))
+    forms = [gm.matrix for gm in gamma]
     new_arrows = []
     for ar in bundle.arrows:
         if ar.omega is None:
             new_arrows.append(ar)
             continue
-        shift = gamma[ar.src].pullback(ar.s_star).matrix - \
-            gamma[ar.tgt].pullback(ar.t_star).matrix
-        new_arrows.append(replace(ar, omega=TwoFormFiber(ar.omega.matrix + shift)))
+        new_arrows.append(replace(ar, omega=TwoFormFiber(ar.omega.matrix - coboundary(ar, forms))))
     out = GroupoidFiberBundle(tuple(new_objects), tuple(new_arrows), bundle.pairs,
                               name=f"{bundle.name}.gauged")
     rep = VerificationReport("gauge_qs")
@@ -456,6 +463,11 @@ def gauge_qs(bundle: GroupoidFiberBundle,
     else:
         rep.add_hypothesis_violation("gauge.preserves_qs", "input bundle fails qs_check")
     return out, rep
+
+
+def coboundary(ar: ArrowFiber, forms) -> LinMap:
+    """t*gamma - s*gamma at the arrow, gamma the form matrix forms[obj] at each end."""
+    return congruence(ar.t_star, forms[ar.tgt]) - congruence(ar.s_star, forms[ar.src])
 
 
 def gauged_sigma(ob: ObjectFiber, gamma: TwoFormFiber) -> LinMap:

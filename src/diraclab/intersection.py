@@ -17,7 +17,8 @@ auxiliary spaces across all sampled product points.
 
 from __future__ import annotations
 
-from .coisotropic import CoisotropicDatum, zero_shifted_poisson_check, is_coisotropic
+from .coisotropic import (CoisotropicDatum, is_coisotropic, strong_kernel,
+                          zero_shifted_poisson_check)
 from .courant import (
     DiracFiber,
     ThreeFormFiber,
@@ -266,8 +267,7 @@ def _exact_sequence(rep: VerificationReport, prefix: str, d1: CoisotropicDatum, 
     cap ker c_*, to_rann the boundary map on the middle basis; exactness at
     R-ann only where claimed.  Returns whether K1 = K2 = 0 and R-ann = 0."""
     point = (i1, i2)
-    k1 = kernel(vstack(d1.morphism.dom.objects[i1].rho, d1.morphism.cA[i1]))
-    k2 = kernel(vstack(d2.morphism.dom.objects[i2].rho, d2.morphism.cA[i2]))
+    k1, k2 = strong_kernel(d1.morphism, i1), strong_kernel(d2.morphism, i2)
     left = image(block_diag(k1.matrix, k2.matrix))
     img = image(to_rann)
     into, onto = img.issubset(r_ann), img == r_ann

@@ -40,6 +40,8 @@ annihilator, the preimage and the kernel of a zero map are written down.
 Relations: fiber_product(m1, m2) is the subspace {(x, y) : m1 x = m2 y},
 from which the checkers build their fiber products; block_diag(a, d) is the
 map (x, y) -> (a x, d y).  With image, they compose linear relations.
+congruence(f, M) = f^T M f pulls a form back along f: TwoFormFiber.pullback
+and every checker call it, the one place that writes that transpose.
 
 Memo: fiber_product, image_lifts and _composite, the product behind
 LinMap.__matmul__, are pure functions of frozen LinMaps, and a run asks for
@@ -60,9 +62,9 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
 from math import gcd, lcm
-from operator import mul, neg
+from operator import matmul, mul, neg
 
 from .records import record
 
@@ -314,6 +316,11 @@ def block_diag(a: LinMap, d: LinMap) -> LinMap:
     return LinMap(a.rows + d.rows, a.cols + d.cols,
                   tuple(r + right for r in _rescaled(a, den))
                   + tuple(left + r for r in _rescaled(d, den)), den)
+
+
+def congruence(f: LinMap, *middle: LinMap) -> LinMap:
+    """f^T M_1 ... M_k f, formed left to right as that chain of @ is."""
+    return reduce(matmul, middle, f.transpose()) @ f
 
 
 def _primitive(row: Sequence[int]) -> Sequence[int]:

@@ -28,6 +28,9 @@ holds the arrow fiber and source anchor they are solved from, so the sigma
 identity, the curvature defects and the homotopy identities share one solve
 per connection and map, and curvature_defect_check computes K(g, h) once
 per pair.
+
+gauged_pullback is psi1*L + graph(delta), the fiber every transport pushes
+forward along psi2; forms are pulled back by linalg.congruence.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ from .groupoid import (
     ArrowFiber,
     GroupoidFiberBundle,
     MorphismFiber,
+    coboundary,
     compatibility_check,
     identity_morphism,
     unit_arrow_at,
@@ -55,6 +59,7 @@ from .linalg import (
     DimensionMismatch,
     LinMap,
     block_diag,
+    congruence,
     fiber_product,
     hstack,
     image,
@@ -113,11 +118,10 @@ def symplectic_morita_check(phi1: MorphismFiber, phi2: MorphismFiber,
         raise DimensionMismatch("the two legs must share their domain bundle")
     rep = VerificationReport("symplectic_morita")
     lgpd = phi1.dom
+    forms = [gm.matrix for gm in gamma]
     for k, ar in enumerate(lgpd.arrows):
         lhs = phi1.pullback_two_form(k).matrix - phi2.pullback_two_form(k).matrix
-        rhs = gamma[ar.tgt].pullback(ar.t_star).matrix - \
-            gamma[ar.src].pullback(ar.s_star).matrix
-        rep.add("morita.form", lhs == rhs,
+        rep.add("morita.form", lhs == coboundary(ar, forms),
                 detail=f"arrow {k}: phi1*omega1 - phi2*omega2 = t*gamma - s*gamma")
     for i, ob in enumerate(lgpd.objects):
         p1 = phi1.cod.objects[phi1.obj_map[i]].phi.pullback(phi1.c0[i])
@@ -133,8 +137,7 @@ def symplectic_morita_check(phi1: MorphismFiber, phi2: MorphismFiber,
         fp = fiber_product(
             vstack(vstack(phi1.c0[i], phi2.c0[i]), gamma[i].flat()),
             vstack(block_diag(g1.rho, g2.rho),
-                   hstack(phi1.c0[i].transpose() @ g1.sigma,
-                          (phi2.c0[i].transpose() @ g2.sigma).scale(-1))))
+                   hstack(phi1.pullback_sigma(i), phi2.pullback_sigma(i).scale(-1))))
         m = vstack(vstack(ob.rho, phi1.cA[i]), phi2.cA[i])
         ok = image(m) == fp and kernel(m).dim == 0
         rep.add("morita.bijective", ok,
@@ -301,11 +304,10 @@ def homotopy_identities(f: MorphismFiber, g: MorphismFiber,
         om = ar.omega.matrix
         sig_t = tgt_g.sigma
         m1 = td.transpose() @ sig_t.transpose() @ adt @ f.c0[x]
-        m3 = td.transpose() @ sig_t.transpose() @ tgt_g.rho @ td
-        m4 = (cf.tau @ f.c0[x]).transpose() @ om @ (cf.tau @ f.c0[x])
-        lhs4 = fib.theta_star.transpose() @ om @ fib.theta_star
+        m3 = congruence(td, sig_t.transpose(), tgt_g.rho)
+        m4 = congruence(cf.tau @ f.c0[x], om)
         rep.add("homotopy.theta_form",
-                lhs4 == m1 - m1.transpose() + m3 + m4,
+                congruence(fib.theta_star, om) == m1 - m1.transpose() + m3 + m4,
                 detail=f"object {x}: the theta*omega expansion")
 
         efib = eta[x]
@@ -378,9 +380,7 @@ def nat_trans_form_identity(f: MorphismFiber, g: MorphismFiber,
         if ar.src not in theta_form or ar.tgt not in theta_form:
             continue
         lhs = g.pullback_two_form(k).matrix - f.pullback_two_form(k).matrix
-        rhs = (ar.t_star.transpose() @ theta_form[ar.tgt] @ ar.t_star
-               - ar.s_star.transpose() @ theta_form[ar.src] @ ar.s_star)
-        rep.add("nat_trans.form.arrow", lhs == rhs,
+        rep.add("nat_trans.form.arrow", lhs == coboundary(ar, theta_form),
                 detail=f"arrow {k}: g*omega - f*omega = t*theta*omega - s*theta*omega")
     return rep
 
@@ -437,7 +437,7 @@ def transfer(m: MoritaEquivalenceDatum, l1: list[DiracFiber],
 
     l0 = []
     for x in range(len(m.psi1.dom.objects)):
-        l0.append(gauge(pullback(m.psi1.c0[x], l1[m.psi1.obj_map[x]]), m.delta[x]))
+        l0.append(gauged_pullback(m.psi1.c0[x], l1[m.psi1.obj_map[x]], m.delta[x]))
 
     omega_pull = []
     for k in range(len(m.psi2.dom.arrows)):
@@ -476,8 +476,13 @@ def _pushed_back(m: MoritaEquivalenceDatum,
     by r.delta and pushed forward along r.psi2."""
     r = m.reversed()
     return [pushforward(r.psi2.c0[x],
-                        gauge(pullback(r.psi1.c0[x], l2[r.psi1.obj_map[x]]), r.delta[x]))
+                        gauged_pullback(r.psi1.c0[x], l2[r.psi1.obj_map[x]], r.delta[x]))
             for x in range(len(r.psi1.dom.objects))]
+
+
+def gauged_pullback(psi1_c0: LinMap, l: DiracFiber, delta: TwoFormFiber) -> DiracFiber:
+    """psi1*L + graph(delta), the fiber a transport pushes forward along psi2."""
+    return gauge(pullback(psi1_c0, l), delta)
 
 
 def sigma_ad_check(bundle: GroupoidFiberBundle,
@@ -571,27 +576,23 @@ def transfer_composition_check(m1: MoritaEquivalenceDatum,
         # pr_L1*gamma1 + pr_L2*gamma2 - xi*omega2
         gam1 = m1.gamma[m1.phi2.obj_map.index(g_ar.src)]
         gam2 = m2.gamma[m2.phi1.obj_map.index(g_ar.tgt)]
-        gamma_hat = (g_ar.s_star.transpose() @ gam1.matrix @ g_ar.s_star
-                     + g_ar.t_star.transpose() @ gam2.matrix @ g_ar.t_star
-                     - g_ar.omega.matrix)
+        gamma_hat = (congruence(g_ar.s_star, gam1.matrix)
+                     + congruence(g_ar.t_star, gam2.matrix) - g_ar.omega.matrix)
         th1 = _theta_form(m1.phi1.cod, m1.theta1[s.k1_obj])
         th2 = _theta_form(m2.phi2.cod, m2.theta2[s.k2_obj])
-        dhat = (s.ghat_star.transpose() @ gamma_hat @ s.ghat_star).scale(-1) \
-            + s.pr_k1.transpose() @ th1 @ s.pr_k1 \
-            - s.pr_k2.transpose() @ th2 @ s.pr_k2
+        dhat = (congruence(s.ghat_star, gamma_hat).scale(-1)
+                + congruence(s.pr_k1, th1) - congruence(s.pr_k2, th2))
         deltahat.append(TwoFormFiber(dhat))
 
         th12 = _theta_form(m1.phi2.cod, m1.theta2[s.k1_obj])
         th22 = _theta_form(m2.phi1.cod, m2.theta1[s.k2_obj])
-        zeta = s.pr_k1.transpose() @ th12 @ s.pr_k1 \
-            - s.pr_k2.transpose() @ th22 @ s.pr_k2
+        zeta = congruence(s.pr_k1, th12) - congruence(s.pr_k2, th22)
         zetas.append(TwoFormFiber(zeta))
 
         eta_form = c2.pullback_two_form(s.eta_arrow)
-        rhs = s.pr_k1.transpose() @ m1.delta[s.k1_obj].matrix @ s.pr_k1 \
-            + s.pr_k2.transpose() @ m2.delta[s.k2_obj].matrix @ s.pr_k2 \
-            + s.eta_star.transpose() @ eta_form.matrix @ s.eta_star \
-            + zeta
+        rhs = (congruence(s.pr_k1, m1.delta[s.k1_obj].matrix)
+               + congruence(s.pr_k2, m2.delta[s.k2_obj].matrix)
+               + congruence(s.eta_star, eta_form.matrix) + zeta)
         rep.add("composition.delta_hat", dhat == rhs,
                 detail="delta-hat = pr1*delta1 + pr2*delta2 + eta*c2*omega2 + zeta")
 
@@ -619,10 +620,9 @@ def transfer_composition_check(m1: MoritaEquivalenceDatum,
         fibers = []
         for k in members:
             s = samples[k]
-            psi1_c0 = m1.psi1.c0[s.k1_obj] @ s.pr_k1
-            l0 = gauge(pullback(psi1_c0, l1[m1.psi1.obj_map[s.k1_obj]]), deltahat[k])
-            psi2_c0 = m2.psi2.c0[s.k2_obj] @ s.pr_k2
-            fibers.append(pushforward(psi2_c0, l0))
+            l0 = gauged_pullback(m1.psi1.c0[s.k1_obj] @ s.pr_k1,
+                                 l1[m1.psi1.obj_map[s.k1_obj]], deltahat[k])
+            fibers.append(pushforward(m2.psi2.c0[s.k2_obj] @ s.pr_k2, l0))
         same = all(f == fibers[0] for f in fibers)
         rep.add("composition.invariance", same,
                 detail=f"composed pushforward constant over target object {c3_obj}")

@@ -10,6 +10,7 @@ with the scenario files written from SPECS below.  A change to the exact
 arithmetic must leave every byte of them unchanged.
 """
 
+import errno
 import gc
 import importlib
 import io
@@ -816,11 +817,12 @@ def test_the_dorfman_suite_looks_its_builder_up_when_it_runs(monkeypatch):
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_process(argv) -> subprocess.CompletedProcess:
-    """`python -m diraclab.cli argv` in a fresh interpreter, output as bytes."""
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    return subprocess.run([sys.executable, "-m", "diraclab.cli", *argv], env=env,
-                          capture_output=True, timeout=120)
+def run_process(argv, env=(), stdout=subprocess.PIPE, **kwargs) -> subprocess.CompletedProcess:
+    """`python -m diraclab.cli argv` in a fresh interpreter, output as bytes;
+    env updates the environment, and kwargs go to subprocess.run."""
+    return subprocess.run([sys.executable, "-m", "diraclab.cli", *argv],
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src"), **dict(env)},
+                          stdout=stdout, stderr=subprocess.PIPE, timeout=120, **kwargs)
 
 
 @pytest.mark.parametrize("name", ["torus", "twist-mismatch"])
@@ -835,6 +837,47 @@ def test_the_process_entry_exits_2_on_a_missing_spec(tmp_path):
     done = run_process(["verify", str(tmp_path / "missing.json")])
     assert (done.returncode, done.stdout) == (cli.EXIT_BAD_INPUT, b"")
     assert done.stderr.startswith(b"error: cannot read scenario: ")
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("sink", ["dev-full", "closed-pipe"])
+@pytest.mark.parametrize("argv", [
+    ["verify", "line-bivector", "--report", "json"],
+    ["verify", "line-bivector", "--report", "text"],
+    ["reduce", "circle-n1"],
+    ["dump", "circle-n1"],
+    ["list"],
+], ids=" ".join)
+def test_a_standard_output_that_cannot_be_written_exits_2(tmp_path, argv, sink, unbuffered):
+    # one error line, as for an unwritable --out file: no traceback, no
+    # "Exception ignored" at exit, and not exit 1, which means a failed check
+    cmd, *rest = argv
+    if rest:
+        rest[0] = write_spec(tmp_path, SPECS[rest[0]])
+    # an empty PYTHONUNBUFFERED counts as unset
+    env = {"PYTHONUNBUFFERED": "1" if unbuffered else ""}
+    if sink == "dev-full":
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full here")
+        with open("/dev/full", "wb") as out:
+            done = run_process([cmd, *rest], env, stdout=out)
+        reason = os.strerror(errno.ENOSPC)
+    else:
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = run_process([cmd, *rest], env, stdout=write_end)
+        finally:
+            os.close(write_end)
+        reason = os.strerror(errno.EPIPE)
+    assert (done.returncode, done.stderr.decode()) == (
+        cli.EXIT_BAD_INPUT, f"error: cannot write standard output: {reason}\n")
+
+
+def test_a_process_started_with_standard_output_closed_ends_quietly():
+    # Python then sets sys.stdout to None and print discards the text
+    done = run_process(["list"], stdout=subprocess.DEVNULL, preexec_fn=lambda: os.close(1))
+    assert (done.returncode, done.stderr) == (cli.EXIT_OK, b"")
 
 
 def test_the_installed_script_is_the_process_entry():

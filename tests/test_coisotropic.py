@@ -17,6 +17,7 @@ from diraclab.coisotropic import (
     nondeg_assembly,
     orbit_lagrangian,
     strong_injectivity,
+    strong_kernel,
     zero_shifted_poisson_check,
 )
 from diraclab.courant import (
@@ -491,3 +492,15 @@ def test_is_strong_is_is_coisotropic_then_strong_injectivity(pair_bundle, circle
         assert rep.records == (is_coisotropic(datum).records
                                + strong_injectivity(datum).records)
         assert rep.suite == is_coisotropic(datum).suite
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_pullback_sigma_and_strong_kernel_are_the_formulas_they_replace(seed):
+    from test_linalg import recorded_products
+    c = random_chain_datum(seed).morphism
+    with recorded_products() as helper:
+        got = c.pullback_sigma(0)
+    with recorded_products() as inline:
+        want = c.c0[0].transpose() @ c.cod.objects[c.obj_map[0]].sigma
+    assert got == want and helper == inline
+    assert strong_kernel(c, 0) == kernel(vstack(c.dom.objects[0].rho, c.cA[0]))

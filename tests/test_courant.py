@@ -10,6 +10,7 @@ from diraclab.courant import (
     NotLagrangian,
     TwoFormFiber,
     ThreeFormFiber,
+    check_lagrangian,
     cotangent_dirac,
     dirac_negate,
     dirac_sum,
@@ -682,3 +683,19 @@ def test_closed_forms_on_graphs_run_no_elimination(monkeypatch):
     assert pullback.__wrapped__(f, cot).space == canonicalize(
         [vec(0, 0, 1, 0), vec(0, 0, 0, 1)], 4)
     assert calls
+
+
+@settings(max_examples=30, deadline=None)
+@given(random_lagrangians(n=3))
+def test_check_lagrangian_returns_the_pairing_matrix_lagrangian_reads(l):
+    n, m = l.n, l.space.matrix
+    assert check_lagrangian(l.space) == m.row_block(n, 2 * n).transpose() @ m.row_block(0, n)
+    assert lagrangian(l.space) == l
+
+
+def test_check_lagrangian_raises_as_lagrangian_does():
+    for rows, message in (([vec(1, 0, 1, 0), vec(0, 1, 0, 0)], "^basis not isotropic$"),
+                          ([vec(1, 0, 0, 0)], "^dim 1 != 2$")):
+        for build in (check_lagrangian, lagrangian):
+            with pytest.raises(NotLagrangian, match=message):
+                build(canonicalize(rows, 4))

@@ -257,3 +257,17 @@ def test_dorfman_pairing_leibniz_identity(seed):
     for j in range(n):
         rhs = rhs + s1.v[j] * h.diff(j)
     assert lhs == rhs
+
+
+def test_involutivity_decides_each_span_without_building_a_fiber(monkeypatch):
+    # one elimination per sample point, the frame span's own, and no
+    # DiracFiber: the isotropy test is courant.check_lagrangian alone
+    from diraclab import courant, linalg
+    calls = []
+    real = linalg._rref_int
+    monkeypatch.setattr(linalg, "_rref_int", lambda mat: calls.append(1) or real(mat))
+    monkeypatch.setattr(courant, "DiracFiber",
+                        lambda *a: pytest.fail("built a DiracFiber"))
+    points = so3_points()
+    assert involutivity_check(so3_frame(), points).passed
+    assert len(calls) == len(points)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,8 @@ from diraclab.courant import (
     tangent_dirac,
 )
 from diraclab.groupoid import (
+    ArrowFiber,
+    coboundary,
     compatibility_check,
     gauge_qs,
     identity_morphism,
@@ -26,7 +29,7 @@ from diraclab.groupoid import (
     unit_arrow_at,
     unit_groupoid,
 )
-from diraclab.linalg import LinMap, kernel, solve
+from diraclab.linalg import LinMap, kernel, random_antisymmetric, random_matrix, solve
 from diraclab.morita import NatTransFiber, nat_trans_form_identity, star_composite_form_identity
 from diraclab.records import replace
 from diraclab.report import FAIL, HYPOTHESIS_VIOLATED, PASS
@@ -397,3 +400,22 @@ def first_pair_to(bundle, gh):
 def test_multiplicativity_defects_names_the_first_failure(pair_bundle, edit, first):
     m = edit(identity_morphism(pair_bundle))
     assert next(multiplicativity_defects(m)) == first
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_coboundary_is_t_star_gamma_less_s_star_gamma(seed):
+    from test_linalg import recorded_products
+    rng = random.Random(seed)
+    dims = [rng.randint(1, 3), rng.randint(1, 3)]
+    src, tgt, d = rng.randrange(2), rng.randrange(2), rng.randint(1, 4)
+    ar = ArrowFiber(src, tgt, d, random_matrix(rng, dims[src], d, 6),
+                    random_matrix(rng, dims[tgt], d, 6), None,
+                    LinMap.zero(d, 0), LinMap.zero(d, 0))
+    forms = [random_antisymmetric(rng, n, 6) for n in dims]
+    with recorded_products() as helper:
+        got = coboundary(ar, forms)
+    with recorded_products() as inline:
+        want = (ar.t_star.transpose() @ forms[tgt] @ ar.t_star
+                - ar.s_star.transpose() @ forms[src] @ ar.s_star)
+    assert got == want and helper == inline

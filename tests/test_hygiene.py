@@ -11,7 +11,9 @@ operations and the matrix product are memoized, every memo returns an
 immutable record, every cached view is kept on a record and read as an
 attribute, with no function that only returns it, only the process entry
 cli.run touches the cyclic collector, only linalg calls Subspace( or
-_rref_int or imports gcd, every public function is reached from src or
+_rref_int or imports gcd, only linalg writes a congruence X^T M X and only
+groupoid.coboundary the arrow coboundary t*gamma - s*gamma, every public
+function is reached from src or
 allowlisted with a reason, and every function the benchmark's traced run
 wraps exists in the module that defines it."""
 
@@ -603,6 +605,96 @@ def test_echelon_builders_sees_every_form():
     assert echelon_builders(tree) == [
         "gcd (line 1)", "_rref_int (line 3)", "Subspace( (line 5)",
         "Subspace( (line 6)", "gcd (line 6)", "_rref_int (line 7)"]
+
+
+def _matmul_factors(node) -> list:
+    """The factors of a left-nested chain a @ b @ ... @ z, or [node]."""
+    right = []
+    while isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+        right.append(node.right)
+        node = node.left
+    return [node, *reversed(right)]
+
+
+def _is_congruence(node) -> bool:
+    """node is X.transpose() @ M ... @ X, with a middle factor and the same X
+    at both ends."""
+    first, *rest = _matmul_factors(node)
+    return (len(rest) >= 2 and isinstance(first, ast.Call) and not first.args
+            and isinstance(first.func, ast.Attribute) and first.func.attr == "transpose"
+            and ast.dump(first.func.value) == ast.dump(rest[-1]))
+
+
+def _pulls_back_along(node, leg: str) -> bool:
+    """node names leg and pulls a form back: a pullback or congruence call,
+    or a written-out congruence."""
+    subs = list(ast.walk(node))
+    return (any(isinstance(n, ast.Attribute) and n.attr == leg for n in subs)
+            and any(_is_congruence(n) or isinstance(n, ast.Call)
+                    and getattr(n.func, "attr", getattr(n.func, "id", None))
+                    in ("pullback", "congruence") for n in subs))
+
+
+def form_operations(tree: ast.Module) -> list[str]:
+    """Every congruence X.transpose() @ M @ X written out, and every arrow
+    coboundary, a difference of pullbacks along t_star and along s_star in
+    either order, as "kind in def (line N)" in line order, def the
+    innermost enclosing function or <module>."""
+    out = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            inner = (child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+                     else where)
+            if _is_congruence(child):
+                out.append((child.lineno, "congruence", where))
+            if isinstance(child, ast.BinOp) and isinstance(child.op, ast.Sub) and any(
+                    _pulls_back_along(a, "t_star") and _pulls_back_along(b, "s_star")
+                    for a, b in ((child.left, child.right), (child.right, child.left))):
+                out.append((child.lineno, "coboundary", where))
+            visit(child, inner)
+
+    visit(tree, "<module>")
+    return [f"{kind} in {where} (line {line})" for line, kind, where in sorted(out)]
+
+
+# the one owner of each form operation: linalg.congruence pins the
+# transpose orientation, and groupoid.coboundary the sign of t*gamma - s*gamma
+FORM_OWNERS = {"congruence": ("linalg", "congruence"),
+               "coboundary": ("groupoid", "coboundary")}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_each_form_operation_is_written_by_its_owner_only(path):
+    found = form_operations(ast.parse(path.read_text()))
+    assert [f for f in found if not any(
+        f.startswith(f"{kind} in {fn} ") and path.stem == mod
+        for kind, (mod, fn) in FORM_OWNERS.items())] == []
+
+
+def test_the_owners_write_their_form_operations():
+    # linalg.congruence folds its chain, so only the coboundary is written out
+    found = form_operations(ast.parse((SRC / "groupoid.py").read_text()))
+    assert [f.rpartition(" (")[0] for f in found] == ["coboundary in coboundary"]
+
+
+def test_form_operations_sees_every_form():
+    tree = ast.parse("x = f.transpose() @ m @ f\n"
+                     "def g(a, b, s, ar):\n"
+                     "    y = (s.p @ q).transpose() @ m @ k.t @ (s.p @ q) @ z\n"
+                     "    no = a.transpose() @ m @ b, a.transpose() @ a, a.transpose(1) @ m @ a\n"
+                     "    def h():\n"
+                     "        return (g.pullback(ar.t_star).matrix\n"
+                     "                - g.pullback(ar.s_star).matrix)\n"
+                     "    u = ar.s_star.transpose() @ w @ ar.s_star - \\\n"
+                     "        ar.t_star.transpose() @ w @ ar.t_star\n"
+                     "    v = congruence(ar.t_star, w) - congruence(ar.s_star, w)\n"
+                     "    return ar.t_star @ a - ar.s_star @ b, ar.t_star.pullback(b) - b\n")
+    assert form_operations(tree) == [
+        "congruence in <module> (line 1)", "congruence in g (line 3)",
+        "coboundary in h (line 6)", "coboundary in g (line 8)",
+        "congruence in g (line 8)", "congruence in g (line 9)",
+        "coboundary in g (line 10)"]
 
 
 MUTABLE = {"list", "dict", "set"}

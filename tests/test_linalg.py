@@ -1,3 +1,5 @@
+import random
+from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd
 
@@ -5,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diraclab import linalg
 from diraclab.linalg import (
     DimensionMismatch,
     LinMap,
@@ -13,6 +16,7 @@ from diraclab.linalg import (
     basis_vec,
     block_diag,
     canonicalize,
+    congruence,
     fiber_product,
     full_subspace,
     hstack,
@@ -20,6 +24,7 @@ from diraclab.linalg import (
     image_lifts,
     kernel,
     preimage,
+    random_matrix,
     solve,
     vec,
     vstack,
@@ -761,3 +766,39 @@ def test_kernel_and_image_eliminate_once(monkeypatch):
     im = image(f, s)
     assert calls == [2]
     assert im == canonicalize([f.apply(v) for v in s.basis], 3)
+
+
+@contextmanager
+def recorded_products():
+    """The operand pairs of every LinMap product formed inside, in order,
+    memo hits included."""
+    seen, real = [], linalg._composite
+
+    def recorded(a, b):
+        seen.append((a, b))
+        return real(a, b)
+
+    linalg._composite = recorded
+    try:
+        yield seen
+    finally:
+        linalg._composite = real
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_congruence_forms_the_written_out_chain(seed):
+    # the same value from the same products in the same order, so that
+    # every memo key of the chains it replaced stays the same
+    rng = random.Random(seed)
+    n, m = rng.randint(1, 4), rng.randint(1, 4)
+    f = random_matrix(rng, n, m, 6)
+    a, b = random_matrix(rng, n, n, 6), random_matrix(rng, n, n, 6)
+    for middle, chain in (((a,), lambda: f.transpose() @ a @ f),
+                          ((a, b), lambda: f.transpose() @ a @ b @ f)):
+        with recorded_products() as helper:
+            got = congruence(f, *middle)
+        with recorded_products() as inline:
+            want = chain()
+        assert got == want
+        assert helper == inline and len(helper) == len(middle) + 1

@@ -9,15 +9,17 @@ import pytest
 
 from diraclab import coisotropic, morita, scenarios as sc
 from diraclab.coisotropic import CoisotropicDatum, identity_datum
-from diraclab.courant import ThreeFormFiber, TwoFormFiber, tangent_dirac
+from diraclab.courant import (ThreeFormFiber, TwoFormFiber, dirac_sum, gauge, graph_bivector,
+                              pullback, tangent_dirac)
 from diraclab.groupoid import GroupoidFiberBundle, MorphismFiber, identity_morphism
-from diraclab.linalg import LinMap, solve
+from diraclab.linalg import LinMap, random_antisymmetric, random_matrix, solve
 from diraclab.morita import (
     ChainSample,
     NatTransFiber,
     _pushed_back,
     curvature_defect_check,
     descend_dirac,
+    gauged_pullback,
     homotopy_identities,
     identity_leg_equivalence,
     random_connection,
@@ -414,3 +416,20 @@ def test_the_adjoint_suite_solves_once_per_connection_and_map(monkeypatch):
     assert 0 < len(solves) <= 2 * len(conn)
     assert curvatures == list(range(len(bundle.pairs)))
 
+
+@pytest.mark.parametrize("seed", range(30))
+def test_gauged_pullback_is_the_gauge_of_the_pullback(seed):
+    from test_linalg import recorded_products
+    rng = random.Random(seed)
+    n, m = rng.randint(1, 3), rng.randint(1, 3)
+    l = gauge(graph_bivector(random_antisymmetric(rng, n, 4)),
+              TwoFormFiber(random_antisymmetric(rng, n, 4)))
+    f = random_matrix(rng, n, m, 4)
+    delta = TwoFormFiber(random_antisymmetric(rng, m, 4))
+    products = []
+    for lift in (gauged_pullback, lambda f, l, delta: gauge(pullback(f, l), delta)):
+        pullback.cache_clear()
+        dirac_sum.cache_clear()
+        with recorded_products() as seen:
+            products.append((lift(f, l, delta), seen))
+    assert products[0] == products[1]
