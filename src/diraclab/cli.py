@@ -1,6 +1,19 @@
 """Command-line front end: build scenarios, run verification suites, emit
 deterministic reports.
 
+The command grammar is the COMMANDS table, which ``parse_argv`` reads:
+
+    diraclab list
+    diraclab verify SCENARIO [--suite S] [--report text|json] [--seed N]
+    diraclab reduce SCENARIO [--level L] [--coisotropic orbit|FILE] [--out FILE]
+    diraclab dump SCENARIO [--what base|datum|orbit] [--out FILE]
+
+SCENARIO is a scenario.json path.  An option is written ``--name value`` or
+``--name=value``, before or after the path; its value is the next token,
+whatever it starts with, and the last repeat wins.  Option names are never
+abbreviated.  ``-h`` or ``--help``, alone or after a command, prints the
+usage and exits 0.
+
 Each shipped scenario is one row of SCENARIOS, keyed by its name:
 - ``about``, the line ``list`` prints;
 - ``params(dict) -> dict``, the spec's params checked, defaults filled in.
@@ -11,14 +24,18 @@ Each shipped scenario is one row of SCENARIOS, keyed by its name:
 
 Exit codes, mapped once in ``main``: 0 all checks pass; 1 a check failed, or
 a reduction hypothesis was violated (prints a hypothesis-violated document);
-2 malformed input, i.e. any other ValueError, or an ``--out`` file or a
-standard output that cannot be written (prints ``error: ...``).  ``reduce``
+2 malformed input, i.e. any other ValueError (a command line the table does
+not accept included), or an ``--out`` file or a standard output that cannot
+be written, or is closed (prints ``error: ...``).  ``reduce``
 and ``dump`` check their ``--out`` file before they build anything, so an
 unwritable path costs no work, and write it only when their document is done.
 
 Each command loads only the modules it runs.  This module imports at its
 top only what every command needs: scenarios, serialize (the JSON emitter)
-and the modules they load (linalg, courant, records, report).  Then:
+and the modules they load (linalg, courant, records, report).  It reads
+argv itself, because argparse imports gettext, and building and running
+its parser loads locale and makes 15 gettext lookups: 4-6 ms of every
+command on Python 3.11, to read 2-6 tokens.  Then:
 - each suite runner imports its checkers from groupoid, coisotropic,
   intersection, morita or dorfman when it runs, and the scenario builders
   do the same, so a command loads only the checkers its suites run;
@@ -36,9 +53,10 @@ collection the interpreter forces at exit skips it, and exits with main's
 code.  That is safe because a command makes almost no cyclic garbage.  In a
 fresh interpreter (collect after import, then ``main`` with the collector
 off) each shipped ``verify`` at seed 0, and ``reduce`` on circle n = 2,
-leaves 238-310 objects in cycles, most of them the argument parser's
-(``list`` leaves 181), while its tracked objects grow by 1,165
-(graph-twist) to 21,673 (circle n = 2 ``verify``).  With the collector on,
+leaves 57-129 objects in cycles (``list`` leaves none): the classes that
+``record`` rebuilds in the modules the command loads, and the closures of
+one JSON encoder.  Its tracked objects grow by 631 (graph-twist) to 21,364
+(circle n = 2 ``verify``).  With the collector on,
 such a command ran up to 42 young and 3 middle collections and a full scan
 of the heap at exit, for those few objects.  tests/test_cli.py bounds that
 garbage at ``list``'s count plus 100.  ``main`` itself
@@ -48,7 +66,7 @@ run) keep it.  Only ``run`` touches gc.
 
 from __future__ import annotations
 
-import argparse
+import errno
 import json
 import os
 import random
@@ -56,6 +74,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from functools import partial
+from types import SimpleNamespace
 from typing import Callable
 
 from . import scenarios as sc
@@ -377,12 +396,14 @@ def unwritable(out: str | None, e: OSError) -> ScenarioError:
 
 def emit(text: str, out: str | None = None) -> None:
     """Write text and a newline to the --out file, or else print it to stdout
-    and flush it: a full device or a closed pipe is an error here, not a
-    traceback at exit."""
+    and flush it: a full device, a closed pipe or a closed standard output
+    is an error here, not a traceback at exit or lost output."""
     try:
         if out:
             with open(out, "w") as fh:
                 fh.write(text + "\n")
+        elif sys.stdout is None:  # the process started with standard output closed
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         else:
             print(text, flush=True)
     except OSError as e:
@@ -484,39 +505,122 @@ def cmd_dump(args) -> int:
     return EXIT_OK
 
 
+@record
+class Option:
+    """A ``--name value`` option: its default, and the values it accepts:
+    a tuple of choices, int, or any string, shown in the usage as metavar."""
+    default: str | int | None
+    accepts: tuple | type = str
+    metavar: str = ""
+
+    def read(self, name: str, value: str) -> str | int:
+        if self.accepts is int:
+            try:
+                return int(value)
+            except ValueError:
+                raise ScenarioError(f"{name} must be an integer, got {value!r}") from None
+        if self.accepts is not str and value not in self.accepts:
+            raise ScenarioError(f"{name} must be one of {', '.join(self.accepts)}, "
+                                f"got {value!r}")
+        return value
+
+    @property
+    def shown(self) -> str:
+        if self.accepts is int:
+            return "N"
+        return self.metavar or "|".join(self.accepts)
+
+
+@record
+class Command:
+    """A command: what it does, its function of the parsed arguments, whether
+    it takes a SCENARIO path, and its options by ``--name``."""
+    about: str
+    fn: Callable[[SimpleNamespace], int]
+    takes_path: bool
+    options: dict = field(default_factory=dict)
+
+
+COMMANDS = {
+    "list": Command("list shipped scenarios", cmd_list, False),
+    "verify": Command("run verification suites", cmd_verify, True, {
+        "--suite": Option("all", metavar="S"),
+        "--report": Option("text", ("text", "json")),
+        "--seed": Option(None, int)}),
+    "reduce": Command("run the reduction pipeline (L a moment level p/q, FILE a cd-v1 "
+                      "document)", cmd_reduce, True, {
+        "--level": Option(None, metavar="L"),
+        "--coisotropic": Option("orbit", metavar="orbit|FILE"),
+        "--out": Option(None, metavar="FILE")}),
+    "dump": Command("dump scenario bundles as JSON", cmd_dump, True, {
+        "--what": Option("base", ("base", "datum", "orbit")),
+        "--out": Option(None, metavar="FILE")}),
+}
+
+HELP = ("-h", "--help")
+
+
+def usage(names) -> str:
+    """The usage line of each named command, then what each does."""
+    forms = [" ".join([f"diraclab {name}", *["SCENARIO"] * COMMANDS[name].takes_path,
+                       *(f"[{k} {o.shown}]" for k, o in COMMANDS[name].options.items())])
+             for name in names]
+    return "\n".join(["usage: " + "\n       ".join(forms), "",
+                      "exact verification of Dirac-geometric identities on sampled "
+                      "groupoid fibers", "",
+                      *(f"  {name:8s} {COMMANDS[name].about}" for name in names)])
+
+
+def cmd_help(args) -> int:
+    emit(usage(args.commands))
+    return EXIT_OK
+
+
+def parse_argv(argv: list[str]) -> tuple[Callable[[SimpleNamespace], int], SimpleNamespace]:
+    """The function of the command argv names, and its arguments: the path
+    as "scenario" and each option's value or default under its bare name;
+    for -h or --help, cmd_help and the commands to show.  Any line COMMANDS
+    does not accept raises a ScenarioError."""
+    if not argv:
+        raise ScenarioError(f"no command given; choose from {', '.join(COMMANDS)}")
+    name, *rest = argv
+    if name in HELP:
+        return cmd_help, SimpleNamespace(commands=list(COMMANDS))
+    if name not in COMMANDS:
+        raise ScenarioError(f"unknown command {name!r}; choose from {', '.join(COMMANDS)}")
+    cmd = COMMANDS[name]
+    args = {k[2:]: o.default for k, o in cmd.options.items()}
+    paths = []
+    tokens = iter(rest)
+    for tok in tokens:
+        if tok in HELP:
+            return cmd_help, SimpleNamespace(commands=[name])
+        if not tok.startswith("-"):
+            paths.append(tok)
+            continue
+        key, eq, value = tok.partition("=")
+        if key not in cmd.options:
+            raise ScenarioError(f"{name} has no option {key!r}; it takes "
+                                f"{', '.join(cmd.options) or 'none'}")
+        if not eq:
+            value = next(tokens, None)
+            if value is None:
+                raise ScenarioError(f"option {key} needs a value")
+        args[key[2:]] = cmd.options[key].read(key, value)
+    if len(paths) > cmd.takes_path:
+        raise ScenarioError(f"unexpected argument {paths[cmd.takes_path]!r}")
+    if cmd.takes_path:
+        if not paths:
+            raise ScenarioError(f"{name} needs a SCENARIO path")
+        args["scenario"] = paths[0]
+    return cmd.fn, SimpleNamespace(**args)
+
+
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(prog="diraclab",
-                                 description="exact verification of Dirac-geometric "
-                                             "identities on sampled groupoid fibers")
-    sub = ap.add_subparsers(dest="cmd", required=True)
-
-    sub.add_parser("list", help="list shipped scenarios").set_defaults(fn=cmd_list)
-
-    p_ver = sub.add_parser("verify", help="run verification suites")
-    p_ver.add_argument("scenario", help="scenario.json path")
-    p_ver.add_argument("--suite", default="all")
-    p_ver.add_argument("--report", choices=("text", "json"), default="text")
-    p_ver.add_argument("--seed", type=int, default=None)
-    p_ver.set_defaults(fn=cmd_verify)
-
-    p_red = sub.add_parser("reduce", help="run the reduction pipeline")
-    p_red.add_argument("scenario")
-    p_red.add_argument("--level", default=None, help="moment level p/q")
-    p_red.add_argument("--coisotropic", default="orbit",
-                       help="'orbit' or a cd-v1 JSON file")
-    p_red.add_argument("--out", default=None)
-    p_red.set_defaults(fn=cmd_reduce)
-
-    p_dump = sub.add_parser("dump", help="dump scenario bundles as JSON")
-    p_dump.add_argument("scenario")
-    p_dump.add_argument("--what", choices=("base", "datum", "orbit"), default="base")
-    p_dump.add_argument("--out", default=None)
-    p_dump.set_defaults(fn=cmd_dump)
-
-    args = ap.parse_args(argv)
     try:
         try:
-            return args.fn(args)
+            fn, args = parse_argv(sys.argv[1:] if argv is None else argv)
+            return fn(args)
         except ReductionHypothesisViolated as e:
             emit(dumps({"status": HYPOTHESIS_VIOLATED, "detail": str(e)}))
             return EXIT_CHECK_FAILED

@@ -416,10 +416,9 @@ def test_a_level_that_is_neither_a_string_nor_an_integer_is_rejected(tmp_path, c
 
 def test_verify_has_no_samples_option(tmp_path, capsys):
     spec = write_spec(tmp_path, SPECS["pair"])
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["verify", spec, "--samples", "objects=2"])
-    assert exc.value.code == cli.EXIT_BAD_INPUT
-    assert "--samples" in capsys.readouterr().err
+    code, out, err = run(capsys, ["verify", spec, "--samples", "objects=2"])
+    assert (code, out) == (cli.EXIT_BAD_INPUT, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "--samples" in err
 
 
 def test_a_spec_with_a_samples_field_is_rejected(tmp_path, capsys):
@@ -812,6 +811,84 @@ def test_the_dorfman_suite_looks_its_builder_up_when_it_runs(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the command line, read by cli.parse_argv from the COMMANDS table; in these
+# tables a token that names a spec of SPECS stands for a file of that spec
+
+
+def with_specs(tmp_path, argv) -> list[str]:
+    out = []
+    for tok in argv:
+        if tok in SPECS:
+            (tmp_path / tok).mkdir(exist_ok=True)
+            tok = write_spec(tmp_path / tok, SPECS[tok])
+        out.append(tok)
+    return out
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "no command given"),
+    (["bogus"], "unknown command 'bogus'"),
+    (["so3"], "unknown command '"),  # a path where the command goes
+    (["verify", "so3", "--samples", "objects=2"], "no option '--samples'"),
+    (["verify", "so3", "--se", "3"], "no option '--se'"),      # no abbreviation
+    (["verify", "so3", "--s", "3"], "no option '--s'"),
+    (["verify", "so3", "-x"], "no option '-x'"),
+    (["list", "--seed", "3"], "list has no option '--seed'"),
+    (["verify", "so3", "--seed"], "option --seed needs a value"),
+    (["dump", "pair", "--out"], "option --out needs a value"),
+    (["verify", "so3", "--report", "xml"], "--report must be one of text, json, got 'xml'"),
+    (["dump", "pair", "--what=all"], "--what must be one of base, datum, orbit, got 'all'"),
+    (["verify", "so3", "--seed", "1.5"], "--seed must be an integer, got '1.5'"),
+    (["verify", "so3", "--seed=x"], "--seed must be an integer, got 'x'"),
+    (["verify", "so3", "--seed="], "--seed must be an integer, got ''"),
+    (["verify"], "verify needs a SCENARIO path"),
+    (["reduce", "--level", "1"], "reduce needs a SCENARIO path"),
+    (["verify", "so3", "so3"], "unexpected argument"),
+    (["list", "so3"], "unexpected argument"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else "")
+def test_a_command_line_the_table_rejects_is_one_error_line(tmp_path, capsys, argv,
+                                                           message):
+    code, out, err = run(capsys, with_specs(tmp_path, argv))
+    assert (code, out) == (cli.EXIT_BAD_INPUT, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err, err
+
+
+@pytest.mark.parametrize("canonical, spelling", [
+    (["verify", "so3", "--seed", "3", "--report", "json"],
+     ["verify", "so3", "--seed=3", "--report=json"]),
+    (["verify", "so3", "--seed", "3", "--report", "json"],
+     ["verify", "--report", "json", "--seed", "3", "so3"]),
+    (["verify", "so3", "--seed", "3", "--report", "json"],
+     ["verify", "so3", "--seed", "5", "--report=text", "--seed", "3", "--report", "json"]),
+    (["verify", "pair", "--suite", "qs"], ["verify", "--suite=adjoint", "pair", "--suite=qs"]),
+    (["dump", "circle-n1", "--what", "datum"], ["dump", "--what=orbit", "circle-n1", "--what",
+                                                "datum"]),
+    # a value is the next token, whatever it starts with: here a level that
+    # the scenario rejects, where a parse error would name the option
+    (["reduce", "circle-n1", "--level=-1/2"], ["reduce", "--level", "-1/2", "circle-n1"]),
+], ids=lambda v: " ".join(v))
+def test_every_spelling_of_a_command_gives_the_same_output(tmp_path, capsys, canonical,
+                                                           spelling):
+    want = run(capsys, with_specs(tmp_path, canonical))
+    assert want[1] or want[2] == "error: 2*level = -1 is not a rational square\n"
+    assert run(capsys, with_specs(tmp_path, spelling)) == want
+
+
+@pytest.mark.parametrize("argv", [[h] for h in cli.HELP]
+                         + [[name, h] for name in cli.COMMANDS for h in cli.HELP]
+                         + [["verify", "missing.json", "--seed", "3", "--help"]],
+                         ids=" ".join)
+def test_help_names_every_option_and_exits_0(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (cli.EXIT_OK, "")
+    shown = cli.COMMANDS if len(argv) == 1 else [argv[0]]
+    for name in shown:
+        assert f"diraclab {name}" in out
+        assert all(f"[{k} " in out for k in cli.COMMANDS[name].options)
+    assert all(f"diraclab {name}" not in out for name in cli.COMMANDS if name not in shown)
+
+
+# ---------------------------------------------------------------------------
 # the process entry, cli.run: main() with the cyclic collector off
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -874,10 +951,17 @@ def test_a_standard_output_that_cannot_be_written_exits_2(tmp_path, argv, sink, 
         cli.EXIT_BAD_INPUT, f"error: cannot write standard output: {reason}\n")
 
 
-def test_a_process_started_with_standard_output_closed_ends_quietly():
-    # Python then sets sys.stdout to None and print discards the text
-    done = run_process(["list"], stdout=subprocess.DEVNULL, preexec_fn=lambda: os.close(1))
-    assert (done.returncode, done.stderr) == (cli.EXIT_OK, b"")
+@pytest.mark.parametrize("argv", [["list"], ["verify", "so3"], ["dump", "pair"]],
+                         ids=" ".join)
+def test_a_process_started_with_standard_output_closed_exits_2(tmp_path, argv):
+    # Python then sets sys.stdout to None, where print would drop the text
+    cmd, *rest = argv
+    if rest:
+        rest[0] = write_spec(tmp_path, SPECS[rest[0]])
+    done = run_process([cmd, *rest], stdout=subprocess.DEVNULL,
+                       preexec_fn=lambda: os.close(1))
+    assert (done.returncode, done.stderr.decode()) == (
+        cli.EXIT_BAD_INPUT, f"error: cannot write standard output: {os.strerror(errno.EBADF)}\n")
 
 
 def test_the_installed_script_is_the_process_entry():
@@ -932,9 +1016,9 @@ def cyclic_garbage(argv) -> tuple[int, int]:
 def test_a_command_leaves_almost_no_cyclic_garbage(tmp_path, capsys, case):
     # run() turns the collector off for the whole process: that is sound
     # only while a command's cyclic garbage stays bounded.  After one warm-up
-    # run, each command here leaves 214 objects in cycles and `list` 181,
-    # most of them argparse's.  A cycle of one object made per kernel call
-    # grows with the work (394 on pair, 994 on circle n = 2) and fails this
+    # run, each command here leaves 33 objects in cycles, the closures of one
+    # json encoder, and `list` none.  A cycle of one object made per kernel call
+    # grows with the work (209 on pair, 787 on circle n = 2) and fails this
     cmd, name, *rest = GARBAGE_ARGV[case]
     argv = [cmd, write_spec(tmp_path, SPECS[name]), *rest]
     cyclic_garbage(argv)

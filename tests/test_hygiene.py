@@ -4,8 +4,9 @@ is read, every record field is read somewhere in src or allowlisted with a
 reason, only the CLI imports the scenario builders, only scenarios imports
 the rotation family and only the CLI the document schemas, importing the CLI
 does not load morita, groupoid, coisotropic, intersection, rotation, schema
-or dataclasses, verifying each scenario (and dumping or reducing one) loads
-only the diraclab modules it runs, no module uses dataclasses or the
+or dataclasses, neither it nor verify loads argparse, gettext or locale,
+verifying each scenario (and dumping or reducing one) loads only the
+diraclab modules it runs, no module uses dataclasses or the
 namedtuple constructors that skip validation, only the five relation
 operations and the matrix product are memoized, every memo returns an
 immutable record, every cached view is kept on a record and read as an
@@ -257,6 +258,22 @@ def test_importing_the_cli_does_not_load_morita():
     done = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
+
+
+def test_the_cli_reads_its_command_line_without_argparse(tmp_path):
+    # cli.parse_argv reads argv from the COMMANDS table: argparse imports
+    # gettext, and its first parse loads locale and makes 15 gettext lookups,
+    # 4-6 ms of every command's start-up for 2-6 tokens
+    spec = tmp_path / "scenario.json"
+    spec.write_text(json.dumps({"name": "so3"}))
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    probe = ("import sys; before = set(sys.modules); from diraclab import cli; "
+             "code = cli.main(['verify', sys.argv[1]]); "
+             "print(sorted({'argparse', 'gettext', 'locale'} & (set(sys.modules) - before)),"
+             " file=sys.stderr); sys.exit(code)")
+    done = subprocess.run([sys.executable, "-c", probe, str(spec)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "[]\n"), done.stderr
 
 
 # The diraclab modules that `verify` on each shipped scenario, with its
